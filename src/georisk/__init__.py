@@ -11,7 +11,6 @@ from .bootstrap import (
     PipelineConfig,
     PipelineFit,
     RiskMap,
-    bootstrap_replicate,
     decorrelate_residuals,
     fit_pipeline,
     risk_map,
@@ -81,7 +80,6 @@ __all__ = [
     "VariogramModel",
     "bias_corrected_variogram",
     "bias_matrix",
-    "bootstrap_replicate",
     "build_system",
     "cgcv_score",
     "correlation_matrix",

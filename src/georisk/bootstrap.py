@@ -1,25 +1,41 @@
 """Semiparametric bootstrap for unconditional exceedance-probability maps.
 
 The pipeline alternates trend and variogram estimation (independence CV for
-the initial bandwidth, dependence-corrected GCV afterwards), factorizes both
-the residual-scale and bias-corrected covariance estimates, and then
-resamples decorrelated residuals: each replicate recorrelates a resample,
-rebuilds responses around the fitted trend, re-smooths them with the same
-bandwidth, and adds simple kriging of the replicate's residuals. Exceedance
-probabilities are replicate frequencies per map node.
+the initial bandwidth, dependence-corrected GCV afterwards) and factorizes
+both the residual-scale and the bias-corrected covariance estimates.
+
+The bootstrap whitens the residuals with the residual-scale factor and
+resamples them with replacement. A replicate recorrelates its resample e*
+with a covariance factor L (Sigma = L L^T), adds it to the fitted trend f,
+re-smooths the result with the same bandwidth and adds simple kriging of
+its own residuals. Every step is linear in e*, so a replicate's map values
+are ``offset + gain @ e*`` with
+
+    W = T + C0 Sigma^-1 (I - S),    offset = W f,    gain = W L,
+
+where T holds the smoother rows at the map nodes, C0 the covariances from
+the nodes to the sites and S the hat matrix. ``build_engine`` forms this
+operator once per covariance mode, so a block of replicates costs one
+matrix product. Exceedance probabilities are replicate frequencies per map
+node.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateScoreError, GeoriskError
-from .geometry import BandwidthMatrix, RegularGrid, SpatialSample, pairwise_distances
-from .kriging import KrigingSystem, covariance_to_targets
+from .geometry import (
+    BandwidthMatrix,
+    RegularGrid,
+    SpatialSample,
+    cross_distances,
+    pairwise_distances,
+)
+from .kriging import KrigingSystem
 from .numerics import CholeskyFactor, cholesky, solve_lower, solve_spd
 from .trend import (
     TrendFit,
@@ -46,8 +62,6 @@ from .variogram import (
 STREAM_FIELD = 1
 STREAM_BOOT = 2
 STREAM_SYNTH = 3
-
-_REPLICATE_CHUNK = 128
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -251,117 +265,97 @@ def _select_lag_bandwidth_with_fallback(residuals, dists, lag_grid, cfg, notes):
         return g
 
 
-def decorrelate_residuals(fit: PipelineFit) -> np.ndarray:
-    """Residuals whitened by the residual-scale factor, then centered."""
-    e = solve_lower(fit.residual_factor, fit.trend_fit.residuals)
+def decorrelate_residuals(residuals, factor: CholeskyFactor) -> np.ndarray:
+    """Residuals whitened by a lower covariance factor, then centered."""
+    e = solve_lower(factor, residuals)
     return e - e.mean()
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap engine
+# Bootstrap operator
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class BootstrapEngine:
-    """Precomputed pieces shared by all replicates of one map.
+    """One map's bootstrap as an affine map of the resampled residuals.
 
-    ``target_rows`` are the trend-smoother rows at the (unmasked) targets,
-    ``c0`` the kriging covariances to those targets; ``recorr`` is the
-    lower factor used to recorrelate resampled residuals.
+    The replicate that draws resampling indices ``idx`` has the map values
+    ``offset + e[idx] @ gain.T``, where ``e`` are the whitened residuals,
+    ``offset`` (one value per target) is what the fitted trend itself maps
+    to, and ``gain`` (targets x data sites) is what a unit residual maps to.
     """
 
-    fitted: np.ndarray
-    smoother: np.ndarray
-    target_rows: np.ndarray
-    c0: np.ndarray
-    recorr: np.ndarray
-    factor: CholeskyFactor
+    offset: np.ndarray
+    gain: np.ndarray
     e: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.fitted.shape[0]
-
-    @property
-    def n_targets(self) -> int:
-        return self.target_rows.shape[0]
-
     def replicate_values(self, idx: np.ndarray) -> np.ndarray:
-        """Map-node values for a block of resampling index rows."""
-        e_star = self.e[idx]  # (b, n)
-        eps_star = e_star @ self.recorr.T
-        y_star = self.fitted[None, :] + eps_star
-        resid_star = y_star - y_star @ self.smoother.T
-        alpha = solve_spd(self.factor, resid_star.T)  # (n, b)
-        return y_star @ self.target_rows.T + alpha.T @ self.c0.T
-
-    def run(self, n_replicates: int, seed: int, threads: int = 1) -> np.ndarray:
-        """(B, n_targets) matrix of replicate values, reproducible for a
-        given seed regardless of the thread count."""
-        if n_replicates < 1:
-            raise ConfigError("need at least one bootstrap replicate")
-        n = self.n
-        idx = np.empty((n_replicates, n), dtype=np.intp)
-        for j in range(n_replicates):
-            idx[j] = rng_stream(seed, STREAM_BOOT, j).integers(0, n, size=n)
-        out = np.empty((n_replicates, self.n_targets))
-        slices = [
-            slice(s, min(s + _REPLICATE_CHUNK, n_replicates))
-            for s in range(0, n_replicates, _REPLICATE_CHUNK)
-        ]
-        if threads <= 1:
-            for sl in slices:
-                out[sl] = self.replicate_values(idx[sl])
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda sl: out.__setitem__(sl, self.replicate_values(idx[sl])), slices))
-        return out
+        """(b, n_targets) map values for a block of resampling index rows."""
+        values = self.e[idx] @ self.gain.T
+        values += self.offset
+        return values
 
 
-def _build_engine(
+def build_engine(
     trend_fit: TrendFit,
-    targets: np.ndarray,
+    target_rows: np.ndarray,
+    c0: np.ndarray,
     decorr_factor: CholeskyFactor,
-    recorr_factor: CholeskyFactor,
-    kriging: KrigingSystem,
-):
-    """Engine plus target mask; masked targets had singular local designs."""
-    rows, bad = prediction_weights(trend_fit, targets, on_singular="mask")
-    mask = np.zeros(len(targets), dtype=bool)
-    mask[bad] = True
-    keep = ~mask
-    c0 = covariance_to_targets(kriging, targets[keep])
-    e = solve_lower(decorr_factor, trend_fit.residuals)
-    e = e - e.mean()
-    engine = BootstrapEngine(
-        fitted=trend_fit.fitted,
-        smoother=trend_fit.smoother.S,
-        target_rows=rows[keep],
-        c0=c0,
-        recorr=recorr_factor.L,
-        factor=kriging.factor,
-        e=e,
-    )
-    return engine, mask
+    factor: CholeskyFactor,
+) -> BootstrapEngine:
+    """The bootstrap operator of one covariance mode.
+
+    ``decorr_factor`` whitens the residuals. ``factor`` (Sigma = L L^T)
+    recorrelates a resample e*, giving y* = f + L e* around the fitted
+    trend f; y* is re-smoothed (target rows T, hat matrix S) and completed
+    by simple kriging of its residuals with the same Sigma and the target
+    covariances ``c0``. Each step is linear, so the map values are W y*
+    with W = T + c0 Sigma^-1 (I - S): offset = W f and gain = W L.
+    """
+    s = trend_fit.smoother.S
+    f = trend_fit.fitted
+    L = factor.L
+    offset = target_rows @ f + c0 @ solve_spd(factor, f - s @ f)
+    gain = target_rows @ L
+    gain += c0 @ solve_spd(factor, L - s @ L)
+    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
+    return BootstrapEngine(offset=offset, gain=gain, e=e)
 
 
-def bootstrap_replicate(fit: PipelineFit, e: np.ndarray, rng: np.random.Generator, targets) -> np.ndarray:
-    """One bootstrap replicate evaluated at ``targets`` (no masking)."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    rows, _ = prediction_weights(fit.trend_fit, targets)
-    c0 = covariance_to_targets(fit.kriging, targets)
-    engine = BootstrapEngine(
-        fitted=fit.trend_fit.fitted,
-        smoother=fit.trend_fit.smoother.S,
-        target_rows=rows,
-        c0=c0,
-        recorr=fit.corrected_factor.L,
-        factor=fit.kriging.factor,
-        e=np.asarray(e, dtype=np.float64),
-    )
-    idx = rng.integers(0, engine.n, size=engine.n)
-    return engine.replicate_values(idx[None, :])[0]
+def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
+    """(n_replicates, n) indices drawn with replacement; row j comes from
+    its own stream (seed, STREAM_BOOT, *path, j)."""
+    if n_replicates < 1:
+        raise ConfigError("need at least one bootstrap replicate")
+    idx = np.empty((n_replicates, n), dtype=np.intp)
+    for j in range(n_replicates):
+        idx[j] = rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)
+    return idx
+
+
+def exceedance_probabilities(
+    trend_fit: TrendFit,
+    target_rows: np.ndarray,
+    target_dists: np.ndarray,
+    decorr_factor: CholeskyFactor,
+    model,
+    factor: CholeskyFactor,
+    idx: np.ndarray,
+    thresholds,
+) -> np.ndarray:
+    """(len(thresholds), n_targets) replicate frequencies of values >= c.
+
+    ``model`` with its ``factor`` is the covariance that recorrelates and
+    kriges; ``target_dists`` are the target-to-site distances. The target
+    covariances, the operator and the replicate values live only inside
+    this call, so one mode's arrays are freed before the next mode's.
+    """
+    c0 = model.sill - model.semivariance(target_dists)
+    engine = build_engine(trend_fit, target_rows, c0, decorr_factor, factor)
+    del c0
+    values = engine.replicate_values(idx)
+    return np.array([(values >= c).mean(axis=0) for c in thresholds])
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +375,29 @@ class RiskMap:
     n_masked: int = 0
 
 
-def _maps_from_values(grid, values, mask, thresholds, n_replicates, seed):
-    maps = []
+def _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed):
+    """Maps under the covariance ``model``/``factor``; nodes whose local
+    design is singular are masked."""
+    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    nodes = grid.nodes()
+    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
+    mask = np.zeros(len(nodes), dtype=bool)
+    mask[bad] = True
     keep = ~mask
-    for c in thresholds:
-        probs = np.full(mask.shape[0], np.nan)
-        probs[keep] = (values >= c).mean(axis=0)
+    idx = resample_indices(fit.sample.n, n_replicates, seed)
+    probs = exceedance_probabilities(
+        fit.trend_fit, rows[keep], cross_distances(nodes[keep], fit.sample.locations),
+        fit.residual_factor, model, factor, idx, thresholds,
+    )
+    maps = []
+    for c, p in zip(thresholds, probs):
+        full = np.full(len(nodes), np.nan)
+        full[keep] = p
         maps.append(
             RiskMap(
                 grid=grid,
                 threshold=float(c),
-                probabilities=probs,
+                probabilities=full,
                 n_replicates=n_replicates,
                 seed=seed,
                 n_masked=int(mask.sum()),
@@ -406,16 +412,12 @@ def risk_maps(
     thresholds,
     n_replicates: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[RiskMap]:
     """Exceedance-probability maps for several thresholds from one shared
-    replicate matrix (probabilities are monotone across thresholds)."""
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    engine, mask = _build_engine(
-        fit.trend_fit, grid.nodes(), fit.residual_factor, fit.corrected_factor, fit.kriging
+    set of replicates (probabilities are monotone across thresholds)."""
+    return _risk_maps(
+        fit, fit.corrected_model, fit.corrected_factor, grid, thresholds, n_replicates, seed
     )
-    values = engine.run(n_replicates, seed, threads)
-    return _maps_from_values(grid, values, mask, thresholds, n_replicates, seed)
 
 
 def risk_map(
@@ -424,10 +426,9 @@ def risk_map(
     threshold: float,
     n_replicates: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> RiskMap:
     """Single-threshold convenience wrapper around risk_maps."""
-    return risk_maps(fit, grid, [threshold], n_replicates, seed, threads)[0]
+    return risk_maps(fit, grid, [threshold], n_replicates, seed)[0]
 
 
 MODES = ("theoretical", "residual", "corrected")
@@ -445,7 +446,6 @@ def risk_map_mode(
     fit: PipelineFit | None = None,
     true_model=None,
     bandwidth: BandwidthMatrix | None = None,
-    threads: int = 1,
 ) -> list[RiskMap]:
     """Bootstrap maps with the covariance role played by a chosen estimate.
 
@@ -458,37 +458,17 @@ def risk_map_mode(
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-
-    if mode == "theoretical":
-        if true_model is None or bandwidth is None:
-            raise ConfigError(
-                "theoretical mode needs the simulation truth (true_model and bandwidth)"
-            )
-        if fit is None:
-            fit = fit_pipeline(sample, config, bandwidth=bandwidth)
-        dists = pairwise_distances(sample)
-        sigma = covariance_matrix(true_model, dists)
-        factor = cholesky(sigma, ridge_policy="auto")
-        kriging = KrigingSystem(locations=sample.locations, factor=factor, model=true_model)
-        engine, mask = _build_engine(
-            fit.trend_fit, grid.nodes(), fit.residual_factor, factor, kriging
+    if mode == "theoretical" and (true_model is None or bandwidth is None):
+        raise ConfigError(
+            "theoretical mode needs the simulation truth (true_model and bandwidth)"
         )
-        values = engine.run(n_replicates, seed, threads)
-        return _maps_from_values(grid, values, mask, thresholds, n_replicates, seed)
-
     if fit is None:
         fit = fit_pipeline(sample, config, bandwidth=bandwidth)
-    if mode == "corrected":
-        return risk_maps(fit, grid, thresholds, n_replicates, seed, threads)
-    # residual mode: decorrelate and recorrelate at the residual scale
-    kriging = KrigingSystem(
-        locations=fit.sample.locations,
-        factor=fit.residual_factor,
-        model=fit.residual_model,
-    )
-    engine, mask = _build_engine(
-        fit.trend_fit, grid.nodes(), fit.residual_factor, fit.residual_factor, kriging
-    )
-    values = engine.run(n_replicates, seed, threads)
-    return _maps_from_values(grid, values, mask, thresholds, n_replicates, seed)
+    if mode == "theoretical":
+        sigma = covariance_matrix(true_model, pairwise_distances(fit.sample))
+        model, factor = true_model, cholesky(sigma, ridge_policy="auto")
+    elif mode == "residual":
+        model, factor = fit.residual_model, fit.residual_factor
+    else:
+        model, factor = fit.corrected_model, fit.corrected_factor
+    return _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed)

@@ -121,7 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="RNG seed (nonnegative integer)")
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--threads", type=int, help="worker threads (results unchanged)")
+        p.add_argument(
+            "--threads", type=int,
+            help="worker threads for simulation replicates (results unchanged); "
+                 "riskmap and fit accept it, the bootstrap is parallel through BLAS",
+        )
 
     p_risk = sub.add_parser("riskmap", help="bootstrap exceedance-probability maps")
     add_shared(p_risk)
@@ -161,8 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# settings whose config-file values must be coerced like their flags
+_NUMERIC = {
+    "seed": int, "threads": int, "replicates": int, "n": int, "N": int, "B": int,
+    "range": float, "sill": float, "nugget_frac": float,
+}
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    """Apply precedence: command-line flags over config file over defaults."""
+    """Apply precedence: command-line flags over config file over defaults,
+    then coerce the numeric settings."""
     defaults = dict(_DEFAULTS[args.command])
     file_cfg = {}
     config_path = getattr(args, "config", None)
@@ -178,7 +190,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         # values may sit at the top level or under a per-command key
         file_cfg.update({k: v for k, v in loaded.items() if not isinstance(v, dict)})
-        file_cfg.update(loaded.get(args.command, {}))
+        section = loaded.get(args.command, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config entry {args.command!r} must be a JSON object")
+        file_cfg.update(section)
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -191,7 +206,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in ("input",):
         if hasattr(args, key):
             resolved[key] = getattr(args, key) or file_cfg.get(key)
-    if "seed" in resolved and int(resolved["seed"]) < 0:
+            if resolved[key] is not None and not isinstance(resolved[key], str):
+                raise ConfigError(f"{key} must be a path, got {resolved[key]!r}")
+    for key, kind in _NUMERIC.items():
+        value = resolved.get(key)
+        if value is None:
+            continue
+        try:
+            resolved[key] = kind(value)
+        except (TypeError, ValueError) as err:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
+    if "seed" in resolved and resolved["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
     return resolved
 
@@ -254,7 +280,7 @@ def _fit_report(cfg: dict, fit, extra: dict) -> dict:
             "bias_converged": bool(fit.report.bias.converged) if fit.report.bias else False,
             "notes": list(fit.report.notes),
         },
-        "seed": int(cfg.get("seed", 0)),
+        "seed": cfg["seed"],
     }
     report.update(extra)
     return report
@@ -277,16 +303,12 @@ def cmd_riskmap(cfg: dict) -> int:
     t_fit = time.perf_counter()
     logger.info("pipeline fitted in %.2fs (n=%d)", t_fit - t0, sample.n)
     if cfg["mode"] == "corrected":
-        maps = risk_maps(
-            fit, grid, thresholds, int(cfg["replicates"]), int(cfg["seed"]),
-            threads=int(cfg["threads"]),
-        )
+        maps = risk_maps(fit, grid, thresholds, cfg["replicates"], cfg["seed"])
     else:
         maps = risk_map_mode(
-            sample, cfg["mode"], grid, thresholds, int(cfg["replicates"]),
-            int(cfg["seed"]), fit=fit, threads=int(cfg["threads"]),
+            sample, cfg["mode"], grid, thresholds, cfg["replicates"], cfg["seed"], fit=fit
         )
-    logger.info("bootstrap of %d replicates in %.2fs", int(cfg["replicates"]),
+    logger.info("bootstrap of %d replicates in %.2fs", cfg["replicates"],
                 time.perf_counter() - t_fit)
 
     files = []
@@ -306,7 +328,7 @@ def cmd_riskmap(cfg: dict) -> int:
         cfg, fit,
         {
             "thresholds": list(thresholds),
-            "replicates": int(cfg["replicates"]),
+            "replicates": cfg["replicates"],
             "grid": list(dims),
             "masked_nodes": int(maps[0].n_masked),
             "files": files,
@@ -370,25 +392,25 @@ def cmd_fit(cfg: dict) -> int:
 def _build_scenarios(cfg: dict) -> list:
     overrides = {}
     if cfg["n"] is not None:
-        side = math.isqrt(int(cfg["n"]))
-        if side * side != int(cfg["n"]):
+        side = math.isqrt(cfg["n"])
+        if side * side != cfg["n"]:
             raise ConfigError("--n must be a perfect square (sites form an nx x ny layout)")
         overrides.update(nx=side, ny=side)
     if cfg["N"] is not None:
-        overrides["n_replicates"] = int(cfg["N"])
+        overrides["n_replicates"] = cfg["N"]
     if cfg["B"] is not None:
-        overrides["n_boot"] = int(cfg["B"])
-    overrides["seed"] = int(cfg["seed"])
+        overrides["n_boot"] = cfg["B"]
+    overrides["seed"] = cfg["seed"]
     scale = cfg["scale"]
     kind = cfg["scenario"]
     if kind == "table1":
         return [table1_scenario(scale, **overrides)]
     if kind == "table2":
-        return table2_scenarios(scale, nugget_frac=float(cfg["nugget_frac"]), **overrides)
+        return table2_scenarios(scale, nugget_frac=cfg["nugget_frac"], **overrides)
     if kind == "table3":
         return [table3_scenario(scale, **overrides)]
-    sill = float(cfg["sill"])
-    frac = float(cfg["nugget_frac"])
+    sill = cfg["sill"]
+    frac = cfg["nugget_frac"]
     if not 0.0 <= frac < 1.0:
         raise ConfigError("--nugget-frac must be in [0, 1)")
     from .simulation import _scale_params
@@ -399,7 +421,7 @@ def _build_scenarios(cfg: dict) -> list:
         design=cfg["design"],
         nugget=frac * sill,
         partial_sill=(1.0 - frac) * sill,
-        practical_range=float(cfg["range"]),
+        practical_range=cfg["range"],
         scale=scale,
     )
     params.update(overrides)
@@ -414,7 +436,7 @@ def cmd_simulate(cfg: dict) -> int:
     any_invalid = False
     for sc in scenarios:
         t0 = time.perf_counter()
-        result = run_scenario(sc, threads=int(cfg["threads"]))
+        result = run_scenario(sc, threads=cfg["threads"])
         logger.info(
             "scenario %s: %d replicates in %.1fs (%d failures)",
             sc.name, sc.n_replicates, time.perf_counter() - t0, result.n_failures,
@@ -456,8 +478,8 @@ def cmd_synth(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synthetic.csv"
-    write_synth_csv(path, n=int(cfg["n"]), seed=int(cfg["seed"]))
-    logger.info("wrote %s (%d sites)", path, int(cfg["n"]))
+    write_synth_csv(path, n=cfg["n"], seed=cfg["seed"])
+    logger.info("wrote %s (%d sites)", path, cfg["n"])
     return EXIT_OK
 
 

@@ -20,12 +20,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bootstrap import (
-    STREAM_BOOT,
     STREAM_FIELD,
-    BootstrapEngine,
     MODES,
     PipelineConfig,
+    exceedance_probabilities,
     fit_pipeline,
+    resample_indices,
     rng_stream,
 )
 from .exceptions import ConfigError, GeoriskError
@@ -37,7 +37,7 @@ from .geometry import (
     make_regular_grid,
     pairwise_distances,
 )
-from .numerics import CholeskyFactor, cholesky, normal_cdf, solve_lower
+from .numerics import CholeskyFactor, cholesky, normal_cdf
 from .trend import apply_smoother, prediction_weights, select_bandwidth, smoother_matrix
 from .variogram import (
     bias_corrected_variogram,
@@ -49,8 +49,6 @@ from .variogram import (
 )
 
 FAILURE_GATE = 0.05  # a run with more than 5% failed replicates is invalid
-
-_REPLICATE_CHUNK = 128
 
 
 def true_trend(x) -> np.ndarray:
@@ -541,42 +539,23 @@ def _evaluate_replicate(
             trend_fit, dists, lag_grid, g
         )
 
-    n = sample.n
-    b_boot = scenario.n_boot
-    idx = np.empty((b_boot, n), dtype=np.intp)
-    for j in range(b_boot):
-        idx[j] = rng_stream(scenario.seed, STREAM_BOOT, r, j).integers(0, n, size=n)
-
+    idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
     # decorrelation always whitens with the residual-scale factor; the modes
     # differ in the covariance used to recorrelate and krige
-    mode_parts = {
-        "theoretical": (resid_factor, factor_true, model_true, factor_true),
-        "residual": (resid_factor, resid_factor, resid_model, resid_factor),
-        "corrected": (resid_factor, corr_factor, corr_model, corr_factor),
+    covariances = {
+        "theoretical": (model_true, factor_true),
+        "residual": (resid_model, resid_factor),
+        "corrected": (corr_model, corr_factor),
     }
     mean_se = {}
     for mode in modes:
-        decorr, recorr, model, kfac = mode_parts[mode]
-        c0 = model.sill - model.semivariance(cross_d)
-        e = solve_lower(decorr, trend_fit.residuals)
-        e = e - e.mean()
-        engine = BootstrapEngine(
-            fitted=trend_fit.fitted,
-            smoother=trend_fit.smoother.S,
-            target_rows=grid_rows,
-            c0=c0,
-            recorr=recorr.L,
-            factor=kfac,
-            e=e,
+        model, factor = covariances[mode]
+        probs = exceedance_probabilities(
+            trend_fit, grid_rows, cross_d, resid_factor, model, factor, idx,
+            scenario.thresholds,
         )
-        values = np.empty((b_boot, engine.n_targets))
-        for start in range(0, b_boot, _REPLICATE_CHUNK):
-            sl = slice(start, min(start + _REPLICATE_CHUNK, b_boot))
-            values[sl] = engine.replicate_values(idx[sl])
-        for c in scenario.thresholds:
-            probs = (values >= c).mean(axis=0)
-            truth = truth_maps[c][~mask]
-            mean_se[(mode, c)] = (truth - probs) ** 2
+        for c, p in zip(scenario.thresholds, probs):
+            mean_se[(mode, c)] = (truth_maps[c][~mask] - p) ** 2
 
     return ReplicateRecord(
         index=r,

@@ -147,3 +147,24 @@ def local_lag_fit_naive(target, pair_dists, pair_z, bandwidth, exclude=None):
 def sk_weights_dense(cov_dd, cov_d0):
     """Simple kriging weights via an explicit dense inverse."""
     return np.linalg.inv(cov_dd) @ cov_d0
+
+
+def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e, idx):
+    """Bootstrap replicate values built step by step, one block of index rows.
+
+    Recorrelates the resampled residuals with ``factor_l``, rebuilds the
+    responses around the fitted trend, re-smooths them, solves the kriging
+    system L L^T alpha = residuals by forward then back substitution, and
+    adds the kriged residuals to the re-smoothed trend at the targets.
+    """
+    L = np.asarray(factor_l, dtype=np.float64)
+    y_star = fitted[None, :] + e[idx] @ L.T
+    resid_star = (y_star - y_star @ smoother.T).T  # (n, b)
+    n = L.shape[0]
+    z = resid_star.copy()
+    for i in range(n):
+        z[i] = (z[i] - L[i, :i] @ z[:i]) / L[i, i]
+    alpha = z
+    for i in range(n - 1, -1, -1):
+        alpha[i] = (alpha[i] - L[i + 1 :, i] @ alpha[i + 1 :]) / L[i, i]
+    return y_star @ target_rows.T + alpha.T @ c0.T

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import bootstrap_replicates_stepwise
 from georisk.bootstrap import (
     PipelineConfig,
+    build_engine,
     decorrelate_residuals,
     fit_pipeline,
-    bootstrap_replicate,
+    resample_indices,
     risk_map,
     risk_map_mode,
     risk_maps,
@@ -22,8 +24,16 @@ from georisk.geometry import (
     make_regular_grid,
     pairwise_distances,
 )
+from georisk.kriging import covariance_to_targets
 from georisk.numerics import CholeskyFactor
-from georisk.variogram import GAUSSIAN_DIM, VariogramModel
+from georisk.simulation import (
+    _fit_models,
+    _regular_context,
+    simulate_field,
+    table1_scenario,
+)
+from georisk.trend import apply_smoother, prediction_weights
+from georisk.variogram import GAUSSIAN_DIM, VariogramModel, select_lag_bandwidth
 
 
 def bench_surface(pts):
@@ -128,26 +138,20 @@ def test_pipeline_stage_labels():
 
 def test_decorrelate_identity_factor(fitted):
     n = fitted.sample.n
-    doctored = dataclasses.replace(fitted, residual_factor=CholeskyFactor(np.eye(n)))
-    e = decorrelate_residuals(doctored)
     resid = fitted.trend_fit.residuals
+    e = decorrelate_residuals(resid, CholeskyFactor(np.eye(n)))
     assert_allclose(e, resid - resid.mean(), atol=1e-14)
 
 
 def test_decorrelate_constructed_ones(fitted):
     # residuals built as L @ 1 whiten to the ones vector, which centers to 0
-    doctored = dataclasses.replace(
-        fitted,
-        trend_fit=dataclasses.replace(
-            fitted.trend_fit, residuals=fitted.residual_factor.L @ np.ones(fitted.sample.n)
-        ),
-    )
-    e = decorrelate_residuals(doctored)
+    factor = fitted.residual_factor
+    e = decorrelate_residuals(factor.L @ np.ones(fitted.sample.n), factor)
     assert_allclose(e, np.zeros(fitted.sample.n), atol=1e-10)
 
 
 def test_decorrelate_round_trip(fitted):
-    e = decorrelate_residuals(fitted)
+    e = decorrelate_residuals(fitted.trend_fit.residuals, fitted.residual_factor)
     assert abs(e.mean()) < 1e-12
     shift = (
         np.linalg.solve(fitted.residual_factor.L, fitted.trend_fit.residuals) - e
@@ -164,8 +168,15 @@ def test_decorrelate_round_trip(fitted):
 def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
     targets = fitted.sample.locations[:5]
-    rng = rng_stream(123, 9)
-    out = bootstrap_replicate(fitted, np.zeros(n), rng, targets)
+    rows, _ = prediction_weights(fitted.trend_fit, targets)
+    c0 = covariance_to_targets(fitted.kriging, targets)
+    engine = build_engine(
+        fitted.trend_fit, rows, c0, fitted.residual_factor, fitted.corrected_factor
+    )
+    idx = resample_indices(n, 3, 123, 9)
+    zero = dataclasses.replace(engine, e=np.zeros(n))
+    assert np.array_equal(zero.replicate_values(idx), np.tile(engine.offset, (3, 1)))
+    out = engine.offset
     # with e = 0 the replicate is the fitted surface re-smoothed plus kriging
     # of its self-consistency gap S(SY) - SY
     s = fitted.trend_fit.smoother.S
@@ -176,7 +187,7 @@ def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
 
 
 def test_replicate_resampling_moments(fitted):
-    e = decorrelate_residuals(fitted)
+    e = decorrelate_residuals(fitted.trend_fit.residuals, fitted.residual_factor)
     l = fitted.corrected_factor.L
     n = fitted.sample.n
     reps = 4000
@@ -198,6 +209,42 @@ def test_replicate_resampling_moments(fitted):
         target = s2e * sigma[i, j]
         se = math.sqrt(target_var[i] * target_var[j] / reps)
         assert abs(emp - target) < 3.5 * se
+
+
+@pytest.fixture(scope="module")
+def full_design():
+    """Replicate 0 of the full-scale table1 study: n = 400 sites on a 20x20
+    grid, a 50x50 map, and each mode's covariance fitted as in the study."""
+    sc = table1_scenario("full")
+    ctx = _regular_context(sc)
+    trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0))
+    g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
+    resid_model, corr_model, resid_factor, corr_factor = _fit_models(
+        trend_fit, ctx.dists, ctx.lag_grid, g
+    )
+    covariances = {
+        "theoretical": (sc.model, ctx.factor_true),
+        "residual": (resid_model, resid_factor),
+        "corrected": (corr_model, corr_factor),
+    }
+    return sc, ctx, trend_fit, resid_factor, covariances
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
+def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
+    sc, ctx, trend_fit, resid_factor, covariances = full_design
+    model, factor = covariances[mode]
+    c0 = model.sill - model.semivariance(ctx.cross_d)
+    engine = build_engine(trend_fit, ctx.grid_rows, c0, resid_factor, factor)
+    idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
+    values = engine.replicate_values(idx)
+    oracle = bootstrap_replicates_stepwise(
+        trend_fit.fitted, trend_fit.smoother.S, ctx.grid_rows, c0, factor.L, engine.e, idx
+    )
+    assert values.shape == (64, ctx.grid_rows.shape[0]) and values.shape[1] > 2000
+    assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    for c in (2.0, 2.5, 3.0):
+        assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +277,6 @@ def test_risk_maps_monotone_in_threshold(fitted):
     maps = risk_maps(fitted, SMALL_GRID, [2.0, 2.5, 3.0, 3.5], n_replicates=100, seed=2)
     stack = np.array([m.probabilities for m in maps])
     assert np.all(np.diff(stack, axis=0) <= 1e-12)
-
-
-def test_risk_map_deterministic_across_threads(fitted):
-    a = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=150, seed=17, threads=1)
-    b = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=150, seed=17, threads=3)
-    assert np.array_equal(a.probabilities, b.probabilities, equal_nan=True)
 
 
 def test_risk_map_seed_changes_map(fitted):

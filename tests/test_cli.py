@@ -249,3 +249,26 @@ def test_exit_codes(tmp_path, synth_csv):
     dup = tmp_path / "dup.csv"
     dup.write_text("x,y,value\n0,0,1\n0,0,2\n1,1,3\n")
     assert main(["riskmap", "--input", str(dup), "--out", str(tmp_path / "w")]) == 3
+
+
+def test_config_file_bad_numbers_exit_2(tmp_path, synth_csv):
+    # config-file values skip argparse's types; they are coerced in one
+    # place and a bad one is a configuration error, not a traceback
+    threads = tmp_path / "threads.json"
+    threads.write_text(json.dumps({"threads": "two"}))
+    assert main(["simulate", "--config", str(threads), "--out", str(tmp_path / "s")]) == 2
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"seed": "x"}))
+    for argv in (
+        ["riskmap", "--input", str(synth_csv)],
+        ["fit", "--input", str(synth_csv)],
+        ["simulate"],
+        ["synth-data"],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--config", str(seed), "--out", str(out)]) == 2
+        assert not out.exists()
+    for i, bad in enumerate(({"riskmap": 5}, {"input": 5})):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(bad))
+        assert main(["riskmap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
