@@ -53,6 +53,7 @@ from .trend import (
 )
 from .variogram import (
     EmpiricalVariogram,
+    PairTable,
     VariogramModel,
     bias_corrected_variogram,
     bias_matrix,
@@ -69,6 +70,7 @@ __all__ = [
     "BandwidthMatrix",
     "EmpiricalVariogram",
     "KrigingSystem",
+    "PairTable",
     "PipelineConfig",
     "PipelineFit",
     "RegularGrid",

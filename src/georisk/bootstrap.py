@@ -48,6 +48,7 @@ from .variogram import (
     BiasCorrectionReport,
     EmpiricalVariogram,
     GAUSSIAN_DIM,
+    PairTable,
     VariogramModel,
     bias_corrected_variogram,
     correlation_matrix,
@@ -162,6 +163,7 @@ def fit_pipeline(
     notes: list[str] = []
     with _stage("distances"):
         dists = pairwise_distances(sample)
+        pairs = PairTable.from_distances(dists)
         lag_grid = default_lag_grid(dists, cfg.n_lags)
 
     search_grid = None
@@ -183,16 +185,16 @@ def fit_pipeline(
             trend = fit_trend(sample, h, cfg.kernel)
         with _stage("lag bandwidth"):
             g = _select_lag_bandwidth_with_fallback(
-                trend.residuals, dists, lag_grid, cfg, notes
+                trend.residuals, pairs, lag_grid, cfg, notes
             )
         with _stage("variogram (uncorrected)"):
             pilot_unc = empirical_variogram(
-                trend.residuals, dists, lag_grid, g, min_pairs=cfg.min_pairs
+                trend.residuals, pairs, lag_grid, g, min_pairs=cfg.min_pairs
             )
             residual_model = fit_shapiro_botha(pilot_unc, cfg.kernel_dim, cfg.n_nodes)
         with _stage("variogram (bias-corrected)"):
             pilot_corr = bias_corrected_variogram(
-                trend, dists, lag_grid, g,
+                trend, pairs, lag_grid, g,
                 max_iter=cfg.bias_max_iter, tol=cfg.bias_tol, min_pairs=cfg.min_pairs,
             )
             corrected_model = fit_shapiro_botha(pilot_corr, cfg.kernel_dim, cfg.n_nodes)
@@ -249,11 +251,11 @@ def fit_pipeline(
     )
 
 
-def _select_lag_bandwidth_with_fallback(residuals, dists, lag_grid, cfg, notes):
-    candidates = default_lag_bandwidths(dists, cfg.lag_candidates)
+def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, cfg, notes):
+    candidates = default_lag_bandwidths(pairs.matrix, cfg.lag_candidates)
     try:
         return select_lag_bandwidth(
-            residuals, dists, lag_grid, candidates, min_pairs=cfg.min_pairs
+            residuals, pairs, lag_grid, candidates, min_pairs=cfg.min_pairs
         )
     except DegenerateScoreError:
         # residuals carry no usable variation (e.g. noise-free affine data);

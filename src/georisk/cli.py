@@ -172,9 +172,20 @@ _NUMERIC = {
 }
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The allowed values of each setting of ``command``, as declared by its
+    flags' ``choices``."""
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = subparsers.choices[command]._actions
+    return {a.dest: a.choices for a in actions if a.choices is not None}
+
+
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """Apply precedence: command-line flags over config file over defaults,
-    then coerce the numeric settings."""
+    then coerce the numeric settings and check every setting that has
+    ``choices`` against them (config-file values bypass argparse)."""
     defaults = dict(_DEFAULTS[args.command])
     file_cfg = {}
     config_path = getattr(args, "config", None)
@@ -219,6 +230,12 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
     if "seed" in resolved and resolved["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
+    for key, allowed in _choices(parser, args.command).items():
+        value = resolved.get(key)
+        if value is not None and value not in allowed:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(map(str, allowed))}, got {value!r}"
+            )
     return resolved
 
 
@@ -498,7 +515,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        cfg = _resolve(args, parser)
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         logger.error("configuration error: %s", err)

@@ -40,6 +40,7 @@ from .geometry import (
 from .numerics import CholeskyFactor, cholesky, normal_cdf
 from .trend import apply_smoother, prediction_weights, select_bandwidth, smoother_matrix
 from .variogram import (
+    PairTable,
     bias_corrected_variogram,
     covariance_matrix,
     default_lag_grid,
@@ -230,7 +231,7 @@ def _regular_context(scenario: Scenario):
 @dataclass(frozen=True, eq=False)
 class _DesignContext:
     locations: np.ndarray
-    dists: np.ndarray
+    pairs: PairTable
     m_true: np.ndarray
     sigma_true: np.ndarray
     factor_true: CholeskyFactor
@@ -241,9 +242,14 @@ class _DesignContext:
     grid_mask: np.ndarray | None
     cross_d: np.ndarray | None
 
+    @property
+    def dists(self) -> np.ndarray:
+        return self.pairs.matrix
+
     @classmethod
     def build(cls, scenario: Scenario, locations, with_grid=True):
         dists = pairwise_distances(locations)
+        pairs = PairTable.from_distances(dists)
         m_true = true_trend(locations)
         model = scenario.model
         sigma_true = covariance_matrix(model, dists)
@@ -270,7 +276,7 @@ class _DesignContext:
                 cross_d = cross_distances(grid_nodes[~grid_mask], locations)
         return cls(
             locations=locations,
-            dists=dists,
+            pairs=pairs,
             m_true=m_true,
             sigma_true=sigma_true,
             factor_true=factor_true,
@@ -410,7 +416,7 @@ def run_scenario(
         # lag bandwidth tuned once on the first replicate's residuals
         sample0 = simulate_field(scenario, 0)
         resid0 = sample0.values - ctx.smoother.S @ sample0.values
-        shared_g = select_lag_bandwidth(resid0, ctx.dists, ctx.lag_grid)
+        shared_g = select_lag_bandwidth(resid0, ctx.pairs, ctx.lag_grid)
 
     records: list = [None] * scenario.n_replicates
     pools = {(m, c): [] for m in modes for c in scenario.thresholds}
@@ -508,7 +514,6 @@ def _evaluate_replicate(
         grid_rows = rows[~mask]
         cross_d = cross_distances(grid_nodes[~mask], sample.locations)
     elif ctx is not None:
-        dists = ctx.dists
         factor_true = ctx.factor_true
         trend_fit = apply_smoother(ctx.smoother, sample)
         g = shared_g
@@ -516,7 +521,7 @@ def _evaluate_replicate(
         grid_rows = ctx.grid_rows
         cross_d = ctx.cross_d
         resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-            trend_fit, dists, ctx.lag_grid, g
+            trend_fit, ctx.pairs, ctx.lag_grid, g
         )
     else:
         # random design: every location-dependent piece is rebuilt
@@ -528,15 +533,16 @@ def _evaluate_replicate(
             sample, "mase", true_mean=m_true_r, covariance=sigma_true
         )
         trend_fit = apply_smoother(smoother_matrix(sample, bandwidth), sample)
+        pairs = PairTable.from_distances(dists)
         lag_grid = default_lag_grid(dists)
-        g = select_lag_bandwidth(trend_fit.residuals, dists, lag_grid)
+        g = select_lag_bandwidth(trend_fit.residuals, pairs, lag_grid)
         rows, bad = prediction_weights(trend_fit, grid_nodes, on_singular="mask")
         mask = np.zeros(len(grid_nodes), dtype=bool)
         mask[bad] = True
         grid_rows = rows[~mask]
         cross_d = cross_distances(grid_nodes[~mask], sample.locations)
         resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-            trend_fit, dists, lag_grid, g
+            trend_fit, pairs, lag_grid, g
         )
 
     idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
@@ -566,11 +572,12 @@ def _evaluate_replicate(
     )
 
 
-def _fit_models(trend_fit, dists, lag_grid, g):
-    pilot_unc = empirical_variogram(trend_fit.residuals, dists, lag_grid, g)
+def _fit_models(trend_fit, pairs, lag_grid, g):
+    pilot_unc = empirical_variogram(trend_fit.residuals, pairs, lag_grid, g)
     resid_model = fit_shapiro_botha(pilot_unc)
-    pilot_corr = bias_corrected_variogram(trend_fit, dists, lag_grid, g)
+    pilot_corr = bias_corrected_variogram(trend_fit, pairs, lag_grid, g)
     corr_model = fit_shapiro_botha(pilot_corr)
+    dists = pairs.matrix
     resid_factor = cholesky(covariance_matrix(resid_model, dists), ridge_policy="auto")
     corr_factor = cholesky(covariance_matrix(corr_model, dists), ridge_policy="auto")
     return resid_model, corr_model, resid_factor, corr_factor

@@ -153,17 +153,54 @@ def default_lag_grid(distances, n_lags: int = DEFAULT_N_LAGS) -> np.ndarray:
     return np.linspace(u_max / 50.0, u_max, n_lags)
 
 
-def _condensed_pairs(distances, values_sq, corrections=None):
-    """Sorted condensed pair distances and (optionally corrected) targets."""
-    d = np.asarray(distances, dtype=np.float64)
-    n = d.shape[0]
-    iu = np.triu_indices(n, k=1)
-    pd = d[iu]
-    z = values_sq[iu] if values_sq.ndim == 2 else values_sq
-    if corrections is not None:
-        z = z - np.asarray(corrections, dtype=np.float64)[iu]
-    order = np.argsort(pd, kind="stable")
-    return pd[order], z[order]
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The site pairs of one sample, sorted by distance.
+
+    ``distances`` holds the upper-triangle pair distances in stable
+    ascending order and ``rows``/``cols`` the two sites of each pair
+    (row < col); ``matrix`` is the distance matrix the table was built
+    from. Build it once per sample with ``from_distances`` and pass it to
+    every lag-smoothing call: per-pair values are then gathered at the P
+    pairs instead of being formed as n x n matrices and re-sorted.
+    """
+
+    matrix: np.ndarray
+    distances: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def from_distances(cls, distances) -> "PairTable":
+        d = np.asarray(distances, dtype=np.float64)
+        rows, cols = np.triu_indices(d.shape[0], k=1)
+        pd = d[rows, cols]
+        order = np.argsort(pd, kind="stable")
+        return cls(matrix=d, distances=pd[order], rows=rows[order], cols=cols[order])
+
+    def squared_differences(self, values) -> np.ndarray:
+        """(v_i - v_j)^2 at every pair."""
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if v.shape[0] != self.matrix.shape[0]:
+            raise ConfigError(
+                f"{v.shape[0]} values for a pair table over {self.matrix.shape[0]} sites"
+            )
+        return np.square(v[self.rows] - v[self.cols])
+
+    def corrections(self, bias) -> np.ndarray:
+        """B_ii + B_jj - 2 B_ij at every pair: the trend-removal bias of
+        (e_i - e_j)^2 for a bias matrix B."""
+        b = np.asarray(bias, dtype=np.float64)
+        diag = np.diag(b)
+        return diag[self.rows] + diag[self.cols] - 2.0 * b[self.rows, self.cols]
+
+
+def _pair_table(distances) -> PairTable:
+    """The pair table of ``distances``, built from a distance matrix if
+    needed: the one place where a matrix becomes a pair table."""
+    if isinstance(distances, PairTable):
+        return distances
+    return PairTable.from_distances(distances)
 
 
 def _triweight_poly(u):
@@ -206,95 +243,165 @@ def _intercept(s0, s1, s2, t0, t1):
     return (s2 * t0 - s1 * t1) / den
 
 
-_BINOM = np.array([[math.comb(p, m) for m in range(9)] for p in range(9)], dtype=np.float64)
-_KERNEL_POLY = np.array([1.0, -3.0, 3.0, -1.0])  # (1-u^2)^3 in powers u^0,u^2,u^4,u^6
+def _shift_matrices():
+    """Coefficients with sum k = sum_(j,m) C_k[j, m] q^j M_m.
+
+    With u = a + q, the five summands u^k (1 - u^2)^3 (k = 0, 1, 2, then
+    k = 0, 1 times z) are polynomials sum_p c_p u^p of degree <= 8, and
+    u^p = sum_m C(p, m) a^m q^(p-m). So the k-th sum over a set of pairs is
+    a fixed 9 x 9 matrix C_k[j, m] = c_(m+j) C(m+j, m) contracted with the
+    set's moments M_m of a (sum a^m for S_k, sum a^m z for T_k) and the
+    powers q^j. Returns the S rows (27, 9) and the T rows (18, 8).
+    """
+    coef = np.zeros((5, 9, 9))
+    for k, power in enumerate((0, 1, 2, 0, 1)):
+        poly = np.zeros(9)
+        poly[power:power + 7:2] = (1.0, -3.0, 3.0, -1.0)
+        for m in range(9):
+            for j in range(9 - m):
+                coef[k, j, m] = poly[m + j] * math.comb(m + j, m)
+    # T1 has degree 7, so the z-weighted moments stop at m = 7
+    return coef[:3].reshape(27, 9), coef[3:, :, :8].reshape(18, 8)
+
+
+_SHIFT_S, _SHIFT_T = _shift_matrices()
+_SUM_BLOCK = 16384  # pairs per block of running sums, targets per contraction
+
+
+def _powers(x, count):
+    """Rows x^0 .. x^(count-1)."""
+    out = np.empty((count,) + np.shape(x))
+    out[0] = 1.0
+    if count > 1:
+        out[1] = x
+    for m in range(2, count):
+        np.multiply(out[m - 1], x, out=out[m])
+    return out
+
+
+def _add_sums(out, moments, q, update=np.add):
+    """Apply ``update`` to ``out`` (5, E) with the five sums over pair sets
+    with moments (17,) or (17, E), seen from targets at offsets q (E,)."""
+    q_pow = _powers(q, 9)
+    parts = ((out[:3], _SHIFT_S, moments[:9]), (out[3:], _SHIFT_T, moments[9:]))
+    for dest, coef, part in parts:
+        by_power = (coef @ part).reshape((dest.shape[0], 9) + moments.shape[1:])
+        if moments.ndim == 2:
+            sums = np.einsum("kje,je->ke", by_power, q_pow)
+        else:
+            sums = by_power @ q_pow
+        update(dest, sums, out=dest)
+
+
+def _segment_pass(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds):
+    """One pass over the pairs p0..p1-1 of one segment; returns their
+    total moments.
+
+    Block by block it forms the running sums from p0 of a^m (m <= 8) and
+    a^m z (m <= 7), a = (d - centre)/g; each block sums from zero and the
+    earlier blocks' total is added to the values it hands out. ``bounds``
+    lists (i0, positions, update): for the k-th position p (p0 <= p <= p1,
+    nondecreasing) the moments of pairs p0..p-1, seen from target i0 + k,
+    are applied with ``update`` to that target's column of ``out``.
+    """
+    carry = np.zeros(17)
+    for k0 in range(p0, p1, _SUM_BLOCK):
+        k1 = min(k0 + _SUM_BLOCK, p1)
+        running = np.empty((17, k1 - k0))
+        running[:9] = _powers((d_sorted[k0:k1] - centre) / g, 9)
+        np.multiply(running[:8], z_sorted[k0:k1], out=running[9:])
+        np.cumsum(running, axis=1, out=running)
+        # the moments at p0 are zero, so each block serves (k0, k1]
+        for i0, positions, update in bounds:
+            e0 = int(np.searchsorted(positions, k0, side="right"))
+            e1 = int(np.searchsorted(positions, k1, side="right"))
+            for c0 in range(e0, e1, _SUM_BLOCK):
+                c1 = min(c0 + _SUM_BLOCK, e1)
+                moments = np.take(running, positions[c0:c1] - (k0 + 1), axis=1)
+                moments += carry[:, None]
+                rows = slice(i0 + c0, i0 + c1)
+                _add_sums(out[:, rows], moments, (centre - t[rows]) / g, update)
+        carry = carry + running[:, -1]
+    return carry
 
 
 def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
-    """Exact kernel-weighted local-linear sums at many targets in O(P) space
-    and O(P * terms) time.
+    """Triweight-weighted local-linear sums of z on distance at many targets.
 
-    Distances are partitioned into width-G segments; within a segment,
-    prefix sums of centered powers (|a| <= 1/2 after scaling by G) give any
-    window sub-range in O(1), and a binomial shift re-centers them on the
-    target. Only the three segments meeting the kernel support contribute.
-    Returns (S0, S1, S2, T0, T1) with S_k = sum K(u)(d_q - t)^k and T_k the
-    z-weighted versions.
+    For each target t, with K(u) = (1 - u^2)^3 on |u| < 1, u = (d - t)/g,
+    over the pairs in the open window (t - g, t + g): S_k = sum K(u)(d - t)^k
+    for k = 0, 1, 2 and T_k = sum K(u)(d - t)^k z for k = 0, 1. Returns
+    (S0, S1, S2, T0, T1, count), count being the pairs in each window.
+
+    Pairs and targets are cut into width-g segments on one common origin;
+    each segment has one centre. A target in segment s has its window start
+    in segment s - 1 and end in segment s + 1, so its sums add the tail of
+    s - 1 from the window start, all of s, and the head of s + 1 up to the
+    window end. One pass over each segment (``_segment_pass``) forms
+    running sums local to that segment, never over all P pairs, and hands
+    out the tail and head moments at the window bounds that fall in it.
+    Moments about a segment's centre (|a| <= 1/2) become kernel-weighted
+    sums for a target at q = (centre - t)/g (|q| <= 3/2) through fixed
+    9 x 9 coefficient matrices applied to the powers of q
+    (``_shift_matrices``). Apart from a few arrays with one value per
+    target (window bounds, results), work runs in blocks of at most
+    ``_SUM_BLOCK`` pairs and targets, so memory does not grow with P.
+
+    A pair that rounding puts on the wrong side of a segment edge, just
+    past a window bound, is dropped or counted with weight below 1e-40.
     """
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64).ravel()
     g = float(bandwidth)
-    p_total = d_sorted.shape[0]
-    d0 = float(d_sorted[0])
-    nseg = int(np.floor((float(d_sorted[-1]) - d0) / g)) + 1
-    bounds = d0 + g * np.arange(nseg + 1)
-    seg_edges = np.searchsorted(d_sorted, bounds, side="left")
-    seg_edges[0] = 0
-    seg_edges[-1] = p_total
-
-    seg_of_pair = np.clip(np.searchsorted(bounds, d_sorted, side="right") - 1, 0, nseg - 1)
-    a = (d_sorted - (d0 + (seg_of_pair + 0.5) * g)) / g
-
-    # prefix sums of a^m and a^m z for m = 0..8
-    prefix = np.empty((9, p_total + 1))
-    prefix_z = np.empty((9, p_total + 1))
-    power = np.ones_like(a)
-    for m in range(9):
-        prefix[m, 0] = 0.0
-        prefix_z[m, 0] = 0.0
-        np.cumsum(power, out=prefix[m, 1:])
-        np.cumsum(power * z_sorted, out=prefix_z[m, 1:])
-        if m < 8:
-            power = power * a
-
+    order = None
+    if np.any(t[1:] < t[:-1]):
+        order = np.argsort(t, kind="stable")
+        t = t[order]
     left = np.searchsorted(d_sorted, t - g, side="right")
     right = np.searchsorted(d_sorted, t + g, side="left")
-    seg_t = np.searchsorted(bounds, t, side="right") - 1
-
-    w_p = np.zeros((9, t.shape[0]))
-    wz_p = np.zeros((9, t.shape[0]))
-    for rho_off in (-1, 0, 1):
-        rho = seg_t + rho_off
-        rho_c = np.clip(rho, 0, nseg)
-        lo = np.maximum(left, seg_edges[rho_c])
-        hi = np.minimum(right, seg_edges[np.clip(rho + 1, 0, nseg)])
-        valid = lo < hi
-        lo_v = np.where(valid, lo, 0)
-        hi_v = np.where(valid, hi, 0)
-        moments = prefix[:, hi_v] - prefix[:, lo_v]
-        moments_z = prefix_z[:, hi_v] - prefix_z[:, lo_v]
-
-        q = -(t - (d0 + (rho + 0.5) * g)) / g
-        for p in range(9):
-            # Horner in q over the binomially shifted segment moments
-            acc = moments[0].copy()
-            acc_z = moments_z[0].copy()
-            for m in range(1, p + 1):
-                c = _BINOM[p, m]
-                acc *= q
-                acc += c * moments[m]
-                acc_z *= q
-                acc_z += c * moments_z[m]
-            w_p[p] += acc
-            wz_p[p] += acc_z
-
-    # assemble kernel-weighted sums from the shifted power sums
-    s0 = np.zeros(t.shape[0])
-    s1 = np.zeros(t.shape[0])
-    s2 = np.zeros(t.shape[0])
-    t0 = np.zeros(t.shape[0])
-    t1 = np.zeros(t.shape[0])
-    for j, c in enumerate(_KERNEL_POLY):
-        s0 += c * w_p[2 * j]
-        t0 += c * wz_p[2 * j]
-        if 2 * j + 1 <= 8:
-            s1 += c * w_p[2 * j + 1]
-            t1 += c * wz_p[2 * j + 1]
-        if 2 * j + 2 <= 8:
-            s2 += c * w_p[2 * j + 2]
-    s1 *= g
-    s2 *= g * g
-    t1 *= g
-    return s0, s1, s2, t0, t1, (right - left)
+    sums = np.zeros((5, t.size))
+    if t.size and d_sorted.size:
+        origin = min(t[0], d_sorted[0])
+        target_seg = np.floor((t - origin) / g)
+        firsts = np.r_[0, np.flatnonzero(target_seg[1:] != target_seg[:-1]) + 1]
+        spans = {
+            s: (i0, i1)
+            for s, i0, i1 in zip(target_seg[firsts], firsts, np.r_[firsts[1:], t.size])
+        }
+        del target_seg
+        # the segments some window meets, and their pairs
+        segments = np.unique(np.add.outer([-1.0, 0.0, 1.0], list(spans)))
+        starts = np.searchsorted(d_sorted, origin + segments * g, side="left")
+        stops = np.searchsorted(d_sorted, origin + (segments + 1.0) * g, side="left")
+        totals = {}
+        for s, p0, p1 in zip(segments, starts, stops):
+            if p0 == p1:
+                continue
+            bounds = []
+            if s + 1 in spans:  # window starts of the next segment's targets
+                i0, i1 = spans[s + 1]
+                bounds.append((i0, np.clip(left[i0:i1], p0, p1), np.subtract))
+            if s - 1 in spans:  # window ends of the previous segment's targets
+                i0, i1 = spans[s - 1]
+                bounds.append((i0, np.clip(right[i0:i1], p0, p1), np.add))
+            centre = origin + (s + 0.5) * g
+            total = _segment_pass(sums, t, d_sorted, z_sorted, p0, p1, centre, g, bounds)
+            totals[s] = (centre, total)
+        # the tail of s - 1 is its total minus the moments handed out above
+        for s, (i0, i1) in spans.items():
+            for key in (s - 1, s):
+                if key in totals:
+                    centre, total = totals[key]
+                    _add_sums(sums[:, i0:i1], total, (centre - t[i0:i1]) / g)
+    if order is not None:
+        unsorted = np.empty_like(sums)
+        unsorted[:, order] = sums
+        sums = unsorted
+        count = np.empty_like(left)
+        count[order] = right - left
+    else:
+        count = right - left
+    s0, s1, s2, t0, t1 = sums
+    return s0, s1 * g, s2 * (g * g), t0, t1 * g, count
 
 
 # ---------------------------------------------------------------------------
@@ -312,25 +419,29 @@ def empirical_variogram(
 ) -> EmpiricalVariogram:
     """Local linear semivariogram of residuals on a scalar lag grid.
 
-    Squared residual differences (optionally minus per-pair ``corrections``)
-    are smoothed against pair distance with a univariate triweight kernel of
+    Squared residual differences (optionally minus ``corrections``) are
+    smoothed against pair distance with a univariate triweight kernel of
     scale ``bandwidth``; the stored estimate is half the fitted intercept,
     clamped at zero. Every lag must carry at least ``min_pairs`` pairs with
-    nonzero kernel weight.
+    nonzero kernel weight. ``distances`` is a PairTable or a distance
+    matrix; ``corrections`` is an n x n matrix or one value per pair in the
+    table's order.
     """
     resid = np.asarray(residuals, dtype=np.float64).ravel()
     if resid.size < 2:
         raise ConfigError("need at least two residuals")
-    d = np.asarray(distances, dtype=np.float64)
+    pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(d)
+        lag_grid = default_lag_grid(pairs.matrix)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     if bandwidth is None or bandwidth <= 0.0:
         raise ConfigError("a positive lag bandwidth is required")
 
-    diff_sq = np.square(resid[:, None] - resid[None, :])
-    pd_sorted, z_sorted = _condensed_pairs(d, diff_sq, corrections)
-    alpha, mass, count = _lag_fits_direct(lag_grid, pd_sorted, z_sorted, bandwidth)
+    z_sorted = pairs.squared_differences(resid)
+    if corrections is not None:
+        corr = np.asarray(corrections, dtype=np.float64)
+        z_sorted = z_sorted - (corr[pairs.rows, pairs.cols] if corr.ndim == 2 else corr)
+    alpha, mass, count = _lag_fits_direct(lag_grid, pairs.distances, z_sorted, bandwidth)
     starved = count < min_pairs
     if np.any(starved):
         k = int(np.argmax(starved))
@@ -388,12 +499,13 @@ def bias_corrected_variogram(
     from corrected squared differences, until the maximum relative change
     over the lag grid drops below ``tol`` or ``max_iter`` is reached. On
     non-convergence the best iterate is returned with a flag in ``report``.
+    ``distances`` is a PairTable or a distance matrix.
     """
-    d = np.asarray(distances, dtype=np.float64)
+    pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(d)
+        lag_grid = default_lag_grid(pairs.matrix)
     est = empirical_variogram(
-        trend_fit.residuals, d, lag_grid, bandwidth, min_pairs=min_pairs
+        trend_fit.residuals, pairs, lag_grid, bandwidth, min_pairs=min_pairs
     )
     if max_iter <= 0:
         report = BiasCorrectionReport(iterations=0, converged=False, max_rel_change=np.inf)
@@ -404,12 +516,10 @@ def bias_corrected_variogram(
     current = est
     change = np.inf
     for iteration in range(1, max_iter + 1):
-        c_hat = pseudo_covariances(current, d)
-        b = bias_matrix(s, c_hat).B
-        diag = np.diag(b)
-        corrections = diag[:, None] + diag[None, :] - 2.0 * b
+        c_hat = pseudo_covariances(current, pairs.matrix)
+        corrections = pairs.corrections(bias_matrix(s, c_hat).B)
         updated = empirical_variogram(
-            trend_fit.residuals, d, lag_grid, bandwidth,
+            trend_fit.residuals, pairs, lag_grid, bandwidth,
             corrections=corrections, min_pairs=min_pairs,
         )
         scale = np.maximum(np.abs(current.estimates), 1e-12)
@@ -434,6 +544,22 @@ def bias_corrected_variogram(
 # ---------------------------------------------------------------------------
 
 
+def _loo_estimates(pd_sorted, z_sorted, bandwidth) -> np.ndarray:
+    """Leave-one-pair-out semivariogram estimate at every pair's own
+    distance (NaN where the fit is undefined)."""
+    s0, s1, s2, t0, t1, _ = _lag_base_sums(pd_sorted, pd_sorted, z_sorted, bandwidth)
+    s0_loo = s0 - 1.0  # own pair sits exactly at the target: K(0) = 1
+    t0_loo = t0 - z_sorted
+    den = s0_loo * s2 - s1 * s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(
+            den > 1e-10 * np.maximum(s0_loo * s2, 1e-300),
+            (s2 * t0_loo - s1 * t1) / den,
+            np.where(s0_loo > 0.0, t0_loo / np.maximum(s0_loo, 1e-300), np.nan),
+        )
+    return 0.5 * alpha
+
+
 def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> float:
     # admissibility on the lag grid, as for estimation
     lo = np.searchsorted(pd_sorted, lag_grid - bandwidth, side="right")
@@ -447,17 +573,7 @@ def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> floa
             indices=np.flatnonzero(starved).tolist(),
         )
 
-    s0, s1, s2, t0, t1, _ = _lag_base_sums(pd_sorted, pd_sorted, z_sorted, bandwidth)
-    s0_loo = s0 - 1.0  # own pair sits exactly at the target: K(0) = 1
-    t0_loo = t0 - z_sorted
-    den = s0_loo * s2 - s1 * s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(
-            den > 1e-10 * np.maximum(s0_loo * s2, 1e-300),
-            (s2 * t0_loo - s1 * t1) / den,
-            np.where(s0_loo > 0.0, t0_loo / np.maximum(s0_loo, 1e-300), np.nan),
-        )
-    gamma = 0.5 * alpha
+    gamma = _loo_estimates(pd_sorted, z_sorted, bandwidth)
     usable = np.isfinite(gamma) & (gamma > 1e-12)
     if not np.any(usable):
         raise DegenerateScoreError(
@@ -481,17 +597,16 @@ def cv_relative_error(
     not positive (<= 1e-12) are skipped. Raises DegenerateScoreError when
     every pair is skipped. The lag grid is only used to check that the
     candidate bandwidth is admissible for the eventual estimation.
+    ``distances`` is a PairTable or a distance matrix.
     """
-    resid = np.asarray(residuals, dtype=np.float64).ravel()
-    d = np.asarray(distances, dtype=np.float64)
+    pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(d)
+        lag_grid = default_lag_grid(pairs.matrix)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     if bandwidth is None or bandwidth <= 0.0:
         raise ConfigError("a positive lag bandwidth is required")
-    diff_sq = np.square(resid[:, None] - resid[None, :])
-    pd_sorted, z_sorted = _condensed_pairs(d, diff_sq)
-    return _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs)
+    z_sorted = pairs.squared_differences(residuals)
+    return _pair_loo_score(pairs.distances, z_sorted, lag_grid, bandwidth, min_pairs)
 
 
 def default_lag_bandwidths(distances, n_candidates: int = 10) -> np.ndarray:
@@ -508,16 +623,16 @@ def select_lag_bandwidth(
     min_pairs: int = DEFAULT_MIN_PAIRS,
 ) -> float:
     """Pick the lag bandwidth minimizing the leave-one-pair-out score over a
-    log-spaced candidate set; inadmissible candidates are skipped."""
+    log-spaced candidate set; inadmissible candidates are skipped.
+    ``distances`` is a PairTable or a distance matrix."""
+    pairs = _pair_table(distances)
     if candidates is None:
-        candidates = default_lag_bandwidths(distances)
-    resid = np.asarray(residuals, dtype=np.float64).ravel()
-    d = np.asarray(distances, dtype=np.float64)
+        candidates = default_lag_bandwidths(pairs.matrix)
     if lag_grid is None:
-        lag_grid = default_lag_grid(d)
+        lag_grid = default_lag_grid(pairs.matrix)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
-    diff_sq = np.square(resid[:, None] - resid[None, :])
-    pd_sorted, z_sorted = _condensed_pairs(d, diff_sq)
+    pd_sorted = pairs.distances
+    z_sorted = pairs.squared_differences(residuals)
     best = None
     degenerate = 0
     for g in candidates:

@@ -144,6 +144,94 @@ def local_lag_fit_naive(target, pair_dists, pair_z, bandwidth, exclude=None):
     return (s2 * t0 - s1 * t1) / den
 
 
+def local_lag_sums_naive(target, pair_dists, pair_z, bandwidth):
+    """Direct triweight window sums at one target over the open window
+    (target - g, target + g): returns the five sums S0, S1, S2, T0, T1
+    (S_k = sum K(u)(d - t)^k, T_k = sum K(u)(d - t)^k z), the sums of the
+    absolute values of their terms, and the number of pairs in the window.
+    """
+    d = np.asarray(pair_dists, dtype=np.float64)
+    z = np.asarray(pair_z, dtype=np.float64)
+    inside = np.abs(d - target) < bandwidth
+    dd = d[inside] - target
+    u = dd / bandwidth
+    w = (1.0 - u * u) ** 3
+    terms = (w, w * dd, w * dd * dd, w * z[inside], w * dd * z[inside])
+    sums = np.array([t.sum() for t in terms])
+    abs_sums = np.array([np.abs(t).sum() for t in terms])
+    return sums, abs_sums, int(inside.sum())
+
+
+def _lag_fit_dense(targets, d_sorted, z_sorted, bandwidth):
+    """Windowed local linear fit of z on distance at each target."""
+    alpha = np.empty(len(targets))
+    mass = np.empty(len(targets))
+    for i, t in enumerate(targets):
+        lo = np.searchsorted(d_sorted, t - bandwidth, side="right")
+        hi = np.searchsorted(d_sorted, t + bandwidth, side="left")
+        dd = d_sorted[lo:hi] - t
+        u = dd / bandwidth
+        w = 1.0 - u * u
+        w = w * w * w
+        z = z_sorted[lo:hi]
+        s0 = w.sum()
+        s1 = w @ dd
+        s2 = w @ (dd * dd)
+        t0 = w @ z
+        t1 = w @ (dd * z)
+        den = s0 * s2 - s1 * s1
+        if den <= 1e-10 * max(s0 * s2, 1e-300):
+            alpha[i] = t0 / s0 if s0 > 0.0 else np.nan
+        else:
+            alpha[i] = (s2 * t0 - s1 * t1) / den
+        mass[i] = s0
+    return alpha, mass
+
+
+def empirical_variogram_dense(residuals, distances, lag_grid, bandwidth, corrections=None):
+    """Lag-grid estimates and pair weights from n x n matrices: squared
+    differences and corrections formed for all site pairs, then the upper
+    triangle taken and stably sorted by distance for every call."""
+    r = np.asarray(residuals, dtype=np.float64)
+    d = np.asarray(distances, dtype=np.float64)
+    iu = np.triu_indices(d.shape[0], k=1)
+    z = np.square(r[:, None] - r[None, :])[iu]
+    if corrections is not None:
+        z = z - np.asarray(corrections, dtype=np.float64)[iu]
+    order = np.argsort(d[iu], kind="stable")
+    alpha, mass = _lag_fit_dense(lag_grid, d[iu][order], z[order], bandwidth)
+    return np.clip(0.5 * alpha, 0.0, None), mass
+
+
+def bias_corrected_variogram_dense(
+    trend_fit, distances, lag_grid, bandwidth, max_iter=5, tol=1e-3
+):
+    """The plug-in bias iteration with dense n x n corrections
+    B_ii + B_jj - 2 B_ij; returns the estimates and pair weights of the
+    iterate the package reports (the converged one, else the one with the
+    smallest change)."""
+    from georisk.variogram import EmpiricalVariogram, bias_matrix, pseudo_covariances
+
+    d = np.asarray(distances, dtype=np.float64)
+    est, mass = empirical_variogram_dense(trend_fit.residuals, d, lag_grid, bandwidth)
+    best = None
+    for _ in range(max_iter):
+        pilot = EmpiricalVariogram(lag_grid, est, mass)
+        b = bias_matrix(trend_fit.smoother, pseudo_covariances(pilot, d)).B
+        diag = np.diag(b)
+        corrections = diag[:, None] + diag[None, :] - 2.0 * b
+        new_est, new_mass = empirical_variogram_dense(
+            trend_fit.residuals, d, lag_grid, bandwidth, corrections
+        )
+        change = float(np.max(np.abs(new_est - est) / np.maximum(np.abs(est), 1e-12)))
+        est, mass = new_est, new_mass
+        if best is None or change < best[0]:
+            best = (change, est, mass)
+        if change < tol:
+            return est, mass
+    return best[1], best[2]
+
+
 def sk_weights_dense(cov_dd, cov_d0):
     """Simple kriging weights via an explicit dense inverse."""
     return np.linalg.inv(cov_dd) @ cov_d0

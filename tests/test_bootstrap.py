@@ -220,7 +220,7 @@ def full_design():
     trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0))
     g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
     resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-        trend_fit, ctx.dists, ctx.lag_grid, g
+        trend_fit, ctx.pairs, ctx.lag_grid, g
     )
     covariances = {
         "theoretical": (sc.model, ctx.factor_true),

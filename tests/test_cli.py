@@ -272,3 +272,15 @@ def test_config_file_bad_numbers_exit_2(tmp_path, synth_csv):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(bad))
         assert main(["riskmap", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    # values outside a flag's choices: the same lists as on the command line
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"scenario": "foo"}))
+    assert main(["simulate", "--config", str(scenario), "--out", str(tmp_path / "sc")]) == 2
+    assert not (tmp_path / "sc").exists()
+    transform = tmp_path / "transform.json"
+    transform.write_text(json.dumps({"transform": "foo"}))
+    assert main([
+        "riskmap", "--input", str(synth_csv), "--config", str(transform),
+        "--out", str(tmp_path / "tr"),
+    ]) == 2
+    assert not (tmp_path / "tr").exists()

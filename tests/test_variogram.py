@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import bias_matrix_tripleloop, local_lag_fit_naive
+from _oracles import (
+    bias_corrected_variogram_dense,
+    bias_matrix_tripleloop,
+    empirical_variogram_dense,
+    local_lag_fit_naive,
+    local_lag_sums_naive,
+)
+from georisk import bootstrap
 from georisk.exceptions import (
     BandwidthTooSmallError,
     ConfigError,
@@ -16,17 +24,22 @@ from georisk.geometry import (
     make_regular_grid,
     pairwise_distances,
 )
+from georisk.io import synth_dataset
 from georisk.numerics import bessel_j0
 from georisk.trend import fit_trend, smoother_matrix
 from georisk.variogram import (
     EmpiricalVariogram,
+    PairTable,
     VariogramModel,
     _lag_base_sums,
+    _loo_estimates,
+    _pair_loo_score,
     bias_corrected_variogram,
     bias_matrix,
     correlation_matrix,
     covariance_matrix,
     cv_relative_error,
+    default_lag_bandwidths,
     default_lag_grid,
     empirical_variogram,
     evaluate_model,
@@ -100,6 +113,118 @@ def test_loo_score_matches_naive():
         if gamma > 1e-12:
             total += ((0.5 * z[p] - gamma) / gamma) ** 2
     assert ours == pytest.approx(total, rel=1e-8)
+
+
+@pytest.fixture(scope="module")
+def pairs_n1000():
+    """n = 1000 uniform sites (P = 499,500 pairs) and spatially structured
+    residuals, as a realistic input to the lag smoother."""
+    rng = np.random.default_rng(12)
+    locs = rng.uniform(size=(1000, 2))
+    resid = np.sin(4.0 * locs[:, 0]) + 0.5 * rng.standard_normal(1000)
+    table = PairTable.from_distances(pairwise_distances(locs))
+    return table, table.squared_differences(resid)
+
+
+def test_base_sums_match_naive_at_realistic_size(pairs_n1000):
+    table, z = pairs_n1000
+    d = table.distances
+    rng = np.random.default_rng(13)
+    # pair distances (the leave-one-out targets) and free targets, unsorted
+    targets = rng.permutation(
+        np.r_[d[rng.choice(d.size, 150, replace=False)], rng.uniform(d[0], d[-1], 50)]
+    )
+    for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
+        sums = _lag_base_sums(targets, d, z, g)
+        for i, t in enumerate(targets):
+            ref, abs_ref, count = local_lag_sums_naive(t, d, z, g)
+            assert sums[5][i] == count
+            for k in range(5):
+                assert abs(sums[k][i] - ref[k]) <= 1e-10 * abs_ref[k]
+
+
+def test_loo_estimates_match_naive_at_realistic_size(pairs_n1000):
+    table, z = pairs_n1000
+    d = table.distances
+    picks = np.random.default_rng(14).choice(d.size, 100, replace=False)
+    for g in default_lag_bandwidths(table.matrix)[[0, 9]]:
+        gamma = _loo_estimates(d, z, g)
+        for p in picks:
+            ref = 0.5 * local_lag_fit_naive(d[p], d, z, g, exclude=p)
+            assert gamma[p] == pytest.approx(ref, rel=1e-8)
+
+
+def test_loo_score_memory_is_bounded_at_n1053():
+    # one score may hold at most 40 doubles per pair at any time
+    locs, values = synth_dataset(1053, seed=1)
+    table = PairTable.from_distances(pairwise_distances(locs))
+    z = table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
+    lags = default_lag_grid(table.matrix)
+    budget = 40 * table.distances.size * 8
+    for g in default_lag_bandwidths(table.matrix):
+        tracemalloc.start()
+        try:
+            _pair_loo_score(table.distances, z, lags, g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (g, peak / (8 * table.distances.size))
+
+
+# ---------------------------------------------------------------------------
+# pair table
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def field_n400():
+    rng = np.random.default_rng(15)
+    sample, d, _ = gaussian_field_sample(rng, 20, 20)
+    fit = fit_trend(sample, BandwidthMatrix.diagonal(0.3, 0.3))
+    return fit, d
+
+
+def test_pair_table_estimates_bit_identical_to_dense_path(field_n400):
+    fit, d = field_n400
+    lags = default_lag_grid(d)
+    table = PairTable.from_distances(d)
+    b = bias_matrix(fit.smoother, pseudo_covariances(
+        empirical_variogram(fit.residuals, table, lags, 0.2), d
+    )).B
+    diag = np.diag(b)
+    corrections = diag[:, None] + diag[None, :] - 2.0 * b
+    for corr in (None, corrections):
+        ref_est, ref_mass = empirical_variogram_dense(fit.residuals, d, lags, 0.2, corr)
+        for dist in (d, table):
+            est = empirical_variogram(fit.residuals, dist, lags, 0.2, corrections=corr)
+            assert np.array_equal(est.estimates, ref_est)
+            assert np.array_equal(est.pair_counts, ref_mass)
+    per_pair = table.corrections(b)
+    est = empirical_variogram(fit.residuals, table, lags, 0.2, corrections=per_pair)
+    assert np.array_equal(est.estimates, empirical_variogram_dense(
+        fit.residuals, d, lags, 0.2, corrections
+    )[0])
+    ref_est, ref_mass = bias_corrected_variogram_dense(fit, d, lags, 0.2)
+    for dist in (d, table):
+        est = bias_corrected_variogram(fit, dist, lags, 0.2)
+        assert np.array_equal(est.estimates, ref_est)
+        assert np.array_equal(est.pair_counts, ref_mass)
+
+
+def test_fit_pipeline_builds_one_pair_table(monkeypatch):
+    built = []
+    original = PairTable.from_distances.__func__
+
+    def counting(cls, distances):
+        built.append(1)
+        return original(cls, distances)
+
+    monkeypatch.setattr(PairTable, "from_distances", classmethod(counting))
+    rng = np.random.default_rng(16)
+    sample, _, _ = gaussian_field_sample(rng, 9, 9)
+    fit = bootstrap.fit_pipeline(sample)
+    assert fit.report.outer_iterations == 2
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
