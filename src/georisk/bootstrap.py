@@ -187,17 +187,9 @@ def fit_pipeline(
             g = _select_lag_bandwidth_with_fallback(
                 trend.residuals, pairs, lag_grid, cfg, notes
             )
-        with _stage("variogram (uncorrected)"):
-            pilot_unc = empirical_variogram(
-                trend.residuals, pairs, lag_grid, g, min_pairs=cfg.min_pairs
-            )
-            residual_model = fit_shapiro_botha(pilot_unc, cfg.kernel_dim, cfg.n_nodes)
-        with _stage("variogram (bias-corrected)"):
-            pilot_corr = bias_corrected_variogram(
-                trend, pairs, lag_grid, g,
-                max_iter=cfg.bias_max_iter, tol=cfg.bias_tol, min_pairs=cfg.min_pairs,
-            )
-            corrected_model = fit_shapiro_botha(pilot_corr, cfg.kernel_dim, cfg.n_nodes)
+        pilot_unc, residual_model, pilot_corr, corrected_model = _variogram_fit(
+            trend, pairs, lag_grid, g, cfg
+        )
 
         if outer >= max_outer:
             break
@@ -217,12 +209,7 @@ def fit_pipeline(
             break
         h = h_new
 
-    with _stage("covariance factorization"):
-        sigma_resid = covariance_matrix(residual_model, dists)
-        residual_factor = cholesky(sigma_resid, ridge_policy="auto")
-        sigma_corr = covariance_matrix(corrected_model, dists)
-        corrected_factor = cholesky(sigma_corr, ridge_policy="auto")
-
+    residual_factor, corrected_factor = _factorize((residual_model, corrected_model), dists)
     kriging = KrigingSystem(
         locations=sample.locations, factor=corrected_factor, model=corrected_model
     )
@@ -249,6 +236,32 @@ def fit_pipeline(
         kriging=kriging,
         report=report,
     )
+
+
+def _variogram_fit(trend: TrendFit, pairs: PairTable, lag_grid, g: float, cfg: PipelineConfig):
+    """The uncorrected and bias-corrected pilot variograms of the trend's
+    residuals at lag bandwidth ``g``, each with its Shapiro-Botha model:
+    (pilot_uncorrected, residual_model, pilot_corrected, corrected_model)."""
+    with _stage("variogram (uncorrected)"):
+        pilot_unc = empirical_variogram(
+            trend.residuals, pairs, lag_grid, g, min_pairs=cfg.min_pairs
+        )
+        residual_model = fit_shapiro_botha(pilot_unc, cfg.kernel_dim, cfg.n_nodes)
+    with _stage("variogram (bias-corrected)"):
+        pilot_corr = bias_corrected_variogram(
+            trend, pairs, lag_grid, g,
+            max_iter=cfg.bias_max_iter, tol=cfg.bias_tol, min_pairs=cfg.min_pairs,
+        )
+        corrected_model = fit_shapiro_botha(pilot_corr, cfg.kernel_dim, cfg.n_nodes)
+    return pilot_unc, residual_model, pilot_corr, corrected_model
+
+
+def _factorize(models, dists: np.ndarray) -> tuple:
+    """Covariance factors of the variogram ``models`` at the sites."""
+    with _stage("covariance factorization"):
+        return tuple(
+            cholesky(covariance_matrix(model, dists), ridge_policy="auto") for model in models
+        )
 
 
 def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, cfg, notes):
@@ -377,18 +390,25 @@ class RiskMap:
     n_masked: int = 0
 
 
+def map_targets(trend_fit: TrendFit, nodes: np.ndarray):
+    """(rows, mask): the trend's smoother rows at the map nodes it can
+    predict, and the mask of the nodes whose local design is singular."""
+    rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
+    mask = np.zeros(len(nodes), dtype=bool)
+    mask[bad] = True
+    return rows[~mask], mask
+
+
 def _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed):
     """Maps under the covariance ``model``/``factor``; nodes whose local
     design is singular are masked."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     nodes = grid.nodes()
-    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
-    mask = np.zeros(len(nodes), dtype=bool)
-    mask[bad] = True
+    rows, mask = map_targets(fit.trend_fit, nodes)
     keep = ~mask
     idx = resample_indices(fit.sample.n, n_replicates, seed)
     probs = exceedance_probabilities(
-        fit.trend_fit, rows[keep], cross_distances(nodes[keep], fit.sample.locations),
+        fit.trend_fit, rows, cross_distances(nodes[keep], fit.sample.locations),
         fit.residual_factor, model, factor, idx, thresholds,
     )
     maps = []

@@ -22,12 +22,13 @@ import logging
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bootstrap import fit_pipeline, risk_map_mode, risk_maps
+from .bootstrap import fit_pipeline, map_targets, risk_map_mode, risk_maps
 from .exceptions import (
     ConfigError,
     DataError,
@@ -52,7 +53,6 @@ from .simulation import (
     table2_scenarios,
     table3_scenario,
 )
-from .trend import prediction_weights
 
 logger = logging.getLogger("georisk")
 
@@ -368,11 +368,9 @@ def cmd_fit(cfg: dict) -> int:
     logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
 
     nodes = grid.nodes()
-    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
-    mask = np.zeros(len(nodes), dtype=bool)
-    mask[bad] = True
+    rows, mask = map_targets(fit.trend_fit, nodes)
     trend = np.full(len(nodes), np.nan)
-    trend[~mask] = rows[~mask] @ sample.values
+    trend[~mask] = rows @ sample.values
     prediction = np.full(len(nodes), np.nan)
     if (~mask).any():
         krig = sk_predict(fit.kriging, fit.trend_fit.residuals, nodes[~mask])
@@ -464,6 +462,9 @@ def cmd_simulate(cfg: dict) -> int:
                 "scenario": dataclasses.asdict(sc),
                 "rows": result.rows,
                 "failures": result.n_failures,
+                "failure_stages": dict(
+                    Counter(rec.stage or "unlabelled" for rec in result.replicates if rec.failed)
+                ),
                 "valid": result.valid,
                 "seed": sc.seed,
             }

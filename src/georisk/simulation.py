@@ -7,15 +7,23 @@ runner replays a scenario N times, fits the bootstrap machinery per
 replicate under one or more covariance choices (true matrix, raw residual
 estimate, bias-corrected estimate), and aggregates squared-error summaries
 of the estimated maps.
+
+What depends only on the sites (the true covariance and its factor and,
+under the MASE criterion, the oracle smoother, pair table and map targets)
+lives in a design context. ``run_scenario`` builds one for a regular-design
+study and one per replicate from its drawn sites for the uniform design, and
+passes it explicitly to ``simulate_field`` and to the replicate's
+evaluation; nothing is cached between calls. Every replicate then runs the
+pipeline's own variogram and factorization stages, so a failure carries the
+label of the stage that failed.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,14 +31,17 @@ from .bootstrap import (
     STREAM_FIELD,
     MODES,
     PipelineConfig,
+    _factorize,
+    _stage,
+    _variogram_fit,
     exceedance_probabilities,
     fit_pipeline,
+    map_targets,
     resample_indices,
     rng_stream,
 )
 from .exceptions import ConfigError, GeoriskError
 from .geometry import (
-    BandwidthMatrix,
     RegularGrid,
     SpatialSample,
     cross_distances,
@@ -38,14 +49,11 @@ from .geometry import (
     pairwise_distances,
 )
 from .numerics import CholeskyFactor, cholesky, normal_cdf
-from .trend import apply_smoother, prediction_weights, select_bandwidth, smoother_matrix
+from .trend import apply_smoother, select_bandwidth, smoother_matrix
 from .variogram import (
     PairTable,
-    bias_corrected_variogram,
     covariance_matrix,
     default_lag_grid,
-    empirical_variogram,
-    fit_shapiro_botha,
     select_lag_bandwidth,
 )
 
@@ -206,103 +214,89 @@ def table3_scenario(scale: str = "desk", **overrides) -> Scenario:
 # Field simulation
 # ---------------------------------------------------------------------------
 
-_context_cache: dict = {}
 
-
-def _regular_context(scenario: Scenario):
-    """Location-dependent precompute shared by all replicates of a fixed
-    design: true covariance factor, bandwidth, smoother, grid weights."""
-    key = (
-        scenario.nx, scenario.ny, scenario.nugget, scenario.partial_sill,
-        scenario.practical_range, scenario.grid_nx, scenario.grid_ny,
-        scenario.bandwidth_criterion, scenario.seed,
-    )
-    ctx = _context_cache.get(key)
-    if ctx is not None:
-        return ctx
-    locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (scenario.nx, scenario.ny)).nodes()
-    ctx = _DesignContext.build(scenario, locs)
-    if len(_context_cache) > 8:
-        _context_cache.clear()
-    _context_cache[key] = ctx
-    return ctx
+def _draw_sites(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
+    """Sample sites: the fixed grid of the regular design, or the first draw
+    from the replicate's field stream ``rng`` for the uniform design."""
+    if scenario.design == "regular":
+        return make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (scenario.nx, scenario.ny)).nodes()
+    return rng.uniform(size=(scenario.n, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class _DesignContext:
+    """What the replicates drawn on one set of sites share.
+
+    ``truth`` holds what a draw needs: the sites, their distances, the true
+    trend and the true covariance with its factor. ``build`` adds, under the
+    MASE criterion, the oracle smoother, the pair table and lag grid, and the
+    map targets with their distances to the sites.
+    """
+
     locations: np.ndarray
-    pairs: PairTable
+    dists: np.ndarray
     m_true: np.ndarray
     sigma_true: np.ndarray
     factor_true: CholeskyFactor
-    bandwidth: BandwidthMatrix | None
-    smoother: object | None
-    lag_grid: np.ndarray
-    grid_rows: np.ndarray | None
-    grid_mask: np.ndarray | None
-    cross_d: np.ndarray | None
-
-    @property
-    def dists(self) -> np.ndarray:
-        return self.pairs.matrix
+    smoother: object | None = None
+    pairs: PairTable | None = None
+    lag_grid: np.ndarray | None = None
+    grid_rows: np.ndarray | None = None
+    grid_mask: np.ndarray | None = None
+    cross_d: np.ndarray | None = None
 
     @classmethod
-    def build(cls, scenario: Scenario, locations, with_grid=True):
+    def truth(cls, scenario: Scenario, locations: np.ndarray) -> _DesignContext:
         dists = pairwise_distances(locations)
-        pairs = PairTable.from_distances(dists)
-        m_true = true_trend(locations)
-        model = scenario.model
-        sigma_true = covariance_matrix(model, dists)
-        factor_true = cholesky(sigma_true, ridge_policy="auto")
-        lag_grid = default_lag_grid(dists)
-        bandwidth = None
-        smoother = None
-        grid_rows = None
-        grid_mask = None
-        cross_d = None
-        if scenario.bandwidth_criterion == "mase":
-            template = SpatialSample(locations, m_true)
-            bandwidth = select_bandwidth(
-                template, "mase", true_mean=m_true, covariance=sigma_true
-            )
-            smoother = smoother_matrix(template, bandwidth)
-            if with_grid:
-                grid_nodes = scenario.prediction_grid().nodes()
-                fit_stub = apply_smoother(smoother, template)
-                rows, bad = prediction_weights(fit_stub, grid_nodes, on_singular="mask")
-                grid_mask = np.zeros(len(grid_nodes), dtype=bool)
-                grid_mask[bad] = True
-                grid_rows = rows[~grid_mask]
-                cross_d = cross_distances(grid_nodes[~grid_mask], locations)
+        sigma_true = covariance_matrix(scenario.model, dists)
         return cls(
             locations=locations,
-            pairs=pairs,
-            m_true=m_true,
+            dists=dists,
+            m_true=true_trend(locations),
             sigma_true=sigma_true,
-            factor_true=factor_true,
-            bandwidth=bandwidth,
+            factor_true=cholesky(sigma_true, ridge_policy="auto"),
+        )
+
+    @classmethod
+    def build(cls, scenario: Scenario, locations: np.ndarray) -> _DesignContext:
+        design = cls.truth(scenario, locations)
+        if scenario.bandwidth_criterion != "mase":
+            return design
+        grid_nodes = scenario.prediction_grid().nodes()
+        with _stage("design (MASE bandwidth)"):
+            template = SpatialSample(locations, design.m_true)
+            bandwidth = select_bandwidth(
+                template, "mase", true_mean=design.m_true, covariance=design.sigma_true
+            )
+            smoother = smoother_matrix(template, bandwidth)
+            grid_rows, grid_mask = map_targets(apply_smoother(smoother, template), grid_nodes)
+        return dataclasses.replace(
+            design,
             smoother=smoother,
-            lag_grid=lag_grid,
+            pairs=PairTable.from_distances(design.dists),
+            lag_grid=default_lag_grid(design.dists),
             grid_rows=grid_rows,
             grid_mask=grid_mask,
-            cross_d=cross_d,
+            cross_d=cross_distances(grid_nodes[~grid_mask], locations),
         )
 
 
-def simulate_field(scenario: Scenario, replicate_index: int) -> SpatialSample:
+def simulate_field(
+    scenario: Scenario, replicate_index: int, design: _DesignContext | None = None
+) -> SpatialSample:
     """Draw one field replicate: trend plus correlated Gaussian errors from
-    the replicate's own deterministic stream."""
+    the replicate's own deterministic stream.
+
+    ``design`` is the replicate's design context, built on the same sites;
+    without it only the truth the draw needs is computed. The draw is the
+    same either way.
+    """
     rng = rng_stream(scenario.seed, STREAM_FIELD, replicate_index)
-    if scenario.design == "regular":
-        ctx = _regular_context(scenario)
-        eps = ctx.factor_true.L @ rng.standard_normal(scenario.n)
-        return SpatialSample(ctx.locations, ctx.m_true + eps)
-    locs = rng.uniform(size=(scenario.n, 2))
-    dists = pairwise_distances(locs)
-    sigma = covariance_matrix(scenario.model, dists)
-    factor = cholesky(sigma, ridge_policy="auto")
-    eps = factor.L @ rng.standard_normal(scenario.n)
-    return SpatialSample(locs, true_trend(locs) + eps)
+    sites = _draw_sites(scenario, rng)
+    if design is None:
+        design = _DesignContext.truth(scenario, sites)
+    eps = design.factor_true.L @ rng.standard_normal(scenario.n)
+    return SpatialSample(design.locations, design.m_true + eps)
 
 
 def true_risk(x0, threshold: float, scenario: Scenario):
@@ -342,6 +336,7 @@ class ReplicateRecord:
     index: int
     failed: bool
     error: str = ""
+    stage: str = ""
     sill_uncorrected: float = math.nan
     sill_corrected: float = math.nan
     mean_se: dict = field(default_factory=dict)
@@ -356,50 +351,16 @@ class ScenarioResult:
     n_failures: int
     valid: bool
 
-    def write_csv(self, path):
-        fieldnames = [
-            "scenario", "mode", "threshold", "n", "N", "B",
-            "mean_se", "median_se", "sd_se", "failures",
-        ]
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: _fmt(row[k]) for k in fieldnames})
 
-    def write_json(self, path):
-        payload = {
-            "scenario": asdict(self.scenario),
-            "modes": list(self.modes),
-            "seed": self.scenario.seed,
-            "rows": self.rows,
-            "failures": self.n_failures,
-            "valid": self.valid,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return v
-
-
-def run_scenario(
-    scenario: Scenario,
-    modes=MODES,
-    threads: int = 1,
-    pipeline_config: PipelineConfig | None = None,
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario, modes=MODES, threads: int = 1) -> ScenarioResult:
     """Simulate, fit and score ``scenario.n_replicates`` field replicates.
 
-    Per replicate and mode a full bootstrap map is computed for every
-    threshold and scored against the closed-form truth; squared errors are
-    pooled over replicates and nodes. Replicates whose pipeline fails are
-    dropped and counted; a run with more than 5% failures is flagged
-    invalid.
+    The regular design builds one design context for the study, the uniform
+    design one per replicate from its drawn sites. Per replicate and mode a
+    full bootstrap map is computed for every threshold and scored against
+    the closed-form truth; squared errors are pooled over replicates and
+    nodes. Replicates whose pipeline fails are dropped and counted with the
+    stage that failed; a run with more than 5% failures is flagged invalid.
     """
     modes = tuple(modes)
     for mode in modes:
@@ -410,28 +371,33 @@ def run_scenario(
     truth_maps = {
         c: true_risk(grid_nodes, c, scenario) for c in scenario.thresholds
     }
-    ctx = _regular_context(scenario) if scenario.design == "regular" else None
+
+    def design_of(r: int) -> _DesignContext:
+        rng = rng_stream(scenario.seed, STREAM_FIELD, r)
+        return _DesignContext.build(scenario, _draw_sites(scenario, rng))
+
+    shared = design_of(0) if scenario.design == "regular" else None
     shared_g = None
-    if ctx is not None and scenario.bandwidth_criterion == "mase":
+    if shared is not None and scenario.bandwidth_criterion == "mase":
         # lag bandwidth tuned once on the first replicate's residuals
-        sample0 = simulate_field(scenario, 0)
-        resid0 = sample0.values - ctx.smoother.S @ sample0.values
-        shared_g = select_lag_bandwidth(resid0, ctx.pairs, ctx.lag_grid)
+        sample0 = simulate_field(scenario, 0, shared)
+        shared_g = _lag_bandwidth(apply_smoother(shared.smoother, sample0), shared)
 
     records: list = [None] * scenario.n_replicates
     pools = {(m, c): [] for m in modes for c in scenario.thresholds}
 
     def one_replicate(r: int) -> ReplicateRecord:
-        sample = simulate_field(scenario, r)
-        return _evaluate_replicate(
-            scenario, sample, r, modes, truth_maps, ctx, shared_g, pipeline_config
-        )
+        design = shared if shared is not None else design_of(r)
+        sample = simulate_field(scenario, r, design)
+        return _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, shared_g)
 
     def guarded(r: int):
         try:
             records[r] = one_replicate(r)
         except (GeoriskError, np.linalg.LinAlgError) as err:
-            records[r] = ReplicateRecord(index=r, failed=True, error=str(err))
+            records[r] = ReplicateRecord(
+                index=r, failed=True, error=str(err), stage=getattr(err, "stage", None) or ""
+            )
 
     if threads <= 1:
         for r in range(scenario.n_replicates):
@@ -467,20 +433,13 @@ def run_scenario(
                 }
             )
     # replicate records keep their per-replicate mean only
-    slim = []
-    for rec in records:
-        if rec.failed:
-            slim.append(rec)
-        else:
-            slim.append(
-                ReplicateRecord(
-                    index=rec.index,
-                    failed=False,
-                    sill_uncorrected=rec.sill_uncorrected,
-                    sill_corrected=rec.sill_corrected,
-                    mean_se={k: float(np.mean(v)) for k, v in rec.mean_se.items()},
-                )
-            )
+    slim = [
+        rec if rec.failed
+        else dataclasses.replace(
+            rec, mean_se={k: float(np.mean(v)) for k, v in rec.mean_se.items()}
+        )
+        for rec in records
+    ]
     valid = n_failures <= FAILURE_GATE * scenario.n_replicates
     return ScenarioResult(
         scenario=scenario,
@@ -492,64 +451,38 @@ def run_scenario(
     )
 
 
-def _evaluate_replicate(
-    scenario, sample, r, modes, truth_maps, ctx, shared_g, pipeline_config
-):
-    grid_nodes = scenario.prediction_grid().nodes()
-    model_true = scenario.model
+def _lag_bandwidth(trend_fit, design: _DesignContext) -> float:
+    with _stage("lag bandwidth"):
+        return select_lag_bandwidth(trend_fit.residuals, design.pairs, design.lag_grid)
 
+
+def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
+    """Score one replicate's maps in every mode. Under the MASE criterion
+    the trend is the design's oracle smoother and ``g`` the study's lag
+    bandwidth, or None to tune it on this replicate's residuals."""
     if scenario.bandwidth_criterion == "pipeline":
-        fit = fit_pipeline(sample, pipeline_config)
+        fit = fit_pipeline(sample)
         trend_fit = fit.trend_fit
-        dists = pairwise_distances(sample)
         resid_model, corr_model = fit.residual_model, fit.corrected_model
         resid_factor, corr_factor = fit.residual_factor, fit.corrected_factor
-        factor_true = (
-            ctx.factor_true if ctx is not None
-            else cholesky(covariance_matrix(model_true, dists), ridge_policy="auto")
-        )
-        rows, bad = prediction_weights(trend_fit, grid_nodes, on_singular="mask")
-        mask = np.zeros(len(grid_nodes), dtype=bool)
-        mask[bad] = True
-        grid_rows = rows[~mask]
+        grid_nodes = scenario.prediction_grid().nodes()
+        grid_rows, mask = map_targets(trend_fit, grid_nodes)
         cross_d = cross_distances(grid_nodes[~mask], sample.locations)
-    elif ctx is not None:
-        factor_true = ctx.factor_true
-        trend_fit = apply_smoother(ctx.smoother, sample)
-        g = shared_g
-        mask = ctx.grid_mask
-        grid_rows = ctx.grid_rows
-        cross_d = ctx.cross_d
-        resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-            trend_fit, ctx.pairs, ctx.lag_grid, g
-        )
     else:
-        # random design: every location-dependent piece is rebuilt
-        dists = pairwise_distances(sample)
-        sigma_true = covariance_matrix(model_true, dists)
-        factor_true = cholesky(sigma_true, ridge_policy="auto")
-        m_true_r = true_trend(sample.locations)
-        bandwidth = select_bandwidth(
-            sample, "mase", true_mean=m_true_r, covariance=sigma_true
+        trend_fit = apply_smoother(design.smoother, sample)
+        if g is None:
+            g = _lag_bandwidth(trend_fit, design)
+        _, resid_model, _, corr_model = _variogram_fit(
+            trend_fit, design.pairs, design.lag_grid, g, PipelineConfig()
         )
-        trend_fit = apply_smoother(smoother_matrix(sample, bandwidth), sample)
-        pairs = PairTable.from_distances(dists)
-        lag_grid = default_lag_grid(dists)
-        g = select_lag_bandwidth(trend_fit.residuals, pairs, lag_grid)
-        rows, bad = prediction_weights(trend_fit, grid_nodes, on_singular="mask")
-        mask = np.zeros(len(grid_nodes), dtype=bool)
-        mask[bad] = True
-        grid_rows = rows[~mask]
-        cross_d = cross_distances(grid_nodes[~mask], sample.locations)
-        resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-            trend_fit, pairs, lag_grid, g
-        )
+        resid_factor, corr_factor = _factorize((resid_model, corr_model), design.dists)
+        grid_rows, mask, cross_d = design.grid_rows, design.grid_mask, design.cross_d
 
     idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
     # decorrelation always whitens with the residual-scale factor; the modes
     # differ in the covariance used to recorrelate and krige
     covariances = {
-        "theoretical": (model_true, factor_true),
+        "theoretical": (scenario.model, design.factor_true),
         "residual": (resid_model, resid_factor),
         "corrected": (corr_model, corr_factor),
     }
@@ -570,14 +503,3 @@ def _evaluate_replicate(
         sill_corrected=corr_model.sill,
         mean_se=mean_se,
     )
-
-
-def _fit_models(trend_fit, pairs, lag_grid, g):
-    pilot_unc = empirical_variogram(trend_fit.residuals, pairs, lag_grid, g)
-    resid_model = fit_shapiro_botha(pilot_unc)
-    pilot_corr = bias_corrected_variogram(trend_fit, pairs, lag_grid, g)
-    corr_model = fit_shapiro_botha(pilot_corr)
-    dists = pairs.matrix
-    resid_factor = cholesky(covariance_matrix(resid_model, dists), ridge_policy="auto")
-    corr_factor = cholesky(covariance_matrix(corr_model, dists), ridge_policy="auto")
-    return resid_model, corr_model, resid_factor, corr_factor

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 from _oracles import bootstrap_replicates_stepwise
 from georisk.bootstrap import (
     PipelineConfig,
+    _factorize,
+    _variogram_fit,
     build_engine,
     decorrelate_residuals,
     fit_pipeline,
@@ -27,8 +29,7 @@ from georisk.geometry import (
 from georisk.kriging import covariance_to_targets
 from georisk.numerics import CholeskyFactor
 from georisk.simulation import (
-    _fit_models,
-    _regular_context,
+    _DesignContext,
     simulate_field,
     table1_scenario,
 )
@@ -216,12 +217,13 @@ def full_design():
     """Replicate 0 of the full-scale table1 study: n = 400 sites on a 20x20
     grid, a 50x50 map, and each mode's covariance fitted as in the study."""
     sc = table1_scenario("full")
-    ctx = _regular_context(sc)
-    trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0))
+    ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0, ctx))
     g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
-    resid_model, corr_model, resid_factor, corr_factor = _fit_models(
-        trend_fit, ctx.pairs, ctx.lag_grid, g
+    _, resid_model, _, corr_model = _variogram_fit(
+        trend_fit, ctx.pairs, ctx.lag_grid, g, PipelineConfig()
     )
+    resid_factor, corr_factor = _factorize((resid_model, corr_model), ctx.dists)
     covariances = {
         "theoretical": (sc.model, ctx.factor_true),
         "residual": (resid_model, resid_factor),

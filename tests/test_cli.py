@@ -200,9 +200,26 @@ def test_simulate_desk_row_count(tmp_path):
     ])
     assert code == 0
     rows = (out / "results.csv").read_text().splitlines()
+    assert rows[0] == "scenario,mode,threshold,n,N,B,mean_se,median_se,sd_se,failures"
     assert len(rows) == 4  # header + one row per mode
     payload = json.loads((out / "results.json").read_text())
     assert payload["runs"][0]["scenario"]["scale"] == "desk"
+    assert payload["runs"][0]["failure_stages"] == {}
+
+
+def test_simulate_failure_stages_recorded(tmp_path):
+    # three sites per axis admit no MASE bandwidth, so every replicate of the
+    # random design fails while its design is built; the gate exits 5 after
+    # the results are written
+    out = tmp_path / "sim-fail"
+    code = main([
+        "simulate", "--scenario", "custom", "--design", "uniform", "--n", "9",
+        "--N", "3", "--B", "5", "--out", str(out),
+    ])
+    assert code == 5
+    run = json.loads((out / "results.json").read_text())["runs"][0]
+    assert run["failures"] == 3
+    assert run["failure_stages"] == {"design (MASE bandwidth)": 3}
 
 
 def test_simulate_full_flag_recorded(tmp_path):

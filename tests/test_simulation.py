@@ -1,14 +1,23 @@
+import dataclasses
+import gc
 import math
 import os
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from georisk.exceptions import ConfigError
+import georisk.simulation as sim
+from georisk.bootstrap import fit_pipeline, risk_maps
+from georisk.exceptions import BandwidthTooSmallError, ConfigError
+from georisk.geometry import make_regular_grid
 from georisk.simulation import (
     ExponentialVariogram,
     Scenario,
+    _DesignContext,
+    _evaluate_replicate,
     exp_variogram,
     run_scenario,
     se_metrics,
@@ -85,6 +94,18 @@ def test_simulate_field_uniform_design_moves_locations():
     assert np.all((a.locations >= 0.0) & (a.locations <= 1.0))
 
 
+@pytest.mark.parametrize("make", [table1_scenario, table3_scenario])
+def test_simulate_field_design_is_bit_identical(make):
+    # the design context only saves work: the draw is the same without it
+    sc = make("desk", nx=6, ny=6, seed=31)
+    for r in (0, 3):
+        plain = simulate_field(sc, r)
+        design = _DesignContext.build(sc, plain.locations)
+        given = simulate_field(sc, r, design)
+        assert np.array_equal(plain.locations, given.locations)
+        assert np.array_equal(plain.values, given.values)
+
+
 def test_simulate_field_nugget_only_moments():
     # near-pure-nugget scenario: values are close to i.i.d. N(m, s^2)
     s2 = 0.25
@@ -92,9 +113,10 @@ def test_simulate_field_nugget_only_moments():
         name="nugget", nx=4, ny=4, nugget=s2 - 1e-9, partial_sill=1e-9,
         practical_range=0.5, n_replicates=1, n_boot=1, seed=5,
     )
-    draws = np.array([simulate_field(sc, r).values for r in range(10_000)])
+    design = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    draws = np.array([simulate_field(sc, r, design).values for r in range(10_000)])
     site = 7
-    m = true_trend(simulate_field(sc, 0).locations[site])
+    m = true_trend(design.locations[site])
     var = draws[:, site].var()
     assert abs(draws[:, site].mean() - m) < 3.0 * math.sqrt(s2 / 10_000)
     assert abs(var - s2) < 0.05 * s2
@@ -102,8 +124,9 @@ def test_simulate_field_nugget_only_moments():
 
 def test_simulate_field_covariance_moments():
     sc = table1_scenario("desk", nx=4, ny=4, seed=8)
-    draws = np.array([simulate_field(sc, r).values for r in range(10_000)])
-    locs = simulate_field(sc, 0).locations
+    design = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    draws = np.array([simulate_field(sc, r, design).values for r in range(10_000)])
+    locs = design.locations
     i, j = 1, 2
     d = float(np.linalg.norm(locs[i] - locs[j]))
     target = sc.sigma2 - exp_variogram(d, sc.nugget, sc.partial_sill, sc.practical_range)
@@ -195,8 +218,6 @@ def test_run_scenario_records_sills():
 
 
 def test_run_scenario_failure_gate(monkeypatch):
-    import georisk.simulation as sim
-
     original = sim._evaluate_replicate
 
     def flaky(scenario, sample, r, *args, **kwargs):
@@ -230,17 +251,92 @@ def test_run_scenario_pipeline_criterion():
         assert 0.0 <= row["mean_se"] <= 1.0
 
 
-def test_result_writers(tmp_path):
-    sc = table1_scenario("desk", n_replicates=2, n_boot=10)
-    res = run_scenario(sc, modes=("corrected",))
-    csv_path = tmp_path / "r.csv"
-    json_path = tmp_path / "r.json"
-    res.write_csv(csv_path)
-    res.write_json(json_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "scenario,mode,threshold,n,N,B,mean_se,median_se,sd_se,failures"
-    assert len(lines) == 2
-    assert json_path.read_text().startswith("{")
+def test_run_scenario_pipeline_criterion_uniform_design():
+    # the pipeline criterion on sites redrawn per replicate: each replicate
+    # builds its own design, which supplies the true covariance factor
+    sc = table3_scenario(
+        "desk", nx=6, ny=6, n_replicates=2, n_boot=25, bandwidth_criterion="pipeline",
+        seed=14,
+    )
+    res = run_scenario(sc)
+    assert res.valid and res.n_failures == 0
+    for row in res.rows:
+        assert math.isfinite(row["mean_se"])
+        assert 0.0 <= row["mean_se"] <= 1.0
+
+
+def _slim(rec):
+    return dataclasses.replace(rec, mean_se={k: v.tolist() for k, v in rec.mean_se.items()})
+
+
+def test_regular_replicate_same_with_rebuilt_design():
+    # the study's shared design and one rebuilt from the replicate's own
+    # sites give the same record at the same lag bandwidth
+    sc = table1_scenario("desk", nx=6, ny=6, n_boot=20, seed=9)
+    truth_maps = {c: true_risk(sc.prediction_grid().nodes(), c, sc) for c in sc.thresholds}
+    shared = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    sample = simulate_field(sc, 2, shared)
+    rebuilt = _DesignContext.build(sc, sample.locations)
+    g = 0.3
+    a = _evaluate_replicate(sc, sample, 2, sim.MODES, truth_maps, shared, g)
+    b = _evaluate_replicate(sc, sample, 2, sim.MODES, truth_maps, rebuilt, g)
+    assert _slim(a) == _slim(b)
+
+
+def test_replicate_failures_carry_their_stage():
+    # three sites per axis admit no MASE bandwidth: every uniform-design
+    # replicate fails while its design is built, and says so
+    sc = Scenario(nx=3, ny=3, design="uniform", n_replicates=3, n_boot=5)
+    res = run_scenario(sc)
+    assert res.n_failures == 3 and not res.valid
+    for rec in res.replicates:
+        assert rec.failed and rec.stage == "design (MASE bandwidth)"
+        assert rec.error.startswith("[design (MASE bandwidth)]")
+
+
+def test_regular_design_failure_carries_its_stage():
+    with pytest.raises(BandwidthTooSmallError) as info:
+        run_scenario(Scenario(nx=2, ny=2))
+    assert info.value.stage == "design (MASE bandwidth)"
+
+
+def _module_state():
+    state = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not name.startswith("georisk."):
+            continue
+        namespace = vars(mod)
+        sizes = {
+            attr: len(value)
+            for attr, value in namespace.items()
+            if isinstance(value, (dict, list, set))
+        }
+        state[name] = (sorted(namespace), sizes)
+    return state
+
+
+def test_no_module_global_state(monkeypatch):
+    # a study and a risk map leave every georisk module as they found it, and
+    # no design context outlives its run
+    sc = table1_scenario("desk", nx=5, ny=5, n_replicates=2, n_boot=10, grid_nx=6, grid_ny=6)
+    built = []
+    init = _DesignContext.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(_DesignContext, "__init__", tracked)
+    before = _module_state()
+    res = run_scenario(sc)
+    fit = fit_pipeline(simulate_field(sc, 0))
+    grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (6, 6))
+    risk_maps(fit, grid, [2.5], n_replicates=10, seed=1)
+    del res, fit
+    gc.collect()
+    assert _module_state() == before
+    assert len(built) >= 2
+    assert all(ref() is None for ref in built)
 
 
 @pytest.mark.slow
