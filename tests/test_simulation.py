@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import os
 import sys
@@ -13,6 +14,7 @@ import georisk.simulation as sim
 from georisk.bootstrap import fit_pipeline, risk_maps
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
 from georisk.geometry import make_regular_grid
+from georisk.io import write_json, write_table_csv
 from georisk.simulation import (
     ExponentialVariogram,
     Scenario,
@@ -249,6 +251,23 @@ def test_run_scenario_pipeline_criterion():
     for row in res.rows:
         assert math.isfinite(row["mean_se"])
         assert 0.0 <= row["mean_se"] <= 1.0
+
+
+def test_result_writers(tmp_path):
+    # a scenario's rows go through the same writers the simulate command uses
+    sc = table1_scenario("desk", n_replicates=2, n_boot=10)
+    res = run_scenario(sc, modes=("corrected",))
+    csv_path = tmp_path / "r.csv"
+    json_path = tmp_path / "r.json"
+    fields = ["scenario", "mode", "threshold", "n", "N", "B",
+              "mean_se", "median_se", "sd_se", "failures"]
+    write_table_csv(csv_path, fields, res.rows)
+    write_json(json_path, {"rows": res.rows, "failures": res.n_failures})
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "scenario,mode,threshold,n,N,B,mean_se,median_se,sd_se,failures"
+    assert len(lines) == 2
+    assert json_path.read_text().startswith("{")
+    assert json.loads(json_path.read_text())["rows"] == res.rows
 
 
 def test_run_scenario_pipeline_criterion_uniform_design():
