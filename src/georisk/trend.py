@@ -3,8 +3,18 @@
 The smoother is the multivariate local linear estimator: at a point x the
 fitted value is the intercept of a kernel-weighted affine fit, a linear
 functional s_x of the observations. Stacking the s_x rows at the sample
-sites gives the hat matrix S, from which residuals, cross-validation scores
-and dependence-corrected scores are all computed.
+sites gives the hat matrix S of the fitted trend, which the bootstrap
+reuses.
+
+The bandwidth search never forms S. For each candidate it builds the
+kernel matrix W (the product kernel's first-axis factor is shared by the
+candidates with the same h_1), takes the moments W @ [1, z, z z^T] about
+the centred coordinates z, and solves every site's 3x3 local design; the
+fitted values and diag S follow from W @ [y, z y]. CV, GCV and CGCV need
+nothing else but tr(S R), which comes from (W o R^T) @ [1, z]. Only the
+simulation's MASE oracle builds the rows, for tr(S Sigma S^T). One
+candidate takes a few O(n^2) passes and one n x 6 matrix product (MASE adds
+an n^3 product), and the winner's S is built once, by ``smoother_matrix``.
 """
 
 from __future__ import annotations
@@ -37,6 +47,22 @@ class SmootherMatrix:
     def trace(self) -> float:
         return float(np.trace(self.S))
 
+    # the interface the bandwidth criteria score, shared with ``_LocalFit``
+
+    def smooth(self, v) -> np.ndarray:
+        """S v, the smoother applied to data v."""
+        return self.S @ v
+
+    def hat_diagonal(self) -> np.ndarray:
+        return np.diag(self.S)
+
+    def trace_with(self, r) -> float:
+        """tr(S R)."""
+        return float(np.einsum("ij,ji->", self.S, r))
+
+    def hat_matrix(self) -> np.ndarray:
+        return self.S
+
 
 @dataclass(frozen=True, eq=False)
 class TrendFit:
@@ -51,17 +77,14 @@ class TrendFit:
 _EVAL_CHUNK = 512
 
 
-def _scaled_kernel(eval_points, locations, bandwidth: BandwidthMatrix, kernel: str,
-                   diffs=None):
+def _scaled_kernel(eval_points, locations, bandwidth: BandwidthMatrix, kernel: str):
     """Kernel weights and bandwidth-scaled differences u = H^-1 (x_j - e_i).
 
     The 1/det(H) normalization is a per-row constant and cancels in the
-    local linear weights, so it is omitted. ``diffs`` may be passed in when
-    a caller evaluates many bandwidths on fixed points.
+    local linear weights, so it is omitted.
     """
     k1 = PRODUCT_KERNELS[kernel]
-    if diffs is None:
-        diffs = locations[None, :, :] - eval_points[:, None, :]
+    diffs = locations[None, :, :] - eval_points[:, None, :]
     if bandwidth.is_diagonal:
         u = diffs / bandwidth.diagonal_scales()[None, None, :]
     else:
@@ -80,7 +103,6 @@ def _weight_rows(
     kernel: str = "triweight",
     min_neighbors: int | None = None,
     on_singular: str = "raise",
-    diffs=None,
 ):
     """Local linear weight rows for arbitrary evaluation points.
 
@@ -110,29 +132,32 @@ def _weight_rows(
             rows[sl],
             bad_all[sl],
             counts_all[sl],
-            None if diffs is None else diffs[sl],
         )
 
     bad_idx = np.flatnonzero(bad_all)
     if bad_idx.size and on_singular == "raise":
-        worst = int(counts_all[bad_idx].min())
-        raise BandwidthTooSmallError(
-            f"singular local design at {bad_idx.size} evaluation point(s) "
-            f"{bad_idx[:8].tolist()}{'...' if bad_idx.size > 8 else ''}; "
-            f"smallest effective neighbor count {worst} "
-            f"(need >= {min_neighbors})",
-            indices=bad_idx.tolist(),
-            neighbors=worst,
-        )
+        raise _singular_design_error(bad_idx, counts_all[bad_idx].min(), min_neighbors)
     return rows, bad_idx.tolist()
+
+
+def _singular_design_error(bad_idx, worst, min_neighbors) -> BandwidthTooSmallError:
+    worst = int(worst)
+    return BandwidthTooSmallError(
+        f"singular local design at {bad_idx.size} evaluation point(s) "
+        f"{bad_idx[:8].tolist()}{'...' if bad_idx.size > 8 else ''}; "
+        f"smallest effective neighbor count {worst} "
+        f"(need >= {min_neighbors})",
+        indices=bad_idx.tolist(),
+        neighbors=worst,
+    )
 
 
 def _weight_rows_chunk(
     eval_points, locations, bandwidth, kernel, min_neighbors, rows_out, bad_out,
-    counts_out, diffs=None,
+    counts_out,
 ):
     m, d = eval_points.shape
-    w, u = _scaled_kernel(eval_points, locations, bandwidth, kernel, diffs)
+    w, u = _scaled_kernel(eval_points, locations, bandwidth, kernel)
     counts = (w > 0.0).sum(axis=1)
     counts_out[:] = counts
     bad = counts < min_neighbors
@@ -298,21 +323,198 @@ def predict_trend(fit: TrendFit, targets) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Local fit at the sample sites, from kernel moments
+# ---------------------------------------------------------------------------
+
+
+_BLOCK_ENTRIES = 2**15
+_FLAT_AXIS_TOL = 1024 * np.finfo(np.float64).eps
+
+
+def _row_blocks(n: int):
+    """Row slices of an (n, n) matrix holding about 2^15 entries each, so
+    that the elementwise temporaries of one block stay in cache."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
+def _kernel_weights(
+    locations, bandwidth: BandwidthMatrix, kernel: str, min_neighbors: int = 0,
+    first_axis=None,
+):
+    """Kernel matrix W_ij = K(H^-1 (x_j - x_i)) at the sample sites.
+
+    Entry for entry the weights ``_weight_rows`` builds. W is filled one
+    row block at a time, and the first block with a site that has fewer
+    than ``min_neighbors`` positive weights raises BandwidthTooSmallError.
+    For a diagonal H the univariate factors are multiplied per block;
+    ``first_axis`` may pass in the first axis's factor, which depends on
+    h_1 alone.
+    """
+    n, d = locations.shape
+    k1 = PRODUCT_KERNELS[kernel]
+    scales = bandwidth.diagonal_scales()
+
+    def factor(axis, sl):
+        return k1((locations[None, :, axis] - locations[sl, None, axis]) / scales[axis])
+
+    w = np.empty((n, n))
+    for sl in _row_blocks(n):
+        if not bandwidth.is_diagonal:
+            block = _scaled_kernel(locations[sl], locations, bandwidth, kernel)[0]
+        else:
+            block = factor(0, sl) if first_axis is None else first_axis[sl]
+            for axis in range(1, d):
+                block = block * factor(axis, sl)
+        counts = np.count_nonzero(block, axis=1)
+        starved = np.flatnonzero(counts < min_neighbors)
+        if starved.size:
+            raise _singular_design_error(starved + sl.start, counts[starved].min(), min_neighbors)
+        w[sl] = block
+    return w
+
+
+@dataclass(frozen=True, eq=False)
+class _LocalFit:
+    """The local linear smoother at the sample sites, without its hat matrix.
+
+    Row i of the hat matrix is W_ij / sum_j W_ij * (c_i0 + c_i . (z_j - z_i)),
+    with W the kernel matrix, z the centred coordinates mapped by H^-1 and
+    c_i the solution of site i's unit-sum local design. The criteria use
+    that matrix only through its products with a few vectors, which come
+    from the moments W @ [v, z v]. ``SmootherMatrix`` offers the same
+    methods on an explicit hat matrix.
+    """
+
+    weights: np.ndarray
+    sums: np.ndarray
+    coef: np.ndarray
+    z: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.sums.shape[0]
+
+    def _apply(self, moments) -> np.ndarray:
+        # sum_j W_ij (c_i0 + c_i . (z_j - z_i)) v_j / sum_j W_ij from the
+        # moments [sum_j W_ij v_j, sum_j W_ij z_j v_j]
+        c = self.coef
+        out = c[:, 0] * moments[:, 0]
+        for k in range(self.z.shape[1]):
+            out += c[:, k + 1] * (moments[:, k + 1] - self.z[:, k] * moments[:, 0])
+        return out / self.sums
+
+    def smooth(self, v) -> np.ndarray:
+        """S v, the smoother applied to data v."""
+        v = np.asarray(v, dtype=np.float64)
+        return self._apply(self.weights @ np.column_stack([v, self.z * v[:, None]]))
+
+    def hat_diagonal(self) -> np.ndarray:
+        return self.coef[:, 0] * np.diagonal(self.weights) / self.sums
+
+    @property
+    def trace(self) -> float:
+        return float(self.hat_diagonal().sum())
+
+    def trace_with(self, r) -> float:
+        """tr(S R), from the moments of W o R^T."""
+        basis = np.column_stack([np.ones(self.n), self.z])
+        moments = np.empty_like(basis)
+        for sl in _row_blocks(self.n):
+            moments[sl] = (self.weights[sl] * r[:, sl].T) @ basis
+        return float(self._apply(moments).sum())
+
+    def hat_matrix(self) -> np.ndarray:
+        rows = np.empty((self.n, self.n))
+        c = self.coef
+        for sl in _row_blocks(self.n):
+            lin = np.repeat(c[sl, :1], self.n, axis=1)
+            for k in range(self.z.shape[1]):
+                lin += c[sl, k + 1 : k + 2] * (self.z[None, :, k] - self.z[sl, None, k])
+            rows[sl] = self.weights[sl] / self.sums[sl, None] * lin
+        return rows
+
+
+def _local_fit(
+    sample: SpatialSample,
+    bandwidth: BandwidthMatrix,
+    kernel: str = "triweight",
+    min_neighbors: int | None = None,
+    first_axis=None,
+) -> _LocalFit:
+    """Local linear fit at the sample sites from the kernel moments
+    W @ [1, z, z z^T] about the centred coordinates.
+
+    The admissibility rule is that of ``_weight_rows``: a site with fewer
+    than ``min_neighbors`` positive weights, or whose local design stays
+    singular, raises BandwidthTooSmallError.
+    """
+    locs = sample.locations
+    n, d = locs.shape
+    if min_neighbors is None:
+        min_neighbors = d + 1
+    weights = _kernel_weights(locs, bandwidth, kernel, min_neighbors, first_axis)
+
+    centred = locs - locs.mean(axis=0)
+    if bandwidth.is_diagonal:
+        z = centred / bandwidth.diagonal_scales()
+    else:
+        z = centred @ bandwidth.inverse
+    pairs = [(k, j) for k in range(d) for j in range(k, d)]
+    basis = np.column_stack([np.ones(n), z] + [z[:, k] * z[:, j] for k, j in pairs])
+    moments = weights @ basis
+    sums = moments[:, 0]
+    mean = moments[:, 1:] / sums[:, None]
+
+    # the unit-sum design of (1, z_j - z_i): each second moment is the
+    # weighted covariance plus the product of the shifts, so z_i^2 never
+    # cancels against the raw moment
+    shift = mean[:, :d] - z
+    a = np.empty((n, d + 1, d + 1))
+    a[:, 0, 0] = 1.0
+    a[:, 0, 1:] = shift
+    a[:, 1:, 0] = shift
+    for col, (k, j) in enumerate(pairs, start=d):
+        a[:, k + 1, j + 1] = a[:, j + 1, k + 1] = (
+            mean[:, col] - mean[:, k] * mean[:, j]
+        ) + shift[:, k] * shift[:, j]
+    # where every window site shares site i's coordinate on an axis (a
+    # regular design with h below the spacing), the dense rows get exact
+    # zeros on that axis and the ridged solve; here they come out at
+    # rounding level (observed <= 2e-15 of the raw moment, genuine values
+    # >= 1e-5 of it), so clear them to take the same solve
+    for k in range(d):
+        flat = a[:, k + 1, k + 1] <= _FLAT_AXIS_TOL * mean[:, d + pairs.index((k, k))]
+        a[flat, k + 1, :] = 0.0
+        a[flat, :, k + 1] = 0.0
+    coef = _solve_e1(a)
+    singular = np.flatnonzero(np.isnan(coef[:, 0]))
+    if singular.size:
+        counts = np.count_nonzero(weights[singular], axis=1)
+        raise _singular_design_error(singular, counts.min(), min_neighbors)
+    return _LocalFit(weights=weights, sums=sums, coef=coef, z=z)
+
+
+# ---------------------------------------------------------------------------
 # Bandwidth selection criteria
 # ---------------------------------------------------------------------------
 
 
-def _residual_scores(sample, smoother):
-    resid = sample.values - smoother.S @ sample.values
-    return resid
+def _smoother(sample: SpatialSample, bandwidth, kernel: str):
+    """What a criterion scores: a hat matrix or local fit as given, or the
+    local fit at a bandwidth."""
+    if isinstance(bandwidth, BandwidthMatrix):
+        return _local_fit(sample, bandwidth, kernel)
+    return bandwidth
 
 
 def cv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> float:
     """Leave-one-out CV via the hat-diagonal shortcut (exact for linear
     smoothers)."""
-    s = bandwidth if isinstance(bandwidth, SmootherMatrix) else smoother_matrix(sample, bandwidth, kernel)
-    resid = _residual_scores(sample, s)
-    denom = 1.0 - np.diag(s.S)
+    s = _smoother(sample, bandwidth, kernel)
+    resid = sample.values - s.smooth(sample.values)
+    denom = 1.0 - s.hat_diagonal()
     if np.any(denom <= 1e-12):
         raise BandwidthTooSmallError(
             "hat diagonal reaches one; bandwidth too small for leave-one-out"
@@ -322,8 +524,8 @@ def cv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> flo
 
 def gcv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> float:
     """Generalized cross-validation score."""
-    s = bandwidth if isinstance(bandwidth, SmootherMatrix) else smoother_matrix(sample, bandwidth, kernel)
-    resid = _residual_scores(sample, s)
+    s = _smoother(sample, bandwidth, kernel)
+    resid = sample.values - s.smooth(sample.values)
     denom = 1.0 - s.trace / s.n
     if denom <= 1e-12:
         raise BandwidthTooSmallError("tr(S)/n reaches one; bandwidth too small")
@@ -338,14 +540,14 @@ def cgcv_score(
 ) -> float:
     """Dependence-corrected GCV: the denominator uses tr(S R)/n so that
     positively correlated errors no longer reward undersmoothing."""
-    s = bandwidth if isinstance(bandwidth, SmootherMatrix) else smoother_matrix(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth, kernel)
     r = np.asarray(correlation, dtype=np.float64)
-    denom = 1.0 - float(np.einsum("ij,ji->", s.S, r)) / s.n
+    denom = 1.0 - s.trace_with(r) / s.n
     if denom <= 1e-12:
         raise BandwidthTooSmallError(
             "tr(S R)/n reaches one; bandwidth too small for the given dependence"
         )
-    resid = _residual_scores(sample, s)
+    resid = sample.values - s.smooth(sample.values)
     return float(np.mean((resid / denom) ** 2))
 
 
@@ -358,11 +560,12 @@ def mase_score(
 ) -> float:
     """Mean average squared error of the smoother against a known truth:
     squared-bias term plus tr(S Sigma S^T)/n. Simulation oracle only."""
-    s = bandwidth if isinstance(bandwidth, SmootherMatrix) else smoother_matrix(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth, kernel)
     m = np.asarray(true_mean, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
-    bias = s.S @ m - m
-    var_term = float(np.einsum("ij,ij->", s.S @ sigma, s.S))
+    bias = s.smooth(m) - m
+    rows = s.hat_matrix()
+    var_term = float(np.einsum("ij,ij->", rows @ sigma, rows))
     return float(bias @ bias + var_term) / s.n
 
 
@@ -417,6 +620,10 @@ def select_bandwidth(
     larger determinant, i.e. the smoother fit. Raises if nothing on the
     grid is admissible, reporting the smallest admissible scale found by
     doubling the largest candidate.
+
+    Each candidate is scored from its local fit (kernel moments), never from
+    a hat matrix. Consecutive diagonal candidates with the same first scale,
+    as in the default grid, share that axis's kernel factor.
     """
     if criterion not in _CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
@@ -430,28 +637,38 @@ def select_bandwidth(
     if not search_grid:
         raise ConfigError("empty bandwidth search grid")
 
+    def score(fit):
+        if criterion == "cv":
+            return cv_score(sample, fit)
+        if criterion == "gcv":
+            return gcv_score(sample, fit)
+        if criterion == "cgcv":
+            return cgcv_score(sample, fit, correlation)
+        return mase_score(sample, fit, true_mean, covariance)
+
     min_neighbors = _MIN_NEIGHBORS_FACTOR * (sample.d + 1)
-    # the candidate loop re-smooths the same points; share the difference
-    # tensor across candidates when it fits comfortably in memory
-    diffs = None
-    if sample.n * sample.n <= 4_000_000:
-        diffs = sample.locations[None, :, :] - sample.locations[:, None, :]
+    first_scale, first_axis = None, None
     best = None
     for h in search_grid:
-        score = _try_criterion(
-            sample, h, criterion, correlation, true_mean, covariance, kernel,
-            min_neighbors, diffs,
+        if h.is_diagonal and h.entries[0, 0] != first_scale:
+            first_axis = None  # release the old factor before building the next
+            first_scale = h.entries[0, 0]
+            first_axis = _kernel_weights(
+                sample.locations[:, :1], BandwidthMatrix.diagonal(first_scale), kernel
+            )
+        value = _candidate_score(
+            sample, h, score, kernel, min_neighbors, first_axis if h.is_diagonal else None
         )
-        if score is None:
+        if value is None:
             continue
         if best is None:
-            best = (score, h)
+            best = (value, h)
             continue
-        tol = 1e-12 * max(1.0, abs(score), abs(best[0]))
-        if score < best[0] - tol:
-            best = (score, h)
-        elif abs(score - best[0]) <= tol and h.det > best[1].det:
-            best = (score, h)
+        tol = 1e-12 * max(1.0, abs(value), abs(best[0]))
+        if value < best[0] - tol:
+            best = (value, h)
+        elif abs(value - best[0]) <= tol and h.det > best[1].det:
+            best = (value, h)
     if best is not None:
         return best[1]
 
@@ -461,13 +678,7 @@ def select_bandwidth(
     for _ in range(40):
         scales = scales * 2.0
         h = BandwidthMatrix.diagonal(*scales)
-        if (
-            _try_criterion(
-                sample, h, criterion, correlation, true_mean, covariance, kernel,
-                min_neighbors, diffs,
-            )
-            is not None
-        ):
+        if _candidate_score(sample, h, score, kernel, min_neighbors) is not None:
             raise BandwidthTooSmallError(
                 "no admissible bandwidth on the search grid; smallest admissible "
                 f"diagonal found by doubling is {scales.tolist()}"
@@ -478,29 +689,9 @@ def select_bandwidth(
     )
 
 
-def _try_criterion(
-    sample, h, criterion, correlation, true_mean, covariance, kernel, min_neighbors,
-    diffs=None,
-):
+def _candidate_score(sample, h, score, kernel, min_neighbors, first_axis=None):
+    """The criterion at one candidate, or None when it is inadmissible."""
     try:
-        rows, _ = _weight_rows(
-            sample.locations,
-            sample.locations,
-            h,
-            kernel,
-            min_neighbors=min_neighbors,
-            diffs=diffs,
-        )
-    except BandwidthTooSmallError:
-        return None
-    s = SmootherMatrix(S=rows, bandwidth=h, kernel=kernel)
-    try:
-        if criterion == "cv":
-            return cv_score(sample, s)
-        if criterion == "gcv":
-            return gcv_score(sample, s)
-        if criterion == "cgcv":
-            return cgcv_score(sample, s, correlation)
-        return mase_score(sample, s, true_mean, covariance)
+        return score(_local_fit(sample, h, kernel, min_neighbors, first_axis))
     except BandwidthTooSmallError:
         return None

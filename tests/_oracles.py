@@ -256,3 +256,63 @@ def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e
     for i in range(n - 1, -1, -1):
         alpha[i] = (alpha[i] - L[i + 1 :, i] @ alpha[i + 1 :]) / L[i, i]
     return y_star @ target_rows.T + alpha.T @ c0.T
+
+
+def dense_bandwidth_scores(
+    sample, grid, criteria, correlation=None, true_mean=None, covariance=None,
+    kernel="triweight",
+):
+    """Trend bandwidth criteria from explicit hat matrices, one per candidate.
+
+    For each candidate the dense smoother rows come from ``_weight_rows``
+    with the search's neighbor rule, and each criterion in ``criteria`` is
+    evaluated on S directly. Returns {criterion: scores}, one score per
+    candidate, None where the candidate is inadmissible (starved or
+    singular rows, or a degenerate denominator).
+    """
+    from georisk.exceptions import BandwidthTooSmallError
+    from georisk.trend import _MIN_NEIGHBORS_FACTOR, _weight_rows
+
+    y = sample.values
+    n = sample.n
+    min_neighbors = _MIN_NEIGHBORS_FACTOR * (sample.d + 1)
+    scores = {c: [] for c in criteria}
+    for h in grid:
+        try:
+            S, _ = _weight_rows(sample.locations, sample.locations, h, kernel, min_neighbors)
+        except BandwidthTooSmallError:
+            for c in criteria:
+                scores[c].append(None)
+            continue
+        resid = y - S @ y
+        for c in criteria:
+            if c == "mase":
+                bias = S @ true_mean - true_mean
+                var_term = float(np.einsum("ij,ij->", S @ covariance, S))
+                scores[c].append(float(bias @ bias + var_term) / n)
+                continue
+            if c == "cv":
+                denom = 1.0 - np.diag(S)
+            elif c == "gcv":
+                denom = 1.0 - np.trace(S) / n
+            else:
+                denom = 1.0 - float(np.einsum("ij,ji->", S, correlation)) / n
+            ok = np.all(denom > 1e-12)
+            scores[c].append(float(np.mean((resid / denom) ** 2)) if ok else None)
+    return scores
+
+
+def select_from_scores(grid, scores):
+    """The search's winner among scored candidates: the smallest score, ties
+    within 1e-12 relative going to the larger determinant."""
+    best = None
+    for h, score in zip(grid, scores):
+        if score is None:
+            continue
+        if best is None:
+            best = (score, h)
+            continue
+        tol = 1e-12 * max(1.0, abs(score), abs(best[0]))
+        if score < best[0] - tol or (abs(score - best[0]) <= tol and h.det > best[1].det):
+            best = (score, h)
+    return best[1]

@@ -1,11 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import wls_affine_hat_row
+from _oracles import dense_bandwidth_scores, select_from_scores, wls_affine_hat_row
+from georisk import trend
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
-from georisk.geometry import BandwidthMatrix, SpatialSample, make_regular_grid
+from georisk.geometry import (
+    BandwidthMatrix,
+    SpatialSample,
+    make_regular_grid,
+    pairwise_distances,
+)
+from georisk.io import synth_dataset
 from georisk.numerics import triweight_1d
+from georisk.simulation import (
+    _DesignContext,
+    simulate_field,
+    table1_scenario,
+    table3_scenario,
+)
 from georisk.trend import (
     SmootherMatrix,
     cgcv_score,
@@ -397,3 +412,145 @@ def test_cgcv_smooths_more_than_cv_under_correlation():
         if h_cgcv.det >= h_cv.det:
             wins += 1
     assert wins >= 90
+
+
+# ---------------------------------------------------------------------------
+# moment-based search against the dense hat matrices
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_weights_equal_dense_weights():
+    rng = np.random.default_rng(14)
+    locs = rng.uniform(size=(300, 2)) * [3.0, 1.0]
+    for h in (BandwidthMatrix.diagonal(0.4, 0.15), BandwidthMatrix([[0.5, 0.1], [0.1, 0.3]])):
+        dense, _ = trend._scaled_kernel(locs, locs, h, "triweight")
+        assert np.array_equal(trend._kernel_weights(locs, h, "triweight"), dense)
+    first = trend._kernel_weights(locs[:, :1], BandwidthMatrix.diagonal(0.4), "triweight")
+    h = BandwidthMatrix.diagonal(0.4, 0.15)
+    dense, _ = trend._scaled_kernel(locs, locs, h, "triweight")
+    assert np.array_equal(trend._kernel_weights(locs, h, "triweight", first_axis=first), dense)
+
+
+def test_local_fit_flat_axis_matches_dense_rows():
+    # h_1 below the grid spacing: every window is one column of the grid,
+    # so the dense design is exactly singular in x and takes the ridged solve
+    sample = unit_grid_sample(20, 20)
+    for h in (BandwidthMatrix.diagonal(0.04, 1.0), BandwidthMatrix.diagonal(0.6, 0.03)):
+        fit = trend._local_fit(sample, h, min_neighbors=9)
+        rows, _ = trend._weight_rows(sample.locations, sample.locations, h, min_neighbors=9)
+        assert_allclose(fit.hat_matrix(), rows, rtol=0.0, atol=1e-13)
+        assert_allclose(fit.smooth(sample.values), rows @ sample.values, rtol=1e-13)
+
+
+def _synth_case(n, seed, offset):
+    """Square-root synthetic responses, the synthetic trend as the truth,
+    and an exponential correlation, with the sites shifted by ``offset``."""
+    locs, values = synth_dataset(n, seed=seed)
+    sample = SpatialSample(locs + offset, np.sqrt(values))
+    corr = np.exp(-3.0 * pairwise_distances(locs) / 8.0)
+    true_mean = 1.6 + 0.9 * np.sin(np.pi * locs[:, 0] / 30.0) * np.cos(np.pi * locs[:, 1] / 15.0)
+    return sample, {
+        "cv": {},
+        "gcv": {},
+        "cgcv": {"correlation": corr},
+        "mase": {"true_mean": true_mean, "covariance": 0.01 * np.eye(n) + 0.09 * corr},
+    }
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e6])
+def test_search_matches_dense_rows_at_realistic_size(offset):
+    sample, kwargs = _synth_case(1000, 5, offset)
+    # the grid comes from the unshifted sites: median_nn_spacing drifts under
+    # a large offset, which is not what this test is about
+    grid = default_bandwidth_grid(SpatialSample(sample.locations - offset, sample.values))
+    ref = dense_bandwidth_scores(
+        sample, grid, list(kwargs), **{k: v for kw in kwargs.values() for k, v in kw.items()}
+    )
+    scorers = {
+        "cv": lambda fit: cv_score(sample, fit),
+        "gcv": lambda fit: gcv_score(sample, fit),
+        "cgcv": lambda fit: cgcv_score(sample, fit, **kwargs["cgcv"]),
+        "mase": lambda fit: mase_score(sample, fit, **kwargs["mase"]),
+    }
+    ours = {c: [] for c in scorers}
+    for h in grid:
+        try:
+            fit = trend._local_fit(sample, h, min_neighbors=9)
+        except BandwidthTooSmallError:
+            fit = None
+        for c, score in scorers.items():
+            try:
+                ours[c].append(None if fit is None else score(fit))
+            except BandwidthTooSmallError:
+                ours[c].append(None)
+    for c in scorers:
+        assert [s is None for s in ours[c]] == [s is None for s in ref[c]], c
+        assert 0 < sum(s is not None for s in ref[c]) < len(grid)
+        for a, b in zip(ours[c], ref[c]):
+            if b is not None:
+                assert abs(a - b) <= 1e-10 * abs(b), c
+        chosen = select_bandwidth(sample, c, grid if offset else None, **kwargs[c])
+        assert np.array_equal(chosen.entries, select_from_scores(grid, ref[c]).entries), c
+
+
+def _mase_winners_agree(scenario, replicate):
+    design = _DesignContext.truth(scenario, simulate_field(scenario, replicate).locations)
+    template = SpatialSample(design.locations, design.m_true)
+    kwargs = {"true_mean": design.m_true, "covariance": design.sigma_true}
+    grid = default_bandwidth_grid(template)
+    ref = dense_bandwidth_scores(template, grid, ["mase"], **kwargs)["mase"]
+    chosen = select_bandwidth(template, "mase", **kwargs)
+    return np.array_equal(chosen.entries, select_from_scores(grid, ref).entries)
+
+
+def test_mase_search_matches_dense_rows_on_study_designs():
+    # study seed 20240 is the simulation benchmark's seed 1
+    assert _mase_winners_agree(table1_scenario("full", seed=20240), 0)
+    desk = table3_scenario("desk", seed=20240)
+    assert all(_mase_winners_agree(desk, r) for r in range(20))
+
+
+def test_search_builds_no_hat_matrix_and_scores_each_admissible_candidate_once(monkeypatch):
+    sample, kwargs = _synth_case(200, 6, 0.0)
+    grid = default_bandwidth_grid(sample)
+    admissible = 0
+    for h in grid:
+        try:
+            trend._weight_rows(sample.locations, sample.locations, h, min_neighbors=9)
+            admissible += 1
+        except BandwidthTooSmallError:
+            pass
+    assert 0 < admissible < len(grid)
+
+    calls = {"_weight_rows": 0}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(trend, name, wrapper)
+
+    for name in ("_weight_rows", "cv_score", "gcv_score", "cgcv_score", "mase_score"):
+        counted(name, getattr(trend, name))
+    for criterion, kw in kwargs.items():
+        select_bandwidth(sample, criterion, grid, **kw)
+        assert calls[f"{criterion}_score"] == admissible, criterion
+    assert calls["_weight_rows"] == 0
+
+
+def test_cgcv_search_memory_at_n1053():
+    locs, values = synth_dataset(1053, seed=1)
+    sample = SpatialSample(locs, np.sqrt(values))
+    grid = default_bandwidth_grid(sample)
+    corr = np.exp(-3.0 * pairwise_distances(locs) / 8.0)
+    tracemalloc.start()
+    try:
+        select_bandwidth(sample, "cgcv", grid, correlation=corr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the search that built dense smoother rows per candidate peaked at 66.6 MB
+    assert peak / 2**20 <= 66.6
