@@ -137,7 +137,7 @@ class BandwidthMatrix:
             raise DataError("bandwidth matrix must be square")
         if not np.all(np.isfinite(h)):
             raise DataError("bandwidth matrix must be finite")
-        if not np.allclose(h, h.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(h).max())):
+        if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
             raise DataError("bandwidth matrix must be symmetric")
         eigvals = np.linalg.eigvalsh(0.5 * (h + h.T))
         if eigvals.min() <= 0.0:

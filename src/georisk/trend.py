@@ -209,25 +209,42 @@ def _weight_rows_chunk(
 def _solve_e1(a):
     """Solve A c = e1 for a stack of small SPD-ish systems.
 
-    Falls back to a scaled ridge on rows whose pivots underflow; rows that
-    stay singular come back as NaN.
+    Rows that are exactly singular, or whose solution is not finite, get a
+    scaled ridge (as in ``_solve_e1_single``); rows that stay singular come
+    back as NaN. Both passes solve their rows in one batch.
     """
     m, p, _ = a.shape
     e1 = np.zeros((m, p))
     e1[:, 0] = 1.0
-    out = np.full((m, p), np.nan)
     try:
         out = np.linalg.solve(a, e1[..., None])[..., 0]
+        ridged = np.zeros(m, dtype=bool)
     except np.linalg.LinAlgError:
-        for i in range(m):
-            out[i] = _solve_e1_single(a[i])
-        return out
-    # batched solve succeeded but may contain garbage for ill-conditioned
-    # rows on some BLAS builds; validate via the residual of the first column
+        out = _solve_nonsingular(a, e1)
+        ridged = ~np.isfinite(out).all(axis=1)
+        if ridged.any():
+            sub = a[ridged]
+            ridge = _LOCAL_RIDGE * np.trace(sub, axis1=1, axis2=2)
+            sol = _solve_nonsingular(sub + ridge[:, None, None] * np.eye(p), e1[ridged])
+            sol[~np.isfinite(sol).all(axis=1)] = np.nan
+            out[ridged] = sol
+    # a batched solve may contain garbage for ill-conditioned rows on some
+    # BLAS builds; validate the unridged rows via the residual of e1
     resid = np.abs(np.einsum("mij,mj->mi", a, out) - e1).max(axis=1)
-    shaky = np.flatnonzero(~np.isfinite(resid) | (resid > 1e-6))
+    shaky = np.flatnonzero(~ridged & (~np.isfinite(resid) | (resid > 1e-6)))
     for i in shaky:
         out[i] = _solve_e1_single(a[i])
+    return out
+
+
+def _solve_nonsingular(a, b):
+    """``np.linalg.solve`` of each system of a stack in one batch, with NaN
+    rows for the exactly singular ones (a zero pivot in the LU factor)."""
+    out = np.full(b.shape, np.nan)
+    with np.errstate(invalid="ignore"):  # NaN entries: sign NaN, solved as regular
+        regular = np.linalg.slogdet(a)[0] != 0.0
+    if regular.any():
+        out[regular] = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
     return out
 
 

@@ -316,3 +316,40 @@ def select_from_scores(grid, scores):
         if score < best[0] - tol or (abs(score - best[0]) <= tol and h.det > best[1].det):
             best = (score, h)
     return best[1]
+
+
+def semivariance_dense(model, u):
+    """gamma of a Shapiro-Botha model from one (..., K) array of node terms
+    summed over its last axis, the nugget added and 0 at u = 0."""
+    from georisk.variogram import _basis_kernel
+
+    u = np.asarray(u, dtype=np.float64)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    out = np.full(u.shape, model.nugget)
+    if model.node_weights.size:
+        kappa = _basis_kernel(model.kernel_dim)
+        arg = u[..., None] * model.node_freqs
+        out = out + ((1.0 - kappa(arg)) * model.node_weights).sum(axis=-1)
+    out = np.where(u == 0.0, 0.0, out)
+    return float(out[0]) if scalar else out
+
+
+def solve_e1_rowwise(a, ridge=1e-10):
+    """A c = e1 for each p x p system of a stack, one system at a time: the
+    system as it is, else with ridge * trace(A) added to its diagonal, else
+    NaN (a solve that raises or returns non-finite values fails)."""
+    m, p, _ = a.shape
+    e1 = np.zeros(p)
+    e1[0] = 1.0
+    out = np.full((m, p), np.nan)
+    for i in range(m):
+        for mat in (a[i], a[i] + ridge * np.trace(a[i]) * np.eye(p)):
+            try:
+                sol = np.linalg.solve(mat, e1)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(sol)):
+                out[i] = sol
+                break
+    return out

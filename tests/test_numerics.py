@@ -17,6 +17,7 @@ from georisk.numerics import (
     CholeskyFactor,
     bessel_j0,
     cholesky,
+    j0_series_top,
     nnls,
     normal_cdf,
     solve_lower,
@@ -115,6 +116,21 @@ def test_j0_sign_alternates_between_zeros():
         midpoints.append(0.5 * (a + b))
     signs = np.sign([bessel_j0(m) for m in midpoints])
     assert np.all(signs[:-1] * signs[1:] == -1.0)
+
+
+def test_j0_pieces_with_series_top_match_one_call():
+    # near a zero J0 rests on the last series terms, and the number of terms
+    # is set by the largest argument of the call
+    z = 2.404825557695773
+    whole = np.r_[z, np.linspace(0.0, 40.0, 20001)]
+    one_call = bessel_j0(whole)
+    assert bessel_j0(whole[:1])[0] != one_call[0]
+    top = j0_series_top(whole)
+    assert top == 12.0
+    pieces = [bessel_j0(whole[i:i + 4096], series_top=top) for i in range(0, whole.size, 4096)]
+    assert np.array_equal(np.concatenate(pieces), one_call)
+    assert j0_series_top(-whole) == top
+    assert j0_series_top([12.5, 40.0]) == -math.inf
 
 
 # ---------------------------------------------------------------------------

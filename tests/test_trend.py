@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import dense_bandwidth_scores, select_from_scores, wls_affine_hat_row
+from _oracles import (
+    dense_bandwidth_scores,
+    select_from_scores,
+    solve_e1_rowwise,
+    wls_affine_hat_row,
+)
 from georisk import trend
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
 from georisk.geometry import (
@@ -559,3 +564,44 @@ def test_cgcv_search_memory_at_n1053():
     # (the search that built dense smoother rows per candidate peaked at
     # 66.6 MB, 7.9 of them)
     assert peak <= 4 * sample.n**2 * 8
+
+
+def test_solve_e1_batches_regular_ridged_and_singular_rows():
+    rng = np.random.default_rng(19)
+    b = rng.normal(size=(9, 3, 3))
+    a = b @ b.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    a[1, 1, :] = a[1, :, 1] = 0.0  # a flat axis: the ridge solves it
+    a[4, 2, :] = a[4, :, 2] = 0.0
+    a[6] = 0.0  # zero trace: still singular with the ridge
+    a[7, 0, 0] = np.nan  # no zero pivot, but no finite solution
+    want = solve_e1_rowwise(a)
+    assert np.isnan(want[[6, 7]]).all() and np.isfinite(np.delete(want, [6, 7], axis=0)).all()
+    assert np.array_equal(trend._solve_e1(a), want, equal_nan=True)
+    regular = np.delete(a, [1, 4, 6, 7], axis=0)  # the batched solve does not raise
+    assert np.array_equal(trend._solve_e1(regular), solve_e1_rowwise(regular))
+
+
+def test_solve_e1_singular_stacks_of_study_design_match_rowwise(monkeypatch):
+    # the table1 full design's MASE search has stacks in which every 3x3
+    # design is singular (h below the grid spacing on one axis); the batched
+    # ridge must give the row-by-row values without the per-row fallback
+    raised, single_calls = [], []
+    solve_e1, solve_single = trend._solve_e1, trend._solve_e1_single
+
+    def recording(a):
+        if np.any(np.linalg.slogdet(a)[0] == 0.0):
+            raised.append(a.copy())
+        return solve_e1(a)
+
+    def counted(a):
+        single_calls.append(1)
+        return solve_single(a)
+
+    monkeypatch.setattr(trend, "_solve_e1", recording)
+    monkeypatch.setattr(trend, "_solve_e1_single", counted)
+    sc = table1_scenario("full")
+    _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    assert len(raised) >= 10
+    assert len(single_calls) == 0
+    for a in raised:
+        assert np.array_equal(solve_e1(a), solve_e1_rowwise(a), equal_nan=True)

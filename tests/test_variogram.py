@@ -11,6 +11,7 @@ from _oracles import (
     empirical_variogram_dense,
     local_lag_fit_naive,
     local_lag_sums_naive,
+    semivariance_dense,
 )
 from georisk import bootstrap
 from georisk.exceptions import (
@@ -41,6 +42,7 @@ from georisk.variogram import (
     cv_relative_error,
     default_lag_bandwidths,
     default_lag_grid,
+    default_node_freqs,
     empirical_variogram,
     evaluate_model,
     fit_shapiro_botha,
@@ -522,6 +524,45 @@ def test_evaluate_j0_model_bounded():
     assert model.semivariance(1.0) == pytest.approx(
         0.3 * (1.0 - bessel_j0(2.0)) + 0.2 * (1.0 - bessel_j0(5.0)), rel=1e-12
     )
+
+
+def _mixture(kernel_dim, k, seed=16):
+    rng = np.random.default_rng(seed)
+    return VariogramModel(
+        nugget=0.05,
+        node_freqs=default_node_freqs(0.8, 25, k) if k else [],
+        node_weights=rng.uniform(0.01, 0.3, size=k),
+        kernel_dim=kernel_dim,
+    )
+
+
+@pytest.mark.parametrize("kernel_dim", [2, 3, GAUSS])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 16, 17, 50])
+def test_semivariance_bit_identical_to_dense_sum(kernel_dim, k):
+    # every node order numpy's pairwise summation distinguishes below 51
+    # nodes, over more than two evaluation blocks, with exact zeros
+    model = _mixture(kernel_dim, k)
+    u = np.random.default_rng(17).uniform(0.0, 1.5, size=(37, 511))
+    u[::5, 3] = 0.0
+    for x in (u, u[:, 7], u.reshape(37, 7, 73), u.T, 0.0, 0.37):
+        got = model.semivariance(x)
+        assert np.array_equal(got, semivariance_dense(model, x))
+        assert np.shape(got) == np.shape(x)
+    assert isinstance(model.semivariance(0.37), float)
+
+
+def test_semivariance_memory_is_one_output_array():
+    # (m, n) = a 50 x 50 map against the n = 1053 sites; the dense sum
+    # built several (m, n, K) temporaries, about 500 MB at K = 8
+    model = _mixture(GAUSS, 8)
+    u = np.random.default_rng(18).uniform(0.0, 1.5, size=(2500, 1053))
+    tracemalloc.start()
+    try:
+        model.semivariance(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * u.size * 8 + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
