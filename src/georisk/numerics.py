@@ -72,27 +72,21 @@ _J0_SERIES_CUTOFF = 12.0
 _J0_MAX_ASYMPTOTIC_TERMS = 40
 
 
-def _j0_series_terms(top):
-    """Terms the ascending series adds: up to the first one below 1e-18 at
-    ``top``, the largest argument. |term_k| grows with x, also in rounded
-    arithmetic, so this is also the first k where every element's term is
-    that small."""
-    q = 0.25 * top * top
-    term = 1.0
-    for k in range(1, 60):
-        term = term * (-q) / (k * k)
-        if abs(term) < 1e-18:
-            return k
-    return 59
-
-
-def _j0_series(x, top):
+def _j0_series(x):
+    # each element adds terms up to its own first one below 1e-18 (later
+    # terms are zeroed), so a value does not depend on the other arguments
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
-    for k in range(1, _j0_series_terms(top) + 1):
-        term = term * (-q) / (k * k)
+    mag = np.empty_like(x)
+    for k in range(1, 60):
+        term *= -q
+        term /= k * k
         total += term
+        np.abs(term, out=mag)
+        if mag.max() < 1e-18:
+            break
+        np.multiply(term, mag >= 1e-18, out=term)
     return total
 
 
@@ -123,16 +117,11 @@ def _j0_asymptotic(x):
     return amp * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def bessel_j0(x, series_top=None):
+def bessel_j0(x):
     """J0 evaluated to better than 1e-10 absolute error.
 
     Ascending power series for x <= 12, Hankel asymptotic expansion beyond,
     truncated at its smallest term. Negative arguments use evenness.
-
-    The series adds the same number of terms at every element, set by the
-    largest |x| at or below the cutoff. To evaluate a large array in pieces
-    with the same result as one call, pass that array's
-    ``j0_series_top`` as ``series_top`` to every piece.
     """
     x_arr = np.abs(np.asarray(x, dtype=np.float64))
     scalar = x_arr.ndim == 0
@@ -140,19 +129,10 @@ def bessel_j0(x, series_top=None):
     out = np.empty_like(x_arr)
     small = x_arr <= _J0_SERIES_CUTOFF
     if small.any():
-        x_small = x_arr[small]
-        top = x_small.max() if series_top is None else series_top
-        out[small] = _j0_series(x_small, top)
+        out[small] = _j0_series(x_arr[small])
     if (~small).any():
         out[~small] = _j0_asymptotic(x_arr[~small])
     return float(out[0]) if scalar else out
-
-
-def j0_series_top(x) -> float:
-    """The largest |x| at or below the series cutoff of ``bessel_j0``
-    (-inf if there is none)."""
-    x_arr = np.abs(np.asarray(x, dtype=np.float64))
-    return float(np.max(x_arr, where=x_arr <= _J0_SERIES_CUTOFF, initial=-np.inf))
 
 
 # ---------------------------------------------------------------------------

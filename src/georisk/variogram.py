@@ -20,7 +20,7 @@ from .exceptions import (
     ConfigError,
     DegenerateScoreError,
 )
-from .numerics import bessel_j0, j0_series_top, nnls
+from .numerics import bessel_j0, nnls
 from .trend import TrendFit
 
 LAG_RANGE_FRACTION = 0.55  # lags live inside 55% of the largest distance
@@ -90,32 +90,7 @@ def _basis_kernel(kernel_dim):
     raise ConfigError(f"kernel_dim must be 2, 3 or inf, got {kernel_dim!r}")
 
 
-_EVAL_BLOCK = 8192  # entries of u per block of model evaluation
-
-
-def _pairwise_sum(term, lo, n):
-    """term(lo) + ... + term(lo + n - 1), n >= 1, in the order numpy's
-    pairwise summation adds n contiguous values: one by one below 8; eight
-    interleaved partial sums, combined as a tree, then the rest up to 128;
-    above that, two halves split at a multiple of 8."""
-    if n < 8:
-        total = term(lo)
-        for k in range(lo + 1, lo + n):
-            total += term(k)
-        return total
-    if n <= 128:
-        r = [term(lo + j) for j in range(8)]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            for j in range(8):
-                r[j] += term(lo + i + j)
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(lo + stop, lo + n):
-            total += term(k)
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+_EVAL_BLOCK = 8192  # node-term values semivariance forms at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,54 +123,39 @@ class VariogramModel:
         return self.nugget + float(self.node_weights.sum())
 
     def semivariance(self, u):
-        """gamma at every entry of ``u``, evaluated node by node in blocks
-        of ``_EVAL_BLOCK`` entries.
+        """gamma at every entry of ``u``, bit-identical to
+        ``nugget + ((1 - kappa(u[..., None] * t)) * b).sum(axis=-1)`` with
+        0 at u = 0, without building that (..., K) array.
 
-        No (..., K) array is formed. Each block adds the node terms
-        b_k (1 - kappa(t_k u)) in the order of numpy's pairwise summation
-        over a last axis of length K (``_pairwise_sum``), so the result is
-        bit-identical to ``((1 - kappa(u[..., None] * t)) * b).sum(axis=-1)``.
+        A fitted model keeps only its positive-weight nodes, usually fewer
+        than 8. numpy's sum adds fewer than 8 values one after another, so
+        such a model adds its node terms node by node over blocks of
+        ``_EVAL_BLOCK`` entries, which is faster than a sum per entry. From
+        8 nodes on, the formula itself is applied to blocks of
+        ``_EVAL_BLOCK // K`` entries.
         """
         u = np.asarray(u, dtype=np.float64)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        flat_u = u.reshape(-1)
-        out = np.empty(u.shape)
-        flat_out = out.reshape(-1)
-        kappa = self._block_kernel(flat_u)
+        out = np.full(u.shape, self.nugget)
         freqs, weights = self.node_freqs, self.node_weights
-
-        for b0 in range(0, flat_u.size, _EVAL_BLOCK):
-            ub = flat_u[b0:b0 + _EVAL_BLOCK]
-
-            def term(k):
-                t = kappa(ub * freqs[k])
-                np.subtract(1.0, t, out=t)
-                t *= weights[k]
-                return t
-
-            gamma = np.full(ub.shape, self.nugget)
-            if weights.size:
-                gamma += _pairwise_sum(term, 0, weights.size)
-            flat_out[b0:b0 + ub.size] = np.where(ub == 0.0, 0.0, gamma)
+        if weights.size:
+            kappa = _basis_kernel(self.kernel_dim)
+            flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+            by_node = weights.size < 8
+            step = _EVAL_BLOCK if by_node else max(1, _EVAL_BLOCK // weights.size)
+            for b0 in range(0, flat_u.size, step):
+                ub = flat_u[b0:b0 + step]
+                if by_node:
+                    terms = ((1.0 - kappa(ub * t)) * w for t, w in zip(freqs, weights))
+                    total = next(terms)
+                    for term in terms:
+                        total += term
+                else:
+                    total = ((1.0 - kappa(ub[:, None] * freqs)) * weights).sum(axis=-1)
+                flat_out[b0:b0 + step] += total
+        out[u == 0.0] = 0.0
         return float(out[0]) if scalar else out
-
-    def _block_kernel(self, flat_u):
-        """The basis kernel to apply block by block to ``flat_u``. The J0
-        series length depends on the largest argument of the call, so it is
-        fixed over all nodes and blocks first."""
-        kappa = _basis_kernel(self.kernel_dim)
-        if self.kernel_dim != 2 or not self.node_freqs.size:
-            return kappa
-        top = max(
-            (
-                j0_series_top(flat_u[b0:b0 + _EVAL_BLOCK] * t)
-                for b0 in range(0, flat_u.size, _EVAL_BLOCK)
-                for t in self.node_freqs
-            ),
-            default=-np.inf,
-        )
-        return lambda x: kappa(x, series_top=top)
 
 
 def evaluate_model(model: VariogramModel, u):

@@ -17,7 +17,6 @@ from georisk.numerics import (
     CholeskyFactor,
     bessel_j0,
     cholesky,
-    j0_series_top,
     nnls,
     normal_cdf,
     solve_lower,
@@ -118,19 +117,16 @@ def test_j0_sign_alternates_between_zeros():
     assert np.all(signs[:-1] * signs[1:] == -1.0)
 
 
-def test_j0_pieces_with_series_top_match_one_call():
-    # near a zero J0 rests on the last series terms, and the number of terms
-    # is set by the largest argument of the call
+def test_j0_value_does_not_depend_on_the_other_arguments():
+    # near a zero J0 rests on the last series terms; each element stops its
+    # series at its own first term below 1e-18, whatever else is in the call
     z = 2.404825557695773
     whole = np.r_[z, np.linspace(0.0, 40.0, 20001)]
     one_call = bessel_j0(whole)
-    assert bessel_j0(whole[:1])[0] != one_call[0]
-    top = j0_series_top(whole)
-    assert top == 12.0
-    pieces = [bessel_j0(whole[i:i + 4096], series_top=top) for i in range(0, whole.size, 4096)]
+    assert bessel_j0(z) == one_call[0]
+    pieces = [bessel_j0(whole[i:i + 4096]) for i in range(0, whole.size, 4096)]
     assert np.array_equal(np.concatenate(pieces), one_call)
-    assert j0_series_top(-whole) == top
-    assert j0_series_top([12.5, 40.0]) == -math.inf
+    assert np.array_equal([bessel_j0(x) for x in whole[::97]], one_call[::97])
 
 
 # ---------------------------------------------------------------------------

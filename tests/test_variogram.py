@@ -537,10 +537,11 @@ def _mixture(kernel_dim, k, seed=16):
 
 
 @pytest.mark.parametrize("kernel_dim", [2, 3, GAUSS])
-@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 16, 17, 50])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 16, 17, 50, 129])
 def test_semivariance_bit_identical_to_dense_sum(kernel_dim, k):
-    # every node order numpy's pairwise summation distinguishes below 51
-    # nodes, over more than two evaluation blocks, with exact zeros
+    # every node order numpy's pairwise summation distinguishes (K = 129
+    # splits the node axis in two), over many evaluation blocks, with exact
+    # zeros
     model = _mixture(kernel_dim, k)
     u = np.random.default_rng(17).uniform(0.0, 1.5, size=(37, 511))
     u[::5, 3] = 0.0
