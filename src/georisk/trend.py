@@ -4,17 +4,26 @@ The smoother is the multivariate local linear estimator: at a point x the
 fitted value is the intercept of a kernel-weighted affine fit, a linear
 functional s_x of the observations. Stacking the s_x rows at the sample
 sites gives the hat matrix S of the fitted trend, which the bootstrap
-reuses.
+reuses; rows at the map nodes give its trend predictions.
 
-The bandwidth search never forms S. For each candidate it builds the
-kernel matrix W (the product kernel's first-axis factor is shared by the
-candidates with the same h_1), takes the moments W @ [1, z, z z^T] about
-the centred coordinates z, and solves every site's 3x3 local design; the
-fitted values and diag S follow from W @ [y, z y]. CV, GCV and CGCV need
-nothing else but tr(S R), which comes from (W o R^T) @ [1, z]. Only the
-simulation's MASE oracle builds the rows, for tr(S Sigma S^T). One
-candidate takes a few O(n^2) passes and one n x 6 matrix product (MASE adds
-an n^3 product), and the winner's S is built once, by ``smoother_matrix``.
+One engine, ``_local_fit``, builds every row. It forms the kernel matrix W
+between the evaluation points and the sites one row block at a time,
+solves each point's 3x3 local design about the centred coordinates z and
+returns a ``_LocalFit``, whose ``hat_matrix`` gives the rows. At the sites
+the designs come from the moments W @ [1, z, z z^T], one n x 6 matrix
+product; at other points they are summed over each point's window. A point
+whose window has no spread on an axis while the point lies off that line
+has no affine fit: it is masked or raises, as are points with too few
+neighbors or a singular design.
+
+The bandwidth search never forms S. For each candidate it builds W at the
+sites (the product kernel's first-axis factor is shared by the candidates
+with the same h_1) and solves the designs; the fitted values and diag S
+follow from W @ [y, z y]. CV, GCV and CGCV need nothing else but tr(S R),
+which comes from (W o R^T) @ [1, z]. Only the simulation's MASE oracle
+builds the rows, for tr(S Sigma S^T). One candidate takes a few O(n^2)
+passes and one n x 6 matrix product (MASE adds an n^3 product), and the
+winner's S is built once, by ``smoother_matrix``.
 """
 
 from __future__ import annotations
@@ -74,72 +83,6 @@ class TrendFit:
     residuals: np.ndarray
 
 
-_EVAL_CHUNK = 512
-
-
-def _scaled_kernel(eval_points, locations, bandwidth: BandwidthMatrix, kernel: str):
-    """Kernel weights and bandwidth-scaled differences u = H^-1 (x_j - e_i).
-
-    The 1/det(H) normalization is a per-row constant and cancels in the
-    local linear weights, so it is omitted.
-    """
-    k1 = PRODUCT_KERNELS[kernel]
-    diffs = locations[None, :, :] - eval_points[:, None, :]
-    if bandwidth.is_diagonal:
-        u = diffs / bandwidth.diagonal_scales()[None, None, :]
-    else:
-        u = diffs @ bandwidth.inverse
-    if u.shape[-1] == 2:
-        w = k1(u[..., 0]) * k1(u[..., 1])
-    else:
-        w = np.prod(k1(u), axis=-1)
-    return w, u
-
-
-def _weight_rows(
-    eval_points,
-    locations,
-    bandwidth: BandwidthMatrix,
-    kernel: str = "triweight",
-    min_neighbors: int | None = None,
-    on_singular: str = "raise",
-):
-    """Local linear weight rows for arbitrary evaluation points.
-
-    Returns (rows, bad) where rows is (m, n) and bad lists evaluation-point
-    indices with a singular or starved local design. With on_singular
-    "raise" any bad point aborts; with "mask" the offending rows are zeroed
-    and reported.
-    """
-    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
-    locations = np.asarray(locations, dtype=np.float64)
-    m, d = eval_points.shape
-    n = locations.shape[0]
-    if min_neighbors is None:
-        min_neighbors = d + 1
-
-    rows = np.zeros((m, n))
-    bad_all = np.zeros(m, dtype=bool)
-    counts_all = np.empty(m, dtype=np.int64)
-    for start in range(0, m, _EVAL_CHUNK):
-        sl = slice(start, min(start + _EVAL_CHUNK, m))
-        _weight_rows_chunk(
-            eval_points[sl],
-            locations,
-            bandwidth,
-            kernel,
-            min_neighbors,
-            rows[sl],
-            bad_all[sl],
-            counts_all[sl],
-        )
-
-    bad_idx = np.flatnonzero(bad_all)
-    if bad_idx.size and on_singular == "raise":
-        raise _singular_design_error(bad_idx, counts_all[bad_idx].min(), min_neighbors)
-    return rows, bad_idx.tolist()
-
-
 def _singular_design_error(bad_idx, worst, min_neighbors) -> BandwidthTooSmallError:
     worst = int(worst)
     return BandwidthTooSmallError(
@@ -150,60 +93,6 @@ def _singular_design_error(bad_idx, worst, min_neighbors) -> BandwidthTooSmallEr
         indices=bad_idx.tolist(),
         neighbors=worst,
     )
-
-
-def _weight_rows_chunk(
-    eval_points, locations, bandwidth, kernel, min_neighbors, rows_out, bad_out,
-    counts_out,
-):
-    m, d = eval_points.shape
-    w, u = _scaled_kernel(eval_points, locations, bandwidth, kernel)
-    counts = (w > 0.0).sum(axis=1)
-    counts_out[:] = counts
-    bad = counts < min_neighbors
-    sums = np.where(bad, 1.0, w.sum(axis=1))
-    wn = w / sums[:, None]
-
-    # normal-equation moments of the design (1, u_j) with unit-sum weights,
-    # so the systems stay O(1) regardless of bandwidth scale
-    a = np.empty((m, d + 1, d + 1))
-    a[:, 0, 0] = 1.0
-    if d == 2:
-        u0 = u[..., 0]
-        u1 = u[..., 1]
-        wu0 = wn * u0
-        wu1 = wn * u1
-        a[:, 0, 1] = a[:, 1, 0] = wu0.sum(axis=1)
-        a[:, 0, 2] = a[:, 2, 0] = wu1.sum(axis=1)
-        a[:, 1, 1] = (wu0 * u0).sum(axis=1)
-        a[:, 1, 2] = a[:, 2, 1] = (wu0 * u1).sum(axis=1)
-        a[:, 2, 2] = (wu1 * u1).sum(axis=1)
-    else:
-        first = np.einsum("mn,mnd->md", wn, u)
-        a[:, 0, 1:] = first
-        a[:, 1:, 0] = first
-        a[:, 1:, 1:] = np.einsum("mn,mnj,mnk->mjk", wn, u, u)
-
-    good_idx = np.flatnonzero(~bad)
-    if good_idx.size:
-        coef = _solve_e1(a[good_idx])
-        singular = np.flatnonzero(np.isnan(coef[:, 0]))
-        if singular.size:
-            bad[good_idx[singular]] = True
-            good_idx = np.flatnonzero(~bad)
-            coef = np.delete(coef, singular, axis=0)
-        if good_idx.size:
-            if d == 2:
-                rows_out[good_idx] = wn[good_idx] * (
-                    coef[:, :1]
-                    + coef[:, 1:2] * u0[good_idx]
-                    + coef[:, 2:3] * u1[good_idx]
-                )
-            else:
-                rows_out[good_idx] = wn[good_idx] * (
-                    coef[:, :1] + np.einsum("mk,mnk->mn", coef[:, 1:], u[good_idx])
-                )
-    bad_out[:] = bad
 
 
 def _solve_e1(a):
@@ -274,13 +163,7 @@ def local_linear_weights(
     The weights reproduce affine functions: they sum to one and are
     orthogonal to the centered coordinates.
     """
-    rows, _ = _weight_rows(
-        np.asarray(x, dtype=np.float64)[None, :],
-        sample.locations,
-        bandwidth,
-        kernel,
-    )
-    return rows[0]
+    return _local_fit(sample, bandwidth, kernel, points=x).hat_matrix()[0]
 
 
 def smoother_matrix(
@@ -289,7 +172,7 @@ def smoother_matrix(
     kernel: str = "triweight",
 ) -> SmootherMatrix:
     """Hat matrix with row i equal to the weight vector at sample site i."""
-    rows, _ = _weight_rows(sample.locations, sample.locations, bandwidth, kernel)
+    rows = _local_fit(sample, bandwidth, kernel).hat_matrix()
     return SmootherMatrix(S=rows, bandwidth=bandwidth, kernel=kernel)
 
 
@@ -323,14 +206,15 @@ def prediction_weights(
     Returns (rows, bad_indices); with on_singular "mask" failed targets get
     zero rows and are listed instead of raising.
     """
-    pts = targets.nodes() if isinstance(targets, RegularGrid) else np.atleast_2d(targets)
-    return _weight_rows(
-        pts,
-        fit.sample.locations,
+    points = targets.nodes() if isinstance(targets, RegularGrid) else targets
+    local = _local_fit(
+        fit.sample,
         fit.smoother.bandwidth,
         fit.smoother.kernel,
+        points=points,
         on_singular=on_singular,
     )
+    return local.hat_matrix(out=local.weights), local.bad.tolist()
 
 
 def predict_trend(fit: TrendFit, targets) -> np.ndarray:
@@ -340,7 +224,7 @@ def predict_trend(fit: TrendFit, targets) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Local fit at the sample sites, from kernel moments
+# The local linear engine: kernel weights, local designs and rows
 # ---------------------------------------------------------------------------
 
 
@@ -348,42 +232,47 @@ _BLOCK_ENTRIES = 2**15
 _FLAT_AXIS_TOL = 1024 * np.finfo(np.float64).eps
 
 
-def _row_blocks(n: int):
-    """Row slices of an (n, n) matrix holding about 2^15 entries each, so
+def _row_blocks(m: int, n: int):
+    """Row slices of an (m, n) matrix holding about 2^15 entries each, so
     that the elementwise temporaries of one block stay in cache."""
     step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
+    for start in range(0, m, step):
         yield slice(start, start + step)
 
 
 def _kernel_weights(
-    locations, bandwidth: BandwidthMatrix, kernel: str, min_neighbors: int = 0,
+    points, locations, bandwidth: BandwidthMatrix, kernel: str, min_neighbors: int = 0,
     first_axis=None,
 ):
-    """Kernel matrix W_ij = K(H^-1 (x_j - x_i)) at the sample sites.
+    """Kernel matrix W_ij = K(H^-1 (x_j - p_i)) between points p and sites x.
 
-    Entry for entry the weights ``_weight_rows`` builds. W is filled one
-    row block at a time, and the first block with a site that has fewer
-    than ``min_neighbors`` positive weights raises BandwidthTooSmallError.
-    For a diagonal H the univariate factors are multiplied per block;
+    The 1/det(H) normalization is a per-row constant that cancels in the
+    local linear weights, so it is omitted. W is filled one row block at a
+    time, and the first block with a point that has fewer than
+    ``min_neighbors`` positive weights raises BandwidthTooSmallError. For a
+    diagonal H the univariate factors are multiplied per block;
     ``first_axis`` may pass in the first axis's factor, which depends on
     h_1 alone.
     """
-    n, d = locations.shape
+    m, d = points.shape
+    n = locations.shape[0]
     k1 = PRODUCT_KERNELS[kernel]
     scales = bandwidth.diagonal_scales()
 
     def factor(axis, sl):
-        return k1((locations[None, :, axis] - locations[sl, None, axis]) / scales[axis])
+        return k1((locations[None, :, axis] - points[sl, None, axis]) / scales[axis])
 
-    w = np.empty((n, n))
-    for sl in _row_blocks(n):
-        if not bandwidth.is_diagonal:
-            block = _scaled_kernel(locations[sl], locations, bandwidth, kernel)[0]
-        else:
+    w = np.empty((m, n))
+    for sl in _row_blocks(m, n):
+        if bandwidth.is_diagonal:
             block = factor(0, sl) if first_axis is None else first_axis[sl]
             for axis in range(1, d):
                 block = block * factor(axis, sl)
+        else:
+            u = (locations[None, :, :] - points[sl, None, :]) @ bandwidth.inverse
+            block = k1(u[..., 0])
+            for axis in range(1, d):
+                block = block * k1(u[..., axis])
         counts = np.count_nonzero(block, axis=1)
         starved = np.flatnonzero(counts < min_neighbors)
         if starved.size:
@@ -394,13 +283,15 @@ def _kernel_weights(
 
 @dataclass(frozen=True, eq=False)
 class _LocalFit:
-    """The local linear smoother at the sample sites, without its hat matrix.
+    """The local linear smoother at m evaluation points, without its rows.
 
-    Row i of the hat matrix is W_ij / sum_j W_ij * (c_i0 + c_i . (z_j - z_i)),
-    with W the kernel matrix, z the centred coordinates mapped by H^-1 and
-    c_i the solution of site i's unit-sum local design. The criteria use
-    that matrix only through its products with a few vectors, which come
-    from the moments W @ [v, z v]. ``SmootherMatrix`` offers the same
+    Row i is W_ij / sum_j W_ij * (c_i0 + c_i . (z_j - p_i)), with W the
+    kernel matrix between the points and the n sample sites, z the sites'
+    centred coordinates mapped by H^-1, p the points in that frame and c_i
+    the solution of point i's unit-sum local design; the points listed in
+    ``bad`` have c_i = 0, so zero rows. At the sites (p = z) the criteria
+    use the hat matrix only through its products with a few vectors, which
+    come from the moments W @ [v, z v]. ``SmootherMatrix`` offers the same
     methods on an explicit hat matrix.
     """
 
@@ -408,18 +299,20 @@ class _LocalFit:
     sums: np.ndarray
     coef: np.ndarray
     z: np.ndarray
+    p: np.ndarray
+    bad: np.ndarray
 
     @property
     def n(self) -> int:
         return self.sums.shape[0]
 
     def _apply(self, moments) -> np.ndarray:
-        # sum_j W_ij (c_i0 + c_i . (z_j - z_i)) v_j / sum_j W_ij from the
+        # sum_j W_ij (c_i0 + c_i . (z_j - p_i)) v_j / sum_j W_ij from the
         # moments [sum_j W_ij v_j, sum_j W_ij z_j v_j]
         c = self.coef
         out = c[:, 0] * moments[:, 0]
         for k in range(self.z.shape[1]):
-            out += c[:, k + 1] * (moments[:, k + 1] - self.z[:, k] * moments[:, 0])
+            out += c[:, k + 1] * (moments[:, k + 1] - self.p[:, k] * moments[:, 0])
         return out / self.sums
 
     def smooth(self, v) -> np.ndarray:
@@ -428,6 +321,7 @@ class _LocalFit:
         return self._apply(self.weights @ np.column_stack([v, self.z * v[:, None]]))
 
     def hat_diagonal(self) -> np.ndarray:
+        """diag S, at the sites."""
         return self.coef[:, 0] * np.diagonal(self.weights) / self.sums
 
     @property
@@ -435,20 +329,23 @@ class _LocalFit:
         return float(self.hat_diagonal().sum())
 
     def trace_with(self, r) -> float:
-        """tr(S R), from the moments of W o R^T."""
+        """tr(S R) at the sites, from the moments of W o R^T."""
         basis = np.column_stack([np.ones(self.n), self.z])
         moments = np.empty_like(basis)
-        for sl in _row_blocks(self.n):
+        for sl in _row_blocks(self.n, self.n):
             moments[sl] = (self.weights[sl] * r[:, sl].T) @ basis
         return float(self._apply(moments).sum())
 
-    def hat_matrix(self) -> np.ndarray:
-        rows = np.empty((self.n, self.n))
+    def hat_matrix(self, out=None) -> np.ndarray:
+        """The rows, written into ``out`` if given. ``out`` may be
+        ``weights``: each row block is read before it is overwritten."""
+        m, n = self.weights.shape
+        rows = np.empty((m, n)) if out is None else out
         c = self.coef
-        for sl in _row_blocks(self.n):
-            lin = np.repeat(c[sl, :1], self.n, axis=1)
+        for sl in _row_blocks(m, n):
+            lin = np.repeat(c[sl, :1], n, axis=1)
             for k in range(self.z.shape[1]):
-                lin += c[sl, k + 1 : k + 2] * (self.z[None, :, k] - self.z[sl, None, k])
+                lin += c[sl, k + 1 : k + 2] * (self.z[None, :, k] - self.p[sl, None, k])
             rows[sl] = self.weights[sl] / self.sums[sl, None] * lin
         return rows
 
@@ -459,58 +356,99 @@ def _local_fit(
     kernel: str = "triweight",
     min_neighbors: int | None = None,
     first_axis=None,
+    points=None,
+    on_singular: str = "raise",
 ) -> _LocalFit:
-    """Local linear fit at the sample sites from the kernel moments
-    W @ [1, z, z z^T] about the centred coordinates.
+    """Local linear fit at ``points``, by default at the sample sites.
 
-    The admissibility rule is that of ``_weight_rows``: a site with fewer
-    than ``min_neighbors`` positive weights, or whose local design stays
-    singular, raises BandwidthTooSmallError.
+    Each point's unit-sum design of (1, z_j - p_i) comes, at the sites,
+    from the moments W @ [1, z, z z^T] about the centred coordinates, one
+    n x 6 product; at other points it is summed directly over the point's
+    window, block by block, which stays accurate where a point lies outside
+    its window's hull.
+
+    A point is bad when it has fewer than ``min_neighbors`` positive
+    weights, when its window has no spread on an axis but the point lies off
+    that line, or when its design stays singular. With on_singular "raise" a
+    bad point raises BandwidthTooSmallError (at the sites, the first row
+    block with a starved site raises before any design is built); with
+    "mask" the bad points get zero rows and are listed in ``bad``.
     """
     locs = sample.locations
     n, d = locs.shape
     if min_neighbors is None:
         min_neighbors = d + 1
-    weights = _kernel_weights(locs, bandwidth, kernel, min_neighbors, first_axis)
+    centre = locs.mean(axis=0)
 
-    centred = locs - locs.mean(axis=0)
-    if bandwidth.is_diagonal:
-        z = centred / bandwidth.diagonal_scales()
+    def frame(x):
+        if bandwidth.is_diagonal:
+            return (x - centre) / bandwidth.diagonal_scales()
+        return (x - centre) @ bandwidth.inverse
+
+    z = frame(locs)
+    if points is None:
+        weights = _kernel_weights(locs, locs, bandwidth, kernel, min_neighbors, first_axis)
+        p, starved = z, np.zeros(n, dtype=bool)
+        pairs = [(k, j) for k in range(d) for j in range(k, d)]
+        basis = np.column_stack([np.ones(n), z] + [z[:, k] * z[:, j] for k, j in pairs])
+        moments = weights @ basis
+        sums = moments[:, 0]
+        mean = moments[:, 1:] / sums[:, None]
+        # each second moment of (1, z_j - z_i) is the weighted covariance
+        # plus the product of the shifts, so z_i^2 never cancels against
+        # the raw moment
+        shift = mean[:, :d] - z
+        a = np.empty((n, d + 1, d + 1))
+        a[:, 0, 1:] = a[:, 1:, 0] = shift
+        for col, (k, j) in enumerate(pairs, start=d):
+            a[:, k + 1, j + 1] = a[:, j + 1, k + 1] = (
+                mean[:, col] - mean[:, k] * mean[:, j]
+            ) + shift[:, k] * shift[:, j]
     else:
-        z = centred @ bandwidth.inverse
-    pairs = [(k, j) for k in range(d) for j in range(k, d)]
-    basis = np.column_stack([np.ones(n), z] + [z[:, k] * z[:, j] for k, j in pairs])
-    moments = weights @ basis
-    sums = moments[:, 0]
-    mean = moments[:, 1:] / sums[:, None]
-
-    # the unit-sum design of (1, z_j - z_i): each second moment is the
-    # weighted covariance plus the product of the shifts, so z_i^2 never
-    # cancels against the raw moment
-    shift = mean[:, :d] - z
-    a = np.empty((n, d + 1, d + 1))
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        weights = _kernel_weights(points, locs, bandwidth, kernel)
+        p = frame(points)
+        m = len(p)
+        sums = weights.sum(axis=1)
+        sums[sums == 0.0] = 1.0
+        counts = np.empty(m, dtype=np.int64)
+        a = np.empty((m, d + 1, d + 1))
+        for sl in _row_blocks(m, n):
+            counts[sl] = np.count_nonzero(weights[sl], axis=1)
+            wn = weights[sl] / sums[sl, None]
+            dz = [z[None, :, k] - p[sl, None, k] for k in range(d)]
+            for k in range(d):
+                wdz = wn * dz[k]
+                a[sl, 0, k + 1] = a[sl, k + 1, 0] = wdz.sum(axis=1)
+                for j in range(k, d):
+                    a[sl, k + 1, j + 1] = a[sl, j + 1, k + 1] = (wdz * dz[j]).sum(axis=1)
+        starved = counts < min_neighbors
+        a[starved] = np.eye(d + 1)
+        shift = a[:, 0, 1:].copy()
+        mean = p + shift
     a[:, 0, 0] = 1.0
-    a[:, 0, 1:] = shift
-    a[:, 1:, 0] = shift
-    for col, (k, j) in enumerate(pairs, start=d):
-        a[:, k + 1, j + 1] = a[:, j + 1, k + 1] = (
-            mean[:, col] - mean[:, k] * mean[:, j]
-        ) + shift[:, k] * shift[:, j]
-    # where every window site shares site i's coordinate on an axis (a
-    # regular design with h below the spacing), the dense rows get exact
-    # zeros on that axis and the ridged solve; here they come out at
-    # rounding level (observed <= 2e-15 of the raw moment, genuine values
-    # >= 1e-5 of it), so clear them to take the same solve
+
+    # a window with no spread on an axis (a regular design with h below the
+    # spacing) has a weighted variance at rounding level there (observed
+    # <= 2e-15 of the raw moment, genuine values >= 1e-5 of it). A point on
+    # that line takes the ridged solve with that axis cleared, so c_k = 0;
+    # a point off the line has no affine fit
+    offline = np.zeros(len(p), dtype=bool)
     for k in range(d):
-        flat = a[:, k + 1, k + 1] <= _FLAT_AXIS_TOL * mean[:, d + pairs.index((k, k))]
+        second = a[:, k + 1, k + 1]
+        bound = _FLAT_AXIS_TOL * (second + mean[:, k] ** 2)
+        flat = second - shift[:, k] ** 2 <= bound
+        offline |= flat & (shift[:, k] ** 2 > bound)
         a[flat, k + 1, :] = 0.0
         a[flat, :, k + 1] = 0.0
     coef = _solve_e1(a)
-    singular = np.flatnonzero(np.isnan(coef[:, 0]))
-    if singular.size:
-        counts = np.count_nonzero(weights[singular], axis=1)
-        raise _singular_design_error(singular, counts.min(), min_neighbors)
-    return _LocalFit(weights=weights, sums=sums, coef=coef, z=z)
+    bad = np.flatnonzero(starved | offline | np.isnan(coef[:, 0]))
+    if bad.size:
+        if on_singular == "raise":
+            counts = np.count_nonzero(weights[bad], axis=1)
+            raise _singular_design_error(bad, counts.min(), min_neighbors)
+        coef[bad] = 0.0
+    return _LocalFit(weights=weights, sums=sums, coef=coef, z=z, p=p, bad=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +608,8 @@ def select_bandwidth(
         if h.is_diagonal and h.entries[0, 0] != first_scale:
             first_axis = None  # release the old factor before building the next
             first_scale = h.entries[0, 0]
-            first_axis = _kernel_weights(
-                sample.locations[:, :1], BandwidthMatrix.diagonal(first_scale), kernel
-            )
+            x1 = sample.locations[:, :1]
+            first_axis = _kernel_weights(x1, x1, BandwidthMatrix.diagonal(first_scale), kernel)
         value = _candidate_score(
             sample, h, score, kernel, min_neighbors, first_axis if h.is_diagonal else None
         )

@@ -258,6 +258,133 @@ def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e
     return y_star @ target_rows.T + alpha.T @ c0.T
 
 
+def _scaled_kernel(eval_points, locations, bandwidth, kernel):
+    """Kernel weights and bandwidth-scaled differences u = H^-1 (x_j - e_i)
+    for every pair at once.
+
+    The 1/det(H) normalization is a per-row constant and cancels in the
+    local linear weights, so it is omitted.
+    """
+    from georisk.numerics import PRODUCT_KERNELS
+
+    k1 = PRODUCT_KERNELS[kernel]
+    diffs = locations[None, :, :] - eval_points[:, None, :]
+    if bandwidth.is_diagonal:
+        u = diffs / bandwidth.diagonal_scales()[None, None, :]
+    else:
+        u = diffs @ bandwidth.inverse
+    if u.shape[-1] == 2:
+        w = k1(u[..., 0]) * k1(u[..., 1])
+    else:
+        w = np.prod(k1(u), axis=-1)
+    return w, u
+
+
+def _weight_rows(
+    eval_points,
+    locations,
+    bandwidth,
+    kernel="triweight",
+    min_neighbors=None,
+    on_singular="raise",
+):
+    """Dense local linear weight rows for arbitrary evaluation points: the
+    reference for ``trend._LocalFit``.
+
+    Each chunk of 512 points forms its kernel weights and scaled
+    differences u in full and solves every point's design of (1, u_j) from
+    unit-sum weighted sums of them. Returns (rows, bad) where rows is
+    (m, n) and bad lists evaluation-point indices with a singular or
+    starved local design. With on_singular "raise" any bad point aborts;
+    with "mask" the offending rows are zeroed and reported.
+    """
+    from georisk.trend import _singular_design_error
+
+    eval_points = np.atleast_2d(np.asarray(eval_points, dtype=np.float64))
+    locations = np.asarray(locations, dtype=np.float64)
+    m, d = eval_points.shape
+    n = locations.shape[0]
+    if min_neighbors is None:
+        min_neighbors = d + 1
+
+    rows = np.zeros((m, n))
+    bad_all = np.zeros(m, dtype=bool)
+    counts_all = np.empty(m, dtype=np.int64)
+    for start in range(0, m, 512):
+        sl = slice(start, min(start + 512, m))
+        _weight_rows_chunk(
+            eval_points[sl],
+            locations,
+            bandwidth,
+            kernel,
+            min_neighbors,
+            rows[sl],
+            bad_all[sl],
+            counts_all[sl],
+        )
+
+    bad_idx = np.flatnonzero(bad_all)
+    if bad_idx.size and on_singular == "raise":
+        raise _singular_design_error(bad_idx, counts_all[bad_idx].min(), min_neighbors)
+    return rows, bad_idx.tolist()
+
+
+def _weight_rows_chunk(
+    eval_points, locations, bandwidth, kernel, min_neighbors, rows_out, bad_out,
+    counts_out,
+):
+    from georisk.trend import _solve_e1
+
+    m, d = eval_points.shape
+    w, u = _scaled_kernel(eval_points, locations, bandwidth, kernel)
+    counts = (w > 0.0).sum(axis=1)
+    counts_out[:] = counts
+    bad = counts < min_neighbors
+    sums = np.where(bad, 1.0, w.sum(axis=1))
+    wn = w / sums[:, None]
+
+    # normal-equation moments of the design (1, u_j) with unit-sum weights,
+    # so the systems stay O(1) regardless of bandwidth scale
+    a = np.empty((m, d + 1, d + 1))
+    a[:, 0, 0] = 1.0
+    if d == 2:
+        u0 = u[..., 0]
+        u1 = u[..., 1]
+        wu0 = wn * u0
+        wu1 = wn * u1
+        a[:, 0, 1] = a[:, 1, 0] = wu0.sum(axis=1)
+        a[:, 0, 2] = a[:, 2, 0] = wu1.sum(axis=1)
+        a[:, 1, 1] = (wu0 * u0).sum(axis=1)
+        a[:, 1, 2] = a[:, 2, 1] = (wu0 * u1).sum(axis=1)
+        a[:, 2, 2] = (wu1 * u1).sum(axis=1)
+    else:
+        first = np.einsum("mn,mnd->md", wn, u)
+        a[:, 0, 1:] = first
+        a[:, 1:, 0] = first
+        a[:, 1:, 1:] = np.einsum("mn,mnj,mnk->mjk", wn, u, u)
+
+    good_idx = np.flatnonzero(~bad)
+    if good_idx.size:
+        coef = _solve_e1(a[good_idx])
+        singular = np.flatnonzero(np.isnan(coef[:, 0]))
+        if singular.size:
+            bad[good_idx[singular]] = True
+            good_idx = np.flatnonzero(~bad)
+            coef = np.delete(coef, singular, axis=0)
+        if good_idx.size:
+            if d == 2:
+                rows_out[good_idx] = wn[good_idx] * (
+                    coef[:, :1]
+                    + coef[:, 1:2] * u0[good_idx]
+                    + coef[:, 2:3] * u1[good_idx]
+                )
+            else:
+                rows_out[good_idx] = wn[good_idx] * (
+                    coef[:, :1] + np.einsum("mk,mnk->mn", coef[:, 1:], u[good_idx])
+                )
+    bad_out[:] = bad
+
+
 def dense_bandwidth_scores(
     sample, grid, criteria, correlation=None, true_mean=None, covariance=None,
     kernel="triweight",
@@ -271,7 +398,7 @@ def dense_bandwidth_scores(
     singular rows, or a degenerate denominator).
     """
     from georisk.exceptions import BandwidthTooSmallError
-    from georisk.trend import _MIN_NEIGHBORS_FACTOR, _weight_rows
+    from georisk.trend import _MIN_NEIGHBORS_FACTOR
 
     y = sample.values
     n = sample.n

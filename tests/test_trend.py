@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _oracles import (
+    _scaled_kernel,
+    _weight_rows,
     dense_bandwidth_scores,
     select_from_scores,
     solve_e1_rowwise,
@@ -429,12 +431,14 @@ def test_kernel_weights_equal_dense_weights():
     rng = np.random.default_rng(14)
     locs = rng.uniform(size=(300, 2)) * [3.0, 1.0]
     for h in (BandwidthMatrix.diagonal(0.4, 0.15), BandwidthMatrix([[0.5, 0.1], [0.1, 0.3]])):
-        dense, _ = trend._scaled_kernel(locs, locs, h, "triweight")
-        assert np.array_equal(trend._kernel_weights(locs, h, "triweight"), dense)
-    first = trend._kernel_weights(locs[:, :1], BandwidthMatrix.diagonal(0.4), "triweight")
+        dense, _ = _scaled_kernel(locs, locs, h, "triweight")
+        assert np.array_equal(trend._kernel_weights(locs, locs, h, "triweight"), dense)
+    x1 = locs[:, :1]
+    first = trend._kernel_weights(x1, x1, BandwidthMatrix.diagonal(0.4), "triweight")
     h = BandwidthMatrix.diagonal(0.4, 0.15)
-    dense, _ = trend._scaled_kernel(locs, locs, h, "triweight")
-    assert np.array_equal(trend._kernel_weights(locs, h, "triweight", first_axis=first), dense)
+    dense, _ = _scaled_kernel(locs, locs, h, "triweight")
+    ours = trend._kernel_weights(locs, locs, h, "triweight", first_axis=first)
+    assert np.array_equal(ours, dense)
 
 
 def test_local_fit_flat_axis_matches_dense_rows():
@@ -444,9 +448,103 @@ def test_local_fit_flat_axis_matches_dense_rows():
     for h in (BandwidthMatrix.diagonal(0.04, 1.0), BandwidthMatrix.diagonal(0.6, 0.03)):
         fit = trend._local_fit(sample, h, min_neighbors=SEARCH_NEIGHBORS)
         locs = sample.locations
-        rows, _ = trend._weight_rows(locs, locs, h, min_neighbors=SEARCH_NEIGHBORS)
+        rows, _ = _weight_rows(locs, locs, h, min_neighbors=SEARCH_NEIGHBORS)
         assert_allclose(fit.hat_matrix(), rows, rtol=0.0, atol=1e-13)
         assert_allclose(fit.smooth(sample.values), rows @ sample.values, rtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# rows at other points, against the dense rows
+# ---------------------------------------------------------------------------
+
+
+def test_prediction_masks_nodes_off_a_flat_window():
+    # h below the grid spacing on one axis: a node whose window holds a
+    # single column (row) of sites and lies off it has no affine fit, so
+    # "mask" drops it and "raise" raises; every kept row reproduces affine
+    # data up to the ridge (1e-10 tr(A) on a design whose inverse is O(10),
+    # times |y| <= 3)
+    grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50))
+    nodes = grid.nodes()
+    locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
+    slope = np.array([1.3, -2.1])
+    sample = SpatialSample(locs, 0.7 + locs @ slope)
+    for scales, axis in (((0.04, 1.0), 0), ((0.6, 0.03), 1)):
+        h = BandwidthMatrix.diagonal(*scales)
+        seen = _scaled_kernel(nodes, locs, h, "triweight")[0] > 0.0
+        lines = [np.unique(locs[row, axis]) for row in seen]
+        off = [
+            i for i, line in enumerate(lines)
+            if line.size == 1 and abs(line[0] - nodes[i, axis]) > 1e-12
+        ]
+        assert len(off) > 1000
+        fit = fit_trend(sample, h)
+        rows, bad = trend.prediction_weights(fit, grid, on_singular="mask")
+        assert bad == off
+        assert not rows[bad].any()
+        keep = np.setdiff1d(np.arange(len(nodes)), bad)
+        assert np.abs(rows[keep] @ sample.values - (0.7 + nodes[keep] @ slope)).max() <= 1e-8
+        with pytest.raises(BandwidthTooSmallError) as err:
+            predict_trend(fit, grid)
+        assert err.value.indices == off
+
+
+H_RISKMAP = BandwidthMatrix.diagonal(5.942898252196416, 4.045057152294498)
+
+
+def _riskmap_design():
+    """The benchmark risk map's design: ``synth_dataset(1053, seed=1)``
+    under a square-root response, the trend bandwidth its search selects
+    and a 50 x 50 grid over the data box."""
+    locs, values = synth_dataset(1053, seed=1)
+    box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
+    fit = fit_trend(SpatialSample(locs, np.sqrt(values)), H_RISKMAP)
+    return fit, make_regular_grid(box, (50, 50))
+
+
+def test_rows_match_dense_rows_at_realistic_size():
+    # the same rows by other arithmetic, so they may differ at rounding
+    # level only: 1e-12 of the largest entry
+    fit, grid = _riskmap_design()
+    locs = fit.sample.locations
+    rows, bad = trend.prediction_weights(fit, grid, on_singular="mask")
+    ref, ref_bad = _weight_rows(grid.nodes(), locs, H_RISKMAP, on_singular="mask")
+    assert bad == ref_bad
+    assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref, _ = _weight_rows(locs, locs, H_RISKMAP)
+    assert np.abs(fit.smoother.S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_full_bandwidth_rows_match_brute_force_wls():
+    rng = np.random.default_rng(21)
+    locs = rng.uniform(size=(80, 2))
+    sample = SpatialSample(locs, rng.normal(size=80))
+    h = BandwidthMatrix([[0.5, 0.2], [0.2, 0.3]])
+    S = smoother_matrix(sample, h).S
+
+    def agrees(row, x0):
+        w = np.prod(triweight_1d((locs - x0) @ h.inverse), axis=-1)
+        oracle = wls_affine_hat_row(locs, x0, w)
+        return np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    for x0 in ([0.5, 0.5], [0.1, 0.85], [0.95, 0.05]):
+        assert agrees(local_linear_weights(sample, np.asarray(x0), h), np.asarray(x0))
+    for i in (3, 40):
+        assert agrees(local_linear_weights(sample, locs[i], h), locs[i])
+        assert agrees(S[i], locs[i])
+
+
+def test_prediction_weights_memory_at_n1053():
+    fit, grid = _riskmap_design()
+    tracemalloc.start()
+    try:
+        trend.prediction_weights(fit, grid, on_singular="mask")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel matrix, which the rows overwrite, and row-block temporaries
+    # (dense rows formed 512 points at a time peaked at 64.4 MB)
+    assert peak <= 2 * grid.n_nodes * fit.sample.n * 8 + 4 * 2**20
 
 
 def _synth_case(n, seed, offset):
@@ -524,7 +622,7 @@ def test_search_builds_no_hat_matrix_and_scores_each_admissible_candidate_once(m
     admissible = 0
     for h in grid:
         try:
-            trend._weight_rows(locs, locs, h, min_neighbors=SEARCH_NEIGHBORS)
+            _weight_rows(locs, locs, h, min_neighbors=SEARCH_NEIGHBORS)
             admissible += 1
         except BandwidthTooSmallError:
             pass
@@ -532,21 +630,24 @@ def test_search_builds_no_hat_matrix_and_scores_each_admissible_candidate_once(m
 
     calls = {}
 
-    def counted(name, fn):
+    def counted(owner, name):
         calls[name] = 0
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kw):
             calls[name] += 1
             return fn(*args, **kw)
 
-        monkeypatch.setattr(trend, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_weight_rows", "cv_score", "gcv_score", "cgcv_score", "mase_score"):
-        counted(name, getattr(trend, name))
+    counted(trend._LocalFit, "hat_matrix")
+    for name in ("cv_score", "gcv_score", "cgcv_score", "mase_score"):
+        counted(trend, name)
     for criterion, kw in kwargs.items():
+        calls["hat_matrix"] = 0
         select_bandwidth(sample, criterion, grid, **kw)
         assert calls[f"{criterion}_score"] == admissible, criterion
-    assert calls["_weight_rows"] == 0
+        assert calls["hat_matrix"] == (admissible if criterion == "mase" else 0), criterion
 
 
 def test_cgcv_search_memory_at_n1053():
