@@ -259,9 +259,7 @@ def _variogram_fit(trend: TrendFit, pairs: PairTable, lag_grid, g: float, cfg: P
 def _factorize(models, dists: np.ndarray) -> tuple:
     """Covariance factors of the variogram ``models`` at the sites."""
     with _stage("covariance factorization"):
-        return tuple(
-            cholesky(covariance_matrix(model, dists), ridge_policy="auto") for model in models
-        )
+        return tuple(cholesky(covariance_matrix(model, dists)) for model in models)
 
 
 def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, cfg, notes):
@@ -366,7 +364,7 @@ def exceedance_probabilities(
     covariances, the operator and the replicate values live only inside
     this call, so one mode's arrays are freed before the next mode's.
     """
-    c0 = model.sill - model.semivariance(target_dists)
+    c0 = covariance_matrix(model, target_dists)
     engine = build_engine(trend_fit, target_rows, c0, decorr_factor, factor)
     del c0
     values = engine.replicate_values(idx)
@@ -486,11 +484,11 @@ def risk_map_mode(
         )
     if fit is None:
         fit = fit_pipeline(sample, config, bandwidth=bandwidth)
+    if mode == "corrected":
+        return risk_maps(fit, grid, thresholds, n_replicates, seed)
     if mode == "theoretical":
-        sigma = covariance_matrix(true_model, pairwise_distances(fit.sample))
-        model, factor = true_model, cholesky(sigma, ridge_policy="auto")
-    elif mode == "residual":
-        model, factor = fit.residual_model, fit.residual_factor
+        model = true_model
+        (factor,) = _factorize((model,), pairwise_distances(fit.sample))
     else:
-        model, factor = fit.corrected_model, fit.corrected_factor
+        model, factor = fit.residual_model, fit.residual_factor
     return _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed)

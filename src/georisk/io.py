@@ -279,7 +279,7 @@ def synth_dataset(n: int = 1053, seed: int = 0) -> tuple:
     )
     d = pairwise_distances(locs)
     cov = 0.01 * np.eye(n) + 0.09 * np.exp(-3.0 * d / 8.0)
-    factor = cholesky(cov, ridge_policy="auto")
+    factor = cholesky(cov)
     field = trend + factor.L @ rng.standard_normal(n)
     values = np.clip(field, 0.0, None) ** 2
     return locs, values

@@ -12,6 +12,7 @@ import numpy as np
 
 from .geometry import SpatialSample, cross_distances, pairwise_distances
 from .numerics import CholeskyFactor, cholesky, solve_spd
+from .variogram import covariance_matrix
 
 COINCIDENT_TOL = 1e-12
 
@@ -35,17 +36,14 @@ def build_system(locations, model) -> KrigingSystem:
     locs = locations.locations if isinstance(locations, SpatialSample) else np.atleast_2d(
         np.asarray(locations, dtype=np.float64)
     )
-    dists = pairwise_distances(locs)
-    cov = model.sill - model.semivariance(dists)
-    factor = cholesky(cov, ridge_policy="auto")
+    factor = cholesky(covariance_matrix(model, pairwise_distances(locs)))
     return KrigingSystem(locations=locs, factor=factor, model=model)
 
 
 def covariance_to_targets(system: KrigingSystem, targets) -> np.ndarray:
     """(m, n) matrix of covariances between targets and data sites."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    d = cross_distances(targets, system.locations)
-    return system.model.sill - system.model.semivariance(d)
+    return covariance_matrix(system.model, cross_distances(targets, system.locations))
 
 
 def sk_predict(system: KrigingSystem, residuals, targets, return_variance=False):

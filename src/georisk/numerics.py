@@ -1,9 +1,9 @@
 """Self-contained numerical kernels.
 
-Smoothing kernels, Bessel J0, the standard normal CDF, an unblocked Cholesky
-factorization with an escalating-jitter ridge policy, triangular solves, and
-a Lawson-Hanson style non-negative least squares solver. Only numpy is used;
-every routine is a pure function of its inputs.
+Smoothing kernels, Bessel J0, the standard normal CDF, a Cholesky
+factorization (numpy's LAPACK) with escalating diagonal jitter, blocked
+triangular solves, and a Lawson-Hanson style non-negative least squares
+solver. Only numpy is used; every routine is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -207,31 +207,37 @@ class CholeskyFactor:
         return self.L.shape[0]
 
 
-def _chol_lower(a: np.ndarray):
-    """Unblocked lower Cholesky. Returns (L, failing_pivot_or_None)."""
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        s = a[j, j] - L[j, :j] @ L[j, :j]
-        if not (s > 0.0) or not np.isfinite(s):
-            return L, j
-        ljj = math.sqrt(s)
-        L[j, j] = ljj
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / ljj
-    return L, None
+def _lapack_factor(a: np.ndarray):
+    """LAPACK's lower Cholesky factor of ``a``, or None when it fails. LAPACK
+    need not stop at a NaN or an infinity (OpenBLAS returns a non-finite L
+    without an error), so only a finite factor counts."""
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return L if np.isfinite(L).all() else None
+
+
+def _failing_pivot(a: np.ndarray) -> int:
+    """First pivot at which ``a`` fails to factor: the size of its smallest
+    leading block that fails, minus one, found by bisection."""
+    ok, bad = 0, a.shape[0]  # leading ok x ok block factors, bad x bad fails
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        ok, bad = (ok, mid) if _lapack_factor(a[:mid, :mid]) is None else (mid, bad)
+    return bad - 1
 
 
 _RIDGE_DELTAS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-def cholesky(a, ridge_policy: str = "auto") -> CholeskyFactor:
+def cholesky(a) -> CholeskyFactor:
     """Factor a symmetric positive-definite matrix as L L^T.
 
-    ridge_policy "auto" retries a failed factorization with escalating
-    diagonal jitter delta * mean(diag(A)), delta in 1e-10..1e-6 (factor 10
-    per retry); the applied jitter is logged and surfaced on the factor.
-    "none" fails immediately, naming the failing pivot.
+    A failed factorization is retried with escalating diagonal jitter
+    delta * mean(diag(A)), delta in 1e-10..1e-6 (factor 10 per retry); the
+    applied jitter is logged and surfaced on the factor. When every retry
+    fails, FactorizationError names the failing pivot of the last one.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     n = a.shape[0]
@@ -244,61 +250,54 @@ def cholesky(a, ridge_policy: str = "auto") -> CholeskyFactor:
     mean_diag = float(np.mean(np.diag(a)))
     base = mean_diag if mean_diag > 0.0 else 1.0
 
-    L, pivot = _chol_lower(a)
-    if pivot is None:
+    L = _lapack_factor(a)
+    if L is not None:
         return CholeskyFactor(L=L, ridge=0.0)
-    if ridge_policy == "none":
-        raise FactorizationError(
-            f"matrix is not positive definite (pivot {pivot} failed)", pivot=pivot
-        )
-    if ridge_policy != "auto":
-        raise ValueError(f"unknown ridge_policy {ridge_policy!r}")
     for delta in _RIDGE_DELTAS:
         ridge = delta * base
-        L, pivot = _chol_lower(a + ridge * np.eye(n))
-        if pivot is None:
+        ridged = a + ridge * np.eye(n)
+        L = _lapack_factor(ridged)
+        if L is not None:
             logger.info("cholesky applied ridge %.3e (delta=%.0e)", ridge, delta)
             return CholeskyFactor(L=L, ridge=ridge)
+    pivot = _failing_pivot(ridged)
     raise FactorizationError(
-        f"matrix is not positive definite even with ridge {_RIDGE_DELTAS[-1] * base:.3e} "
-        f"(pivot {pivot} failed)",
+        f"matrix is not positive definite even with ridge {ridge:.3e} (pivot {pivot} failed)",
         pivot=pivot,
     )
 
 
-def _as_lower(factor) -> np.ndarray:
-    return factor.L if isinstance(factor, CholeskyFactor) else np.asarray(factor, dtype=np.float64)
+_SOLVE_BLOCK = 64
+
+
+def _blocked(factor, b):
+    """(L, a 2-D float copy of ``b``, the row blocks of _SOLVE_BLOCK rows)."""
+    L = factor.L if isinstance(factor, CholeskyFactor) else np.asarray(factor, dtype=np.float64)
+    x = np.array(b, dtype=np.float64).reshape(len(L), -1)
+    return L, x, [slice(lo, lo + _SOLVE_BLOCK) for lo in range(0, len(L), _SOLVE_BLOCK)]
 
 
 def solve_lower(factor, b) -> np.ndarray:
     """Forward substitution: solve L x = b for lower-triangular L.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    ``b`` may be a vector or a matrix of stacked right-hand sides. Each row
+    block takes the update from the rows above it, then solves its diagonal.
     """
-    L = _as_lower(factor)
-    b = np.asarray(b, dtype=np.float64)
-    vector = b.ndim == 1
-    x = b.reshape(b.shape[0], -1).copy()
-    n = L.shape[0]
-    for i in range(n):
-        if i:
-            x[i] -= L[i, :i] @ x[:i]
-        x[i] /= L[i, i]
-    return x.ravel() if vector else x
+    L, x, blocks = _blocked(factor, b)
+    for blk in blocks:
+        x[blk] -= L[blk, : blk.start] @ x[: blk.start]
+        x[blk] = np.linalg.solve(L[blk, blk], x[blk])
+    return x.reshape(np.shape(b))
 
 
 def solve_lower_t(factor, b) -> np.ndarray:
-    """Back substitution: solve L^T x = b for lower-triangular L."""
-    L = _as_lower(factor)
-    b = np.asarray(b, dtype=np.float64)
-    vector = b.ndim == 1
-    x = b.reshape(b.shape[0], -1).copy()
-    n = L.shape[0]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= L[i + 1 :, i] @ x[i + 1 :]
-        x[i] /= L[i, i]
-    return x.ravel() if vector else x
+    """Back substitution: solve L^T x = b for lower-triangular L, by row
+    blocks from the bottom as in solve_lower."""
+    L, x, blocks = _blocked(factor, b)
+    for blk in reversed(blocks):
+        x[blk] -= L[blk.stop :, blk].T @ x[blk.stop :]
+        x[blk] = np.linalg.solve(L[blk, blk].T, x[blk])
+    return x.reshape(np.shape(b))
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:

@@ -254,7 +254,7 @@ class _DesignContext:
             dists=dists,
             m_true=true_trend(locations),
             sigma_true=sigma_true,
-            factor_true=cholesky(sigma_true, ridge_policy="auto"),
+            factor_true=cholesky(sigma_true),
         )
 
     @classmethod

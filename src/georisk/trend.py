@@ -374,6 +374,8 @@ def _local_fit(
     block with a starved site raises before any design is built); with
     "mask" the bad points get zero rows and are listed in ``bad``.
     """
+    if on_singular not in ("raise", "mask"):
+        raise ConfigError(f"unknown on_singular {on_singular!r}; expected 'raise' or 'mask'")
     locs = sample.locations
     n, d = locs.shape
     if min_neighbors is None:

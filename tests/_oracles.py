@@ -480,3 +480,54 @@ def solve_e1_rowwise(a, ridge=1e-10):
                 out[i] = sol
                 break
     return out
+
+
+def chol_lower(a):
+    """Unblocked lower Cholesky, column by column: (L, failing pivot or None).
+
+    A pivot fails unless it is positive and finite, so NaN or infinite
+    entries stop the factorization at the first column they reach.
+    """
+    n = a.shape[0]
+    L = np.zeros_like(a)
+    for j in range(n):
+        s = a[j, j] - L[j, :j] @ L[j, :j]
+        if not (s > 0.0) or not np.isfinite(s):
+            return L, j
+        ljj = np.sqrt(s)
+        L[j, j] = ljj
+        if j + 1 < n:
+            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / ljj
+    return L, None
+
+
+def chol_ridged(a, deltas=(1e-10, 1e-9, 1e-8, 1e-7, 1e-6)):
+    """chol_lower of ``a``, else of ``a`` plus delta * mean(diag(a)) on its
+    diagonal for each delta in turn: (L, ridge, None) from the first attempt
+    that factors, or (None, last ridge, failing pivot of the last attempt)."""
+    a = 0.5 * (a + a.T)
+    mean_diag = float(np.mean(np.diag(a)))
+    base = mean_diag if mean_diag > 0.0 else 1.0
+    for ridge in (0.0, *(delta * base for delta in deltas)):
+        L, pivot = chol_lower(a + ridge * np.eye(len(a)) if ridge else a)
+        if pivot is None:
+            return L, ridge, None
+    return None, ridge, pivot
+
+
+def solve_lower_rowwise(L, b):
+    """Forward substitution L x = b, one row at a time."""
+    x = np.array(b, dtype=np.float64).reshape(len(L), -1)
+    for i in range(len(L)):
+        x[i] -= L[i, :i] @ x[:i]
+        x[i] /= L[i, i]
+    return x.reshape(np.shape(b))
+
+
+def solve_lower_t_rowwise(L, b):
+    """Back substitution L^T x = b, one row at a time from the bottom."""
+    x = np.array(b, dtype=np.float64).reshape(len(L), -1)
+    for i in range(len(L) - 1, -1, -1):
+        x[i] -= L[i + 1 :, i] @ x[i + 1 :]
+        x[i] /= L[i, i]
+    return x.reshape(np.shape(b))

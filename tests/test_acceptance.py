@@ -160,7 +160,7 @@ def _theoretical_mean_abs_error(seed: int) -> float:
     g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
     pilot = empirical_variogram(trend_fit.residuals, ctx.dists, ctx.lag_grid, g)
     resid_factor = cholesky(
-        covariance_matrix(fit_shapiro_botha(pilot), ctx.dists), ridge_policy="auto"
+        covariance_matrix(fit_shapiro_botha(pilot), ctx.dists)
     )
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, 0)
     (probs,) = exceedance_probabilities(

@@ -19,7 +19,7 @@ from georisk.bootstrap import (
     risk_maps,
     rng_stream,
 )
-from georisk.exceptions import ConfigError
+from georisk.exceptions import ConfigError, FactorizationError
 from georisk.geometry import (
     BandwidthMatrix,
     SpatialSample,
@@ -331,6 +331,22 @@ def test_mode_theoretical_runs_with_truth(fitted):
     )
     vals = maps[0].probabilities
     assert np.nanmin(vals) >= 0.0 and np.nanmax(vals) <= 1.0
+
+
+def test_mode_theoretical_factorization_failure_carries_its_stage(fitted):
+    class Indefinite:  # covariance -1 at every pair: no ridge repairs it
+        sill = -1.0
+
+        @staticmethod
+        def semivariance(u):
+            return np.zeros_like(u)
+
+    with pytest.raises(FactorizationError) as err:
+        risk_map_mode(
+            fitted.sample, "theoretical", SMALL_GRID, [2.5], n_replicates=10, seed=0,
+            fit=fitted, true_model=Indefinite(), bandwidth=BandwidthMatrix.diagonal(0.3, 0.3),
+        )
+    assert err.value.stage == "covariance factorization"
 
 
 def test_unknown_mode_rejected(fitted):

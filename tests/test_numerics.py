@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import (
+    chol_lower,
+    chol_ridged,
     erfc_asymptotic,
     j0_series_decimal,
     normal_cdf_oracle,
+    solve_lower_rowwise,
+    solve_lower_t_rowwise,
     trapezoid_2d,
 )
 from georisk.exceptions import ConvergenceError, FactorizationError
+from georisk.geometry import pairwise_distances
+from georisk.io import synth_dataset
 from georisk.numerics import (
     CholeskyFactor,
     bessel_j0,
@@ -188,7 +194,7 @@ def test_cholesky_hand_case():
 
 def test_cholesky_indefinite_reports_pivot():
     with pytest.raises(FactorizationError) as err:
-        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), ridge_policy="none")
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert err.value.pivot == 1
 
 
@@ -199,7 +205,7 @@ def test_cholesky_rejects_asymmetric():
 
 def test_cholesky_ridge_recovers_singular():
     a = np.ones((3, 3))  # rank one, PSD but singular
-    f = cholesky(a, ridge_policy="auto")
+    f = cholesky(a)
     assert f.ridge > 0.0
     assert_allclose(f.L @ f.L.T, a + f.ridge * np.eye(3), atol=1e-10)
 
@@ -245,6 +251,77 @@ def test_solve_lower_matrix_rhs_and_spd():
     assert_allclose(f.L @ y, b, atol=1e-10)
     z = solve_lower_t(f, b)
     assert_allclose(f.L.T @ z, b, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def synth_covariance():
+    """The exponential covariance that draws ``synth_dataset(1053, seed=1)``."""
+    locs, _ = synth_dataset(1053, seed=1)
+    return 0.01 * np.eye(1053) + 0.09 * np.exp(-3.0 * pairwise_distances(locs) / 8.0)
+
+
+def test_cholesky_matches_columnwise_oracle_at_n1053(synth_covariance):
+    f = cholesky(synth_covariance)
+    ref, pivot = chol_lower(synth_covariance)
+    assert pivot is None and f.ridge == 0.0
+    assert np.abs(f.L - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1053])
+def test_solves_match_rowwise_oracle_across_blocks(synth_covariance, n):
+    # block edges at 64 and 128 fall inside and on either side of n
+    f = cholesky(synth_covariance[:n, :n])
+    rng = np.random.default_rng(n)
+    for b in (rng.normal(size=n), rng.normal(size=(n, n))):
+        y = solve_lower_rowwise(f.L, b)
+        z = solve_lower_t_rowwise(f.L, b)
+        x = solve_lower_t_rowwise(f.L, y)
+        for got, ref in ((solve_lower(f, b), y), (solve_lower_t(f, b), z), (solve_spd(f, b), x)):
+            assert got.shape == b.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _nan_pair(a, i, j):
+    a = a.copy()
+    a[i, j] = a[j, i] = np.nan
+    return a
+
+
+def _inf_diagonal(a, i):
+    a = a.copy()
+    a[i, i] = np.inf
+    return a
+
+
+def test_cholesky_rejects_non_finite_entries_with_oracle_pivot(synth_covariance):
+    # LAPACK may return a non-finite factor here without an error
+    small = np.array([[1.0, 0.5], [0.5, 1.0]])
+    big = synth_covariance[:300, :300]
+    cases = [
+        _nan_pair(small, 0, 1), _inf_diagonal(small, 1),
+        _nan_pair(big, 170, 90), _inf_diagonal(big, 200),
+    ]
+    pivots = [chol_ridged(a)[2] for a in cases]
+    # a NaN pair stops the last attempt at its later row; an infinite
+    # diagonal makes the ridge infinite (and inf * 0 off the diagonal NaN),
+    # so the last attempt stops at pivot 0
+    assert pivots == [1, 0, 170, 0]
+    for a, pivot in zip(cases, pivots):
+        with pytest.raises(FactorizationError) as err:
+            cholesky(a)
+        assert err.value.pivot == pivot
+
+
+def test_cholesky_indefinite_pivot_beyond_first_block(synth_covariance):
+    a = synth_covariance[:300, :300].copy()
+    v = np.zeros(300)
+    v[70:] = np.random.default_rng(3).normal(size=230)
+    a -= 10.0 * np.outer(v, v) / (v @ v)
+    _, _, pivot = chol_ridged(a)
+    assert pivot is not None and pivot > 64
+    with pytest.raises(FactorizationError) as err:
+        cholesky(a)
+    assert err.value.pivot == pivot
 
 
 # ---------------------------------------------------------------------------

@@ -489,6 +489,15 @@ def test_prediction_masks_nodes_off_a_flat_window():
         assert err.value.indices == off
 
 
+def test_prediction_rejects_unknown_on_singular():
+    # the node at (5, 5) has no neighbours: a misspelt policy must not
+    # fall through to masking it
+    fit = fit_trend(unit_grid_sample(5, 5), BandwidthMatrix.diagonal(0.3, 0.3))
+    for policy in ("rasie", "Mask", None):
+        with pytest.raises(ConfigError, match="on_singular"):
+            trend.prediction_weights(fit, [[0.5, 0.5], [5.0, 5.0]], on_singular=policy)
+
+
 H_RISKMAP = BandwidthMatrix.diagonal(5.942898252196416, 4.045057152294498)
 
 
