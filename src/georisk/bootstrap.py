@@ -15,9 +15,12 @@ are ``offset + gain @ e*`` with
 
 where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. ``build_engine`` forms this
-operator once per covariance mode, so a block of replicates costs one
-matrix product. Exceedance probabilities are replicate frequencies per map
-node.
+operator once per covariance mode: it solves Sigma^-1 (I - S) against f
+and L once, then builds ``offset`` and ``gain`` per block of map nodes,
+each block with its own rows of C0, so no full C0 is formed. Replicates
+are evaluated per block of resampling rows, one matrix product each, and
+exceedance probabilities are the integer exceedance counts over all
+blocks divided by the number of replicates.
 """
 
 from __future__ import annotations
@@ -289,6 +292,10 @@ def decorrelate_residuals(residuals, factor: CholeskyFactor) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_NODE_BLOCK = 256  # map nodes per block of the operator build
+_REPLICATE_BLOCK = 500  # resampling rows per block of map values
+
+
 @dataclass(frozen=True, eq=False)
 class BootstrapEngine:
     """One map's bootstrap as an affine map of the resampled residuals.
@@ -313,25 +320,36 @@ class BootstrapEngine:
 def build_engine(
     trend_fit: TrendFit,
     target_rows: np.ndarray,
-    c0: np.ndarray,
+    target_dists: np.ndarray,
+    model,
     decorr_factor: CholeskyFactor,
     factor: CholeskyFactor,
 ) -> BootstrapEngine:
     """The bootstrap operator of one covariance mode.
 
-    ``decorr_factor`` whitens the residuals. ``factor`` (Sigma = L L^T)
-    recorrelates a resample e*, giving y* = f + L e* around the fitted
-    trend f; y* is re-smoothed (target rows T, hat matrix S) and completed
-    by simple kriging of its residuals with the same Sigma and the target
-    covariances ``c0``. Each step is linear, so the map values are W y*
-    with W = T + c0 Sigma^-1 (I - S): offset = W f and gain = W L.
+    ``decorr_factor`` whitens the residuals. ``model`` with its ``factor``
+    (Sigma = L L^T) recorrelates a resample e*, giving y* = f + L e* around
+    the fitted trend f; y* is re-smoothed (target rows T, hat matrix S) and
+    completed by simple kriging of its residuals with the same Sigma and
+    the covariances C0 of the model at the target-to-site distances
+    ``target_dists``. Each step is linear, so the map values are W y* with
+    W = T + C0 Sigma^-1 (I - S): offset = W f and gain = W L. The two
+    solves run once; the rows of offset and gain are built per block of
+    ``_NODE_BLOCK`` targets, each from that block's rows of C0.
     """
     s = trend_fit.smoother.S
     f = trend_fit.fitted
     L = factor.L
-    offset = target_rows @ f + c0 @ solve_spd(factor, f - s @ f)
-    gain = target_rows @ L
-    gain += c0 @ solve_spd(factor, L - s @ L)
+    x_off = solve_spd(factor, f - s @ f)
+    x_gain = solve_spd(factor, L - s @ L)
+    offset = np.empty(len(target_rows))
+    gain = np.empty((len(target_rows), L.shape[1]))
+    for lo in range(0, len(target_rows), _NODE_BLOCK):
+        blk = slice(lo, lo + _NODE_BLOCK)
+        c0 = covariance_matrix(model, target_dists[blk])
+        offset[blk] = target_rows[blk] @ f + c0 @ x_off
+        gain[blk] = target_rows[blk] @ L
+        gain[blk] += c0 @ x_gain
     e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
     return BootstrapEngine(offset=offset, gain=gain, e=e)
 
@@ -360,15 +378,19 @@ def exceedance_probabilities(
     """(len(thresholds), n_targets) replicate frequencies of values >= c.
 
     ``model`` with its ``factor`` is the covariance that recorrelates and
-    kriges; ``target_dists`` are the target-to-site distances. The target
-    covariances, the operator and the replicate values live only inside
-    this call, so one mode's arrays are freed before the next mode's.
+    kriges; ``target_dists`` are the target-to-site distances. The operator
+    lives only inside this call, so one mode's arrays are freed before the
+    next mode's. Replicates are evaluated ``_REPLICATE_BLOCK`` index rows
+    at a time, and only their exceedance counts are kept.
     """
-    c0 = covariance_matrix(model, target_dists)
-    engine = build_engine(trend_fit, target_rows, c0, decorr_factor, factor)
-    del c0
-    values = engine.replicate_values(idx)
-    return np.array([(values >= c).mean(axis=0) for c in thresholds])
+    engine = build_engine(trend_fit, target_rows, target_dists, model, decorr_factor, factor)
+    counts = np.zeros((len(thresholds), len(target_rows)), dtype=np.intp)
+    for lo in range(0, len(idx), _REPLICATE_BLOCK):
+        values = engine.replicate_values(idx[lo:lo + _REPLICATE_BLOCK])
+        for count, c in zip(counts, thresholds):
+            count += np.count_nonzero(values >= c, axis=0)
+        del values  # free this block before the next one is formed
+    return counts / len(idx)
 
 
 # ---------------------------------------------------------------------------

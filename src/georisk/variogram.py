@@ -417,7 +417,9 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
             for key in (s - 1, s):
                 if key in totals:
                     centre, total = totals[key]
-                    _add_sums(sums[:, i0:i1], total, (centre - t[i0:i1]) / g)
+                    for c0 in range(i0, i1, _SUM_BLOCK):
+                        rows = slice(c0, min(c0 + _SUM_BLOCK, i1))
+                        _add_sums(sums[:, rows], total, (centre - t[rows]) / g)
     if order is not None:
         unsorted = np.empty_like(sums)
         unsorted[:, order] = sums
@@ -426,8 +428,10 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
         count[order] = right - left
     else:
         count = right - left
-    s0, s1, s2, t0, t1 = sums
-    return s0, s1 * g, s2 * (g * g), t0, t1 * g, count
+    sums[1] *= g
+    sums[2] *= g * g
+    sums[4] *= g
+    return (*sums, count)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +486,15 @@ def empirical_variogram(
 
 
 def bias_matrix(smoother, covariance) -> BiasMatrix:
-    """S Sigma S^T - Sigma S^T - S Sigma for a hat matrix S."""
+    """S Sigma S^T - Sigma S^T - S Sigma for a hat matrix S and a symmetric
+    Sigma, so that Sigma S^T = (S Sigma)^T."""
     s = smoother.S if hasattr(smoother, "S") else np.asarray(smoother, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
     s_sigma = s @ sigma
-    return BiasMatrix(B=s_sigma @ s.T - sigma @ s.T - s_sigma)
+    b = s_sigma @ s.T
+    b -= s_sigma.T
+    b -= s_sigma
+    return BiasMatrix(B=b)
 
 
 def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
@@ -572,18 +580,24 @@ def bias_corrected_variogram(
 
 def _loo_estimates(pd_sorted, z_sorted, bandwidth) -> np.ndarray:
     """Leave-one-pair-out semivariogram estimate at every pair's own
-    distance (NaN where the fit is undefined)."""
-    s0, s1, s2, t0, t1, _ = _lag_base_sums(pd_sorted, pd_sorted, z_sorted, bandwidth)
-    s0_loo = s0 - 1.0  # own pair sits exactly at the target: K(0) = 1
-    t0_loo = t0 - z_sorted
-    den = s0_loo * s2 - s1 * s1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(
-            den > 1e-10 * np.maximum(s0_loo * s2, 1e-300),
-            (s2 * t0_loo - s1 * t1) / den,
-            np.where(s0_loo > 0.0, t0_loo / np.maximum(s0_loo, 1e-300), np.nan),
-        )
-    return 0.5 * alpha
+    distance (NaN where the fit is undefined), formed ``_SUM_BLOCK`` pairs
+    at a time."""
+    sums = _lag_base_sums(pd_sorted, pd_sorted, z_sorted, bandwidth)[:5]
+    gamma = np.empty(pd_sorted.size)
+    for k0 in range(0, pd_sorted.size, _SUM_BLOCK):
+        blk = slice(k0, k0 + _SUM_BLOCK)
+        s0, s1, s2, t0, t1 = (x[blk] for x in sums)
+        s0_loo = s0 - 1.0  # own pair sits exactly at the target: K(0) = 1
+        t0_loo = t0 - z_sorted[blk]
+        den = s0_loo * s2 - s1 * s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(
+                den > 1e-10 * np.maximum(s0_loo * s2, 1e-300),
+                (s2 * t0_loo - s1 * t1) / den,
+                np.where(s0_loo > 0.0, t0_loo / np.maximum(s0_loo, 1e-300), np.nan),
+            )
+        np.multiply(0.5, alpha, out=gamma[blk])
+    return gamma
 
 
 def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> float:
@@ -599,14 +613,24 @@ def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> floa
             indices=np.flatnonzero(starved).tolist(),
         )
 
-    gamma = _loo_estimates(pd_sorted, z_sorted, bandwidth)
-    usable = np.isfinite(gamma) & (gamma > 1e-12)
-    if not np.any(usable):
+    # The usable pairs' terms overwrite the estimates from the front, block
+    # by block: a block's terms never reach past its own end, and they are
+    # written after its estimates are read. So one sum over the packed terms
+    # adds them in the order a sum over all usable pairs at once would.
+    terms = _loo_estimates(pd_sorted, z_sorted, bandwidth)
+    used = 0
+    for k0 in range(0, terms.size, _SUM_BLOCK):
+        gamma = terms[k0:k0 + _SUM_BLOCK]
+        usable = np.isfinite(gamma) & (gamma > 1e-12)
+        gamma = gamma[usable]
+        z = z_sorted[k0:k0 + _SUM_BLOCK][usable]
+        terms[used:used + gamma.size] = ((0.5 * z - gamma) / gamma) ** 2
+        used += gamma.size
+    if not used:
         raise DegenerateScoreError(
             f"all {pd_sorted.size} pairs were skipped in the leave-one-pair-out score"
         )
-    terms = ((0.5 * z_sorted[usable] - gamma[usable]) / gamma[usable]) ** 2
-    return float(terms.sum())
+    return float(terms[:used].sum())
 
 
 def cv_relative_error(

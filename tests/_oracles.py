@@ -258,6 +258,37 @@ def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e
     return y_star @ target_rows.T + alpha.T @ c0.T
 
 
+def bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor):
+    """The bootstrap operator formed in one shot from the full (m, n) target
+    covariances ``c0``: offset = T f + c0 Sigma^-1 (I - S) f and
+    gain = T L + c0 Sigma^-1 (I - S) L, each as one product over all
+    targets."""
+    from georisk.bootstrap import BootstrapEngine, decorrelate_residuals
+    from georisk.numerics import solve_spd
+
+    s = trend_fit.smoother.S
+    f = trend_fit.fitted
+    L = factor.L
+    offset = target_rows @ f + c0 @ solve_spd(factor, f - s @ f)
+    gain = target_rows @ L
+    gain += c0 @ solve_spd(factor, L - s @ L)
+    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
+    return BootstrapEngine(offset=offset, gain=gain, e=e)
+
+
+def exceedance_probabilities_oneshot(
+    trend_fit, target_rows, target_dists, decorr_factor, model, factor, idx, thresholds
+):
+    """Exceedance frequencies from the one-shot operator, every replicate
+    evaluated in one product, as the mean of booleans per target."""
+    from georisk.variogram import covariance_matrix
+
+    c0 = covariance_matrix(model, target_dists)
+    engine = bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor)
+    values = engine.replicate_values(idx)
+    return np.array([(values >= c).mean(axis=0) for c in thresholds])
+
+
 def _scaled_kernel(eval_points, locations, bandwidth, kernel):
     """Kernel weights and bandwidth-scaled differences u = H^-1 (x_j - e_i)
     for every pair at once.

@@ -1,18 +1,24 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import bootstrap_replicates_stepwise
+from _oracles import bootstrap_replicates_stepwise, exceedance_probabilities_oneshot
 from georisk.bootstrap import (
+    _NODE_BLOCK,
+    _REPLICATE_BLOCK,
+    BootstrapEngine,
     PipelineConfig,
     _factorize,
     _variogram_fit,
     build_engine,
     decorrelate_residuals,
+    exceedance_probabilities,
     fit_pipeline,
+    map_targets,
     resample_indices,
     risk_map,
     risk_map_mode,
@@ -23,10 +29,11 @@ from georisk.exceptions import ConfigError, FactorizationError
 from georisk.geometry import (
     BandwidthMatrix,
     SpatialSample,
+    cross_distances,
     make_regular_grid,
     pairwise_distances,
 )
-from georisk.kriging import covariance_to_targets
+from georisk.io import synth_dataset
 from georisk.numerics import CholeskyFactor
 from georisk.simulation import (
     _DesignContext,
@@ -170,9 +177,9 @@ def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
     targets = fitted.sample.locations[:5]
     rows, _ = prediction_weights(fitted.trend_fit, targets)
-    c0 = covariance_to_targets(fitted.kriging, targets)
     engine = build_engine(
-        fitted.trend_fit, rows, c0, fitted.residual_factor, fitted.corrected_factor
+        fitted.trend_fit, rows, cross_distances(targets, fitted.sample.locations),
+        fitted.corrected_model, fitted.residual_factor, fitted.corrected_factor,
     )
     idx = resample_indices(n, 3, 123, 9)
     zero = dataclasses.replace(engine, e=np.zeros(n))
@@ -237,7 +244,7 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
     c0 = model.sill - model.semivariance(ctx.cross_d)
-    engine = build_engine(trend_fit, ctx.grid_rows, c0, resid_factor, factor)
+    engine = build_engine(trend_fit, ctx.grid_rows, ctx.cross_d, model, resid_factor, factor)
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
     values = engine.replicate_values(idx)
     oracle = bootstrap_replicates_stepwise(
@@ -247,6 +254,79 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
     for c in (2.0, 2.5, 3.0):
         assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
+def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
+    # 1000 replicates fill two whole blocks; 333 and the ~2500 map nodes
+    # leave a partial block
+    sc, ctx, trend_fit, resid_factor, covariances = full_design
+    model, factor = covariances[mode]
+    assert len(ctx.grid_rows) % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
+    for b in (1000, 333):
+        idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
+        args = (trend_fit, ctx.grid_rows, ctx.cross_d, resid_factor, model, factor, idx,
+                sc.thresholds)
+        assert np.array_equal(
+            exceedance_probabilities(*args), exceedance_probabilities_oneshot(*args)
+        )
+
+
+@pytest.fixture(scope="module")
+def riskmap_design():
+    """The benchmark's risk map at seed 1: ``synth_dataset(1053, seed=1)``
+    under a square-root response, fitted at the trend bandwidth its search
+    selects, the kept nodes of a 50 x 50 grid over the data box, and 1000
+    resampling rows of bootstrap seed 7."""
+    locs, values = synth_dataset(1053, seed=1)
+    fit = fit_pipeline(
+        SpatialSample(locs, np.sqrt(values)),
+        bandwidth=BandwidthMatrix.diagonal(5.942898252196416, 4.045057152294498),
+    )
+    box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
+    nodes = make_regular_grid(box, (50, 50)).nodes()
+    rows, mask = map_targets(fit.trend_fit, nodes)
+    idx = resample_indices(fit.sample.n, 1000, 7)
+    return (fit.trend_fit, rows, cross_distances(nodes[~mask], locs), fit.residual_factor,
+            fit.corrected_model, fit.corrected_factor, idx, [1.0, 2.0])
+
+
+def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
+    assert np.array_equal(
+        exceedance_probabilities(*riskmap_design),
+        exceedance_probabilities_oneshot(*riskmap_design),
+    )
+
+
+def test_exceedance_memory_at_riskmap_design(riskmap_design):
+    rows = riskmap_design[1]
+    m, n = rows.shape
+    tracemalloc.start()
+    try:
+        exceedance_probabilities(*riskmap_design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (m, n) gain and the n x n solve it is built from, one more n x n
+    # array and 4 MiB of block temporaries (built in one shot: 72.1 MB)
+    assert peak <= 8 * m * n + 2 * 8 * n * n + 4 * 2**20
+
+
+def test_replicates_are_evaluated_per_block_of_index_rows(fitted, monkeypatch):
+    # per block of replicates, never per block of targets: every call
+    # sees whole index rows, and the calls add up to B once per map set
+    calls = []
+    evaluate = BootstrapEngine.replicate_values
+
+    def counted(self, idx):
+        calls.append(idx.shape)
+        return evaluate(self, idx)
+
+    monkeypatch.setattr(BootstrapEngine, "replicate_values", counted)
+    b = 2 * _REPLICATE_BLOCK + 7
+    risk_maps(fitted, SMALL_GRID, [2.0, 2.5], n_replicates=b, seed=6)
+    n = fitted.sample.n
+    assert calls == [(_REPLICATE_BLOCK, n), (_REPLICATE_BLOCK, n), (7, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,41 @@ def test_loo_score_memory_is_bounded_at_n1053():
         assert peak <= budget, (g, peak / (8 * table.distances.size))
 
 
+def test_loo_score_holds_at_most_12_doubles_per_pair_at_n1053():
+    # the 5 sums, the 2 window bounds, the pair counts and the estimates
+    # are the P-length arrays; everything else is formed per block of pairs
+    # (one-array estimates and score reached 19.8 doubles per pair)
+    locs, values = synth_dataset(1053, seed=1)
+    table = PairTable.from_distances(pairwise_distances(locs))
+    z = table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
+    lags = default_lag_grid(table.matrix)
+    for g in default_lag_bandwidths(table.matrix):
+        tracemalloc.start()
+        try:
+            _pair_loo_score(table.distances, z, lags, g, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * table.distances.size, (g, peak / (8 * table.distances.size))
+
+
+def test_loo_score_equals_one_array_sum_at_realistic_size(pairs_n1000):
+    # the blockwise score adds the same terms in the same order as one sum
+    # over every usable pair, so the two are equal, not merely close; the
+    # centred values make many estimates negative, so pairs are skipped
+    table, z = pairs_n1000
+    lags = default_lag_grid(table.matrix)
+    skipped = 0
+    for values in (z, z - np.median(z)):
+        for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
+            gamma = _loo_estimates(table.distances, values, g)
+            usable = np.isfinite(gamma) & (gamma > 1e-12)
+            skipped += int(np.count_nonzero(~usable))
+            terms = ((0.5 * values[usable] - gamma[usable]) / gamma[usable]) ** 2
+            assert _pair_loo_score(table.distances, values, lags, g, 5) == float(terms.sum())
+    assert skipped > 0
+
+
 # ---------------------------------------------------------------------------
 # pair table
 # ---------------------------------------------------------------------------
