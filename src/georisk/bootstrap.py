@@ -2,7 +2,9 @@
 
 The pipeline alternates trend and variogram estimation (independence CV for
 the initial bandwidth, dependence-corrected GCV afterwards) and factorizes
-both the residual-scale and the bias-corrected covariance estimates.
+both the residual-scale and the bias-corrected covariance estimates. The
+sites' distances, pair table and lag grid come from ``site_design``, which
+the simulation's design contexts share.
 
 The bootstrap whitens the residuals with the residual-scale factor and
 resamples them with replacement. A replicate recorrelates its resample e*
@@ -21,12 +23,20 @@ each block with its own rows of C0, so no full C0 is formed. Replicates
 are evaluated per block of resampling rows, one matrix product each, and
 exceedance probabilities are the integer exceedance counts over all
 blocks divided by the number of replicates.
+
+A covariance mode names the (model, factor) that recorrelates and kriges:
+the bias-corrected estimate, the residual-scale estimate or, in a
+simulation, the true covariance. ``mode_covariance`` resolves a mode and
+``mode_probabilities`` evaluates several from one set of resampling rows
+at the ``map_targets`` (smoother rows, mask and kept-node distances); the
+risk maps and the simulation study both call them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +48,6 @@ from .geometry import (
     cross_distances,
     pairwise_distances,
 )
-from .kriging import KrigingSystem
 from .numerics import CholeskyFactor, cholesky, solve_lower, solve_spd
 from .trend import (
     TrendFit,
@@ -48,6 +57,7 @@ from .trend import (
     select_bandwidth,
 )
 from .variogram import (
+    DEFAULT_N_LAGS,
     BiasCorrectionReport,
     EmpiricalVariogram,
     GAUSSIAN_DIM,
@@ -107,9 +117,8 @@ class PipelineReport:
 
 @dataclass(frozen=True, eq=False)
 class PipelineFit:
-    """Everything the bootstrap needs: the fitted trend, both variogram
-    models, their covariance factors, and a reusable kriging system built
-    on the bias-corrected model."""
+    """Everything the bootstrap needs: the fitted trend and both variogram
+    models with their covariance factors."""
 
     sample: SpatialSample
     trend_fit: TrendFit
@@ -122,8 +131,17 @@ class PipelineFit:
     corrected_model: VariogramModel
     residual_factor: CholeskyFactor
     corrected_factor: CholeskyFactor
-    kriging: KrigingSystem
     report: PipelineReport
+
+    @property
+    def estimates(self) -> tuple:
+        """The (model, factor) pairs of the residual-scale and the
+        bias-corrected covariance estimates, as ``mode_covariance`` takes
+        them."""
+        return (
+            (self.residual_model, self.residual_factor),
+            (self.corrected_model, self.corrected_factor),
+        )
 
 
 @contextmanager
@@ -147,6 +165,22 @@ def _rel_change(old: BandwidthMatrix, new: BandwidthMatrix) -> float:
     return float(np.max(np.abs(b - a) / np.maximum(np.abs(a), 1e-300)))
 
 
+class SiteDesign(NamedTuple):
+    """What the variogram stages need of the sample sites: their distance
+    matrix, the pair table sorted by distance and the lag grid."""
+
+    dists: np.ndarray
+    pairs: PairTable
+    lag_grid: np.ndarray
+
+
+def site_design(locations, n_lags: int = DEFAULT_N_LAGS) -> SiteDesign:
+    """The site design of ``locations`` (a SpatialSample or an (n, d)
+    coordinate array) with a lag grid of ``n_lags`` lags."""
+    dists = pairwise_distances(locations)
+    return SiteDesign(dists, PairTable.from_distances(dists), default_lag_grid(dists, n_lags))
+
+
 def fit_pipeline(
     sample: SpatialSample,
     config: PipelineConfig | None = None,
@@ -165,9 +199,7 @@ def fit_pipeline(
     cfg = config or PipelineConfig()
     notes: list[str] = []
     with _stage("distances"):
-        dists = pairwise_distances(sample)
-        pairs = PairTable.from_distances(dists)
-        lag_grid = default_lag_grid(dists, cfg.n_lags)
+        dists, pairs, lag_grid = site_design(sample, cfg.n_lags)
 
     search_grid = None
     if bandwidth is None:
@@ -201,11 +233,7 @@ def fit_pipeline(
             h_converged = True
             break
         with _stage("bandwidth refresh (CGCV)"):
-            sigma = covariance_matrix(corrected_model, dists)
-            corr = correlation_matrix(sigma)
-            h_new = select_bandwidth(
-                sample, "cgcv", search_grid, correlation=corr, kernel=cfg.kernel
-            )
+            h_new = _cgcv_bandwidth(sample, corrected_model, dists, search_grid, cfg.kernel)
         h_history.append(tuple(_h_scales(h_new)))
         if _rel_change(h, h_new) < cfg.h_tol:
             h_converged = True
@@ -213,9 +241,6 @@ def fit_pipeline(
         h = h_new
 
     residual_factor, corrected_factor = _factorize((residual_model, corrected_model), dists)
-    kriging = KrigingSystem(
-        locations=sample.locations, factor=corrected_factor, model=corrected_model
-    )
     report = PipelineReport(
         outer_iterations=outer,
         h_history=tuple(h_history),
@@ -236,9 +261,17 @@ def fit_pipeline(
         corrected_model=corrected_model,
         residual_factor=residual_factor,
         corrected_factor=corrected_factor,
-        kriging=kriging,
         report=report,
     )
+
+
+def _cgcv_bandwidth(sample, model, dists, search_grid, kernel: str) -> BandwidthMatrix:
+    """The bandwidth the dependence-corrected GCV selects under the
+    correlation of ``model`` at the sites. The n x n covariance and
+    correlation live only inside this call, so the next pass does not
+    carry them."""
+    corr = correlation_matrix(covariance_matrix(model, dists))
+    return select_bandwidth(sample, "cgcv", search_grid, correlation=corr, kernel=kernel)
 
 
 def _variogram_fit(trend: TrendFit, pairs: PairTable, lag_grid, g: float, cfg: PipelineConfig):
@@ -394,6 +427,56 @@ def exceedance_probabilities(
 
 
 # ---------------------------------------------------------------------------
+# Covariance modes
+# ---------------------------------------------------------------------------
+
+
+MODES = ("theoretical", "residual", "corrected")
+
+
+def _check_mode(mode: str, truth_known: bool = True) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "theoretical" and not truth_known:
+        raise ConfigError(
+            "theoretical mode needs the simulation truth (true_model and bandwidth)"
+        )
+
+
+def mode_covariance(mode: str, estimates, theoretical=None) -> tuple:
+    """The (model, factor) that recorrelates and kriges in ``mode``.
+
+    ``estimates`` holds the (model, factor) pairs of the residual-scale and
+    the bias-corrected estimates (``PipelineFit.estimates``); "residual"
+    and "corrected" pick them. "theoretical" picks ``theoretical``, the
+    true covariance's pair, which only a simulation knows.
+    """
+    _check_mode(mode, theoretical is not None)
+    residual, corrected = estimates
+    return {"theoretical": theoretical, "residual": residual, "corrected": corrected}[mode]
+
+
+def mode_probabilities(
+    trend_fit: TrendFit, targets, idx, thresholds, modes, estimates, theoretical=None
+) -> dict:
+    """{mode: (len(thresholds), kept nodes) exceedance probabilities} at the
+    map ``targets``, every mode from the same resampling rows ``idx``.
+
+    Decorrelation always whitens with the residual-scale factor; the modes
+    differ only in the covariance that recorrelates and kriges. Each mode's
+    operator is freed before the next one is built.
+    """
+    decorr_factor = estimates[0][1]
+    return {
+        mode: exceedance_probabilities(
+            trend_fit, targets.rows, targets.dists, decorr_factor,
+            *mode_covariance(mode, estimates, theoretical), idx, thresholds,
+        )
+        for mode in modes
+    }
+
+
+# ---------------------------------------------------------------------------
 # Risk maps
 # ---------------------------------------------------------------------------
 
@@ -410,31 +493,38 @@ class RiskMap:
     n_masked: int = 0
 
 
-def map_targets(trend_fit: TrendFit, nodes: np.ndarray):
-    """(rows, mask): the trend's smoother rows at the map nodes it can
-    predict, and the mask of the nodes whose local design is singular."""
+class MapTargets(NamedTuple):
+    """The map nodes a trend can predict at: their smoother rows, the mask
+    of the nodes whose local design is singular, and the kept nodes'
+    distances to the sample sites."""
+
+    rows: np.ndarray
+    mask: np.ndarray
+    dists: np.ndarray
+
+
+def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
+    """The trend's map targets at ``nodes``."""
     rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
     mask = np.zeros(len(nodes), dtype=bool)
     mask[bad] = True
-    return rows[~mask], mask
+    rows = rows[~mask]  # the full rows die here, before the distances exist
+    return MapTargets(rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations))
 
 
-def _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed):
-    """Maps under the covariance ``model``/``factor``; nodes whose local
-    design is singular are masked."""
+def _mode_maps(fit, mode, theoretical, grid, thresholds, n_replicates, seed):
+    """Maps under the covariance of ``mode``; nodes whose local design is
+    singular are masked."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    nodes = grid.nodes()
-    rows, mask = map_targets(fit.trend_fit, nodes)
-    keep = ~mask
+    targets = map_targets(fit.trend_fit, grid.nodes())
     idx = resample_indices(fit.sample.n, n_replicates, seed)
-    probs = exceedance_probabilities(
-        fit.trend_fit, rows, cross_distances(nodes[keep], fit.sample.locations),
-        fit.residual_factor, model, factor, idx, thresholds,
-    )
+    probs = mode_probabilities(
+        fit.trend_fit, targets, idx, thresholds, (mode,), fit.estimates, theoretical
+    )[mode]
     maps = []
     for c, p in zip(thresholds, probs):
-        full = np.full(len(nodes), np.nan)
-        full[keep] = p
+        full = np.full(len(targets.mask), np.nan)
+        full[~targets.mask] = p
         maps.append(
             RiskMap(
                 grid=grid,
@@ -442,7 +532,7 @@ def _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed):
                 probabilities=full,
                 n_replicates=n_replicates,
                 seed=seed,
-                n_masked=int(mask.sum()),
+                n_masked=int(targets.mask.sum()),
             )
         )
     return maps
@@ -455,11 +545,10 @@ def risk_maps(
     n_replicates: int = 1000,
     seed: int = 0,
 ) -> list[RiskMap]:
-    """Exceedance-probability maps for several thresholds from one shared
-    set of replicates (probabilities are monotone across thresholds)."""
-    return _risk_maps(
-        fit, fit.corrected_model, fit.corrected_factor, grid, thresholds, n_replicates, seed
-    )
+    """Exceedance-probability maps of the full pipeline (the bias-corrected
+    covariance) for several thresholds from one shared set of replicates
+    (probabilities are monotone across thresholds)."""
+    return _mode_maps(fit, "corrected", None, grid, thresholds, n_replicates, seed)
 
 
 def risk_map(
@@ -471,9 +560,6 @@ def risk_map(
 ) -> RiskMap:
     """Single-threshold convenience wrapper around risk_maps."""
     return risk_maps(fit, grid, [threshold], n_replicates, seed)[0]
-
-
-MODES = ("theoretical", "residual", "corrected")
 
 
 def risk_map_mode(
@@ -492,25 +578,18 @@ def risk_map_mode(
     """Bootstrap maps with the covariance role played by a chosen estimate.
 
     Decorrelation always whitens with the residual-scale factor; the modes
-    differ in the covariance used to recorrelate and krige: the
-    bias-corrected model ("corrected", the full pipeline), the raw
-    residual-scale model ("residual"), or a known true model
-    ("theoretical", only available when ``true_model`` and a bandwidth are
-    supplied by a simulation harness).
+    differ in the covariance used to recorrelate and krige (see
+    ``mode_covariance``): the bias-corrected model ("corrected", the full
+    pipeline's ``risk_maps``), the raw residual-scale model ("residual"),
+    or a known true model ("theoretical", only available when
+    ``true_model`` and a bandwidth are supplied by a simulation harness).
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "theoretical" and (true_model is None or bandwidth is None):
-        raise ConfigError(
-            "theoretical mode needs the simulation truth (true_model and bandwidth)"
-        )
+    _check_mode(mode, truth_known=true_model is not None and bandwidth is not None)
     if fit is None:
         fit = fit_pipeline(sample, config, bandwidth=bandwidth)
-    if mode == "corrected":
+    if mode == "corrected":  # so the pipeline's maps always run inside risk_maps
         return risk_maps(fit, grid, thresholds, n_replicates, seed)
+    theoretical = None
     if mode == "theoretical":
-        model = true_model
-        (factor,) = _factorize((model,), pairwise_distances(fit.sample))
-    else:
-        model, factor = fit.residual_model, fit.residual_factor
-    return _risk_maps(fit, model, factor, grid, thresholds, n_replicates, seed)
+        theoretical = (true_model, *_factorize((true_model,), pairwise_distances(fit.sample)))
+    return _mode_maps(fit, mode, theoretical, grid, thresholds, n_replicates, seed)

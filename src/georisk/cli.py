@@ -45,7 +45,7 @@ from .io import (
     write_synth_csv,
     write_table_csv,
 )
-from .kriging import sk_predict
+from .kriging import KrigingSystem, sk_predict
 from .simulation import (
     Scenario,
     run_scenario,
@@ -365,12 +365,13 @@ def cmd_fit(cfg: dict) -> int:
     logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
 
     nodes = grid.nodes()
-    rows, mask = map_targets(fit.trend_fit, nodes)
+    rows, mask = map_targets(fit.trend_fit, nodes)[:2]  # sk_predict forms its own distances
     trend = np.full(len(nodes), np.nan)
     trend[~mask] = rows @ sample.values
     prediction = np.full(len(nodes), np.nan)
     if (~mask).any():
-        krig = sk_predict(fit.kriging, fit.trend_fit.residuals, nodes[~mask])
+        system = KrigingSystem(sample.locations, fit.corrected_factor, fit.corrected_model)
+        krig = sk_predict(system, fit.trend_fit.residuals, nodes[~mask])
         prediction[~mask] = trend[~mask] + krig
     write_grid_csv(out / "fit_grid.csv", nodes, {"trend": trend, "prediction": prediction})
 

@@ -237,12 +237,18 @@ def cholesky(a) -> CholeskyFactor:
     A failed factorization is retried with escalating diagonal jitter
     delta * mean(diag(A)), delta in 1e-10..1e-6 (factor 10 per retry); the
     applied jitter is logged and surfaced on the factor. When every retry
-    fails, FactorizationError names the failing pivot of the last one.
+    fails, FactorizationError names the failing pivot of the last one. A
+    matrix with a NaN or infinite entry is rejected before any attempt, with
+    the first row holding one as its pivot.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("matrix must be square")
+    finite_rows = np.isfinite(a).all(axis=1)
+    if not finite_rows.all():
+        pivot = int(np.argmin(finite_rows))
+        raise FactorizationError(f"matrix has a non-finite entry in row {pivot}", pivot=pivot)
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within 1e-10 relative tolerance")
@@ -270,10 +276,12 @@ def cholesky(a) -> CholeskyFactor:
 _SOLVE_BLOCK = 64
 
 
-def _blocked(factor, b):
-    """(L, a 2-D float copy of ``b``, the row blocks of _SOLVE_BLOCK rows)."""
+def _blocked(factor, b, copy=True):
+    """(L, ``b`` as a 2-D float array, the row blocks of _SOLVE_BLOCK rows).
+    Without ``copy`` the array is a view of ``b``, which must then be a
+    C-contiguous float array."""
     L = factor.L if isinstance(factor, CholeskyFactor) else np.asarray(factor, dtype=np.float64)
-    x = np.array(b, dtype=np.float64).reshape(len(L), -1)
+    x = (np.array(b, dtype=np.float64) if copy else b).reshape(len(L), -1)
     return L, x, [slice(lo, lo + _SOLVE_BLOCK) for lo in range(0, len(L), _SOLVE_BLOCK)]
 
 
@@ -290,19 +298,26 @@ def solve_lower(factor, b) -> np.ndarray:
     return x.reshape(np.shape(b))
 
 
+def _back_substitute(L, x, blocks):
+    for blk in reversed(blocks):
+        x[blk] -= L[blk.stop :, blk].T @ x[blk.stop :]
+        x[blk] = np.linalg.solve(L[blk, blk].T, x[blk])
+
+
 def solve_lower_t(factor, b) -> np.ndarray:
     """Back substitution: solve L^T x = b for lower-triangular L, by row
     blocks from the bottom as in solve_lower."""
     L, x, blocks = _blocked(factor, b)
-    for blk in reversed(blocks):
-        x[blk] -= L[blk.stop :, blk].T @ x[blk.stop :]
-        x[blk] = np.linalg.solve(L[blk, blk].T, x[blk])
+    _back_substitute(L, x, blocks)
     return x.reshape(np.shape(b))
 
 
 def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
-    """Solve (L L^T) x = b via two triangular solves."""
-    return solve_lower_t(factor, solve_lower(factor, b))
+    """Solve (L L^T) x = b via two triangular solves; the back substitution
+    runs in place on the forward substitution's fresh result."""
+    y = solve_lower(factor, b)
+    _back_substitute(*_blocked(factor, y, copy=False))
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ replicate under one or more covariance choices (true matrix, raw residual
 estimate, bias-corrected estimate), and aggregates squared-error summaries
 of the estimated maps.
 
-What depends only on the sites (the true covariance and its factor and,
-under the MASE criterion, the oracle smoother, pair table and map targets)
-lives in a design context. ``run_scenario`` builds one for a regular-design
-study and one per replicate from its drawn sites for the uniform design, and
-passes it explicitly to ``simulate_field`` and to the replicate's
-evaluation; nothing is cached between calls. Every replicate then runs the
-pipeline's own variogram and factorization stages, so a failure carries the
-label of the stage that failed.
+What depends only on the sites (their site design, the true covariance and
+its factor and, under the MASE criterion, the oracle smoother and the map
+targets) lives in a design context. ``run_scenario`` builds one for a
+regular-design study and one per replicate from its drawn sites for the
+uniform design, and passes it explicitly to ``simulate_field`` and to the
+replicate's evaluation; nothing is cached between calls. Every replicate
+then runs the pipeline's own variogram and factorization stages, so a
+failure carries the label of the stage that failed, and scores its modes
+through the pipeline's one mode loop (``bootstrap.mode_probabilities``).
 """
 
 from __future__ import annotations
@@ -30,32 +31,25 @@ import numpy as np
 from .bootstrap import (
     STREAM_FIELD,
     MODES,
+    MapTargets,
     PipelineConfig,
+    SiteDesign,
+    _check_mode,
     _factorize,
     _stage,
     _variogram_fit,
-    exceedance_probabilities,
     fit_pipeline,
     map_targets,
+    mode_probabilities,
     resample_indices,
     rng_stream,
+    site_design,
 )
 from .exceptions import ConfigError, GeoriskError
-from .geometry import (
-    RegularGrid,
-    SpatialSample,
-    cross_distances,
-    make_regular_grid,
-    pairwise_distances,
-)
+from .geometry import RegularGrid, SpatialSample, make_regular_grid
 from .numerics import CholeskyFactor, cholesky, normal_cdf
 from .trend import apply_smoother, select_bandwidth, smoother_matrix
-from .variogram import (
-    PairTable,
-    covariance_matrix,
-    default_lag_grid,
-    select_lag_bandwidth,
-)
+from .variogram import covariance_matrix, select_lag_bandwidth
 
 FAILURE_GATE = 0.05  # a run with more than 5% failed replicates is invalid
 
@@ -227,31 +221,27 @@ def _draw_sites(scenario: Scenario, rng: np.random.Generator) -> np.ndarray:
 class _DesignContext:
     """What the replicates drawn on one set of sites share.
 
-    ``truth`` holds what a draw needs: the sites, their distances, the true
-    trend and the true covariance with its factor. ``build`` adds, under the
-    MASE criterion, the oracle smoother, the pair table and lag grid, and the
-    map targets with their distances to the sites.
+    ``truth`` holds what a draw needs: the sites with their site design
+    (distances, pair table and lag grid), the true trend and the true
+    covariance with its factor. ``build`` adds, under the MASE criterion,
+    the oracle smoother and the map targets it gives.
     """
 
     locations: np.ndarray
-    dists: np.ndarray
+    site: SiteDesign
     m_true: np.ndarray
     sigma_true: np.ndarray
     factor_true: CholeskyFactor
     smoother: object | None = None
-    pairs: PairTable | None = None
-    lag_grid: np.ndarray | None = None
-    grid_rows: np.ndarray | None = None
-    grid_mask: np.ndarray | None = None
-    cross_d: np.ndarray | None = None
+    targets: MapTargets | None = None
 
     @classmethod
     def truth(cls, scenario: Scenario, locations: np.ndarray) -> _DesignContext:
-        dists = pairwise_distances(locations)
-        sigma_true = covariance_matrix(scenario.model, dists)
+        site = site_design(locations)
+        sigma_true = covariance_matrix(scenario.model, site.dists)
         return cls(
             locations=locations,
-            dists=dists,
+            site=site,
             m_true=true_trend(locations),
             sigma_true=sigma_true,
             factor_true=cholesky(sigma_true),
@@ -262,23 +252,16 @@ class _DesignContext:
         design = cls.truth(scenario, locations)
         if scenario.bandwidth_criterion != "mase":
             return design
-        grid_nodes = scenario.prediction_grid().nodes()
         with _stage("design (MASE bandwidth)"):
             template = SpatialSample(locations, design.m_true)
             bandwidth = select_bandwidth(
                 template, "mase", true_mean=design.m_true, covariance=design.sigma_true
             )
             smoother = smoother_matrix(template, bandwidth)
-            grid_rows, grid_mask = map_targets(apply_smoother(smoother, template), grid_nodes)
-        return dataclasses.replace(
-            design,
-            smoother=smoother,
-            pairs=PairTable.from_distances(design.dists),
-            lag_grid=default_lag_grid(design.dists),
-            grid_rows=grid_rows,
-            grid_mask=grid_mask,
-            cross_d=cross_distances(grid_nodes[~grid_mask], locations),
-        )
+            targets = map_targets(
+                apply_smoother(smoother, template), scenario.prediction_grid().nodes()
+            )
+        return dataclasses.replace(design, smoother=smoother, targets=targets)
 
 
 def simulate_field(
@@ -364,8 +347,7 @@ def run_scenario(scenario: Scenario, modes=MODES, threads: int = 1) -> ScenarioR
     """
     modes = tuple(modes)
     for mode in modes:
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}")
+        _check_mode(mode)
 
     grid_nodes = scenario.prediction_grid().nodes()
     truth_maps = {
@@ -453,7 +435,7 @@ def run_scenario(scenario: Scenario, modes=MODES, threads: int = 1) -> ScenarioR
 
 def _lag_bandwidth(trend_fit, design: _DesignContext) -> float:
     with _stage("lag bandwidth"):
-        return select_lag_bandwidth(trend_fit.residuals, design.pairs, design.lag_grid)
+        return select_lag_bandwidth(trend_fit.residuals, design.site.pairs, design.site.lag_grid)
 
 
 def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
@@ -462,44 +444,31 @@ def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
     bandwidth, or None to tune it on this replicate's residuals."""
     if scenario.bandwidth_criterion == "pipeline":
         fit = fit_pipeline(sample)
-        trend_fit = fit.trend_fit
-        resid_model, corr_model = fit.residual_model, fit.corrected_model
-        resid_factor, corr_factor = fit.residual_factor, fit.corrected_factor
-        grid_nodes = scenario.prediction_grid().nodes()
-        grid_rows, mask = map_targets(trend_fit, grid_nodes)
-        cross_d = cross_distances(grid_nodes[~mask], sample.locations)
+        trend_fit, estimates = fit.trend_fit, fit.estimates
+        targets = map_targets(trend_fit, scenario.prediction_grid().nodes())
     else:
         trend_fit = apply_smoother(design.smoother, sample)
         if g is None:
             g = _lag_bandwidth(trend_fit, design)
         _, resid_model, _, corr_model = _variogram_fit(
-            trend_fit, design.pairs, design.lag_grid, g, PipelineConfig()
+            trend_fit, design.site.pairs, design.site.lag_grid, g, PipelineConfig()
         )
-        resid_factor, corr_factor = _factorize((resid_model, corr_model), design.dists)
-        grid_rows, mask, cross_d = design.grid_rows, design.grid_mask, design.cross_d
+        models = (resid_model, corr_model)
+        estimates = tuple(zip(models, _factorize(models, design.site.dists)))
+        targets = design.targets
 
     idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
-    # decorrelation always whitens with the residual-scale factor; the modes
-    # differ in the covariance used to recorrelate and krige
-    covariances = {
-        "theoretical": (scenario.model, design.factor_true),
-        "residual": (resid_model, resid_factor),
-        "corrected": (corr_model, corr_factor),
+    probs = mode_probabilities(
+        trend_fit, targets, idx, scenario.thresholds, modes, estimates,
+        (scenario.model, design.factor_true),
+    )
+    keep = ~targets.mask
+    mean_se = {
+        (mode, c): (truth_maps[c][keep] - p) ** 2
+        for mode in modes
+        for c, p in zip(scenario.thresholds, probs[mode])
     }
-    mean_se = {}
-    for mode in modes:
-        model, factor = covariances[mode]
-        probs = exceedance_probabilities(
-            trend_fit, grid_rows, cross_d, resid_factor, model, factor, idx,
-            scenario.thresholds,
-        )
-        for c, p in zip(scenario.thresholds, probs):
-            mean_se[(mode, c)] = (truth_maps[c][~mask] - p) ** 2
-
     return ReplicateRecord(
-        index=r,
-        failed=False,
-        sill_uncorrected=resid_model.sill,
-        sill_corrected=corr_model.sill,
-        mean_se=mean_se,
+        index=r, failed=False, mean_se=mean_se,
+        sill_uncorrected=estimates[0][0].sill, sill_corrected=estimates[1][0].sill,
     )

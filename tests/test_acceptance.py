@@ -157,17 +157,17 @@ def _theoretical_mean_abs_error(seed: int) -> float:
     ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
     sample = simulate_field(sc, 0, ctx)
     trend_fit = apply_smoother(ctx.smoother, sample)
-    g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
-    pilot = empirical_variogram(trend_fit.residuals, ctx.dists, ctx.lag_grid, g)
+    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid)
+    pilot = empirical_variogram(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid, g)
     resid_factor = cholesky(
-        covariance_matrix(fit_shapiro_botha(pilot), ctx.dists)
+        covariance_matrix(fit_shapiro_botha(pilot), ctx.site.dists)
     )
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, 0)
     (probs,) = exceedance_probabilities(
-        trend_fit, ctx.grid_rows, ctx.cross_d, resid_factor, sc.model, ctx.factor_true,
+        trend_fit, ctx.targets.rows, ctx.targets.dists, resid_factor, sc.model, ctx.factor_true,
         idx, [2.5],
     )
-    truth = true_risk(sc.prediction_grid().nodes(), 2.5, sc)[~ctx.grid_mask]
+    truth = true_risk(sc.prediction_grid().nodes(), 2.5, sc)[~ctx.targets.mask]
     return float(np.abs(probs - truth).mean())
 
 

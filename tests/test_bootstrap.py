@@ -109,7 +109,6 @@ def test_pipeline_factors_reconstruct_covariances(fitted):
         rel = np.linalg.norm(a - a.T) / np.linalg.norm(a)
         assert rel < 1e-12
         assert np.all(np.diag(factor.L) > 0.0)
-    assert fitted.kriging.factor is fitted.corrected_factor
 
 
 @pytest.mark.slow
@@ -226,11 +225,11 @@ def full_design():
     sc = table1_scenario("full")
     ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
     trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0, ctx))
-    g = select_lag_bandwidth(trend_fit.residuals, ctx.dists, ctx.lag_grid)
+    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid)
     _, resid_model, _, corr_model = _variogram_fit(
-        trend_fit, ctx.pairs, ctx.lag_grid, g, PipelineConfig()
+        trend_fit, ctx.site.pairs, ctx.site.lag_grid, g, PipelineConfig()
     )
-    resid_factor, corr_factor = _factorize((resid_model, corr_model), ctx.dists)
+    resid_factor, corr_factor = _factorize((resid_model, corr_model), ctx.site.dists)
     covariances = {
         "theoretical": (sc.model, ctx.factor_true),
         "residual": (resid_model, resid_factor),
@@ -243,14 +242,14 @@ def full_design():
 def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
-    c0 = model.sill - model.semivariance(ctx.cross_d)
-    engine = build_engine(trend_fit, ctx.grid_rows, ctx.cross_d, model, resid_factor, factor)
+    c0 = model.sill - model.semivariance(ctx.targets.dists)
+    engine = build_engine(trend_fit, ctx.targets.rows, ctx.targets.dists, model, resid_factor, factor)
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
     values = engine.replicate_values(idx)
     oracle = bootstrap_replicates_stepwise(
-        trend_fit.fitted, trend_fit.smoother.S, ctx.grid_rows, c0, factor.L, engine.e, idx
+        trend_fit.fitted, trend_fit.smoother.S, ctx.targets.rows, c0, factor.L, engine.e, idx
     )
-    assert values.shape == (64, ctx.grid_rows.shape[0]) and values.shape[1] > 2000
+    assert values.shape == (64, ctx.targets.rows.shape[0]) and values.shape[1] > 2000
     assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
     for c in (2.0, 2.5, 3.0):
         assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
@@ -262,10 +261,10 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
     # leave a partial block
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
-    assert len(ctx.grid_rows) % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
+    assert len(ctx.targets.rows) % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
     for b in (1000, 333):
         idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
-        args = (trend_fit, ctx.grid_rows, ctx.cross_d, resid_factor, model, factor, idx,
+        args = (trend_fit, ctx.targets.rows, ctx.targets.dists, resid_factor, model, factor, idx,
                 sc.thresholds)
         assert np.array_equal(
             exceedance_probabilities(*args), exceedance_probabilities_oneshot(*args)
@@ -285,7 +284,7 @@ def riskmap_design():
     )
     box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
     nodes = make_regular_grid(box, (50, 50)).nodes()
-    rows, mask = map_targets(fit.trend_fit, nodes)
+    rows, mask, _ = map_targets(fit.trend_fit, nodes)
     idx = resample_indices(fit.sample.n, 1000, 7)
     return (fit.trend_fit, rows, cross_distances(nodes[~mask], locs), fit.residual_factor,
             fit.corrected_model, fit.corrected_factor, idx, [1.0, 2.0])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from _oracles import (
 )
 from georisk.exceptions import ConvergenceError, FactorizationError
 from georisk.geometry import pairwise_distances
+from georisk import numerics
 from georisk.io import synth_dataset
 from georisk.numerics import (
     CholeskyFactor,
@@ -293,23 +296,44 @@ def _inf_diagonal(a, i):
     return a
 
 
-def test_cholesky_rejects_non_finite_entries_with_oracle_pivot(synth_covariance):
-    # LAPACK may return a non-finite factor here without an error
+def test_cholesky_rejects_non_finite_entries_with_oracle_pivot(synth_covariance, monkeypatch):
+    # LAPACK may return a non-finite factor here without an error, so such
+    # input is rejected before any attempt: no factorization, no warning
+    # from the symmetry check, and the first row holding a NaN or an
+    # infinity as the pivot
     small = np.array([[1.0, 0.5], [0.5, 1.0]])
     big = synth_covariance[:300, :300]
     cases = [
         _nan_pair(small, 0, 1), _inf_diagonal(small, 1),
         _nan_pair(big, 170, 90), _inf_diagonal(big, 200),
     ]
-    pivots = [chol_ridged(a)[2] for a in cases]
-    # a NaN pair stops the last attempt at its later row; an infinite
-    # diagonal makes the ridge infinite (and inf * 0 off the diagonal NaN),
-    # so the last attempt stops at pivot 0
-    assert pivots == [1, 0, 170, 0]
+    pivots = [int(np.flatnonzero(~np.isfinite(a).all(axis=1))[0]) for a in cases]
+    assert pivots == [0, 1, 90, 200]
+    attempts = []
+    monkeypatch.setattr(numerics, "_lapack_factor", lambda a: attempts.append(a))
     for a, pivot in zip(cases, pivots):
-        with pytest.raises(FactorizationError) as err:
-            cholesky(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FactorizationError) as err:
+                cholesky(a)
         assert err.value.pivot == pivot
+    assert attempts == []
+
+
+def test_solve_spd_with_a_square_right_hand_side_holds_one_copy(synth_covariance):
+    # the forward result is the only n x n array made: 1.25 n^2 doubles
+    # leave room for the block temporaries (two copies: 2.06 n^2)
+    f = cholesky(synth_covariance)
+    b = synth_covariance
+    n = len(b)
+    tracemalloc.start()
+    try:
+        x = solve_spd(f, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+    assert np.array_equal(x, solve_lower_t(f, solve_lower(f, b)))
 
 
 def test_cholesky_indefinite_pivot_beyond_first_block(synth_covariance):

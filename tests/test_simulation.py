@@ -11,9 +11,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 import georisk.simulation as sim
-from georisk.bootstrap import fit_pipeline, risk_maps
+from georisk.bootstrap import (
+    exceedance_probabilities,
+    fit_pipeline,
+    resample_indices,
+    risk_maps,
+)
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
-from georisk.geometry import make_regular_grid
+from georisk.geometry import cross_distances, make_regular_grid, pairwise_distances
+from georisk.numerics import cholesky
+from georisk.trend import prediction_weights
+from georisk.variogram import covariance_matrix
 from georisk.io import write_json, write_table_csv
 from georisk.simulation import (
     ExponentialVariogram,
@@ -300,6 +308,43 @@ def test_regular_replicate_same_with_rebuilt_design():
     a = _evaluate_replicate(sc, sample, 2, sim.MODES, truth_maps, shared, g)
     b = _evaluate_replicate(sc, sample, 2, sim.MODES, truth_maps, rebuilt, g)
     assert _slim(a) == _slim(b)
+
+
+def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
+    # the pipeline criterion's squared errors, mode by mode, against maps
+    # built directly: the replicate's own fit, its resampling rows, the
+    # residual factor to whiten and each mode's covariance to recorrelate
+    sc = table1_scenario("desk", nx=6, ny=6, n_boot=20, bandwidth_criterion="pipeline")
+    nodes = sc.prediction_grid().nodes()
+    truth_maps = {c: true_risk(nodes, c, sc) for c in sc.thresholds}
+    r = 1
+    design = _DesignContext.build(sc, simulate_field(sc, r).locations)
+    sample = simulate_field(sc, r, design)
+    rec = _evaluate_replicate(sc, sample, r, sim.MODES, truth_maps, design, None)
+
+    fit = fit_pipeline(sample)
+    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
+    keep = np.ones(len(nodes), dtype=bool)
+    keep[bad] = False
+    dists = cross_distances(nodes[keep], sample.locations)
+    true_factor = cholesky(covariance_matrix(sc.model, pairwise_distances(sample.locations)))
+    covariances = {
+        "theoretical": (sc.model, true_factor),
+        "residual": (fit.residual_model, fit.residual_factor),
+        "corrected": (fit.corrected_model, fit.corrected_factor),
+    }
+    idx = resample_indices(sample.n, sc.n_boot, sc.seed, r)
+    assert set(rec.mean_se) == {(m, c) for m in covariances for c in sc.thresholds}
+    for mode, (model, factor) in covariances.items():
+        probs = exceedance_probabilities(
+            fit.trend_fit, rows[keep], dists, fit.residual_factor, model, factor, idx,
+            sc.thresholds,
+        )
+        for c, p in zip(sc.thresholds, probs):
+            assert np.array_equal(rec.mean_se[(mode, c)], (truth_maps[c][keep] - p) ** 2)
+    # the modes' maps differ, so a swapped covariance cannot pass
+    errors = [rec.mean_se[(m, 2.5)] for m in covariances]
+    assert not any(np.array_equal(a, b) for a, b in zip(errors, errors[1:] + errors[:1]))
 
 
 def test_replicate_failures_carry_their_stage():
