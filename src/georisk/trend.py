@@ -34,7 +34,7 @@ import numpy as np
 
 from .exceptions import BandwidthTooSmallError, ConfigError
 from .geometry import BandwidthMatrix, RegularGrid, SpatialSample
-from .numerics import PRODUCT_KERNELS
+from .numerics import _triweight_1d
 
 _LOCAL_RIDGE = 1e-10
 _MIN_NEIGHBORS_FACTOR = 3  # admissibility asks for 3 (d+1) kernel neighbors
@@ -46,7 +46,6 @@ class SmootherMatrix:
 
     S: np.ndarray
     bandwidth: BandwidthMatrix
-    kernel: str = "triweight"
 
     @property
     def n(self) -> int:
@@ -156,24 +155,18 @@ def local_linear_weights(
     sample: SpatialSample,
     x,
     bandwidth: BandwidthMatrix,
-    kernel: str = "triweight",
 ) -> np.ndarray:
     """Weight vector s_x mapping observations to the fitted value at x.
 
     The weights reproduce affine functions: they sum to one and are
     orthogonal to the centered coordinates.
     """
-    return _local_fit(sample, bandwidth, kernel, points=x).hat_matrix()[0]
+    return _local_fit(sample, bandwidth, points=x).hat_matrix()[0]
 
 
-def smoother_matrix(
-    sample: SpatialSample,
-    bandwidth: BandwidthMatrix,
-    kernel: str = "triweight",
-) -> SmootherMatrix:
+def smoother_matrix(sample: SpatialSample, bandwidth: BandwidthMatrix) -> SmootherMatrix:
     """Hat matrix with row i equal to the weight vector at sample site i."""
-    rows = _local_fit(sample, bandwidth, kernel).hat_matrix()
-    return SmootherMatrix(S=rows, bandwidth=bandwidth, kernel=kernel)
+    return SmootherMatrix(S=_local_fit(sample, bandwidth).hat_matrix(), bandwidth=bandwidth)
 
 
 def apply_smoother(smoother: SmootherMatrix, sample: SpatialSample) -> TrendFit:
@@ -187,13 +180,9 @@ def apply_smoother(smoother: SmootherMatrix, sample: SpatialSample) -> TrendFit:
     )
 
 
-def fit_trend(
-    sample: SpatialSample,
-    bandwidth: BandwidthMatrix,
-    kernel: str = "triweight",
-) -> TrendFit:
+def fit_trend(sample: SpatialSample, bandwidth: BandwidthMatrix) -> TrendFit:
     """Fit the trend at the sample sites and return fitted values/residuals."""
-    return apply_smoother(smoother_matrix(sample, bandwidth, kernel), sample)
+    return apply_smoother(smoother_matrix(sample, bandwidth), sample)
 
 
 def prediction_weights(
@@ -208,11 +197,7 @@ def prediction_weights(
     """
     points = targets.nodes() if isinstance(targets, RegularGrid) else targets
     local = _local_fit(
-        fit.sample,
-        fit.smoother.bandwidth,
-        fit.smoother.kernel,
-        points=points,
-        on_singular=on_singular,
+        fit.sample, fit.smoother.bandwidth, points=points, on_singular=on_singular
     )
     return local.hat_matrix(out=local.weights), local.bad.tolist()
 
@@ -241,10 +226,10 @@ def _row_blocks(m: int, n: int):
 
 
 def _kernel_weights(
-    points, locations, bandwidth: BandwidthMatrix, kernel: str, min_neighbors: int = 0,
-    first_axis=None,
+    points, locations, bandwidth: BandwidthMatrix, min_neighbors: int = 0, first_axis=None
 ):
-    """Kernel matrix W_ij = K(H^-1 (x_j - p_i)) between points p and sites x.
+    """Kernel matrix W_ij = K(H^-1 (x_j - p_i)) between points p and sites x,
+    K the product triweight kernel.
 
     The 1/det(H) normalization is a per-row constant that cancels in the
     local linear weights, so it is omitted. W is filled one row block at a
@@ -256,11 +241,10 @@ def _kernel_weights(
     """
     m, d = points.shape
     n = locations.shape[0]
-    k1 = PRODUCT_KERNELS[kernel]
     scales = bandwidth.diagonal_scales()
 
     def factor(axis, sl):
-        return k1((locations[None, :, axis] - points[sl, None, axis]) / scales[axis])
+        return _triweight_1d((locations[None, :, axis] - points[sl, None, axis]) / scales[axis])
 
     w = np.empty((m, n))
     for sl in _row_blocks(m, n):
@@ -270,9 +254,9 @@ def _kernel_weights(
                 block = block * factor(axis, sl)
         else:
             u = (locations[None, :, :] - points[sl, None, :]) @ bandwidth.inverse
-            block = k1(u[..., 0])
+            block = _triweight_1d(u[..., 0])
             for axis in range(1, d):
-                block = block * k1(u[..., axis])
+                block = block * _triweight_1d(u[..., axis])
         counts = np.count_nonzero(block, axis=1)
         starved = np.flatnonzero(counts < min_neighbors)
         if starved.size:
@@ -353,7 +337,6 @@ class _LocalFit:
 def _local_fit(
     sample: SpatialSample,
     bandwidth: BandwidthMatrix,
-    kernel: str = "triweight",
     min_neighbors: int | None = None,
     first_axis=None,
     points=None,
@@ -389,7 +372,7 @@ def _local_fit(
 
     z = frame(locs)
     if points is None:
-        weights = _kernel_weights(locs, locs, bandwidth, kernel, min_neighbors, first_axis)
+        weights = _kernel_weights(locs, locs, bandwidth, min_neighbors, first_axis)
         p, starved = z, np.zeros(n, dtype=bool)
         pairs = [(k, j) for k in range(d) for j in range(k, d)]
         basis = np.column_stack([np.ones(n), z] + [z[:, k] * z[:, j] for k, j in pairs])
@@ -408,7 +391,7 @@ def _local_fit(
             ) + shift[:, k] * shift[:, j]
     else:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        weights = _kernel_weights(points, locs, bandwidth, kernel)
+        weights = _kernel_weights(points, locs, bandwidth)
         p = frame(points)
         m = len(p)
         sums = weights.sum(axis=1)
@@ -458,18 +441,18 @@ def _local_fit(
 # ---------------------------------------------------------------------------
 
 
-def _smoother(sample: SpatialSample, bandwidth, kernel: str):
+def _smoother(sample: SpatialSample, bandwidth):
     """What a criterion scores: a hat matrix or local fit as given, or the
     local fit at a bandwidth."""
     if isinstance(bandwidth, BandwidthMatrix):
-        return _local_fit(sample, bandwidth, kernel)
+        return _local_fit(sample, bandwidth)
     return bandwidth
 
 
-def cv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> float:
+def cv_score(sample: SpatialSample, bandwidth) -> float:
     """Leave-one-out CV via the hat-diagonal shortcut (exact for linear
     smoothers)."""
-    s = _smoother(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth)
     resid = sample.values - s.smooth(sample.values)
     denom = 1.0 - s.hat_diagonal()
     if np.any(denom <= 1e-12):
@@ -479,9 +462,9 @@ def cv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> flo
     return float(np.mean((resid / denom) ** 2))
 
 
-def gcv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> float:
+def gcv_score(sample: SpatialSample, bandwidth) -> float:
     """Generalized cross-validation score."""
-    s = _smoother(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth)
     resid = sample.values - s.smooth(sample.values)
     denom = 1.0 - s.trace / s.n
     if denom <= 1e-12:
@@ -489,15 +472,10 @@ def gcv_score(sample: SpatialSample, bandwidth, kernel: str = "triweight") -> fl
     return float(np.mean((resid / denom) ** 2))
 
 
-def cgcv_score(
-    sample: SpatialSample,
-    bandwidth,
-    correlation: np.ndarray,
-    kernel: str = "triweight",
-) -> float:
+def cgcv_score(sample: SpatialSample, bandwidth, correlation: np.ndarray) -> float:
     """Dependence-corrected GCV: the denominator uses tr(S R)/n so that
     positively correlated errors no longer reward undersmoothing."""
-    s = _smoother(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth)
     r = np.asarray(correlation, dtype=np.float64)
     denom = 1.0 - s.trace_with(r) / s.n
     if denom <= 1e-12:
@@ -513,11 +491,10 @@ def mase_score(
     bandwidth,
     true_mean: np.ndarray,
     covariance: np.ndarray,
-    kernel: str = "triweight",
 ) -> float:
     """Mean average squared error of the smoother against a known truth:
     squared-bias term plus tr(S Sigma S^T)/n. Simulation oracle only."""
-    s = _smoother(sample, bandwidth, kernel)
+    s = _smoother(sample, bandwidth)
     m = np.asarray(true_mean, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
     bias = s.smooth(m) - m
@@ -568,7 +545,6 @@ def select_bandwidth(
     correlation=None,
     true_mean=None,
     covariance=None,
-    kernel: str = "triweight",
 ):
     """Exhaustive criterion minimization over a diagonal bandwidth grid.
 
@@ -611,9 +587,9 @@ def select_bandwidth(
             first_axis = None  # release the old factor before building the next
             first_scale = h.entries[0, 0]
             x1 = sample.locations[:, :1]
-            first_axis = _kernel_weights(x1, x1, BandwidthMatrix.diagonal(first_scale), kernel)
+            first_axis = _kernel_weights(x1, x1, BandwidthMatrix.diagonal(first_scale))
         value = _candidate_score(
-            sample, h, score, kernel, min_neighbors, first_axis if h.is_diagonal else None
+            sample, h, score, min_neighbors, first_axis if h.is_diagonal else None
         )
         if value is None:
             continue
@@ -634,7 +610,7 @@ def select_bandwidth(
     for _ in range(40):
         scales = scales * 2.0
         h = BandwidthMatrix.diagonal(*scales)
-        if _candidate_score(sample, h, score, kernel, min_neighbors) is not None:
+        if _candidate_score(sample, h, score, min_neighbors) is not None:
             raise BandwidthTooSmallError(
                 "no admissible bandwidth on the search grid; smallest admissible "
                 f"diagonal found by doubling is {scales.tolist()}"
@@ -645,9 +621,9 @@ def select_bandwidth(
     )
 
 
-def _candidate_score(sample, h, score, kernel, min_neighbors, first_axis=None):
+def _candidate_score(sample, h, score, min_neighbors, first_axis=None):
     """The criterion at one candidate, or None when it is inadmissible."""
     try:
-        return score(_local_fit(sample, h, kernel, min_neighbors, first_axis))
+        return score(_local_fit(sample, h, min_neighbors, first_axis))
     except BandwidthTooSmallError:
         return None

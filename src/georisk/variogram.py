@@ -73,13 +73,6 @@ class EmpiricalVariogram:
         return float(self.lags[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class BiasMatrix:
-    """Distortion of the residual covariance induced by trend removal."""
-
-    B: np.ndarray
-
-
 def _basis_kernel(kernel_dim):
     if kernel_dim == 2:
         return bessel_j0
@@ -156,11 +149,6 @@ class VariogramModel:
                 flat_out[b0:b0 + step] += total
         out[u == 0.0] = 0.0
         return float(out[0]) if scalar else out
-
-
-def evaluate_model(model: VariogramModel, u):
-    """Semivariance of a fitted model at lag u (0 at u = 0 by convention)."""
-    return model.semivariance(u)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +473,9 @@ def empirical_variogram(
     return EmpiricalVariogram(lags=lag_grid, estimates=estimates, pair_counts=mass)
 
 
-def bias_matrix(smoother, covariance) -> BiasMatrix:
-    """S Sigma S^T - Sigma S^T - S Sigma for a hat matrix S and a symmetric
+def bias_matrix(smoother, covariance) -> np.ndarray:
+    """The distortion of the residual covariance that trend removal induces,
+    S Sigma S^T - Sigma S^T - S Sigma, for a hat matrix S and a symmetric
     Sigma, so that Sigma S^T = (S Sigma)^T."""
     s = smoother.S if hasattr(smoother, "S") else np.asarray(smoother, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
@@ -494,7 +483,7 @@ def bias_matrix(smoother, covariance) -> BiasMatrix:
     b = s_sigma @ s.T
     b -= s_sigma.T
     b -= s_sigma
-    return BiasMatrix(B=b)
+    return b
 
 
 def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
@@ -551,7 +540,7 @@ def bias_corrected_variogram(
     change = np.inf
     for iteration in range(1, max_iter + 1):
         c_hat = pseudo_covariances(current, pairs.matrix)
-        corrections = pairs.corrections(bias_matrix(s, c_hat).B)
+        corrections = pairs.corrections(bias_matrix(s, c_hat))
         updated = empirical_variogram(
             trend_fit.residuals, pairs, lag_grid, bandwidth,
             corrections=corrections, min_pairs=min_pairs,

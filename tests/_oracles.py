@@ -217,7 +217,7 @@ def bias_corrected_variogram_dense(
     best = None
     for _ in range(max_iter):
         pilot = EmpiricalVariogram(lag_grid, est, mass)
-        b = bias_matrix(trend_fit.smoother, pseudo_covariances(pilot, d)).B
+        b = bias_matrix(trend_fit.smoother, pseudo_covariances(pilot, d))
         diag = np.diag(b)
         corrections = diag[:, None] + diag[None, :] - 2.0 * b
         new_est, new_mass = empirical_variogram_dense(
@@ -289,16 +289,15 @@ def exceedance_probabilities_oneshot(
     return np.array([(values >= c).mean(axis=0) for c in thresholds])
 
 
-def _scaled_kernel(eval_points, locations, bandwidth, kernel):
-    """Kernel weights and bandwidth-scaled differences u = H^-1 (x_j - e_i)
-    for every pair at once.
+def _scaled_kernel(eval_points, locations, bandwidth):
+    """Product triweight kernel weights and bandwidth-scaled differences
+    u = H^-1 (x_j - e_i) for every pair at once.
 
     The 1/det(H) normalization is a per-row constant and cancels in the
     local linear weights, so it is omitted.
     """
-    from georisk.numerics import PRODUCT_KERNELS
+    from georisk.numerics import _triweight_1d as k1
 
-    k1 = PRODUCT_KERNELS[kernel]
     diffs = locations[None, :, :] - eval_points[:, None, :]
     if bandwidth.is_diagonal:
         u = diffs / bandwidth.diagonal_scales()[None, None, :]
@@ -315,7 +314,6 @@ def _weight_rows(
     eval_points,
     locations,
     bandwidth,
-    kernel="triweight",
     min_neighbors=None,
     on_singular="raise",
 ):
@@ -347,7 +345,6 @@ def _weight_rows(
             eval_points[sl],
             locations,
             bandwidth,
-            kernel,
             min_neighbors,
             rows[sl],
             bad_all[sl],
@@ -361,13 +358,12 @@ def _weight_rows(
 
 
 def _weight_rows_chunk(
-    eval_points, locations, bandwidth, kernel, min_neighbors, rows_out, bad_out,
-    counts_out,
+    eval_points, locations, bandwidth, min_neighbors, rows_out, bad_out, counts_out
 ):
     from georisk.trend import _solve_e1
 
     m, d = eval_points.shape
-    w, u = _scaled_kernel(eval_points, locations, bandwidth, kernel)
+    w, u = _scaled_kernel(eval_points, locations, bandwidth)
     counts = (w > 0.0).sum(axis=1)
     counts_out[:] = counts
     bad = counts < min_neighbors
@@ -417,8 +413,7 @@ def _weight_rows_chunk(
 
 
 def dense_bandwidth_scores(
-    sample, grid, criteria, correlation=None, true_mean=None, covariance=None,
-    kernel="triweight",
+    sample, grid, criteria, correlation=None, true_mean=None, covariance=None
 ):
     """Trend bandwidth criteria from explicit hat matrices, one per candidate.
 
@@ -437,7 +432,7 @@ def dense_bandwidth_scores(
     scores = {c: [] for c in criteria}
     for h in grid:
         try:
-            S, _ = _weight_rows(sample.locations, sample.locations, h, kernel, min_neighbors)
+            S, _ = _weight_rows(sample.locations, sample.locations, h, min_neighbors)
         except BandwidthTooSmallError:
             for c in criteria:
                 scores[c].append(None)

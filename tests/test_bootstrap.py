@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import georisk.bootstrap as bootstrap
 from _oracles import bootstrap_replicates_stepwise, exceedance_probabilities_oneshot
 from georisk.bootstrap import (
     _NODE_BLOCK,
     _REPLICATE_BLOCK,
     BootstrapEngine,
-    PipelineConfig,
     _factorize,
     _variogram_fit,
     build_engine,
@@ -19,13 +19,13 @@ from georisk.bootstrap import (
     exceedance_probabilities,
     fit_pipeline,
     map_targets,
+    mode_covariance,
+    mode_probabilities,
     resample_indices,
-    risk_map,
-    risk_map_mode,
     risk_maps,
     rng_stream,
 )
-from georisk.exceptions import ConfigError, FactorizationError
+from georisk.exceptions import BandwidthTooSmallError, ConfigError
 from georisk.geometry import (
     BandwidthMatrix,
     SpatialSample,
@@ -88,11 +88,13 @@ def test_pipeline_noise_free_affine_completes():
     assert any("degenerate" in note for note in fit.report.notes)
 
 
-def test_pipeline_max_outer_one_keeps_initial_bandwidth(fitted):
-    sample = field_sample()
-    single = fit_pipeline(sample, PipelineConfig(max_outer=1))
+def test_pipeline_max_outer_one_keeps_initial_bandwidth(fitted, monkeypatch):
+    # a single pass keeps the CV bandwidth the default fit starts from
+    monkeypatch.setattr(bootstrap, "MAX_OUTER", 1)
+    single = fit_pipeline(field_sample())
     assert len(single.report.h_history) == 1
     assert single.report.outer_iterations == 1
+    assert single.report.h_history[0] == fitted.report.h_history[0]
 
 
 def test_pipeline_explicit_bandwidth_pins_smoother():
@@ -130,12 +132,15 @@ def test_pipeline_corrected_sill_bracket():
 
 
 def test_pipeline_stage_labels():
-    # duplicate locations trip the distances stage via SpatialSample upstream;
-    # an impossible lag bandwidth cap surfaces with its stage label instead
-    sample = field_sample()
-    cfg = PipelineConfig(min_pairs=10**9)
-    with pytest.raises(Exception, match=r"\[lag bandwidth\]|\[variogram"):
-        fit_pipeline(sample, cfg)
+    # duplicate locations trip the distances stage via SpatialSample upstream.
+    # The corners of a square have no pair shorter than the widest lag
+    # bandwidth candidate, so every candidate starves the first lags (the
+    # trend bandwidth is pinned: four sites admit no trend search)
+    locs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    sample = SpatialSample(locs, np.array([0.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(BandwidthTooSmallError, match=r"^\[lag bandwidth\] ") as err:
+        fit_pipeline(sample, bandwidth=BandwidthMatrix.diagonal(10.0, 10.0))
+    assert err.value.stage == "lag bandwidth"
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +231,7 @@ def full_design():
     ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
     trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 0, ctx))
     g = select_lag_bandwidth(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid)
-    _, resid_model, _, corr_model = _variogram_fit(
-        trend_fit, ctx.site.pairs, ctx.site.lag_grid, g, PipelineConfig()
-    )
+    _, resid_model, _, corr_model = _variogram_fit(trend_fit, ctx.site.pairs, ctx.site.lag_grid, g)
     resid_factor, corr_factor = _factorize((resid_model, corr_model), ctx.site.dists)
     covariances = {
         "theoretical": (sc.model, ctx.factor_true),
@@ -340,14 +343,14 @@ def test_risk_map_threshold_limits(fitted):
 
 
 def test_risk_map_single_replicate_is_indicator(fitted):
-    m = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=1, seed=11)
+    m = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=1, seed=11)[0]
     vals = m.probabilities[~np.isnan(m.probabilities)]
     assert set(np.unique(vals)).issubset({0.0, 1.0})
 
 
 def test_risk_map_counts_are_integers(fitted):
     b = 37
-    m = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=b, seed=3)
+    m = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=b, seed=3)[0]
     counts = m.probabilities[~np.isnan(m.probabilities)] * b
     assert_allclose(counts, np.round(counts), atol=1e-9)
     assert np.nanmax(m.probabilities) <= 1.0
@@ -361,8 +364,8 @@ def test_risk_maps_monotone_in_threshold(fitted):
 
 
 def test_risk_map_seed_changes_map(fitted):
-    a = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=50, seed=1)
-    b = risk_map(fitted, SMALL_GRID, 2.5, n_replicates=50, seed=2)
+    a = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=50, seed=1)[0]
+    b = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=50, seed=2)[0]
     assert not np.array_equal(a.probabilities, b.probabilities, equal_nan=True)
 
 
@@ -372,65 +375,52 @@ def test_risk_map_seed_changes_map(fitted):
 
 
 def test_mode_corrected_equals_risk_maps(fitted):
-    via_mode = risk_map_mode(
-        fitted.sample, "corrected", SMALL_GRID, [2.5], n_replicates=60, seed=4, fit=fitted
-    )
+    # the default maps are the corrected mode's probabilities at the map
+    # targets, masked nodes NaN
     direct = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=60, seed=4)
-    assert np.array_equal(
-        via_mode[0].probabilities, direct[0].probabilities, equal_nan=True
-    )
+    via_mode = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=60, seed=4, mode="corrected")
+    targets = map_targets(fitted.trend_fit, SMALL_GRID.nodes())
+    idx = resample_indices(fitted.sample.n, 60, 4)
+    probs = mode_probabilities(
+        fitted.trend_fit, targets, idx, [2.5], ("corrected",), fitted.estimates
+    )["corrected"]
+    assert np.array_equal(via_mode[0].probabilities, direct[0].probabilities, equal_nan=True)
+    assert np.array_equal(direct[0].probabilities[~targets.mask], probs[0])
+    assert np.isnan(direct[0].probabilities[targets.mask]).all()
 
 
 def test_mode_residual_differs_from_corrected(fitted):
-    res = risk_map_mode(
-        fitted.sample, "residual", SMALL_GRID, [2.5], n_replicates=80, seed=4, fit=fitted
-    )[0]
+    res = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=80, seed=4, mode="residual")[0]
     cor = risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=80, seed=4)[0]
     assert not np.array_equal(res.probabilities, cor.probabilities, equal_nan=True)
 
 
 def test_mode_theoretical_requires_truth(fitted):
     with pytest.raises(ConfigError, match="theoretical"):
-        risk_map_mode(fitted.sample, "theoretical", SMALL_GRID, [2.5], n_replicates=10, seed=0)
+        risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=10, seed=0, mode="theoretical")
+    with pytest.raises(ConfigError, match="theoretical"):
+        mode_covariance("theoretical", fitted.estimates)
 
 
 def test_mode_theoretical_runs_with_truth(fitted):
+    # a simulation's true covariance recorrelates and kriges in its place
     true_model = VariogramModel(
         nugget=0.04, node_freqs=[6.0], node_weights=[0.12], kernel_dim=GAUSSIAN_DIM
     )
-    maps = risk_map_mode(
-        fitted.sample,
-        "theoretical",
-        SMALL_GRID,
-        [2.5],
-        n_replicates=40,
-        seed=8,
-        true_model=true_model,
-        bandwidth=BandwidthMatrix.diagonal(0.3, 0.3),
-    )
-    vals = maps[0].probabilities
-    assert np.nanmin(vals) >= 0.0 and np.nanmax(vals) <= 1.0
-
-
-def test_mode_theoretical_factorization_failure_carries_its_stage(fitted):
-    class Indefinite:  # covariance -1 at every pair: no ridge repairs it
-        sill = -1.0
-
-        @staticmethod
-        def semivariance(u):
-            return np.zeros_like(u)
-
-    with pytest.raises(FactorizationError) as err:
-        risk_map_mode(
-            fitted.sample, "theoretical", SMALL_GRID, [2.5], n_replicates=10, seed=0,
-            fit=fitted, true_model=Indefinite(), bandwidth=BandwidthMatrix.diagonal(0.3, 0.3),
-        )
-    assert err.value.stage == "covariance factorization"
+    theoretical = (true_model, *_factorize((true_model,), pairwise_distances(fitted.sample)))
+    assert mode_covariance("theoretical", fitted.estimates, theoretical) is theoretical
+    targets = map_targets(fitted.trend_fit, SMALL_GRID.nodes())
+    idx = resample_indices(fitted.sample.n, 40, 8)
+    probs = mode_probabilities(
+        fitted.trend_fit, targets, idx, [2.5], ("theoretical",), fitted.estimates, theoretical
+    )["theoretical"]
+    assert probs.shape == (1, int((~targets.mask).sum()))
+    assert probs.min() >= 0.0 and probs.max() <= 1.0
 
 
 def test_unknown_mode_rejected(fitted):
     with pytest.raises(ConfigError):
-        risk_map_mode(fitted.sample, "nope", SMALL_GRID, [2.5], n_replicates=10, seed=0)
+        risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=10, seed=0, mode="nope")
 
 
 def test_rng_stream_independent_of_call_order():

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from georisk.bootstrap import fit_pipeline, risk_maps
 from georisk.cli import main
-from georisk.io import write_synth_csv
+from georisk.geometry import make_regular_grid
+from georisk.io import ingest_csv, write_synth_csv
 
 
 @pytest.fixture(scope="module")
@@ -160,16 +162,27 @@ def test_config_file_precedence(tmp_path, synth_csv):
 
 
 def test_riskmap_residual_mode(tmp_path, synth_csv):
+    # 40 replicates: every k/40 has a short decimal, so the CSV's 12
+    # significant digits hold each probability exactly
     out = tmp_path / "resid"
     code = main([
         "riskmap", "--input", str(synth_csv), "--transform", "sqrt",
-        "--out", str(out), "--thresholds", "1.0", "--replicates", "30",
+        "--out", str(out), "--thresholds", "1.0", "--replicates", "40",
         "--grid", "8x8", "--seed", "6", "--mode", "residual",
     ])
     assert code == 0
     probs = read_probs(out / "riskmap_c1.csv")
     keep = ~np.isnan(probs)
     assert np.all((probs[keep] >= 0.0) & (probs[keep] <= 1.0))
+
+    sample = ingest_csv(synth_csv, "sqrt")
+    fit = fit_pipeline(sample)
+    box = [(sample.locations[:, k].min(), sample.locations[:, k].max()) for k in range(2)]
+    grid = make_regular_grid(box, (8, 8))
+    residual = risk_maps(fit, grid, [1.0], 40, 6, mode="residual")[0].probabilities
+    corrected = risk_maps(fit, grid, [1.0], 40, 6)[0].probabilities
+    assert np.array_equal(probs, residual, equal_nan=True)
+    assert not np.array_equal(probs, corrected, equal_nan=True)
 
 
 def test_simulate_table2_and_table3(tmp_path):

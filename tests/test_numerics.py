@@ -24,6 +24,7 @@ from georisk import numerics
 from georisk.io import synth_dataset
 from georisk.numerics import (
     CholeskyFactor,
+    _triweight_1d,
     bessel_j0,
     cholesky,
     nnls,
@@ -31,13 +32,17 @@ from georisk.numerics import (
     solve_lower,
     solve_lower_t,
     solve_spd,
-    triweight_1d,
-    triweight_kernel,
 )
 
 # ---------------------------------------------------------------------------
 # triweight kernel
 # ---------------------------------------------------------------------------
+
+
+def triweight_kernel(u):
+    """The trend's product kernel: one univariate factor per coordinate on
+    the last axis."""
+    return np.prod(_triweight_1d(u), axis=-1)
 
 
 def test_triweight_at_origin():
@@ -56,7 +61,7 @@ def test_triweight_integrates_to_one():
 
 def test_triweight_1d_integrates_to_one():
     xs = np.linspace(-1.0, 1.0, 20001)
-    assert np.trapezoid(triweight_1d(xs), xs) == pytest.approx(1.0, abs=1e-8)
+    assert np.trapezoid(_triweight_1d(xs), xs) == pytest.approx(1.0, abs=1e-8)
 
 
 @settings(max_examples=100, deadline=None)

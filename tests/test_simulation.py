@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import georisk.bootstrap as bootstrap
 import georisk.simulation as sim
 from georisk.bootstrap import (
     exceedance_probabilities,
@@ -356,6 +357,25 @@ def test_replicate_failures_carry_their_stage():
     for rec in res.replicates:
         assert rec.failed and rec.stage == "design (MASE bandwidth)"
         assert rec.error.startswith("[design (MASE bandwidth)]")
+
+
+def test_replicate_factorization_failure_carries_its_stage(monkeypatch):
+    # an estimated model whose covariance is -1 at every pair: no ridge
+    # repairs it, so every replicate fails where its estimates are factored
+    class Indefinite:
+        sill = -1.0
+
+        @staticmethod
+        def semivariance(u):
+            return np.zeros_like(u)
+
+    monkeypatch.setattr(bootstrap, "fit_shapiro_botha", lambda pilot: Indefinite())
+    sc = table1_scenario("desk", nx=6, ny=6, n_replicates=2, n_boot=5)
+    res = run_scenario(sc)
+    assert res.n_failures == 2 and not res.valid
+    for rec in res.replicates:
+        assert rec.failed and rec.stage == "covariance factorization"
+        assert rec.error.startswith("[covariance factorization]")
 
 
 def test_regular_design_failure_carries_its_stage():

@@ -21,7 +21,7 @@ from georisk.geometry import (
     pairwise_distances,
 )
 from georisk.io import synth_dataset
-from georisk.numerics import triweight_1d
+from georisk.numerics import _triweight_1d
 from georisk.simulation import (
     _DesignContext,
     simulate_field,
@@ -118,7 +118,7 @@ def test_weights_match_brute_force_wls():
     for x0 in ([0.5, 0.5], [0.2, 0.8], [0.65, 0.3]):
         x0 = np.asarray(x0)
         u = (locs - x0) / h
-        w = np.prod(triweight_1d(u), axis=-1)
+        w = np.prod(_triweight_1d(u), axis=-1)
         oracle = wls_affine_hat_row(locs, x0, w)
         ours = local_linear_weights(sample, x0, hmat)
         assert_allclose(ours, oracle, atol=1e-8)
@@ -146,7 +146,7 @@ def test_smoother_rowwise_equals_per_row_wls():
         s = smoother_matrix(sample, BandwidthMatrix.diagonal(h, h)).S
         for i in rng.choice(n, size=4, replace=False):
             u = (locs - locs[i]) / h
-            w = np.prod(triweight_1d(u), axis=-1)
+            w = np.prod(_triweight_1d(u), axis=-1)
             assert_allclose(s[i], wls_affine_hat_row(locs, locs[i], w), atol=1e-8)
 
 
@@ -158,7 +158,7 @@ def test_smoother_collinear_rows_match_wls():
     s = smoother_matrix(sample, h).S
     for i in range(5):
         u = (locs - locs[i]) / 1.5
-        w = np.prod(triweight_1d(u), axis=-1)
+        w = np.prod(_triweight_1d(u), axis=-1)
         assert_allclose(s[i], wls_affine_hat_row(locs, locs[i], w), atol=1e-8)
 
 
@@ -431,13 +431,13 @@ def test_kernel_weights_equal_dense_weights():
     rng = np.random.default_rng(14)
     locs = rng.uniform(size=(300, 2)) * [3.0, 1.0]
     for h in (BandwidthMatrix.diagonal(0.4, 0.15), BandwidthMatrix([[0.5, 0.1], [0.1, 0.3]])):
-        dense, _ = _scaled_kernel(locs, locs, h, "triweight")
-        assert np.array_equal(trend._kernel_weights(locs, locs, h, "triweight"), dense)
+        dense, _ = _scaled_kernel(locs, locs, h)
+        assert np.array_equal(trend._kernel_weights(locs, locs, h), dense)
     x1 = locs[:, :1]
-    first = trend._kernel_weights(x1, x1, BandwidthMatrix.diagonal(0.4), "triweight")
+    first = trend._kernel_weights(x1, x1, BandwidthMatrix.diagonal(0.4))
     h = BandwidthMatrix.diagonal(0.4, 0.15)
-    dense, _ = _scaled_kernel(locs, locs, h, "triweight")
-    ours = trend._kernel_weights(locs, locs, h, "triweight", first_axis=first)
+    dense, _ = _scaled_kernel(locs, locs, h)
+    ours = trend._kernel_weights(locs, locs, h, first_axis=first)
     assert np.array_equal(ours, dense)
 
 
@@ -471,7 +471,7 @@ def test_prediction_masks_nodes_off_a_flat_window():
     sample = SpatialSample(locs, 0.7 + locs @ slope)
     for scales, axis in (((0.04, 1.0), 0), ((0.6, 0.03), 1)):
         h = BandwidthMatrix.diagonal(*scales)
-        seen = _scaled_kernel(nodes, locs, h, "triweight")[0] > 0.0
+        seen = _scaled_kernel(nodes, locs, h)[0] > 0.0
         lines = [np.unique(locs[row, axis]) for row in seen]
         off = [
             i for i, line in enumerate(lines)
@@ -532,7 +532,7 @@ def test_full_bandwidth_rows_match_brute_force_wls():
     S = smoother_matrix(sample, h).S
 
     def agrees(row, x0):
-        w = np.prod(triweight_1d((locs - x0) @ h.inverse), axis=-1)
+        w = np.prod(_triweight_1d((locs - x0) @ h.inverse), axis=-1)
         oracle = wls_affine_hat_row(locs, x0, w)
         return np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
 

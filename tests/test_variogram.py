@@ -44,7 +44,6 @@ from georisk.variogram import (
     default_lag_grid,
     default_node_freqs,
     empirical_variogram,
-    evaluate_model,
     fit_shapiro_botha,
     pseudo_covariances,
     select_lag_bandwidth,
@@ -227,7 +226,7 @@ def test_pair_table_estimates_bit_identical_to_dense_path(field_n400):
     table = PairTable.from_distances(d)
     b = bias_matrix(fit.smoother, pseudo_covariances(
         empirical_variogram(fit.residuals, table, lags, 0.2), d
-    )).B
+    ))
     diag = np.diag(b)
     corrections = diag[:, None] + diag[None, :] - 2.0 * b
     for corr in (None, corrections):
@@ -318,7 +317,7 @@ def test_corrections_recover_error_scale_variogram():
     resid = eps - s.S @ eps
 
     sigma_realized = np.outer(eps, eps)
-    b = bias_matrix(s, sigma_realized).B
+    b = bias_matrix(s, sigma_realized)
     diag = np.diag(b)
     corrections = diag[:, None] + diag[None, :] - 2.0 * b
 
@@ -338,13 +337,13 @@ def test_bias_matrix_identity_smoother():
     rng = np.random.default_rng(5)
     sigma = rng.normal(size=(5, 5))
     sigma = sigma @ sigma.T
-    b = bias_matrix(np.eye(5), sigma).B
+    b = bias_matrix(np.eye(5), sigma)
     assert_allclose(b, -sigma, atol=1e-12)
 
 
 def test_bias_matrix_zero_smoother():
     sigma = np.eye(4)
-    assert_allclose(bias_matrix(np.zeros((4, 4)), sigma).B, np.zeros((4, 4)), atol=0)
+    assert_allclose(bias_matrix(np.zeros((4, 4)), sigma), np.zeros((4, 4)), atol=0)
 
 
 def test_bias_matrix_matches_triple_loop():
@@ -352,7 +351,7 @@ def test_bias_matrix_matches_triple_loop():
     s = rng.normal(size=(6, 6))
     sigma = rng.normal(size=(6, 6))
     sigma = sigma @ sigma.T
-    assert_allclose(bias_matrix(s, sigma).B, bias_matrix_tripleloop(s, sigma), atol=1e-12)
+    assert_allclose(bias_matrix(s, sigma), bias_matrix_tripleloop(s, sigma), atol=1e-12)
 
 
 def test_residual_covariance_identity():
@@ -362,10 +361,10 @@ def test_residual_covariance_identity():
     sigma = rng.normal(size=(7, 7))
     sigma = sigma @ sigma.T
     lhs = (np.eye(7) - s) @ sigma @ (np.eye(7) - s).T
-    rhs = sigma + bias_matrix(s, sigma).B
+    rhs = sigma + bias_matrix(s, sigma)
     assert_allclose(lhs, rhs, atol=1e-10)
     # and the pairwise-difference version
-    b = bias_matrix(s, sigma).B
+    b = bias_matrix(s, sigma)
     for i in range(7):
         for j in range(7):
             var_hat = lhs[i, i] + lhs[j, j] - 2.0 * lhs[i, j]
@@ -529,11 +528,11 @@ def test_fit_never_beats_nugget_only_fit():
 
 def test_evaluate_model_conventions():
     model = VariogramModel(nugget=0.3, node_freqs=[], node_weights=[], kernel_dim=GAUSS)
-    assert evaluate_model(model, 0.0) == 0.0
-    assert evaluate_model(model, 0.1) == pytest.approx(0.3)
+    assert model.semivariance(0.0) == 0.0
+    assert model.semivariance(0.1) == pytest.approx(0.3)
     single = VariogramModel(nugget=0.1, node_freqs=[2.0], node_weights=[0.5], kernel_dim=GAUSS)
     u = 0.5  # t*u = 1
-    assert evaluate_model(single, u) == pytest.approx(0.1 + 0.5 * (1.0 - math.exp(-1.0)))
+    assert single.semivariance(u) == pytest.approx(0.1 + 0.5 * (1.0 - math.exp(-1.0)))
 
 
 def test_evaluate_gaussian_model_monotone():
