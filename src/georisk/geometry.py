@@ -7,6 +7,7 @@ so no single-precision fast path exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,7 +147,21 @@ class BandwidthMatrix:
 
     @classmethod
     def diagonal(cls, *scales: float) -> "BandwidthMatrix":
-        return cls(np.diag(np.asarray(scales, dtype=np.float64)))
+        """diag(scales). A diagonal matrix is symmetric, and positive
+        definite exactly when every scale is positive, so only finiteness
+        and sign are checked (a search grid builds hundreds of these)."""
+        s = [float(v) for v in scales]
+        if not all(math.isfinite(v) for v in s):
+            raise DataError("bandwidth matrix must be finite")
+        if not all(v > 0.0 for v in s):
+            raise DataError("bandwidth matrix must be positive definite")
+        entries = np.zeros((len(s), len(s)))
+        entries.flat[:: len(s) + 1] = s
+        entries.flags.writeable = False
+        h = object.__new__(cls)
+        object.__setattr__(h, "entries", entries)
+        h.__dict__["is_diagonal"] = True
+        return h
 
     @property
     def d(self) -> int:
@@ -166,7 +181,7 @@ class BandwidthMatrix:
         return bool(np.all(off == 0.0))
 
     def diagonal_scales(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
+        return self.entries.diagonal().copy()
 
 
 def make_regular_grid(bounds, dims) -> RegularGrid:

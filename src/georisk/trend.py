@@ -16,14 +16,22 @@ whose window has no spread on an axis while the point lies off that line
 has no affine fit: it is masked or raises, as are points with too few
 neighbors or a singular design.
 
-The bandwidth search never forms S. For each candidate it builds W at the
-sites (the product kernel's first-axis factor is shared by the candidates
-with the same h_1) and solves the designs; the fitted values and diag S
-follow from W @ [y, z y]. CV, GCV and CGCV need nothing else but tr(S R),
-which comes from (W o R^T) @ [1, z]. Only the simulation's MASE oracle
-builds the rows, for tr(S Sigma S^T). One candidate takes a few O(n^2)
-passes and one n x 6 matrix product (MASE adds an n^3 product), and the
-winner's S is built once, by ``smoother_matrix``.
+The bandwidth search never forms S. Consecutive diagonal candidates with
+the same h_1 are scored as one stack of kernel matrices W at the sites,
+up to ``_STACK_ENTRIES`` entries (the ten candidates of one h_1 of the
+default grid at n = 100, one candidate from n = 363 on): the first axis's
+factor is built once per h_1, and the other axes' factors once per search
+when the stacks share their scales. The neighbor counts are read from the
+stack, and a candidate with a starved site is dropped before any design
+is built; the others' moments W @ [1, z, z z^T] and 3x3 solves run
+as one batch (``_site_designs``, ``_local_coef``). Each admissible
+candidate's ``_LocalFit`` is then a slice of the stack, scored by the
+public criterion: the fitted values and diag S follow from W @ [y, z y].
+CV, GCV and CGCV need nothing else but tr(S R), which comes from
+(W o R^T) @ [1, z]. Only the simulation's MASE oracle builds the rows, for
+tr(S Sigma S^T). One candidate takes a few O(n^2) passes and one n x 6
+matrix product (MASE adds an n^3 product), and the winner's S is built
+once, by ``smoother_matrix``.
 """
 
 from __future__ import annotations
@@ -225,9 +233,7 @@ def _row_blocks(m: int, n: int):
         yield slice(start, start + step)
 
 
-def _kernel_weights(
-    points, locations, bandwidth: BandwidthMatrix, min_neighbors: int = 0, first_axis=None
-):
+def _kernel_weights(points, locations, bandwidth: BandwidthMatrix, min_neighbors: int = 0):
     """Kernel matrix W_ij = K(H^-1 (x_j - p_i)) between points p and sites x,
     K the product triweight kernel.
 
@@ -235,9 +241,7 @@ def _kernel_weights(
     local linear weights, so it is omitted. W is filled one row block at a
     time, and the first block with a point that has fewer than
     ``min_neighbors`` positive weights raises BandwidthTooSmallError. For a
-    diagonal H the univariate factors are multiplied per block;
-    ``first_axis`` may pass in the first axis's factor, which depends on
-    h_1 alone.
+    diagonal H the univariate factors are multiplied per block.
     """
     m, d = points.shape
     n = locations.shape[0]
@@ -249,7 +253,7 @@ def _kernel_weights(
     w = np.empty((m, n))
     for sl in _row_blocks(m, n):
         if bandwidth.is_diagonal:
-            block = factor(0, sl) if first_axis is None else first_axis[sl]
+            block = factor(0, sl)
             for axis in range(1, d):
                 block = block * factor(axis, sl)
         else:
@@ -263,6 +267,17 @@ def _kernel_weights(
             raise _singular_design_error(starved + sl.start, counts[starved].min(), min_neighbors)
         w[sl] = block
     return w
+
+
+def _axis_factors(coords, scales) -> np.ndarray:
+    """The univariate triweight factors K((c_j - c_i) / s) of one axis at
+    the sites, one n x n matrix per scale s, filled one row block at a time."""
+    n = coords.size
+    out = np.empty((len(scales), n, n))
+    for k, s in enumerate(scales):
+        for sl in _row_blocks(n, n):
+            out[k, sl] = _triweight_1d((coords[None, :] - coords[sl, None]) / s)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,21 +349,82 @@ class _LocalFit:
         return rows
 
 
+def _frame(bandwidth: BandwidthMatrix, centred) -> np.ndarray:
+    """Centred coordinates mapped by H^-1."""
+    if bandwidth.is_diagonal:
+        return centred / bandwidth.diagonal_scales()
+    return centred @ bandwidth.inverse
+
+
+def _site_designs(weights, z):
+    """The unit-sum local designs of (1, z_j - z_i) at the sites, for a
+    stack of kernel matrices W (k, n, n) and frames z (k, n, d).
+
+    The designs come from the moments W @ [1, z, z z^T], one n x 6 product
+    per kernel matrix. Returns (sums, a, shift, mean): the row sums of W,
+    the designs (k, n, d+1, d+1), the weighted mean offsets of the window
+    from each site and the normalized moments.
+    """
+    n, d = z.shape[1:]
+    pairs = [(k, j) for k in range(d) for j in range(k, d)]
+    basis = np.concatenate(
+        [np.ones(z.shape[:2] + (1,)), z] + [z[..., k, None] * z[..., j, None] for k, j in pairs],
+        axis=2,
+    )
+    moments = weights @ basis
+    sums = moments[..., 0]
+    mean = moments[..., 1:] / sums[..., None]
+    # each second moment of (1, z_j - z_i) is the weighted covariance plus
+    # the product of the shifts, so z_i^2 never cancels against the raw
+    # moment
+    shift = mean[..., :d] - z
+    a = np.empty(z.shape[:2] + (d + 1, d + 1))
+    a[..., 0, 1:] = a[..., 1:, 0] = shift
+    for col, (k, j) in enumerate(pairs, start=d):
+        a[..., k + 1, j + 1] = a[..., j + 1, k + 1] = (
+            mean[..., col] - mean[..., k] * mean[..., j]
+        ) + shift[..., k] * shift[..., j]
+    a[..., 0, 0] = 1.0
+    return sums, a, shift, mean
+
+
+def _local_coef(a, shift, mean):
+    """Solve the unit-sum designs a (m, d+1, d+1), given each window's shift
+    and mean (m, >= d) in the H^-1 frame; returns (coef, offline).
+
+    A window with no spread on an axis (a regular design with h below the
+    spacing) has a weighted variance at rounding level there (observed
+    <= 2e-15 of the raw moment, genuine values >= 1e-5 of it). A point on
+    that line takes the ridged solve with that axis cleared, so c_k = 0; a
+    point off the line has no affine fit and is flagged ``offline``. Rows
+    whose design stays singular come back as NaN.
+    """
+    d = shift.shape[1]
+    offline = np.zeros(len(a), dtype=bool)
+    for k in range(d):
+        second = a[:, k + 1, k + 1]
+        bound = _FLAT_AXIS_TOL * (second + mean[:, k] ** 2)
+        flat = second - shift[:, k] ** 2 <= bound
+        offline |= flat & (shift[:, k] ** 2 > bound)
+        a[flat, k + 1, :] = 0.0
+        a[flat, :, k + 1] = 0.0
+    return _solve_e1(a), offline
+
+
 def _local_fit(
     sample: SpatialSample,
     bandwidth: BandwidthMatrix,
     min_neighbors: int | None = None,
-    first_axis=None,
     points=None,
     on_singular: str = "raise",
 ) -> _LocalFit:
     """Local linear fit at ``points``, by default at the sample sites.
 
     Each point's unit-sum design of (1, z_j - p_i) comes, at the sites,
-    from the moments W @ [1, z, z z^T] about the centred coordinates, one
-    n x 6 product; at other points it is summed directly over the point's
-    window, block by block, which stays accurate where a point lies outside
-    its window's hull.
+    from the moments W @ [1, z, z z^T] about the centred coordinates
+    (``_site_designs``); at other points it is summed directly over the
+    point's window, block by block, which stays accurate where a point lies
+    outside its window's hull.
 
     A point is bad when it has fewer than ``min_neighbors`` positive
     weights, when its window has no spread on an axis but the point lies off
@@ -364,35 +440,15 @@ def _local_fit(
     if min_neighbors is None:
         min_neighbors = d + 1
     centre = locs.mean(axis=0)
-
-    def frame(x):
-        if bandwidth.is_diagonal:
-            return (x - centre) / bandwidth.diagonal_scales()
-        return (x - centre) @ bandwidth.inverse
-
-    z = frame(locs)
+    z = _frame(bandwidth, locs - centre)
     if points is None:
-        weights = _kernel_weights(locs, locs, bandwidth, min_neighbors, first_axis)
+        weights = _kernel_weights(locs, locs, bandwidth, min_neighbors)
         p, starved = z, np.zeros(n, dtype=bool)
-        pairs = [(k, j) for k in range(d) for j in range(k, d)]
-        basis = np.column_stack([np.ones(n), z] + [z[:, k] * z[:, j] for k, j in pairs])
-        moments = weights @ basis
-        sums = moments[:, 0]
-        mean = moments[:, 1:] / sums[:, None]
-        # each second moment of (1, z_j - z_i) is the weighted covariance
-        # plus the product of the shifts, so z_i^2 never cancels against
-        # the raw moment
-        shift = mean[:, :d] - z
-        a = np.empty((n, d + 1, d + 1))
-        a[:, 0, 1:] = a[:, 1:, 0] = shift
-        for col, (k, j) in enumerate(pairs, start=d):
-            a[:, k + 1, j + 1] = a[:, j + 1, k + 1] = (
-                mean[:, col] - mean[:, k] * mean[:, j]
-            ) + shift[:, k] * shift[:, j]
+        sums, a, shift, mean = (x[0] for x in _site_designs(weights[None], z[None]))
     else:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         weights = _kernel_weights(points, locs, bandwidth)
-        p = frame(points)
+        p = _frame(bandwidth, points - centre)
         m = len(p)
         sums = weights.sum(axis=1)
         sums[sums == 0.0] = 1.0
@@ -409,24 +465,10 @@ def _local_fit(
                     a[sl, k + 1, j + 1] = a[sl, j + 1, k + 1] = (wdz * dz[j]).sum(axis=1)
         starved = counts < min_neighbors
         a[starved] = np.eye(d + 1)
+        a[:, 0, 0] = 1.0
         shift = a[:, 0, 1:].copy()
         mean = p + shift
-    a[:, 0, 0] = 1.0
-
-    # a window with no spread on an axis (a regular design with h below the
-    # spacing) has a weighted variance at rounding level there (observed
-    # <= 2e-15 of the raw moment, genuine values >= 1e-5 of it). A point on
-    # that line takes the ridged solve with that axis cleared, so c_k = 0;
-    # a point off the line has no affine fit
-    offline = np.zeros(len(p), dtype=bool)
-    for k in range(d):
-        second = a[:, k + 1, k + 1]
-        bound = _FLAT_AXIS_TOL * (second + mean[:, k] ** 2)
-        flat = second - shift[:, k] ** 2 <= bound
-        offline |= flat & (shift[:, k] ** 2 > bound)
-        a[flat, k + 1, :] = 0.0
-        a[flat, :, k + 1] = 0.0
-    coef = _solve_e1(a)
+    coef, offline = _local_coef(a, shift, mean)
     bad = np.flatnonzero(starved | offline | np.isnan(coef[:, 0]))
     if bad.size:
         if on_singular == "raise":
@@ -531,7 +573,7 @@ def default_bandwidth_grid(sample: SpatialSample, per_axis: int = 10):
         grids.append(np.geomspace(lo, hi, per_axis))
     axes = np.meshgrid(*grids, indexing="ij")
     combos = np.stack([a.ravel() for a in axes], axis=-1)
-    return [BandwidthMatrix.diagonal(*row) for row in combos]
+    return [BandwidthMatrix.diagonal(*row) for row in combos.tolist()]
 
 
 _CRITERIA = ("cv", "gcv", "cgcv", "mase")
@@ -555,8 +597,8 @@ def select_bandwidth(
     doubling the largest candidate.
 
     Each candidate is scored from its local fit (kernel moments), never from
-    a hat matrix. Consecutive diagonal candidates with the same first scale,
-    as in the default grid, share that axis's kernel factor.
+    a hat matrix; consecutive diagonal candidates with the same first scale,
+    as in the default grid, are scored as one stack (``_grid_scores``).
     """
     if criterion not in _CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
@@ -580,17 +622,8 @@ def select_bandwidth(
         return mase_score(sample, fit, true_mean, covariance)
 
     min_neighbors = _MIN_NEIGHBORS_FACTOR * (sample.d + 1)
-    first_scale, first_axis = None, None
     best = None
-    for h in search_grid:
-        if h.is_diagonal and h.entries[0, 0] != first_scale:
-            first_axis = None  # release the old factor before building the next
-            first_scale = h.entries[0, 0]
-            x1 = sample.locations[:, :1]
-            first_axis = _kernel_weights(x1, x1, BandwidthMatrix.diagonal(first_scale))
-        value = _candidate_score(
-            sample, h, score, min_neighbors, first_axis if h.is_diagonal else None
-        )
+    for h, value in zip(search_grid, _grid_scores(sample, search_grid, score, min_neighbors)):
         if value is None:
             continue
         if best is None:
@@ -610,7 +643,7 @@ def select_bandwidth(
     for _ in range(40):
         scales = scales * 2.0
         h = BandwidthMatrix.diagonal(*scales)
-        if _candidate_score(sample, h, score, min_neighbors) is not None:
+        if _grid_scores(sample, [h], score, min_neighbors)[0] is not None:
             raise BandwidthTooSmallError(
                 "no admissible bandwidth on the search grid; smallest admissible "
                 f"diagonal found by doubling is {scales.tolist()}"
@@ -621,9 +654,112 @@ def select_bandwidth(
     )
 
 
-def _candidate_score(sample, h, score, min_neighbors, first_axis=None):
-    """The criterion at one candidate, or None when it is inadmissible."""
-    try:
-        return score(_local_fit(sample, h, min_neighbors, first_axis))
-    except BandwidthTooSmallError:
-        return None
+_STACK_ENTRIES = 4 * _BLOCK_ENTRIES  # kernel entries one stacked search pass holds
+
+
+def _grid_scores(sample, grid, score, min_neighbors) -> list:
+    """The criterion ``score`` at every candidate of ``grid``, in order, or
+    None where the candidate is inadmissible.
+
+    Consecutive diagonal candidates with the same h_1 form one stack of at
+    most ``_STACK_ENTRIES`` kernel entries: 10 candidates of the default
+    grid at n = 100, one from n = 363 on. The stack's W is the first axis's
+    factor, built once per h_1, times the other axes' factors. When stacks
+    hold several candidates those factors are built whole and kept for the
+    next stack with the same scales (every stack of the default grid at
+    small n); a stack of one forms them per row block of W, so that a
+    starved candidate stops early. A general H is a stack of one.
+    """
+    locs = sample.locations
+    n, d = locs.shape
+    per_stack = max(1, _STACK_ENTRIES // (n * n))
+    values = []
+    first, first_factor = None, None
+    trailing, factors = None, None
+    i = 0
+    while i < len(grid):
+        j = i + 1
+        if grid[i].is_diagonal:
+            if grid[i].entries[0, 0] != first:
+                first_factor = None  # release the old factor before building the next
+                first = grid[i].entries[0, 0]
+                first_factor = _axis_factors(locs[:, 0], [first])[0]
+            while (
+                j < len(grid) and j - i < per_stack
+                and grid[j].is_diagonal and grid[j].entries[0, 0] == first
+            ):
+                j += 1
+            scales = np.array([h.diagonal_scales() for h in grid[i:j]])
+            if per_stack > 1 and (trailing is None or not np.array_equal(trailing, scales[:, 1:])):
+                factors = None
+                factors = [_axis_factors(locs[:, k], scales[:, k]) for k in range(1, d)]
+                trailing = scales[:, 1:]
+            w, fed = _stacked_weights(locs, first_factor, scales, factors, min_neighbors)
+        else:
+            w = _kernel_weights(locs, locs, grid[i])[None]
+            fed = np.count_nonzero(w[0], axis=1).min(keepdims=True) >= min_neighbors
+        values += _stack_scores(sample, grid[i:j], w, fed, score)
+        w = None
+        i = j
+    return values
+
+
+def _stacked_weights(locs, first_factor, scales, factors, min_neighbors):
+    """The stack's kernel matrices (k, n, n), the first axis's factor times
+    the other axes' ``factors`` (formed per row block from ``scales`` when
+    None), and which candidates have at least ``min_neighbors`` positive
+    weights at every site. W is filled one row block at a time and stops
+    once every candidate has a starved site."""
+    n, d = locs.shape
+    w = np.empty((len(scales), n, n))
+    fed = np.ones(len(scales), dtype=bool)
+    for sl in _row_blocks(n, n):
+        w[:, sl] = first_factor[sl]
+        for k in range(1, d):
+            if factors is None:
+                diff = locs[None, :, k] - locs[sl, None, k]
+                w[:, sl] *= _triweight_1d(diff / scales[:, k, None, None])
+            else:
+                w[:, sl] *= factors[k - 1][:, sl]
+        fed &= np.count_nonzero(w[:, sl], axis=2).min(axis=1) >= min_neighbors
+        if not fed.any():
+            break
+    return w, fed
+
+
+def _stack_scores(sample, stack, weights, fed, score) -> list:
+    """The criterion at each bandwidth of ``stack``, whose kernel matrices
+    at the sites are ``weights`` (k, n, n), or None where it is inadmissible.
+
+    Only the ``fed`` candidates (no starved site) are scored. Their designs
+    are formed and solved in one batch (``_site_designs``, ``_local_coef``);
+    a candidate with an off-line flat window or a singular design is
+    dropped, and ``score`` is called once on each remaining candidate's
+    local fit.
+    """
+    locs = sample.locations
+    n, d = locs.shape
+    values = [None] * len(stack)
+    fed = np.flatnonzero(fed)
+    if not fed.size:
+        return values
+    if fed.size < len(stack):
+        weights = weights[fed]
+    centred = locs - locs.mean(axis=0)
+    z = np.stack([_frame(stack[k], centred) for k in fed])
+    sums, a, shift, mean = _site_designs(weights, z)
+    coef, offline = _local_coef(
+        a.reshape(-1, d + 1, d + 1), shift.reshape(-1, d), mean.reshape(-1, mean.shape[-1])
+    )
+    coef = coef.reshape(len(fed), n, d + 1)
+    bad = (offline | np.isnan(coef[..., 0].ravel())).reshape(len(fed), n).any(axis=1)
+    none_bad = np.empty(0, dtype=np.intp)
+    for k in np.flatnonzero(~bad):
+        fit = _LocalFit(
+            weights=weights[k], sums=sums[k], coef=coef[k], z=z[k], p=z[k], bad=none_bad
+        )
+        try:
+            values[fed[k]] = score(fit)
+        except BandwidthTooSmallError:
+            pass
+    return values

@@ -275,11 +275,13 @@ def _shift_matrices():
             for j in range(9 - m):
                 coef[k, j, m] = poly[m + j] * math.comb(m + j, m)
     # T1 has degree 7, so the z-weighted moments stop at m = 7
-    return coef[:3].reshape(27, 9), coef[3:, :, :8].reshape(18, 8)
+    return coef[:3].reshape(27, 9), np.ascontiguousarray(coef[3:, :, :8].reshape(18, 8))
 
 
 _SHIFT_S, _SHIFT_T = _shift_matrices()
-_SUM_BLOCK = 16384  # pairs per block of running sums, targets per contraction
+_SUM_BLOCK = 16384  # pairs per block of running sums
+_STACK_PAIRS = _SUM_BLOCK // 8  # pairs in one padded stack of several segments
+_CONTRACT_BLOCK = 4096  # targets per contraction of moments into sums
 
 
 def _powers(x, count):
@@ -293,50 +295,101 @@ def _powers(x, count):
     return out
 
 
-def _add_sums(out, moments, q, update=np.add):
-    """Apply ``update`` to ``out`` (5, E) with the five sums over pair sets
-    with moments (17,) or (17, E), seen from targets at offsets q (E,)."""
-    q_pow = _powers(q, 9)
-    parts = ((out[:3], _SHIFT_S, moments[:9]), (out[3:], _SHIFT_T, moments[9:]))
-    for dest, coef, part in parts:
-        by_power = (coef @ part).reshape((dest.shape[0], 9) + moments.shape[1:])
-        if moments.ndim == 2:
-            sums = np.einsum("kje,je->ke", by_power, q_pow)
-        else:
-            sums = by_power @ q_pow
-        update(dest, sums, out=dest)
+def _by_power(moments) -> np.ndarray:
+    """The coefficients (5, 9, E) of q^0 .. q^8 in the five sums over E
+    pair sets with moments (17, E)."""
+    out = np.empty((5, 9, moments.shape[1]))
+    np.matmul(_SHIFT_S, moments[:9], out=out[:3].reshape(27, -1))
+    np.matmul(_SHIFT_T, moments[9:], out=out[3:].reshape(18, -1))
+    return out
 
 
-def _segment_pass(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds):
-    """One pass over the pairs p0..p1-1 of one segment; returns their
-    total moments.
+def _sums(by_power, q) -> np.ndarray:
+    """The five sums (5, E) whose coefficients by power of q are
+    ``by_power`` (5, 9, E), seen from targets at offsets q (E,)."""
+    return np.einsum("kje,je->ke", by_power, _powers(q, 9))
 
-    Block by block it forms the running sums from p0 of a^m (m <= 8) and
-    a^m z (m <= 7), a = (d - centre)/g; each block sums from zero and the
-    earlier blocks' total is added to the values it hands out. ``bounds``
-    lists (i0, positions, update): for the k-th position p (p0 <= p <= p1,
-    nondecreasing) the moments of pairs p0..p-1, seen from target i0 + k,
-    are applied with ``update`` to that target's column of ``out``.
+
+def _segment_chunks(lengths):
+    """Runs (a, b) of consecutive segments whose padded stack, segments x
+    longest, holds at most ``_STACK_PAIRS`` pairs; a longer segment is a
+    run of its own."""
+    a = 0
+    while a < len(lengths):
+        b, longest = a + 1, lengths[a]
+        while b < len(lengths) and (b + 1 - a) * max(longest, lengths[b]) <= _STACK_PAIRS:
+            longest = max(longest, lengths[b])
+            b += 1
+        yield a, b
+        a = b
+
+
+def _chunk_pass(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
+    """One pass over the pairs of a chunk of segments, p0[j]..p1[j]-1 for
+    segment j; returns their total moments (17, segments).
+
+    The segments are stacked into one padded (segments x longest) array
+    (entries past a segment's end repeat its last pair and are never read)
+    after a leading zero column, and the running sums from each segment's
+    start of a^m (m <= 8) and a^m z (m <= 7), a = (d - centre)/g, are
+    formed along its rows. A chunk of several segments is one block; a
+    longer segment is passed in blocks of ``_SUM_BLOCK`` pairs, each
+    summing from zero, the earlier blocks' total being added to the values
+    it hands out. ``bounds`` lists (r0, seg, rel, update): for the k-th
+    entry, the sums over the first rel[k] pairs of segment seg[k] (rel
+    nondecreasing when the chunk is one segment), seen from target r0 + k,
+    are applied with ``update`` to that target's column of ``out``,
+    ``_CONTRACT_BLOCK`` entries per contraction.
     """
-    carry = np.zeros(17)
-    for k0 in range(p0, p1, _SUM_BLOCK):
-        k1 = min(k0 + _SUM_BLOCK, p1)
-        running = np.empty((17, k1 - k0))
-        running[:9] = _powers((d_sorted[k0:k1] - centre) / g, 9)
-        np.multiply(running[:8], z_sorted[k0:k1], out=running[9:])
-        np.cumsum(running, axis=1, out=running)
-        # the moments at p0 are zero, so each block serves (k0, k1]
-        for i0, positions, update in bounds:
-            e0 = int(np.searchsorted(positions, k0, side="right"))
-            e1 = int(np.searchsorted(positions, k1, side="right"))
-            for c0 in range(e0, e1, _SUM_BLOCK):
-                c1 = min(c0 + _SUM_BLOCK, e1)
-                moments = np.take(running, positions[c0:c1] - (k0 + 1), axis=1)
-                moments += carry[:, None]
-                rows = slice(i0 + c0, i0 + c1)
-                _add_sums(out[:, rows], moments, (centre - t[rows]) / g, update)
-        carry = carry + running[:, -1]
+    count = p1 - p0
+    longest = int(count.max())
+    width = _SUM_BLOCK if count.size == 1 else longest
+    carry = np.zeros((17, count.size))
+    for c0 in range(0, longest, width):
+        c1 = min(c0 + width, longest)
+        cols = np.minimum(p0[:, None] + np.arange(c0, c1), p1[:, None] - 1)
+        running = np.empty((17, count.size, c1 - c0 + 1))
+        running[:, :, 0] = 0.0
+        running[:9, :, 1:] = _powers((d_sorted[cols] - centres[:, None]) / g, 9)
+        np.multiply(running[:8, :, 1:], z_sorted[cols], out=running[9:, :, 1:])
+        np.cumsum(running, axis=2, out=running)
+        flat = running.reshape(17, -1)
+        for r0, seg, rel, update in bounds:
+            # the entries this block serves, c0 < rel <= c1 (a zero rel in
+            # the first block reads the zero column)
+            lo, hi = 0, rel.size
+            if count.size == 1:
+                lo, hi = np.searchsorted(rel, [c0, c1], side="right")
+                lo = lo if c0 else 0
+            for e0 in range(lo, hi, _CONTRACT_BLOCK):
+                e = slice(e0, min(e0 + _CONTRACT_BLOCK, hi))
+                j = seg[e]
+                moments = np.take(flat, j * (c1 - c0 + 1) + (rel[e] - c0), axis=1)
+                if c0:
+                    moments += carry[:, j]
+                dest = out[:, r0 + e.start:r0 + e.stop]
+                q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+                update(dest, _sums(_by_power(moments), q), out=dest)
+        carry = carry + running[:, np.arange(count.size), np.minimum(count, c1) - c0]
     return carry
+
+
+def _span_entries(span_seg, span_rows, seg, shift, positions, p0, p1):
+    """The bound entries of the targets whose segment is ``shift`` past one
+    of the chunk's segments ``seg``: the first such target's row, the
+    chunk's segment each bound falls in, and how many of that segment's
+    pairs lie before the bound (``positions`` clipped to the segment; 0,
+    which hands out nothing, where that segment holds no pairs)."""
+    k0 = np.searchsorted(span_seg, seg[0] + shift, side="left")
+    k1 = np.searchsorted(span_seg, seg[-1] + shift, side="right")
+    wanted = span_seg[k0:k1] - shift
+    j = np.minimum(np.searchsorted(seg, wanted), seg.size - 1)
+    held = np.repeat(seg[j] == wanted, np.diff(span_rows[k0:k1 + 1]))
+    j = np.repeat(j, np.diff(span_rows[k0:k1 + 1]))
+    r0, r1 = span_rows[k0], span_rows[k1]
+    rel = np.clip(positions[r0:r1], p0[j], p1[j]) - p0[j]
+    rel[~held] = 0
+    return r0, j, rel
 
 
 def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
@@ -349,17 +402,25 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
 
     Pairs and targets are cut into width-g segments on one common origin;
     each segment has one centre. A target in segment s has its window start
-    in segment s - 1 and end in segment s + 1, so its sums add the tail of
-    s - 1 from the window start, all of s, and the head of s + 1 up to the
-    window end. One pass over each segment (``_segment_pass``) forms
-    running sums local to that segment, never over all P pairs, and hands
-    out the tail and head moments at the window bounds that fall in it.
-    Moments about a segment's centre (|a| <= 1/2) become kernel-weighted
-    sums for a target at q = (centre - t)/g (|q| <= 3/2) through fixed
-    9 x 9 coefficient matrices applied to the powers of q
-    (``_shift_matrices``). Apart from a few arrays with one value per
-    target (window bounds, results), work runs in blocks of at most
-    ``_SUM_BLOCK`` pairs and targets, so memory does not grow with P.
+    in segment s - 1 and end in segment s + 1, so its sums are all of
+    s - 1 and s, less the head of s - 1 before the window start, plus the
+    head of s + 1 up to the window end.
+
+    Consecutive segments are chunked so that a chunk's padded stack,
+    segments x longest, holds at most ``_STACK_PAIRS`` pairs, and a longer
+    segment is a chunk of its own: at P = 4,950 (n = 100) a chunk holds
+    several segments, and at n = 1053 most chunks hold one, summed
+    in blocks of ``_SUM_BLOCK`` pairs as a lone segment always was. One
+    pass over each chunk (``_chunk_pass``) forms running sums local to
+    each of its segments, never over all P pairs, and hands out the head
+    moments at the window bounds that fall in it, one contraction per kind
+    of bound and block of ``_CONTRACT_BLOCK`` targets. Moments about a
+    segment's centre (|a| <= 1/2) become kernel-weighted sums for a target
+    at q = (centre - t)/g (|q| <= 3/2) through fixed 9 x 9 coefficient
+    matrices applied to the powers of q (``_shift_matrices``). The totals
+    of s - 1 and then s are applied last, one span of targets at a time.
+    Apart from a few arrays with one value per target (window bounds,
+    results), work runs in blocks, so memory does not grow with P.
 
     A pair that rounding puts on the wrong side of a segment edge, just
     past a window bound, is dropped or counted with weight below 1e-40.
@@ -377,37 +438,42 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
         origin = min(t[0], d_sorted[0])
         target_seg = np.floor((t - origin) / g)
         firsts = np.r_[0, np.flatnonzero(target_seg[1:] != target_seg[:-1]) + 1]
-        spans = {
-            s: (i0, i1)
-            for s, i0, i1 in zip(target_seg[firsts], firsts, np.r_[firsts[1:], t.size])
-        }
+        # span k holds the targets span_rows[k]:span_rows[k + 1], of segment span_seg[k]
+        span_seg = target_seg[firsts]
+        span_rows = np.r_[firsts, t.size]
         del target_seg
-        # the segments some window meets, and their pairs
-        segments = np.unique(np.add.outer([-1.0, 0.0, 1.0], list(spans)))
-        starts = np.searchsorted(d_sorted, origin + segments * g, side="left")
-        stops = np.searchsorted(d_sorted, origin + (segments + 1.0) * g, side="left")
-        totals = {}
-        for s, p0, p1 in zip(segments, starts, stops):
-            if p0 == p1:
-                continue
-            bounds = []
-            if s + 1 in spans:  # window starts of the next segment's targets
-                i0, i1 = spans[s + 1]
-                bounds.append((i0, np.clip(left[i0:i1], p0, p1), np.subtract))
-            if s - 1 in spans:  # window ends of the previous segment's targets
-                i0, i1 = spans[s - 1]
-                bounds.append((i0, np.clip(right[i0:i1], p0, p1), np.add))
-            centre = origin + (s + 0.5) * g
-            total = _segment_pass(sums, t, d_sorted, z_sorted, p0, p1, centre, g, bounds)
-            totals[s] = (centre, total)
-        # the tail of s - 1 is its total minus the moments handed out above
-        for s, (i0, i1) in spans.items():
-            for key in (s - 1, s):
-                if key in totals:
-                    centre, total = totals[key]
-                    for c0 in range(i0, i1, _SUM_BLOCK):
-                        rows = slice(c0, min(c0 + _SUM_BLOCK, i1))
-                        _add_sums(sums[:, rows], total, (centre - t[rows]) / g)
+        # the segments some window meets that hold pairs
+        seg = np.unique(np.add.outer([-1.0, 0.0, 1.0], span_seg))
+        p0 = np.searchsorted(d_sorted, origin + seg * g, side="left")
+        p1 = np.searchsorted(d_sorted, origin + (seg + 1.0) * g, side="left")
+        held = p0 < p1
+        seg, p0, p1 = seg[held], p0[held], p1[held]
+        centres = origin + (seg + 0.5) * g
+        totals = np.empty((17, seg.size))
+        for a, b in _segment_chunks(p1 - p0):
+            chunk = slice(a, b)
+            # window starts of the next segments' targets, then window ends of
+            # the previous segments' targets
+            bounds = [
+                (*_span_entries(span_seg, span_rows, seg[chunk], shift, pos, p0[chunk], p1[chunk]),
+                 update)
+                for shift, pos, update in ((1.0, left, np.subtract), (-1.0, right, np.add))
+            ]
+            totals[:, chunk] = _chunk_pass(
+                sums, t, d_sorted, z_sorted, p0[chunk], p1[chunk], centres[chunk], g, bounds
+            )
+        # the tail of s - 1 is its total minus the moments handed out above;
+        # each target takes that total, then the total of its own segment
+        by_power = _by_power(totals)
+        for k, key in enumerate(span_seg):
+            i0, i1 = span_rows[k], span_rows[k + 1]
+            for held_key in (key - 1.0, key):
+                j = np.searchsorted(seg, held_key)
+                if j == seg.size or seg[j] != held_key:
+                    continue
+                for c0 in range(i0, i1, _CONTRACT_BLOCK):
+                    rows = slice(c0, min(c0 + _CONTRACT_BLOCK, i1))
+                    sums[:, rows] += by_power[:, :, j] @ _powers((centres[j] - t[rows]) / g, 9)
     if order is not None:
         unsorted = np.empty_like(sums)
         unsorted[:, order] = sums

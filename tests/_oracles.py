@@ -557,3 +557,136 @@ def solve_lower_t_rowwise(L, b):
         x[i] -= L[i + 1 :, i] @ x[i + 1 :]
         x[i] /= L[i, i]
     return x.reshape(np.shape(b))
+
+
+def select_bandwidth_per_candidate(sample, criterion, grid, **kwargs):
+    """The trend bandwidth search one candidate at a time: each candidate's
+    local fit at the sites (``_local_fit`` with the search's neighbor rule),
+    scored by the public criterion. Returns (winner, scores), None for an
+    inadmissible candidate, ties going as in ``select_from_scores``."""
+    from georisk import trend
+    from georisk.exceptions import BandwidthTooSmallError
+
+    score = {
+        "cv": trend.cv_score,
+        "gcv": trend.gcv_score,
+        "cgcv": lambda s, fit: trend.cgcv_score(s, fit, kwargs["correlation"]),
+        "mase": lambda s, fit: trend.mase_score(s, fit, kwargs["true_mean"], kwargs["covariance"]),
+    }[criterion]
+    min_neighbors = trend._MIN_NEIGHBORS_FACTOR * (sample.d + 1)
+    scores = []
+    for h in grid:
+        try:
+            scores.append(score(sample, trend._local_fit(sample, h, min_neighbors)))
+        except BandwidthTooSmallError:
+            scores.append(None)
+    admissible = [s for s in scores if s is not None]
+    return (select_from_scores(grid, scores) if admissible else None), scores
+
+
+def _add_moment_sums(out, moments, q, update=np.add):
+    """Apply ``update`` to ``out`` (5, E) with the five sums over pair sets
+    with moments (17,) or (17, E), seen from targets at offsets q (E,)."""
+    from georisk.variogram import _SHIFT_S, _SHIFT_T, _powers
+
+    q_pow = _powers(q, 9)
+    parts = ((out[:3], _SHIFT_S, moments[:9]), (out[3:], _SHIFT_T, moments[9:]))
+    for dest, coef, part in parts:
+        by_power = (coef @ part).reshape((dest.shape[0], 9) + moments.shape[1:])
+        if moments.ndim == 2:
+            sums = np.einsum("kje,je->ke", by_power, q_pow)
+        else:
+            sums = by_power @ q_pow
+        update(dest, sums, out=dest)
+
+
+def _segment_pass_one(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, block=16384):
+    """One pass over the pairs p0..p1-1 of one segment, in blocks of
+    running sums; hands out the moments at the window bounds listed in
+    ``bounds`` (i0, positions, update) and returns the segment's total."""
+    from georisk.variogram import _powers
+
+    carry = np.zeros(17)
+    for k0 in range(p0, p1, block):
+        k1 = min(k0 + block, p1)
+        running = np.empty((17, k1 - k0))
+        running[:9] = _powers((d_sorted[k0:k1] - centre) / g, 9)
+        np.multiply(running[:8], z_sorted[k0:k1], out=running[9:])
+        np.cumsum(running, axis=1, out=running)
+        for i0, positions, update in bounds:
+            e0 = int(np.searchsorted(positions, k0, side="right"))
+            e1 = int(np.searchsorted(positions, k1, side="right"))
+            for c0 in range(e0, e1, block):
+                c1 = min(c0 + block, e1)
+                moments = np.take(running, positions[c0:c1] - (k0 + 1), axis=1)
+                moments += carry[:, None]
+                rows = slice(i0 + c0, i0 + c1)
+                _add_moment_sums(out[:, rows], moments, (centre - t[rows]) / g, update)
+        carry = carry + running[:, -1]
+    return carry
+
+
+def lag_base_sums_per_segment(targets, d_sorted, z_sorted, bandwidth, block=16384):
+    """``variogram._lag_base_sums`` one width-g segment at a time: for each
+    segment one pass hands out the head moments at the window bounds that
+    fall in it, then each target adds the totals of its segment and the one
+    before. Returns (S0, S1, S2, T0, T1, count) for the targets in the
+    order given."""
+    t = np.asarray(targets, dtype=np.float64).ravel()
+    g = float(bandwidth)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    left = np.searchsorted(d_sorted, t - g, side="right")
+    right = np.searchsorted(d_sorted, t + g, side="left")
+    sums = np.zeros((5, t.size))
+    origin = min(t[0], d_sorted[0])
+    target_seg = np.floor((t - origin) / g)
+    firsts = np.r_[0, np.flatnonzero(target_seg[1:] != target_seg[:-1]) + 1]
+    spans = {
+        s: (i0, i1) for s, i0, i1 in zip(target_seg[firsts], firsts, np.r_[firsts[1:], t.size])
+    }
+    segments = np.unique(np.add.outer([-1.0, 0.0, 1.0], list(spans)))
+    starts = np.searchsorted(d_sorted, origin + segments * g, side="left")
+    stops = np.searchsorted(d_sorted, origin + (segments + 1.0) * g, side="left")
+    totals = {}
+    for s, p0, p1 in zip(segments, starts, stops):
+        if p0 == p1:
+            continue
+        bounds = []
+        if s + 1 in spans:
+            i0, i1 = spans[s + 1]
+            bounds.append((i0, np.clip(left[i0:i1], p0, p1), np.subtract))
+        if s - 1 in spans:
+            i0, i1 = spans[s - 1]
+            bounds.append((i0, np.clip(right[i0:i1], p0, p1), np.add))
+        centre = origin + (s + 0.5) * g
+        totals[s] = (centre, _segment_pass_one(sums, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, block))
+    for s, (i0, i1) in spans.items():
+        for key in (s - 1, s):
+            if key in totals:
+                centre, total = totals[key]
+                _add_moment_sums(sums[:, i0:i1], total, (centre - t[i0:i1]) / g)
+    unsorted = np.empty_like(sums)
+    unsorted[:, order] = sums
+    count = np.empty_like(left)
+    count[order] = right - left
+    unsorted[1] *= g
+    unsorted[2] *= g * g
+    unsorted[4] *= g
+    return (*unsorted, count)
+
+
+def lag_sums_naive_many(targets, pair_dists, pair_z, bandwidth):
+    """``local_lag_sums_naive`` at many targets at once: (sums, abs_sums,
+    counts) with sums and abs_sums of shape (5, targets)."""
+    d = np.asarray(pair_dists, dtype=np.float64)
+    z = np.asarray(pair_z, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    dd = d[None, :] - t[:, None]
+    inside = np.abs(dd) < bandwidth
+    u = dd / bandwidth
+    w = np.where(inside, (1.0 - u * u) ** 3, 0.0)
+    terms = (w, w * dd, w * dd * dd, w * z, w * dd * z)
+    sums = np.array([x.sum(axis=1) for x in terms])
+    abs_sums = np.array([np.abs(x).sum(axis=1) for x in terms])
+    return sums, abs_sums, inside.sum(axis=1)

@@ -145,6 +145,29 @@ def test_bandwidth_matrix_rejects_indefinite():
         BandwidthMatrix([[1.0, 0.5], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "scales, message",
+    [((0.0, 0.3), "positive definite"), ((0.4, -0.3), "positive definite"),
+     ((np.nan, 0.3), "finite"), ((0.4, np.inf), "finite")],
+)
+def test_bandwidth_matrix_diagonal_rejects_bad_scales(scales, message):
+    with pytest.raises(DataError, match=message):
+        BandwidthMatrix.diagonal(*scales)
+    # the general constructor rejects the same matrices with the same message
+    with pytest.raises(DataError, match=message):
+        BandwidthMatrix(np.diag(scales))
+
+
+def test_bandwidth_matrix_diagonal_equals_general_constructor():
+    for scales in ((0.5, 0.25), (1e-4, 3e3), (0.1,), (0.2, 0.3, 0.7)):
+        fast, general = BandwidthMatrix.diagonal(*scales), BandwidthMatrix(np.diag(scales))
+        assert np.array_equal(fast.entries, general.entries)
+        assert not fast.entries.flags.writeable
+        assert fast.det == general.det
+        assert np.array_equal(fast.inverse, general.inverse)
+        assert fast.is_diagonal and general.is_diagonal
+
+
 def test_regular_grid_validation():
     with pytest.raises(DataError):
         RegularGrid((0.0,), (0.0,), (3,))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from _oracles import (
     _scaled_kernel,
     _weight_rows,
     dense_bandwidth_scores,
+    select_bandwidth_per_candidate,
     select_from_scores,
     solve_e1_rowwise,
     wls_affine_hat_row,
 )
 from georisk import trend
+from georisk.bootstrap import fit_pipeline
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
 from georisk.geometry import (
     BandwidthMatrix,
@@ -42,6 +45,7 @@ from georisk.trend import (
     select_bandwidth,
     smoother_matrix,
 )
+from georisk.variogram import correlation_matrix
 
 
 def bench_surface(pts):
@@ -433,12 +437,13 @@ def test_kernel_weights_equal_dense_weights():
     for h in (BandwidthMatrix.diagonal(0.4, 0.15), BandwidthMatrix([[0.5, 0.1], [0.1, 0.3]])):
         dense, _ = _scaled_kernel(locs, locs, h)
         assert np.array_equal(trend._kernel_weights(locs, locs, h), dense)
-    x1 = locs[:, :1]
-    first = trend._kernel_weights(x1, x1, BandwidthMatrix.diagonal(0.4))
-    h = BandwidthMatrix.diagonal(0.4, 0.15)
-    dense, _ = _scaled_kernel(locs, locs, h)
-    ours = trend._kernel_weights(locs, locs, h, first_axis=first)
-    assert np.array_equal(ours, dense)
+    # the search's stacked W: one first-axis factor times a stack of
+    # second-axis factors
+    second = trend._axis_factors(locs[:, 1], [0.15, 0.3])
+    stacked = trend._axis_factors(locs[:, 0], [0.4]) * second
+    for k, h_y in enumerate((0.15, 0.3)):
+        dense, _ = _scaled_kernel(locs, locs, BandwidthMatrix.diagonal(0.4, h_y))
+        assert np.array_equal(stacked[k], dense)
 
 
 def test_local_fit_flat_axis_matches_dense_rows():
@@ -715,3 +720,110 @@ def test_solve_e1_singular_stacks_of_study_design_match_rowwise(monkeypatch):
     assert len(single_calls) == 0
     for a in raised:
         assert np.array_equal(solve_e1(a), solve_e1_rowwise(a), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the stacked search against the per-candidate loop
+# ---------------------------------------------------------------------------
+
+
+def _stacked_scores(sample, criterion, grid, **kw):
+    """Every candidate's score from the stacked pass, None if inadmissible."""
+    score = {
+        "cv": lambda fit: cv_score(sample, fit),
+        "gcv": lambda fit: gcv_score(sample, fit),
+        "cgcv": lambda fit: cgcv_score(sample, fit, **kw),
+        "mase": lambda fit: mase_score(sample, fit, **kw),
+    }[criterion]
+    return trend._grid_scores(sample, grid, score, SEARCH_NEIGHBORS)
+
+
+def _assert_search_matches_loop(sample, criterion, grid, **kw):
+    want, ref = select_bandwidth_per_candidate(sample, criterion, grid, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _stacked_scores(sample, criterion, grid, **kw)
+        chosen = select_bandwidth(sample, criterion, grid, **kw) if want is not None else None
+    assert [s is None for s in ours] == [s is None for s in ref], criterion
+    for a, b in zip(ours, ref):
+        if b is not None:
+            assert abs(a - b) <= 1e-12 * abs(b), criterion
+    if want is not None:
+        assert np.array_equal(chosen.entries, want.entries), criterion
+    return ref
+
+
+def test_stacked_search_matches_per_candidate_loop_on_study_designs():
+    # the first 10 table3 desk designs of study seed 20240 (random sites) and
+    # the regular 10 x 10 table1 desk design, whose h_x stacks below the
+    # grid spacing hold flat-axis candidates
+    cases = [(table3_scenario("desk", seed=20240), r) for r in range(10)]
+    cases.append((table1_scenario("desk", seed=20240), 0))
+    for scenario, r in cases:
+        field = simulate_field(scenario, r)
+        design = _DesignContext.truth(scenario, field.locations)
+        grid = default_bandwidth_grid(field)
+        template = SpatialSample(field.locations, design.m_true)
+        for criterion, sample, kw in (
+            ("cv", field, {}),
+            ("gcv", field, {}),
+            ("cgcv", field, {"correlation": correlation_matrix(design.sigma_true)}),
+            ("mase", template, {"true_mean": design.m_true, "covariance": design.sigma_true}),
+        ):
+            ref = _assert_search_matches_loop(sample, criterion, grid, **kw)
+            assert 0 < sum(s is not None for s in ref) < len(grid), (r, criterion)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(8, "did not help"), (9, "smallest admissible diagonal found by doubling"), (10, None)],
+)
+def test_smallest_uniform_designs_through_the_pipeline(n, message):
+    # n = 8 has fewer sites than the 9 kernel neighbors a candidate needs;
+    # n = 9 needs every site in every window, which only doubling reaches;
+    # n = 10 selects a bandwidth on the default grid
+    rng = np.random.default_rng(n)
+    sample = SpatialSample(rng.uniform(size=(n, 2)), rng.normal(size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            fit = fit_pipeline(sample)
+            want, _ = select_bandwidth_per_candidate(sample, "cv", default_bandwidth_grid(sample))
+            assert fit.report.h_history[0] == tuple(want.diagonal_scales())
+            return
+        with pytest.raises(BandwidthTooSmallError, match=message) as err:
+            fit_pipeline(sample)
+    assert err.value.stage == "initial bandwidth (independence CV)"
+    assert str(err.value).startswith("[initial bandwidth (independence CV)]")
+
+
+def test_search_skips_a_wholly_starved_stack():
+    field = simulate_field(table3_scenario("desk", seed=20240), 0)
+    grid = default_bandwidth_grid(field)
+    # an h_x far below the site spacing starves all ten of its candidates
+    starved = [BandwidthMatrix.diagonal(1e-4, h.entries[1, 1]) for h in grid[:10]]
+    ref = _assert_search_matches_loop(field, "cv", starved + grid[50:70])
+    assert ref[:10] == [None] * 10 and any(s is not None for s in ref[10:])
+    with pytest.raises(BandwidthTooSmallError, match="doubling"):
+        select_bandwidth(field, "cv", starved)
+
+
+def test_stack_mixing_starved_flat_axis_and_admissible_candidates():
+    # rows of 10 sites, 0.1 apart in x and y, plus a row of 5 at y = 0.85:
+    # with h_x = 0.95 every window spans its whole row, and h_y = 0.04
+    # starves the short row, h_y = 0.07 leaves the rows 0.0 .. 0.7 alone in
+    # their windows (no spread in y, each site on its window's line) while
+    # the short row's windows reach the rows at 0.8 and 0.9, and h_y = 0.3
+    # gives every window spread on both axes
+    x = np.arange(10) * 0.1
+    rows = [np.column_stack([x, np.full(10, y)]) for y in np.arange(10) * 0.1]
+    rows.append(np.column_stack([x[::2] + 0.05, np.full(5, 0.85)]))
+    locs = np.vstack(rows)
+    rng = np.random.default_rng(21)
+    sample = SpatialSample(locs, bench_surface(locs) + 0.1 * rng.normal(size=len(locs)))
+    grid = [BandwidthMatrix.diagonal(0.95, h_y) for h_y in (0.04, 0.07, 0.3)]
+    w = trend._kernel_weights(locs, locs, grid[1])
+    assert np.all(locs[w[0] > 0, 1] == 0.0)  # the first site's window is flat in y
+    for criterion in ("cv", "gcv"):
+        ref = _assert_search_matches_loop(sample, criterion, grid)
+        assert ref[0] is None and ref[1] is not None and ref[2] is not None

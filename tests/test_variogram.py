@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from _oracles import (
     bias_corrected_variogram_dense,
     bias_matrix_tripleloop,
     empirical_variogram_dense,
+    lag_base_sums_per_segment,
+    lag_sums_naive_many,
     local_lag_fit_naive,
     local_lag_sums_naive,
     semivariance_dense,
 )
-from georisk import bootstrap
+from georisk import bootstrap, variogram
 from georisk.exceptions import (
     BandwidthTooSmallError,
     ConfigError,
@@ -27,6 +30,7 @@ from georisk.geometry import (
 )
 from georisk.io import synth_dataset
 from georisk.numerics import bessel_j0
+from georisk.simulation import simulate_field, table1_scenario, table3_scenario
 from georisk.trend import fit_trend, smoother_matrix
 from georisk.variogram import (
     EmpiricalVariogram,
@@ -205,6 +209,76 @@ def test_loo_score_equals_one_array_sum_at_realistic_size(pairs_n1000):
             terms = ((0.5 * values[usable] - gamma[usable]) / gamma[usable]) ** 2
             assert _pair_loo_score(table.distances, values, lags, g, 5) == float(terms.sum())
     assert skipped > 0
+
+
+@pytest.fixture(scope="module", params=["table3", "table1"])
+def desk_pairs(request):
+    """P = 4,950 pairs of a desk design of study seed 20240 and its centred
+    field values: the random table3 sites, or the regular 10 x 10 table1
+    grid, whose repeated distances fall on segment edges."""
+    make = table3_scenario if request.param == "table3" else table1_scenario
+    field = simulate_field(make("desk", seed=20240), 0)
+    table = PairTable.from_distances(pairwise_distances(field.locations))
+    return request.param, table, field.values - field.values.mean()
+
+
+def test_chunked_sums_match_direct_sums_at_desk_size(desk_pairs):
+    # every pair as a target, as in the leave-one-out score, for all ten
+    # default candidates, checked at a spread of targets that includes every
+    # repeated distance: counts exact, sums within 1e-10 of the sum of the
+    # absolute values of their terms. On the regular grid a narrow window
+    # can hold only pairs at the target's own distance, so that S1 and T1
+    # are sums of zeros there; moments about a segment centre carry them to
+    # about 1e-14 (as the per-segment sums did), so the bound there adds
+    # 1e-10 g^p times the window's zero-order sum, the largest the terms'
+    # scale (d - t)^p can reach
+    design, table, resid = desk_pairs
+    d, z = table.distances, table.squared_differences(resid)
+    assert d.size == 4950
+    # every 8th target and the first pair at each repeated distance
+    _, first, repeats = np.unique(d, return_index=True, return_counts=True)
+    checked = np.union1d(np.arange(0, d.size, 8), first[repeats > 1])
+    for g in default_lag_bandwidths(table.matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = _lag_base_sums(d, d, z, g)
+        for k0 in range(0, checked.size, 250):
+            rows = checked[k0:k0 + 250]
+            ref, abs_ref, count = lag_sums_naive_many(d[rows], d, z, g)
+            assert np.array_equal(sums[5][rows], count), g
+            for k, p in enumerate((0, 1, 2, 0, 1)):
+                scale = abs_ref[k]
+                if design == "table1":
+                    scale = scale + g**p * abs_ref[0 if k < 3 else 3]
+                assert np.all(np.abs(sums[k][rows] - ref[k]) <= 1e-10 * scale), (g, k)
+
+
+def _loo_scores(table, resid, lags):
+    """The leave-one-pair-out score of each default candidate, None where
+    the candidate is inadmissible on the lag grid."""
+    z = table.squared_differences(resid)
+    scores = []
+    for g in default_lag_bandwidths(table.matrix):
+        try:
+            scores.append(_pair_loo_score(table.distances, z, lags, g, 5))
+        except BandwidthTooSmallError:
+            scores.append(None)
+    return scores
+
+
+def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch):
+    _, table, resid = desk_pairs
+    lags = default_lag_grid(table.matrix)
+    chosen = select_lag_bandwidth(resid, table, lags)
+    scores = _loo_scores(table, resid, lags)
+    monkeypatch.setattr(variogram, "_lag_base_sums", lag_base_sums_per_segment)
+    assert select_lag_bandwidth(resid, table, lags) == chosen
+    ref = _loo_scores(table, resid, lags)
+    assert [s is None for s in scores] == [s is None for s in ref]
+    assert sum(s is not None for s in ref) >= 5
+    for score, want in zip(scores, ref):
+        if want is not None:
+            assert score == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
