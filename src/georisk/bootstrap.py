@@ -16,26 +16,30 @@ are ``offset + gain @ e*`` with
     W = T + C0 Sigma^-1 (I - S),    offset = W f,    gain = W L,
 
 where T holds the smoother rows at the map nodes, C0 the covariances from
-the nodes to the sites and S the hat matrix. ``build_engine`` forms this
-operator once per covariance mode: it solves Sigma^-1 (I - S) against f
-and L once, then builds ``offset`` and ``gain`` per block of map nodes,
-each block with its own rows of C0, so no full C0 is formed. Replicates
-are evaluated per block of resampling rows, one matrix product each, and
-exceedance probabilities are the integer exceedance counts over all
-blocks divided by the number of replicates.
+the nodes to the sites and S the hat matrix. The map targets come in
+blocks of map nodes, each with its kept nodes' smoother rows, its mask of
+nodes whose local design is singular and its kept nodes' distances to the
+sites. ``build_engine`` forms the operator once per covariance mode: it
+solves Sigma^-1 (I - S) against f and L once, then builds ``offset`` and
+``gain`` block by block, each block with its own rows of T and C0, so
+neither full T nor full C0 need exist. Replicates are evaluated per block
+of resampling rows, one matrix product each, and exceedance probabilities
+are the integer exceedance counts over all blocks divided by the number
+of replicates.
 
 A covariance mode names the (model, factor) that recorrelates and kriges:
 the bias-corrected estimate, the residual-scale estimate or, in a
 simulation, the true covariance. ``mode_covariance`` resolves a mode and
 ``mode_probabilities`` evaluates several from one set of resampling rows
-at the ``map_targets`` (smoother rows, mask and kept-node distances).
-``risk_maps`` draws a fitted pipeline's maps under one of the two
-estimates; the simulation study, which alone knows the true covariance,
-calls ``mode_probabilities`` itself.
+at the held blocks of ``map_targets``. ``risk_maps`` draws a fitted
+pipeline's maps under one of the two estimates, forming each target block
+inside the operator loop; the simulation study, which alone knows the true
+covariance, holds its targets and calls ``mode_probabilities`` itself.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -299,11 +303,67 @@ def decorrelate_residuals(residuals, factor: CholeskyFactor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap operator
+# Map targets
 # ---------------------------------------------------------------------------
 
 
-_NODE_BLOCK = 256  # map nodes per block of the operator build
+_NODE_BLOCK = 256  # map nodes per target block of the operator build
+
+
+class TargetBlock(NamedTuple):
+    """One block of at most ``_NODE_BLOCK`` map nodes: the smoother rows of
+    its kept nodes, its mask of the nodes whose local design is singular,
+    and its kept nodes' distances to the sample sites."""
+
+    rows: np.ndarray
+    mask: np.ndarray
+    dists: np.ndarray
+
+
+class MapTargets(NamedTuple):
+    """The map nodes a trend can predict at, ``n_nodes`` in all, as one
+    ``TargetBlock`` per ``_NODE_BLOCK`` nodes.
+
+    ``map_targets`` forms every block and holds them, for callers that
+    reuse them across modes or replicates. ``risk_maps`` passes a one-pass
+    generator instead, so each block is formed when the operator loop
+    reaches it and dropped before the next.
+    """
+
+    n_nodes: int
+    blocks: Iterable[TargetBlock]
+
+    @property
+    def mask(self) -> np.ndarray:
+        """The masked nodes, from held blocks."""
+        return np.concatenate([block.mask for block in self.blocks])
+
+
+def _target_block(trend_fit: TrendFit, nodes: np.ndarray) -> TargetBlock:
+    rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
+    mask = np.zeros(len(nodes), dtype=bool)
+    mask[bad] = True
+    rows = rows[~mask]  # the full rows die here, before the distances exist
+    return TargetBlock(rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations))
+
+
+def _target_blocks(trend_fit: TrendFit, nodes: np.ndarray) -> Iterator[TargetBlock]:
+    """The target blocks at ``nodes``, each formed when it is reached."""
+    return (
+        _target_block(trend_fit, nodes[lo:lo + _NODE_BLOCK])
+        for lo in range(0, len(nodes), _NODE_BLOCK)
+    )
+
+
+def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
+    """The trend's map targets at ``nodes``, every block formed and held."""
+    return MapTargets(len(nodes), tuple(_target_blocks(trend_fit, nodes)))
+
+
+# ---------------------------------------------------------------------------
+# Bootstrap operator
+# ---------------------------------------------------------------------------
+
 _REPLICATE_BLOCK = 500  # resampling rows per block of map values
 
 
@@ -313,16 +373,18 @@ class BootstrapEngine:
 
     The replicate that draws resampling indices ``idx`` has the map values
     ``offset + e[idx] @ gain.T``, where ``e`` are the whitened residuals,
-    ``offset`` (one value per target) is what the fitted trend itself maps
-    to, and ``gain`` (targets x data sites) is what a unit residual maps to.
+    ``offset`` (one value per kept node) is what the fitted trend itself
+    maps to, and ``gain`` (kept nodes x data sites) is what a unit residual
+    maps to. ``mask`` marks the map's nodes that have no row.
     """
 
     offset: np.ndarray
     gain: np.ndarray
     e: np.ndarray
+    mask: np.ndarray
 
     def replicate_values(self, idx: np.ndarray) -> np.ndarray:
-        """(b, n_targets) map values for a block of resampling index rows."""
+        """(b, kept nodes) map values for a block of resampling index rows."""
         values = self.e[idx] @ self.gain.T
         values += self.offset
         return values
@@ -330,39 +392,45 @@ class BootstrapEngine:
 
 def build_engine(
     trend_fit: TrendFit,
-    target_rows: np.ndarray,
-    target_dists: np.ndarray,
+    targets: MapTargets,
     model,
     decorr_factor: CholeskyFactor,
     factor: CholeskyFactor,
 ) -> BootstrapEngine:
-    """The bootstrap operator of one covariance mode.
+    """The bootstrap operator of one covariance mode at the map ``targets``.
 
     ``decorr_factor`` whitens the residuals. ``model`` with its ``factor``
     (Sigma = L L^T) recorrelates a resample e*, giving y* = f + L e* around
     the fitted trend f; y* is re-smoothed (target rows T, hat matrix S) and
     completed by simple kriging of its residuals with the same Sigma and
-    the covariances C0 of the model at the target-to-site distances
-    ``target_dists``. Each step is linear, so the map values are W y* with
-    W = T + C0 Sigma^-1 (I - S): offset = W f and gain = W L. The two
-    solves run once; the rows of offset and gain are built per block of
-    ``_NODE_BLOCK`` targets, each from that block's rows of C0.
+    the covariances C0 of the model at the target-to-site distances. Each
+    step is linear, so the map values are W y* with W = T + C0 Sigma^-1
+    (I - S): offset = W f and gain = W L. The two solves run once; the rows
+    of offset and gain are built per target block, each from that block's
+    rows of T and C0, and written after the kept rows of the blocks before
+    it, so masked nodes take no row. A block is dropped before the next
+    one is taken.
     """
     s = trend_fit.smoother.S
     f = trend_fit.fitted
     L = factor.L
     x_off = solve_spd(factor, f - s @ f)
     x_gain = solve_spd(factor, L - s @ L)
-    offset = np.empty(len(target_rows))
-    gain = np.empty((len(target_rows), L.shape[1]))
-    for lo in range(0, len(target_rows), _NODE_BLOCK):
-        blk = slice(lo, lo + _NODE_BLOCK)
-        c0 = covariance_matrix(model, target_dists[blk])
-        offset[blk] = target_rows[blk] @ f + c0 @ x_off
-        gain[blk] = target_rows[blk] @ L
-        gain[blk] += c0 @ x_gain
+    offset = np.empty(targets.n_nodes)
+    gain = np.empty((targets.n_nodes, L.shape[1]))
+    masks = []
+    kept = 0
+    for block in targets.blocks:
+        rows = slice(kept, kept + len(block.rows))
+        c0 = covariance_matrix(model, block.dists)
+        offset[rows] = block.rows @ f + c0 @ x_off
+        gain[rows] = block.rows @ L
+        gain[rows] += c0 @ x_gain
+        masks.append(block.mask)
+        kept = rows.stop
+        del block, c0  # free this block before the next one is formed
     e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
-    return BootstrapEngine(offset=offset, gain=gain, e=e)
+    return BootstrapEngine(offset=offset[:kept], gain=gain[:kept], e=e, mask=np.concatenate(masks))
 
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
@@ -378,30 +446,32 @@ def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.nda
 
 def exceedance_probabilities(
     trend_fit: TrendFit,
-    target_rows: np.ndarray,
-    target_dists: np.ndarray,
+    targets: MapTargets,
     decorr_factor: CholeskyFactor,
     model,
     factor: CholeskyFactor,
     idx: np.ndarray,
     thresholds,
 ) -> np.ndarray:
-    """(len(thresholds), n_targets) replicate frequencies of values >= c.
+    """(len(thresholds), n_nodes) replicate frequencies of values >= c at
+    the map ``targets``, NaN at the masked nodes.
 
     ``model`` with its ``factor`` is the covariance that recorrelates and
-    kriges; ``target_dists`` are the target-to-site distances. The operator
-    lives only inside this call, so one mode's arrays are freed before the
-    next mode's. Replicates are evaluated ``_REPLICATE_BLOCK`` index rows
-    at a time, and only their exceedance counts are kept.
+    kriges. The operator lives only inside this call, so one mode's arrays
+    are freed before the next mode's. Replicates are evaluated
+    ``_REPLICATE_BLOCK`` index rows at a time, and only their exceedance
+    counts are kept.
     """
-    engine = build_engine(trend_fit, target_rows, target_dists, model, decorr_factor, factor)
-    counts = np.zeros((len(thresholds), len(target_rows)), dtype=np.intp)
+    engine = build_engine(trend_fit, targets, model, decorr_factor, factor)
+    counts = np.zeros((len(thresholds), len(engine.offset)), dtype=np.intp)
     for lo in range(0, len(idx), _REPLICATE_BLOCK):
         values = engine.replicate_values(idx[lo:lo + _REPLICATE_BLOCK])
         for count, c in zip(counts, thresholds):
             count += np.count_nonzero(values >= c, axis=0)
         del values  # free this block before the next one is formed
-    return counts / len(idx)
+    probs = np.full((len(thresholds), len(engine.mask)), np.nan)
+    probs[:, ~engine.mask] = counts / len(idx)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +507,19 @@ def mode_covariance(mode: str, estimates, theoretical=None) -> tuple:
 def mode_probabilities(
     trend_fit: TrendFit, targets, idx, thresholds, modes, estimates, theoretical=None
 ) -> dict:
-    """{mode: (len(thresholds), kept nodes) exceedance probabilities} at the
-    map ``targets``, every mode from the same resampling rows ``idx``.
+    """{mode: (len(thresholds), n_nodes) exceedance probabilities} at the
+    map ``targets``, NaN at the masked nodes, every mode from the same
+    resampling rows ``idx``.
 
     Decorrelation always whitens with the residual-scale factor; the modes
     differ only in the covariance that recorrelates and kriges. Each mode's
-    operator is freed before the next one is built.
+    operator is freed before the next one is built. Every mode reads all
+    target blocks, so ``targets`` must hold them (``map_targets``).
     """
     decorr_factor = estimates[0][1]
     return {
         mode: exceedance_probabilities(
-            trend_fit, targets.rows, targets.dists, decorr_factor,
+            trend_fit, targets, decorr_factor,
             *mode_covariance(mode, estimates, theoretical), idx, thresholds,
         )
         for mode in modes
@@ -471,25 +543,6 @@ class RiskMap:
     n_masked: int = 0
 
 
-class MapTargets(NamedTuple):
-    """The map nodes a trend can predict at: their smoother rows, the mask
-    of the nodes whose local design is singular, and the kept nodes'
-    distances to the sample sites."""
-
-    rows: np.ndarray
-    mask: np.ndarray
-    dists: np.ndarray
-
-
-def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
-    """The trend's map targets at ``nodes``."""
-    rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
-    mask = np.zeros(len(nodes), dtype=bool)
-    mask[bad] = True
-    rows = rows[~mask]  # the full rows die here, before the distances exist
-    return MapTargets(rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations))
-
-
 def risk_maps(
     fit: PipelineFit,
     grid: RegularGrid,
@@ -508,23 +561,23 @@ def risk_maps(
     """
     _check_mode(mode, truth_known=False)
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    targets = map_targets(fit.trend_fit, grid.nodes())
+    nodes = grid.nodes()
+    # one mode reads the blocks once, so each is formed in the operator loop
+    targets = MapTargets(len(nodes), _target_blocks(fit.trend_fit, nodes))
     idx = resample_indices(fit.sample.n, n_replicates, seed)
-    probs = mode_probabilities(
-        fit.trend_fit, targets, idx, thresholds, (mode,), fit.estimates
-    )[mode]
-    maps = []
-    for c, p in zip(thresholds, probs):
-        full = np.full(len(targets.mask), np.nan)
-        full[~targets.mask] = p
-        maps.append(
-            RiskMap(
-                grid=grid,
-                threshold=float(c),
-                probabilities=full,
-                n_replicates=n_replicates,
-                seed=seed,
-                n_masked=int(targets.mask.sum()),
-            )
+    probs = exceedance_probabilities(
+        fit.trend_fit, targets, fit.residual_factor,
+        *mode_covariance(mode, fit.estimates), idx, thresholds,
+    )
+    n_masked = int(np.isnan(probs[0]).sum())
+    return [
+        RiskMap(
+            grid=grid,
+            threshold=float(c),
+            probabilities=p,
+            n_replicates=n_replicates,
+            seed=seed,
+            n_masked=n_masked,
         )
-    return maps
+        for c, p in zip(thresholds, probs)
+    ]

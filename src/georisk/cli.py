@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import fit_pipeline, map_targets, risk_maps
+from .bootstrap import _target_blocks, fit_pipeline, risk_maps
 from .exceptions import (
     ConfigError,
     DataError,
@@ -363,9 +363,13 @@ def cmd_fit(cfg: dict) -> int:
     logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
 
     nodes = grid.nodes()
-    rows, mask = map_targets(fit.trend_fit, nodes)[:2]  # sk_predict forms its own distances
+    masks, kept_trend = [], []
+    for block in _target_blocks(fit.trend_fit, nodes):  # sk_predict forms its own distances
+        masks.append(block.mask)
+        kept_trend.append(block.rows @ sample.values)
+    mask = np.concatenate(masks)
     trend = np.full(len(nodes), np.nan)
-    trend[~mask] = rows @ sample.values
+    trend[~mask] = np.concatenate(kept_trend)
     prediction = np.full(len(nodes), np.nan)
     if (~mask).any():
         system = KrigingSystem(sample.locations, fit.corrected_factor, fit.corrected_model)

@@ -211,17 +211,29 @@ def make_regular_grid(bounds, dims) -> RegularGrid:
 _DIST_CHUNK = 512
 
 
-def _pairwise(locations: np.ndarray) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # distances from coordinate differences: the Gram-matrix shortcut loses
     # absolute accuracy ~eps * scale^2 near coincident points, which would
-    # defeat the 1e-12 duplicate tolerance
+    # defeat the 1e-12 duplicate tolerance. The squared differences are
+    # added one axis at a time, in place, per chunk of rows.
+    out = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty((min(_DIST_CHUNK, a.shape[0]), b.shape[0]))
+    for start in range(0, a.shape[0], _DIST_CHUNK):
+        rows = out[start:start + _DIST_CHUNK]
+        tmp = diff[: len(rows)]
+        for axis in range(a.shape[1]):
+            np.subtract(a[start:start + _DIST_CHUNK, axis, None], b[None, :, axis], out=tmp)
+            if axis == 0:
+                np.square(tmp, out=rows)
+            else:
+                rows += np.square(tmp, out=tmp)
+        np.sqrt(rows, out=rows)
+    return out
+
+
+def _pairwise(locations: np.ndarray) -> np.ndarray:
     locs = np.asarray(locations, dtype=np.float64)
-    n = locs.shape[0]
-    d = np.empty((n, n))
-    for start in range(0, n, _DIST_CHUNK):
-        sl = slice(start, min(start + _DIST_CHUNK, n))
-        diff = locs[sl, None, :] - locs[None, :, :]
-        d[sl] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = _distances(locs, locs)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -239,9 +251,4 @@ def cross_distances(points_a, points_b) -> np.ndarray:
     """(m, n) matrix of distances between two point sets."""
     a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], _DIST_CHUNK):
-        sl = slice(start, min(start + _DIST_CHUNK, a.shape[0]))
-        diff = a[sl, None, :] - b[None, :, :]
-        out[sl] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return out
+    return _distances(a, b)

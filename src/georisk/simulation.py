@@ -10,10 +10,11 @@ of the estimated maps.
 
 What depends only on the sites (their site design, the true covariance and
 its factor and, under the MASE criterion, the oracle smoother and the map
-targets) lives in a design context. ``run_scenario`` builds one for a
-regular-design study and one per replicate from its drawn sites for the
-uniform design, and passes it explicitly to ``simulate_field`` and to the
-replicate's evaluation; nothing is cached between calls. Every replicate
+targets, every target block formed once and held) lives in a design
+context. ``run_scenario`` builds one for a regular-design study and one per
+replicate from its drawn sites for the uniform design, and passes it
+explicitly to ``simulate_field`` and to the replicate's evaluation; nothing
+is cached between calls. Every replicate
 then runs the pipeline's own variogram and factorization stages, so a
 failure carries the label of the stage that failed, and scores its modes
 through the pipeline's one mode loop (``bootstrap.mode_probabilities``).
@@ -223,7 +224,8 @@ class _DesignContext:
     ``truth`` holds what a draw needs: the sites with their site design
     (distances, pair table and lag grid), the true trend and the true
     covariance with its factor. ``build`` adds, under the MASE criterion,
-    the oracle smoother and the map targets it gives.
+    the oracle smoother and the map targets it gives, whose blocks every
+    mode of every replicate reuses.
     """
 
     locations: np.ndarray
@@ -463,7 +465,7 @@ def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
     )
     keep = ~targets.mask
     mean_se = {
-        (mode, c): (truth_maps[c][keep] - p) ** 2
+        (mode, c): (truth_maps[c][keep] - p[keep]) ** 2
         for mode in modes
         for c, p in zip(scenario.thresholds, probs[mode])
     }

@@ -273,20 +273,49 @@ def bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor):
     gain = target_rows @ L
     gain += c0 @ solve_spd(factor, L - s @ L)
     e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
-    return BootstrapEngine(offset=offset, gain=gain, e=e)
+    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=np.zeros(len(offset), dtype=bool))
+
+
+def kept_rows_and_dists(targets):
+    """The kept nodes' smoother rows and distances of held map targets, each
+    as one array over all blocks."""
+    return (
+        np.concatenate([block.rows for block in targets.blocks]),
+        np.concatenate([block.dists for block in targets.blocks]),
+    )
+
+
+def blocked_targets(rows, mask, dists):
+    """Held map targets of the nodes marked by ``mask``, from the kept
+    nodes' ``rows`` and ``dists`` formed all at once, cut into blocks of
+    ``_NODE_BLOCK`` nodes as ``map_targets`` cuts them."""
+    from georisk.bootstrap import _NODE_BLOCK, MapTargets, TargetBlock
+
+    blocks = []
+    kept = 0
+    for lo in range(0, len(mask), _NODE_BLOCK):
+        block_mask = mask[lo:lo + _NODE_BLOCK]
+        rows_of = slice(kept, kept + np.count_nonzero(~block_mask))
+        blocks.append(TargetBlock(rows[rows_of], block_mask, dists[rows_of]))
+        kept = rows_of.stop
+    return MapTargets(len(mask), tuple(blocks))
 
 
 def exceedance_probabilities_oneshot(
-    trend_fit, target_rows, target_dists, decorr_factor, model, factor, idx, thresholds
+    trend_fit, targets, decorr_factor, model, factor, idx, thresholds
 ):
-    """Exceedance frequencies from the one-shot operator, every replicate
-    evaluated in one product, as the mean of booleans per target."""
+    """Exceedance frequencies from the one-shot operator at held map
+    ``targets``, every replicate evaluated in one product, as the mean of
+    booleans per kept node; NaN at the masked nodes."""
     from georisk.variogram import covariance_matrix
 
-    c0 = covariance_matrix(model, target_dists)
-    engine = bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor)
+    rows, dists = kept_rows_and_dists(targets)
+    c0 = covariance_matrix(model, dists)
+    engine = bootstrap_engine_oneshot(trend_fit, rows, c0, decorr_factor, factor)
     values = engine.replicate_values(idx)
-    return np.array([(values >= c).mean(axis=0) for c in thresholds])
+    probs = np.full((len(thresholds), targets.n_nodes), np.nan)
+    probs[:, ~targets.mask] = [(values >= c).mean(axis=0) for c in thresholds]
+    return probs
 
 
 def _scaled_kernel(eval_points, locations, bandwidth):

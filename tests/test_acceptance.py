@@ -164,11 +164,11 @@ def _theoretical_mean_abs_error(seed: int) -> float:
     )
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, 0)
     (probs,) = exceedance_probabilities(
-        trend_fit, ctx.targets.rows, ctx.targets.dists, resid_factor, sc.model, ctx.factor_true,
-        idx, [2.5],
+        trend_fit, ctx.targets, resid_factor, sc.model, ctx.factor_true, idx, [2.5],
     )
-    truth = true_risk(sc.prediction_grid().nodes(), 2.5, sc)[~ctx.targets.mask]
-    return float(np.abs(probs - truth).mean())
+    keep = ~ctx.targets.mask
+    truth = true_risk(sc.prediction_grid().nodes(), 2.5, sc)[keep]
+    return float(np.abs(probs[keep] - truth).mean())
 
 
 def test_criterion_04_theoretical_mode_accuracy():

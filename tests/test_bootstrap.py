@@ -7,7 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import georisk.bootstrap as bootstrap
-from _oracles import bootstrap_replicates_stepwise, exceedance_probabilities_oneshot
+from _oracles import (
+    blocked_targets,
+    bootstrap_replicates_stepwise,
+    exceedance_probabilities_oneshot,
+    kept_rows_and_dists,
+)
 from georisk.bootstrap import (
     _NODE_BLOCK,
     _REPLICATE_BLOCK,
@@ -179,10 +184,9 @@ def test_decorrelate_round_trip(fitted):
 
 def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
-    targets = fitted.sample.locations[:5]
-    rows, _ = prediction_weights(fitted.trend_fit, targets)
+    targets = map_targets(fitted.trend_fit, fitted.sample.locations[:5])
     engine = build_engine(
-        fitted.trend_fit, rows, cross_distances(targets, fitted.sample.locations),
+        fitted.trend_fit, targets,
         fitted.corrected_model, fitted.residual_factor, fitted.corrected_factor,
     )
     idx = resample_indices(n, 3, 123, 9)
@@ -245,14 +249,15 @@ def full_design():
 def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
-    c0 = model.sill - model.semivariance(ctx.targets.dists)
-    engine = build_engine(trend_fit, ctx.targets.rows, ctx.targets.dists, model, resid_factor, factor)
+    rows, dists = kept_rows_and_dists(ctx.targets)
+    c0 = model.sill - model.semivariance(dists)
+    engine = build_engine(trend_fit, ctx.targets, model, resid_factor, factor)
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
     values = engine.replicate_values(idx)
     oracle = bootstrap_replicates_stepwise(
-        trend_fit.fitted, trend_fit.smoother.S, ctx.targets.rows, c0, factor.L, engine.e, idx
+        trend_fit.fitted, trend_fit.smoother.S, rows, c0, factor.L, engine.e, idx
     )
-    assert values.shape == (64, ctx.targets.rows.shape[0]) and values.shape[1] > 2000
+    assert values.shape == (64, rows.shape[0]) and values.shape[1] > 2000
     assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
     for c in (2.0, 2.5, 3.0):
         assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
@@ -264,32 +269,37 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
     # leave a partial block
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
-    assert len(ctx.targets.rows) % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
+    assert ctx.targets.n_nodes % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
     for b in (1000, 333):
         idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
-        args = (trend_fit, ctx.targets.rows, ctx.targets.dists, resid_factor, model, factor, idx,
-                sc.thresholds)
+        args = (trend_fit, ctx.targets, resid_factor, model, factor, idx, sc.thresholds)
         assert np.array_equal(
             exceedance_probabilities(*args), exceedance_probabilities_oneshot(*args)
         )
 
 
 @pytest.fixture(scope="module")
-def riskmap_design():
-    """The benchmark's risk map at seed 1: ``synth_dataset(1053, seed=1)``
-    under a square-root response, fitted at the trend bandwidth its search
-    selects, the kept nodes of a 50 x 50 grid over the data box, and 1000
-    resampling rows of bootstrap seed 7."""
+def riskmap_fit():
+    """The benchmark's risk-map fit at seed 1: ``synth_dataset(1053,
+    seed=1)`` under a square-root response, fitted at the trend bandwidth
+    its search selects, and a 50 x 50 grid over the data box."""
     locs, values = synth_dataset(1053, seed=1)
     fit = fit_pipeline(
         SpatialSample(locs, np.sqrt(values)),
         bandwidth=BandwidthMatrix.diagonal(5.942898252196416, 4.045057152294498),
     )
     box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
-    nodes = make_regular_grid(box, (50, 50)).nodes()
-    rows, mask, _ = map_targets(fit.trend_fit, nodes)
+    return fit, make_regular_grid(box, (50, 50))
+
+
+@pytest.fixture(scope="module")
+def riskmap_design(riskmap_fit):
+    """The benchmark's risk map at seed 1: its fit, the held targets of the
+    50 x 50 grid, and 1000 resampling rows of bootstrap seed 7."""
+    fit, grid = riskmap_fit
+    targets = map_targets(fit.trend_fit, grid.nodes())
     idx = resample_indices(fit.sample.n, 1000, 7)
-    return (fit.trend_fit, rows, cross_distances(nodes[~mask], locs), fit.residual_factor,
+    return (fit.trend_fit, targets, fit.residual_factor,
             fit.corrected_model, fit.corrected_factor, idx, [1.0, 2.0])
 
 
@@ -301,8 +311,7 @@ def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
 
 
 def test_exceedance_memory_at_riskmap_design(riskmap_design):
-    rows = riskmap_design[1]
-    m, n = rows.shape
+    m, n = riskmap_design[1].n_nodes, riskmap_design[0].sample.n
     tracemalloc.start()
     try:
         exceedance_probabilities(*riskmap_design)
@@ -312,6 +321,22 @@ def test_exceedance_memory_at_riskmap_design(riskmap_design):
     # the (m, n) gain and the n x n solve it is built from, one more n x n
     # array and 4 MiB of block temporaries (built in one shot: 72.1 MB)
     assert peak <= 8 * m * n + 2 * 8 * n * n + 4 * 2**20
+
+
+def test_risk_maps_memory_at_riskmap_design(riskmap_fit):
+    fit, grid = riskmap_fit
+    m, n, b = grid.n_nodes, fit.sample.n, 1000
+    tracemalloc.start()
+    try:
+        risk_maps(fit, grid, [1.0, 2.0], n_replicates=b, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (m, n) gain, two n x n solves, the (B, n) resampling indices and
+    # 4 MiB of block temporaries; no (m, n) smoother rows or distances,
+    # since each target block is formed inside the operator loop (holding
+    # all of them peaked at 87.7 MB)
+    assert peak <= 8 * m * n + 2 * 8 * n * n + 8 * b * n + 4 * 2**20
 
 
 def test_replicates_are_evaluated_per_block_of_index_rows(fitted, monkeypatch):
@@ -334,6 +359,54 @@ def test_replicates_are_evaluated_per_block_of_index_rows(fitted, monkeypatch):
 # ---------------------------------------------------------------------------
 # risk maps
 # ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sparse_fit():
+    """``synth_dataset(120, seed=3)`` under a square-root response, fitted
+    by the full pipeline (trend bandwidth about 9.6 on both axes)."""
+    locs, values = synth_dataset(120, seed=3)
+    return fit_pipeline(SpatialSample(locs, np.sqrt(values)))
+
+
+# (grid, masked nodes) over data on [0, 60] x [0, 30]; nodes run x-major
+HOSTILE_GRIDS = {
+    # the first 256 nodes all have x < -326
+    "first block masked": (make_regular_grid([(-600.0, 60.0), (0.0, 30.0)], (30, 20)), 540),
+    "past the hull": (make_regular_grid([(500.0, 600.0), (500.0, 600.0)], (5, 7)), 35),
+    # 256 + 44 nodes, masked columns at both x ends
+    "partial last block": (make_regular_grid([(-15.0, 75.0), (0.0, 30.0)], (20, 15)), 62),
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_GRIDS))
+def test_risk_maps_on_hostile_grids(sparse_fit, name):
+    grid, n_masked = HOSTILE_GRIDS[name]
+    nodes = grid.nodes()
+    trend_fit = sparse_fit.trend_fit
+    # the mask and kept rows of the whole grid at once
+    rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
+    mask = np.zeros(len(nodes), dtype=bool)
+    mask[bad] = True
+    assert mask.sum() == n_masked
+    if name == "first block masked":
+        assert mask[:_NODE_BLOCK].all() and not mask.all()
+    elif name == "partial last block":
+        tail = mask[-(len(nodes) % _NODE_BLOCK):]
+        assert tail.any() and not tail.all()
+
+    maps = risk_maps(sparse_fit, grid, [1.0, 1.5], n_replicates=100, seed=5)
+    for m in maps:
+        assert m.n_masked == n_masked
+        assert np.array_equal(np.isnan(m.probabilities), mask)
+    dists = cross_distances(nodes[~mask], trend_fit.sample.locations)
+    targets = blocked_targets(rows[~mask], mask, dists)
+    oneshot = exceedance_probabilities_oneshot(
+        trend_fit, targets, sparse_fit.residual_factor,
+        *mode_covariance("corrected", sparse_fit.estimates),
+        resample_indices(sparse_fit.sample.n, 100, 5), [1.0, 1.5],
+    )
+    assert np.array_equal(np.array([m.probabilities for m in maps]), oneshot, equal_nan=True)
 
 
 def test_risk_map_threshold_limits(fitted):
@@ -385,8 +458,8 @@ def test_mode_corrected_equals_risk_maps(fitted):
         fitted.trend_fit, targets, idx, [2.5], ("corrected",), fitted.estimates
     )["corrected"]
     assert np.array_equal(via_mode[0].probabilities, direct[0].probabilities, equal_nan=True)
-    assert np.array_equal(direct[0].probabilities[~targets.mask], probs[0])
-    assert np.isnan(direct[0].probabilities[targets.mask]).all()
+    assert np.array_equal(direct[0].probabilities, probs[0], equal_nan=True)
+    assert np.array_equal(np.isnan(probs[0]), targets.mask)
 
 
 def test_mode_residual_differs_from_corrected(fitted):
@@ -414,8 +487,10 @@ def test_mode_theoretical_runs_with_truth(fitted):
     probs = mode_probabilities(
         fitted.trend_fit, targets, idx, [2.5], ("theoretical",), fitted.estimates, theoretical
     )["theoretical"]
-    assert probs.shape == (1, int((~targets.mask).sum()))
-    assert probs.min() >= 0.0 and probs.max() <= 1.0
+    assert probs.shape == (1, SMALL_GRID.n_nodes)
+    assert np.array_equal(np.isnan(probs[0]), targets.mask)
+    kept = probs[0, ~targets.mask]
+    assert kept.min() >= 0.0 and kept.max() <= 1.0
 
 
 def test_unknown_mode_rejected(fitted):

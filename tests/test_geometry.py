@@ -130,6 +130,33 @@ def test_cross_distances_matches_pairwise():
     assert_allclose(d, pairwise_distances(a), atol=1e-12)
 
 
+def _einsum_distances(a, b):
+    """Distances as sqrt(einsum) over the full (m, n, d) differences."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m, n", [(2500, 1053), (2500, 400), (1053, 1053)])
+def test_distances_equal_einsum_formula(d, m, n):
+    # per-axis squares are added in the einsum's order, so d <= 2 is
+    # array-equal; from d = 3 the order may differ, by a few rounding steps
+    rng = np.random.default_rng(d * m + n)
+    scale = np.array([60.0, 30.0, 10.0])[:d]
+    a = rng.uniform(size=(m, d)) * scale
+    b = rng.uniform(size=(n, d)) * scale
+    oracle = _einsum_distances(a, b)
+    cross = cross_distances(a, b)
+    pair = pairwise_distances(b)
+    pair_oracle = _einsum_distances(b, b)
+    np.fill_diagonal(pair_oracle, 0.0)
+    if d <= 2:
+        assert np.array_equal(cross, oracle) and np.array_equal(pair, pair_oracle)
+    else:
+        assert np.all(np.abs(cross - oracle) <= 1e-15 * oracle)
+        assert np.all(np.abs(pair - pair_oracle) <= 1e-15 * pair_oracle)
+
+
 def test_bandwidth_matrix_diagonal():
     h = BandwidthMatrix.diagonal(0.5, 0.25)
     assert h.is_diagonal

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _oracles import blocked_targets
 import georisk.bootstrap as bootstrap
 import georisk.simulation as sim
 from georisk.bootstrap import (
@@ -338,11 +339,11 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     assert set(rec.mean_se) == {(m, c) for m in covariances for c in sc.thresholds}
     for mode, (model, factor) in covariances.items():
         probs = exceedance_probabilities(
-            fit.trend_fit, rows[keep], dists, fit.residual_factor, model, factor, idx,
-            sc.thresholds,
+            fit.trend_fit, blocked_targets(rows[keep], ~keep, dists), fit.residual_factor,
+            model, factor, idx, sc.thresholds,
         )
         for c, p in zip(sc.thresholds, probs):
-            assert np.array_equal(rec.mean_se[(mode, c)], (truth_maps[c][keep] - p) ** 2)
+            assert np.array_equal(rec.mean_se[(mode, c)], (truth_maps[c][keep] - p[keep]) ** 2)
     # the modes' maps differ, so a swapped covariance cannot pass
     errors = [rec.mean_se[(m, 2.5)] for m in covariances]
     assert not any(np.array_equal(a, b) for a, b in zip(errors, errors[1:] + errors[:1]))
