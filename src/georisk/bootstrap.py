@@ -35,6 +35,10 @@ at the held blocks of ``map_targets``. ``risk_maps`` draws a fitted
 pipeline's maps under one of the two estimates, forming each target block
 inside the operator loop; the simulation study, which alone knows the true
 covariance, holds its targets and calls ``mode_probabilities`` itself.
+
+``prediction_map`` is the fit command's map: the trend plus simple kriging
+of the trend residuals (``kriging.krige_block``), formed and kriged one
+target block at a time.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .geometry import (
     cross_distances,
     pairwise_distances,
 )
+from .kriging import krige_block
 from .numerics import CholeskyFactor, cholesky, solve_lower, solve_spd
 from .trend import (
     TrendFit,
@@ -527,7 +532,7 @@ def mode_probabilities(
 
 
 # ---------------------------------------------------------------------------
-# Risk maps
+# Risk maps and the prediction map
 # ---------------------------------------------------------------------------
 
 
@@ -581,3 +586,30 @@ def risk_maps(
         )
         for c, p in zip(thresholds, probs)
     ]
+
+
+def prediction_map(
+    trend_fit: TrendFit, nodes: np.ndarray, model, factor: CholeskyFactor
+) -> tuple:
+    """The fitted trend and the kriging prediction at ``nodes``, NaN at the
+    masked nodes.
+
+    The prediction is the trend plus simple kriging of the trend residuals
+    under ``model`` with its ``factor``. Sigma^-1 r is solved once; each
+    target block is formed when the loop reaches it and kriged from its
+    own distances (``krige_block``), so no array of all nodes' smoother
+    rows, covariances or distances exists.
+    """
+    residuals = trend_fit.residuals
+    alpha = solve_spd(factor, residuals)
+    trend = np.full(len(nodes), np.nan)
+    prediction = np.full(len(nodes), np.nan)
+    lo = 0
+    for block in _target_blocks(trend_fit, nodes):
+        kept = lo + np.flatnonzero(~block.mask)
+        trend[kept] = block.rows @ trend_fit.sample.values
+        krig = krige_block(model, residuals, alpha, block.dists)[0]
+        prediction[kept] = trend[kept] + krig
+        lo += len(block.mask)
+        del block  # free this block before the next one is formed
+    return trend, prediction

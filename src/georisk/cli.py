@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import _target_blocks, fit_pipeline, risk_maps
+from .bootstrap import fit_pipeline, prediction_map, risk_maps
 from .exceptions import (
     ConfigError,
     DataError,
@@ -45,7 +45,6 @@ from .io import (
     write_synth_csv,
     write_table_csv,
 )
-from .kriging import KrigingSystem, sk_predict
 from .simulation import (
     Scenario,
     run_scenario,
@@ -363,18 +362,9 @@ def cmd_fit(cfg: dict) -> int:
     logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
 
     nodes = grid.nodes()
-    masks, kept_trend = [], []
-    for block in _target_blocks(fit.trend_fit, nodes):  # sk_predict forms its own distances
-        masks.append(block.mask)
-        kept_trend.append(block.rows @ sample.values)
-    mask = np.concatenate(masks)
-    trend = np.full(len(nodes), np.nan)
-    trend[~mask] = np.concatenate(kept_trend)
-    prediction = np.full(len(nodes), np.nan)
-    if (~mask).any():
-        system = KrigingSystem(sample.locations, fit.corrected_factor, fit.corrected_model)
-        krig = sk_predict(system, fit.trend_fit.residuals, nodes[~mask])
-        prediction[~mask] = trend[~mask] + krig
+    trend, prediction = prediction_map(
+        fit.trend_fit, nodes, fit.corrected_model, fit.corrected_factor
+    )
     write_grid_csv(out / "fit_grid.csv", nodes, {"trend": trend, "prediction": prediction})
 
     lags = fit.lag_grid
@@ -398,7 +388,7 @@ def cmd_fit(cfg: dict) -> int:
         write_heatmap_svg(out / "fit_prediction.svg", grid, prediction, title="kriging prediction")
         files += ["fit_trend.svg", "fit_prediction.svg"]
     report = _fit_report(
-        cfg, fit, {"grid": list(dims), "masked_nodes": int(mask.sum()), "files": files}
+        cfg, fit, {"grid": list(dims), "masked_nodes": int(np.isnan(trend).sum()), "files": files}
     )
     write_json(out / "fit_report.json", report)
     return EXIT_OK

@@ -248,7 +248,11 @@ def pairwise_distances(sample) -> np.ndarray:
 
 
 def cross_distances(points_a, points_b) -> np.ndarray:
-    """(m, n) matrix of distances between two point sets."""
+    """(m, n) matrix of distances between two point sets of one dimension."""
     a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
+    if a.shape[1] != b.shape[1]:
+        raise DataError(
+            f"point sets differ in dimension: {a.shape[1]}-D against {b.shape[1]}-D"
+        )
     return _distances(a, b)

@@ -2,6 +2,12 @@
 
 The data-data covariance is factorized once and reused across predictions
 and bootstrap replicates; predictions never form an explicit inverse.
+Data kriging has one home, ``krige_block``: it krigs a block of targets
+from their distances to the sites, with the weights' right-hand side
+alpha = Sigma^-1 r solved once per map by the caller. ``sk_predict`` is
+that step on one block of all its targets; the fit command's map runs it
+once per block of map nodes, so no whole-map array of covariances or
+distances exists there.
 """
 
 from __future__ import annotations
@@ -46,32 +52,42 @@ def covariance_to_targets(system: KrigingSystem, targets) -> np.ndarray:
     return covariance_matrix(system.model, cross_distances(targets, system.locations))
 
 
+def krige_block(model, residuals: np.ndarray, alpha: np.ndarray, dists: np.ndarray) -> tuple:
+    """Simple kriging predictions at a block of targets from their (m, n)
+    distances ``dists`` to the data sites.
+
+    ``alpha`` is Sigma^-1 ``residuals``, solved once per map by the caller.
+    The block's covariances C0 come from ``model`` at ``dists`` and the
+    predictions are C0 alpha, except that a target within
+    ``COINCIDENT_TOL`` of a site returns that site's residual, which is
+    the exact limit under the zero-at-zero-lag convention of the
+    semivariogram. Returns the predictions, C0 and the indices of the
+    coincident targets.
+    """
+    c0 = covariance_matrix(model, dists)
+    pred = c0 @ alpha
+    t_idx, s_idx = np.nonzero(dists <= COINCIDENT_TOL)
+    pred[t_idx] = residuals[s_idx]
+    return pred, c0, t_idx
+
+
 def sk_predict(system: KrigingSystem, residuals, targets, return_variance=False):
     """Simple kriging predictions (and optionally variances) at targets.
 
-    Weights solve the factored system against the target covariances; a
-    target coinciding with a data site returns that site's residual
-    directly, which is the exact limit under the zero-at-zero-lag
-    convention of the semivariogram.
+    All targets form one block of ``krige_block``; a target coinciding
+    with a data site returns that site's residual, with variance 0.
     """
     residuals = np.asarray(residuals, dtype=np.float64).ravel()
     if residuals.shape[0] != system.n:
         raise ValueError("residual vector length does not match the system")
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    c0 = covariance_to_targets(system, targets)
     alpha = solve_spd(system.factor, residuals)
-    pred = c0 @ alpha
-
-    d = cross_distances(targets, system.locations)
-    coincident = d <= COINCIDENT_TOL
-    if coincident.any():
-        t_idx, s_idx = np.nonzero(coincident)
-        pred[t_idx] = residuals[s_idx]
-
+    pred, c0, coincident = krige_block(
+        system.model, residuals, alpha, cross_distances(targets, system.locations)
+    )
     if not return_variance:
         return pred
     lam = solve_spd(system.factor, c0.T)
     var = system.model.sill - np.einsum("mn,nm->m", c0, lam)
-    if coincident.any():
-        var[t_idx] = 0.0
+    var[coincident] = 0.0
     return pred, var

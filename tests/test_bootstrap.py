@@ -26,6 +26,7 @@ from georisk.bootstrap import (
     map_targets,
     mode_covariance,
     mode_probabilities,
+    prediction_map,
     resample_indices,
     risk_maps,
     rng_stream,
@@ -39,13 +40,14 @@ from georisk.geometry import (
     pairwise_distances,
 )
 from georisk.io import synth_dataset
-from georisk.numerics import CholeskyFactor
+from georisk.kriging import KrigingSystem, build_system, covariance_to_targets, sk_predict
+from georisk.numerics import CholeskyFactor, solve_spd
 from georisk.simulation import (
     _DesignContext,
     simulate_field,
     table1_scenario,
 )
-from georisk.trend import apply_smoother, prediction_weights
+from georisk.trend import apply_smoother, fit_trend, prediction_weights
 from georisk.variogram import GAUSSIAN_DIM, VariogramModel, select_lag_bandwidth
 
 
@@ -337,6 +339,87 @@ def test_risk_maps_memory_at_riskmap_design(riskmap_fit):
     # since each target block is formed inside the operator loop (holding
     # all of them peaked at 87.7 MB)
     assert peak <= 8 * m * n + 2 * 8 * n * n + 8 * b * n + 4 * 2**20
+
+
+@pytest.mark.parametrize("widen", [0.0, 0.2])
+def test_prediction_map_equals_whole_map_kriging(riskmap_fit, widen):
+    # 2500 nodes: nine full node blocks and a partial last one. The data
+    # box masks no node; widened by 20% a side it masks 690, some blocks
+    # in part. Each kept node's smoother row and covariances are formed as
+    # in the whole-map reference, so the maps are array-equal where no node
+    # is masked. Masking leaves blocks of any length, and OpenBLAS does not
+    # give a block of rows of a product the bits of the same rows of the
+    # whole product, so there the maps agree to 1e-12 relative.
+    fit, grid = riskmap_fit
+    if widen:
+        locs = fit.sample.locations
+        box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
+        box = [(lo - widen * (hi - lo), hi + widen * (hi - lo)) for lo, hi in box]
+        grid = make_regular_grid(box, grid.dims)
+    nodes = grid.nodes()
+    assert len(nodes) > _NODE_BLOCK and len(nodes) % _NODE_BLOCK
+    trend, prediction = prediction_map(
+        fit.trend_fit, nodes, fit.corrected_model, fit.corrected_factor
+    )
+    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
+    mask = np.zeros(len(nodes), dtype=bool)
+    mask[bad] = True
+    assert mask.sum() == (690 if widen else 0)
+    system = KrigingSystem(fit.sample.locations, fit.corrected_factor, fit.corrected_model)
+    krig = sk_predict(system, fit.trend_fit.residuals, nodes[~mask])
+    assert np.array_equal(np.isnan(trend), mask) and np.array_equal(np.isnan(prediction), mask)
+    reference = rows[~mask] @ fit.sample.values
+    if widen:
+        assert_allclose(trend[~mask], reference, rtol=1e-12, atol=0)
+        assert_allclose(prediction[~mask], reference + krig, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(trend, reference)
+        assert np.array_equal(prediction, reference + krig)
+
+
+def test_prediction_map_coincident_nodes_beyond_first_block():
+    # 400 nodes (k // 20, k % 20): node 305 is a site, node 350 lies 1e-13
+    # from one, both in the second node block. Under a nugget the plain
+    # kriging formula does not return the residual at 1e-13, so the
+    # coincidence rule is what puts it there.
+    grid = make_regular_grid([(0.0, 19.0), (0.0, 19.0)], (20, 20))
+    nodes = grid.nodes()
+    rng = np.random.default_rng(11)
+    on_nodes = [305, 350]
+    locs = np.vstack([
+        rng.uniform(0.0, 19.0, size=(118, 2)), nodes[305], nodes[350] + [1e-13, 0.0]
+    ])
+    sites = [118, 119]
+    sample = SpatialSample(locs, rng.normal(size=120))
+    trend_fit = fit_trend(sample, BandwidthMatrix.diagonal(5.0, 5.0))
+    r = trend_fit.residuals
+    model = VariogramModel(nugget=0.05, node_freqs=[0.5], node_weights=[0.3])
+    system = build_system(sample, model)
+    trend, prediction = prediction_map(trend_fit, nodes, model, system.factor)
+    pred, var = sk_predict(system, r, nodes, return_variance=True)
+    plain = covariance_to_targets(system, nodes[on_nodes]) @ solve_spd(system.factor, r)
+    assert abs(plain[1] - r[sites[1]]) > 1e-3
+    assert np.isfinite(trend[on_nodes]).all()
+    assert np.array_equal(prediction[on_nodes], trend[on_nodes] + r[sites])
+    assert np.array_equal(pred[on_nodes], r[sites])
+    assert np.array_equal(var[on_nodes], [0.0, 0.0])
+
+
+def test_prediction_map_memory_at_riskmap_design(riskmap_fit):
+    fit, grid = riskmap_fit
+    nodes = grid.nodes()
+    m, n = len(nodes), fit.sample.n
+    tracemalloc.start()
+    try:
+        prediction_map(fit.trend_fit, nodes, fit.corrected_model, fit.corrected_factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one node block at a time: its smoother rows and distances, the
+    # semivariance and C0 formed from them, and a distance or row
+    # temporary, at most five (256, n) doubles, plus O(m + n) vectors;
+    # kriging all nodes at once would hold three (m, n) arrays, 21 MB each
+    assert peak <= 5 * 8 * _NODE_BLOCK * n + 8 * 8 * (m + n)
 
 
 def test_replicates_are_evaluated_per_block_of_index_rows(fitted, monkeypatch):

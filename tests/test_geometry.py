@@ -13,6 +13,8 @@ from georisk.geometry import (
     make_regular_grid,
     pairwise_distances,
 )
+from georisk.kriging import build_system, sk_predict
+from georisk.variogram import VariogramModel
 
 
 def test_sample_basic_construction():
@@ -128,6 +130,26 @@ def test_cross_distances_matches_pairwise():
     a = rng.uniform(size=(6, 2))
     d = cross_distances(a, a)
     assert_allclose(d, pairwise_distances(a), atol=1e-12)
+
+
+@pytest.mark.parametrize("a, b, dims", [
+    ([[0.0]], [[0.0, 5.0], [1.0, 1.0]], "1-D against 2-D"),
+    ([[0.0, 5.0], [1.0, 1.0]], [[0.0]], "2-D against 1-D"),
+])
+def test_cross_distances_rejects_mixed_dimensions(a, b, dims):
+    # neither order may drop an axis or fail with a bare IndexError
+    with pytest.raises(DataError, match=dims):
+        cross_distances(a, b)
+
+
+def test_sk_predict_rejects_targets_of_another_dimension():
+    # read on its first axis alone, the 1-D target [0.0] would coincide
+    # with the site (0, 5) and return its residual
+    sites = np.array([[0.0, 5.0], [1.0, 1.0], [3.0, 2.0]])
+    model = VariogramModel(nugget=0.1, node_freqs=[1.0], node_weights=[0.5])
+    system = build_system(sites, model)
+    with pytest.raises(DataError, match="1-D against 2-D"):
+        sk_predict(system, [2.0, -1.0, 0.5], [0.0])
 
 
 def _einsum_distances(a, b):
