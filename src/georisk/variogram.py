@@ -173,7 +173,8 @@ class PairTable:
 
     ``distances`` holds the upper-triangle pair distances in stable
     ascending order and ``rows``/``cols`` the two sites of each pair
-    (row < col); ``matrix`` is the distance matrix the table was built
+    (row < col) as int32, which any n whose n x n distance matrix fits in
+    memory allows; ``matrix`` is the distance matrix the table was built
     from. Build it once per sample with ``from_distances`` and pass it to
     every lag-smoothing call: per-pair values are then gathered at the P
     pairs instead of being formed as n x n matrices and re-sorted.
@@ -190,7 +191,9 @@ class PairTable:
         rows, cols = np.triu_indices(d.shape[0], k=1)
         pd = d[rows, cols]
         order = np.argsort(pd, kind="stable")
-        return cls(matrix=d, distances=pd[order], rows=rows[order], cols=cols[order])
+        rows = rows.astype(np.int32)[order]
+        cols = cols.astype(np.int32)[order]
+        return cls(matrix=d, distances=pd[order], rows=rows, cols=cols)
 
     def squared_differences(self, values) -> np.ndarray:
         """(v_i - v_j)^2 at every pair."""
@@ -325,52 +328,80 @@ def _segment_chunks(lengths):
 
 
 def _chunk_pass(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
-    """One pass over the pairs of a chunk of segments, p0[j]..p1[j]-1 for
-    segment j; returns their total moments (17, segments).
+    """One pass over the pairs of a stack of several segments, p0[j]..p1[j]-1
+    for segment j; returns their total moments (17, segments).
 
     The segments are stacked into one padded (segments x longest) array
     (entries past a segment's end repeat its last pair and are never read)
     after a leading zero column, and the running sums from each segment's
     start of a^m (m <= 8) and a^m z (m <= 7), a = (d - centre)/g, are
-    formed along its rows. A chunk of several segments is one block; a
-    longer segment is passed in blocks of ``_SUM_BLOCK`` pairs, each
-    summing from zero, the earlier blocks' total being added to the values
-    it hands out. ``bounds`` lists (r0, seg, rel, update): for the k-th
-    entry, the sums over the first rel[k] pairs of segment seg[k] (rel
-    nondecreasing when the chunk is one segment), seen from target r0 + k,
-    are applied with ``update`` to that target's column of ``out``,
-    ``_CONTRACT_BLOCK`` entries per contraction.
+    formed along its rows. ``bounds`` lists (r0, seg, rel, update): for the
+    k-th entry, the sums over the first rel[k] pairs of segment seg[k], seen
+    from target r0 + k, are applied with ``update`` to that target's column
+    of ``out``, ``_CONTRACT_BLOCK`` entries per contraction.
     """
     count = p1 - p0
-    longest = int(count.max())
-    width = _SUM_BLOCK if count.size == 1 else longest
-    carry = np.zeros((17, count.size))
-    for c0 in range(0, longest, width):
-        c1 = min(c0 + width, longest)
-        cols = np.minimum(p0[:, None] + np.arange(c0, c1), p1[:, None] - 1)
-        running = np.empty((17, count.size, c1 - c0 + 1))
-        running[:, :, 0] = 0.0
-        running[:9, :, 1:] = _powers((d_sorted[cols] - centres[:, None]) / g, 9)
-        np.multiply(running[:8, :, 1:], z_sorted[cols], out=running[9:, :, 1:])
-        np.cumsum(running, axis=2, out=running)
-        flat = running.reshape(17, -1)
-        for r0, seg, rel, update in bounds:
-            # the entries this block serves, c0 < rel <= c1 (a zero rel in
-            # the first block reads the zero column)
-            lo, hi = 0, rel.size
-            if count.size == 1:
-                lo, hi = np.searchsorted(rel, [c0, c1], side="right")
-                lo = lo if c0 else 0
+    width = int(count.max()) + 1
+    cols = np.minimum(p0[:, None] + np.arange(width - 1), p1[:, None] - 1)
+    running = np.empty((17, count.size, width))
+    running[:, :, 0] = 0.0
+    running[:9, :, 1:] = _powers((d_sorted[cols] - centres[:, None]) / g, 9)
+    np.multiply(running[:8, :, 1:], z_sorted[cols], out=running[9:, :, 1:])
+    np.cumsum(running, axis=2, out=running)
+    flat = running.reshape(17, -1)
+    for r0, seg, rel, update in bounds:
+        for e0 in range(0, rel.size, _CONTRACT_BLOCK):
+            e = slice(e0, min(e0 + _CONTRACT_BLOCK, rel.size))
+            j = seg[e]
+            moments = np.take(flat, j * width + rel[e], axis=1)
+            dest = out[:, r0 + e.start:r0 + e.stop]
+            q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+            update(dest, _sums(_by_power(moments), q), out=dest)
+    return running[:, np.arange(count.size), count]
+
+
+def _segment_pass(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
+    """One pass over the pairs p0..p1-1 of a lone segment; returns their
+    total moments (17,).
+
+    The pairs are read as slices, ``_SUM_BLOCK`` at a time. Each block
+    writes a = (d - centre)/g, its powers a^m (m <= 8) and a^m z (m <= 7)
+    straight into ``running`` (17, at least block + 1; column 0 holds zeros
+    and is never written) and turns them into running sums from the block's
+    start; the earlier blocks' total (carry) is added to the moments the
+    block hands out. ``bounds`` lists (r0, positions, update), positions
+    being nondecreasing window bounds into the pairs: the sums over the
+    segment's pairs before positions[k] (clipped to the segment), seen from
+    target r0 + k, are applied with ``update`` to that target's column of
+    ``out``, ``_CONTRACT_BLOCK`` targets per contraction.
+    """
+    count = p1 - p0
+    carry = np.zeros(17)
+    for c0 in range(0, count, _SUM_BLOCK):
+        k0, k1 = p0 + c0, min(p0 + c0 + _SUM_BLOCK, p1)
+        block = running[:, :k1 - k0 + 1]
+        a = block[1, 1:]
+        np.subtract(d_sorted[k0:k1], centre, out=a)
+        a /= g
+        block[0, 1:] = 1.0
+        for m in range(2, 9):
+            np.multiply(block[m - 1, 1:], a, out=block[m, 1:])
+        np.multiply(block[:8, 1:], z_sorted[k0:k1], out=block[9:, 1:])
+        np.cumsum(block, axis=1, out=block)
+        for r0, positions, update in bounds:
+            # the targets this block serves, k0 < bound <= k1 (a bound at or
+            # before the segment's start, in the first block, reads column 0)
+            lo = np.searchsorted(positions, k0, side="right") if c0 else 0
+            hi = np.searchsorted(positions, k1, side="right") if k1 < p1 else positions.size
             for e0 in range(lo, hi, _CONTRACT_BLOCK):
                 e = slice(e0, min(e0 + _CONTRACT_BLOCK, hi))
-                j = seg[e]
-                moments = np.take(flat, j * (c1 - c0 + 1) + (rel[e] - c0), axis=1)
+                moments = np.take(block, np.clip(positions[e], k0, k1) - k0, axis=1)
                 if c0:
-                    moments += carry[:, j]
+                    moments += carry[:, None]
                 dest = out[:, r0 + e.start:r0 + e.stop]
-                q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+                q = (centre - t[r0 + e.start:r0 + e.stop]) / g
                 update(dest, _sums(_by_power(moments), q), out=dest)
-        carry = carry + running[:, np.arange(count.size), np.minimum(count, c1) - c0]
+        carry += block[:, -1]
     return carry
 
 
@@ -392,6 +423,27 @@ def _span_entries(span_seg, span_rows, seg, shift, positions, p0, p1):
     return r0, j, rel
 
 
+def _pair_window_ends(d_sorted, left, g):
+    """``np.searchsorted(d_sorted, d_sorted + g, side="left")``, given the
+    window starts ``left = np.searchsorted(d_sorted, d_sorted - g,
+    side="right")``.
+
+    Pair k lies before the end of pair i's window when d_k < d_i + g, that
+    is, up to rounding, when pair i lies past the start of pair k's window,
+    left[k] <= i; so the ends are the running count of the starts. Each end
+    r is then checked, d[r - 1] < d_i + g <= d[r] (with d[-1] = -inf and
+    d[P] = +inf), which holds for the searchsorted bound alone, and the few
+    that rounding moved are searched again.
+    """
+    size = d_sorted.size
+    ends = np.cumsum(np.bincount(left, minlength=size)[:size])
+    reach = d_sorted + g
+    padded = np.concatenate(([-np.inf], d_sorted, [np.inf]))
+    moved = np.flatnonzero(~((padded[ends] < reach) & (reach <= padded[ends + 1])))
+    ends[moved] = np.searchsorted(d_sorted, reach[moved], side="left")
+    return ends
+
+
 def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
     """Triweight-weighted local-linear sums of z on distance at many targets.
 
@@ -409,22 +461,28 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
     Consecutive segments are chunked so that a chunk's padded stack,
     segments x longest, holds at most ``_STACK_PAIRS`` pairs, and a longer
     segment is a chunk of its own: at P = 4,950 (n = 100) a chunk holds
-    several segments, and at n = 1053 most chunks hold one, summed
-    in blocks of ``_SUM_BLOCK`` pairs as a lone segment always was. One
-    pass over each chunk (``_chunk_pass``) forms running sums local to
-    each of its segments, never over all P pairs, and hands out the head
-    moments at the window bounds that fall in it, one contraction per kind
-    of bound and block of ``_CONTRACT_BLOCK`` targets. Moments about a
-    segment's centre (|a| <= 1/2) become kernel-weighted sums for a target
-    at q = (centre - t)/g (|q| <= 3/2) through fixed 9 x 9 coefficient
-    matrices applied to the powers of q (``_shift_matrices``). The totals
-    of s - 1 and then s are applied last, one span of targets at a time.
-    Apart from a few arrays with one value per target (window bounds,
-    results), work runs in blocks, so memory does not grow with P.
+    several segments (``_chunk_pass``), and at n = 1053 most chunks hold
+    one, read as slices and summed in blocks of ``_SUM_BLOCK`` pairs in one
+    buffer per call (``_segment_pass``). One pass over each chunk forms
+    running sums local to each of its segments, never over all P pairs,
+    and hands out the head moments at the window bounds that fall in it,
+    one contraction per kind of bound and block of ``_CONTRACT_BLOCK``
+    targets. Moments about a segment's centre (|a| <= 1/2) become
+    kernel-weighted sums for a target at q = (centre - t)/g (|q| <= 3/2)
+    through fixed 9 x 9 coefficient matrices applied to the powers of q
+    (``_shift_matrices``). The totals of s - 1 and then s are applied last,
+    one span of targets at a time. Apart from a few arrays with one value
+    per target (window bounds, results), work runs in blocks, so memory
+    does not grow with P.
+
+    When the targets are the pair distances themselves (``targets is
+    d_sorted``, as in the leave-one-out score), the window ends are counted
+    from the window starts (``_pair_window_ends``).
 
     A pair that rounding puts on the wrong side of a segment edge, just
     past a window bound, is dropped or counted with weight below 1e-40.
     """
+    own = targets is d_sorted
     t = np.asarray(targets, dtype=np.float64).ravel()
     g = float(bandwidth)
     order = None
@@ -432,7 +490,10 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
         order = np.argsort(t, kind="stable")
         t = t[order]
     left = np.searchsorted(d_sorted, t - g, side="right")
-    right = np.searchsorted(d_sorted, t + g, side="left")
+    if own:
+        right = _pair_window_ends(d_sorted, left, g)
+    else:
+        right = np.searchsorted(d_sorted, t + g, side="left")
     sums = np.zeros((5, t.size))
     if t.size and d_sorted.size:
         origin = min(t[0], d_sorted[0])
@@ -441,6 +502,7 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
         # span k holds the targets span_rows[k]:span_rows[k + 1], of segment span_seg[k]
         span_seg = target_seg[firsts]
         span_rows = np.r_[firsts, t.size]
+        spans = dict(zip(span_seg, zip(span_rows[:-1], span_rows[1:])))
         del target_seg
         # the segments some window meets that hold pairs
         seg = np.unique(np.add.outer([-1.0, 0.0, 1.0], span_seg))
@@ -450,7 +512,23 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
         seg, p0, p1 = seg[held], p0[held], p1[held]
         centres = origin + (seg + 0.5) * g
         totals = np.empty((17, seg.size))
+        running = None  # the lone segments' block of running sums
         for a, b in _segment_chunks(p1 - p0):
+            if b - a == 1:
+                if running is None:
+                    running = np.empty((17, min(_SUM_BLOCK, int((p1 - p0).max())) + 1))
+                    running[:, 0] = 0.0
+                # window starts of the next segment's targets, then window
+                # ends of the previous segment's targets
+                bounds = []
+                for shift, pos, update in ((1.0, left, np.subtract), (-1.0, right, np.add)):
+                    if seg[a] + shift in spans:
+                        i0, i1 = spans[seg[a] + shift]
+                        bounds.append((i0, pos[i0:i1], update))
+                totals[:, a] = _segment_pass(
+                    sums, t, d_sorted, z_sorted, p0[a], p1[a], centres[a], g, bounds, running
+                )
+                continue
             chunk = slice(a, b)
             # window starts of the next segments' targets, then window ends of
             # the previous segments' targets
@@ -556,11 +634,17 @@ def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
     """Covariance surrogate from a pilot estimate: sill = max pilot value,
     C(d) = max(sill - gamma(d), 0) with gamma linearly interpolated on the
     lag grid (constant beyond its ends); unit-lag variance on the diagonal.
+    ``distances`` is a PairTable or a distance matrix: C is formed once per
+    pair, at the sorted pair distances, and written to both triangles.
     """
-    d = np.asarray(distances, dtype=np.float64)
+    pairs = _pair_table(distances)
     sill = float(pilot.estimates.max()) if pilot.estimates.size else 0.0
-    gamma = np.interp(d.ravel(), pilot.lags, pilot.estimates).reshape(d.shape)
-    c = np.clip(sill - gamma, 0.0, None)
+    values = np.interp(pairs.distances, pilot.lags, pilot.estimates)
+    np.subtract(sill, values, out=values)
+    np.maximum(values, 0.0, out=values)
+    c = np.empty(pairs.matrix.shape)
+    c[pairs.rows, pairs.cols] = values
+    c[pairs.cols, pairs.rows] = values
     np.fill_diagonal(c, sill)
     return c
 
@@ -605,7 +689,7 @@ def bias_corrected_variogram(
     current = est
     change = np.inf
     for iteration in range(1, max_iter + 1):
-        c_hat = pseudo_covariances(current, pairs.matrix)
+        c_hat = pseudo_covariances(current, pairs)
         corrections = pairs.corrections(bias_matrix(s, c_hat))
         updated = empirical_variogram(
             trend_fit.residuals, pairs, lag_grid, bandwidth,

@@ -719,3 +719,55 @@ def lag_sums_naive_many(targets, pair_dists, pair_z, bandwidth):
     sums = np.array([x.sum(axis=1) for x in terms])
     abs_sums = np.array([np.abs(x).sum(axis=1) for x in terms])
     return sums, abs_sums, inside.sum(axis=1)
+
+
+def chunk_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
+    """The padded-stack pass of ``variogram._chunk_pass`` for a chunk of one
+    or more segments, the reference for ``variogram._segment_pass``: a lone
+    segment is summed in blocks of 16,384 pairs gathered through a column
+    index matrix, and the earlier blocks' total is gathered per entry.
+    ``bounds`` lists (r0, seg, rel, update) as for ``_chunk_pass``; returns
+    the segments' total moments (17, segments)."""
+    from georisk.variogram import _CONTRACT_BLOCK, _SUM_BLOCK, _by_power, _powers, _sums
+
+    count = p1 - p0
+    longest = int(count.max())
+    width = _SUM_BLOCK if count.size == 1 else longest
+    carry = np.zeros((17, count.size))
+    for c0 in range(0, longest, width):
+        c1 = min(c0 + width, longest)
+        cols = np.minimum(p0[:, None] + np.arange(c0, c1), p1[:, None] - 1)
+        running = np.empty((17, count.size, c1 - c0 + 1))
+        running[:, :, 0] = 0.0
+        running[:9, :, 1:] = _powers((d_sorted[cols] - centres[:, None]) / g, 9)
+        np.multiply(running[:8, :, 1:], z_sorted[cols], out=running[9:, :, 1:])
+        np.cumsum(running, axis=2, out=running)
+        flat = running.reshape(17, -1)
+        for r0, seg, rel, update in bounds:
+            lo, hi = 0, rel.size
+            if count.size == 1:
+                lo, hi = np.searchsorted(rel, [c0, c1], side="right")
+                lo = lo if c0 else 0
+            for e0 in range(lo, hi, _CONTRACT_BLOCK):
+                e = slice(e0, min(e0 + _CONTRACT_BLOCK, hi))
+                j = seg[e]
+                moments = np.take(flat, j * (c1 - c0 + 1) + (rel[e] - c0), axis=1)
+                if c0:
+                    moments += carry[:, j]
+                dest = out[:, r0 + e.start:r0 + e.stop]
+                q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+                update(dest, _sums(_by_power(moments), q), out=dest)
+        carry = carry + running[:, np.arange(count.size), np.minimum(count, c1) - c0]
+    return carry
+
+
+def segment_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
+    """``variogram._segment_pass`` through ``chunk_pass_stacked``: each
+    bound's positions become counts of the segment's pairs before them
+    (clipped to the segment), and ``running`` is not used."""
+    rel_bounds = [
+        (r0, np.zeros(positions.size, dtype=np.int64), np.clip(positions, p0, p1) - p0, update)
+        for r0, positions, update in bounds
+    ]
+    segment = (np.array([p0]), np.array([p1]), np.array([centre]))
+    return chunk_pass_stacked(out, t, d_sorted, z_sorted, *segment, g, rel_bounds)[:, 0]

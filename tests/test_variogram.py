@@ -14,6 +14,7 @@ from _oracles import (
     lag_sums_naive_many,
     local_lag_fit_naive,
     local_lag_sums_naive,
+    segment_pass_stacked,
     semivariance_dense,
 )
 from georisk import bootstrap, variogram
@@ -39,6 +40,7 @@ from georisk.variogram import (
     _lag_base_sums,
     _loo_estimates,
     _pair_loo_score,
+    _pair_window_ends,
     bias_corrected_variogram,
     bias_matrix,
     correlation_matrix,
@@ -279,6 +281,62 @@ def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch)
     for score, want in zip(scores, ref):
         if want is not None:
             assert score == pytest.approx(want, rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def pairs_n1053():
+    """The pair table of ``synth_dataset(1053, seed=1)`` (P = 553,878) and
+    its centred square-root residuals' squared differences."""
+    locs, values = synth_dataset(1053, seed=1)
+    table = PairTable.from_distances(pairwise_distances(locs))
+    return table, table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
+
+
+def test_lone_segment_pass_equals_stacked_path_at_n1053(pairs_n1053, monkeypatch):
+    # A lone segment reads its pairs as slices into one reused block and
+    # its bounds straight from the window starts and ends; the stacked path
+    # gathers them through index arrays. Both form every running sum and
+    # contraction in the same order, so sums and counts are the same bits
+    # at the narrowest, middle and widest default candidates. About 2 s.
+    table, z = pairs_n1053
+    d = table.distances
+    lone = []
+
+    def stacked(*args):
+        lone.append(args[5] - args[4])
+        return segment_pass_stacked(*args)
+
+    for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
+        fast = _lag_base_sums(d, d, z, g)
+        lone.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(variogram, "_segment_pass", stacked)
+            ref = _lag_base_sums(d, d, z, g)
+        # most pairs lie in lone segments, some longer than one block
+        assert sum(lone) > d.size // 2 and max(lone) > variogram._SUM_BLOCK, g
+        for got, want in zip(fast, ref):
+            assert np.array_equal(got, want), g
+
+
+def test_pair_window_ends_equal_searchsorted(pairs_n1053):
+    # the ends counted from the window starts, checked and re-searched
+    # where rounding moved them, are the searchsorted bounds: at n = 1053,
+    # on the 20 x 20 regular grid (many tied distances) and on sites 0.1
+    # apart on a line, whose exactly repeated distances put window bounds
+    # on ties and where the count alone misses some ends. About 1 s.
+    grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
+    line = 0.1 * np.arange(60.0)[:, None] * [1.0, 0.0]
+    designs = [pairs_n1053[0]] + [PairTable.from_distances(pairwise_distances(x)) for x in (grid, line)]
+    moved = 0
+    for table in designs:
+        d = table.distances
+        for g in np.r_[default_lag_bandwidths(table.matrix), 0.1, 0.2, 0.3]:
+            left = np.searchsorted(d, d - g, side="right")
+            want = np.searchsorted(d, d + g, side="left")
+            counted = np.cumsum(np.bincount(left, minlength=d.size)[:d.size])
+            moved += int(np.count_nonzero(counted != want))
+            assert np.array_equal(_pair_window_ends(d, left, g), want), g
+    assert moved > 0
 
 
 # ---------------------------------------------------------------------------
