@@ -75,6 +75,17 @@ class SpatialSample:
     def d(self) -> int:
         return self.locations.shape[1]
 
+    def reordered(self, order) -> "SpatialSample":
+        """The same observations with site ``order[k]`` as site k. ``order``
+        is a permutation of range(n), which breaks none of the checks made
+        at construction, so they are not repeated."""
+        out = object.__new__(SpatialSample)
+        for name in ("locations", "values"):
+            a = getattr(self, name)[order]
+            a.flags.writeable = False
+            object.__setattr__(out, name, a)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class RegularGrid:

@@ -34,8 +34,13 @@ def _triweight_1d(u):
     does not time each of its many calls.
     """
     u = np.asarray(u, dtype=np.float64)
-    w = np.clip(1.0 - u * u, 0.0, None)
-    return TRIWEIGHT_NORM * w * w * w
+    w = 1.0 - u * u
+    np.maximum(w, 0.0, out=w)
+    # in place, so that a call holds at most three arrays of u's size
+    out = TRIWEIGHT_NORM * w
+    out *= w
+    out *= w
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,12 @@ CV, GCV and CGCV need nothing else but tr(S R), which comes from
 tr(S Sigma S^T). One candidate takes a few O(n^2) passes and one n x 6
 matrix product (MASE adds an n^3 product), and the winner's S is built
 once, by ``smoother_matrix``.
+
+The search takes the sites in first-axis order. A diagonal H's compact
+kernel then gives each row block of W one contiguous band of columns,
+those within h_1 of its rows (``_bands``), and W, its moments, the CGCV
+trace and the MASE rows are formed over the bands only; a band that spans
+every column runs as the dense code.
 """
 
 from __future__ import annotations
@@ -75,6 +81,10 @@ class SmootherMatrix:
     def trace_with(self, r) -> float:
         """tr(S R)."""
         return float(np.einsum("ij,ji->", self.S, r))
+
+    def variance_trace(self, sigma) -> float:
+        """tr(S Sigma S^T)."""
+        return float(np.einsum("ij,ij->", self.S @ sigma, self.S))
 
     def hat_matrix(self) -> np.ndarray:
         return self.S
@@ -233,6 +243,57 @@ def _row_blocks(m: int, n: int):
         yield slice(start, start + step)
 
 
+def _bands(coords, bandwidth: BandwidthMatrix):
+    """The column band of each row block of the kernel matrix at sites with
+    first coordinates ``coords``: a tuple of (rows, cols) slices over
+    ``_row_blocks(n, n)``, or None when every block reaches every column.
+
+    With the sites in first-axis order and a diagonal H, the positive
+    weights of row i lie where |x_j - x_i| < h_1, one contiguous run of
+    columns, so a block's band runs from its first row's run start to its
+    last row's run end. A weight counted as positive has
+    |fl(x_j - x_i) / h_1| < 1, hence |x_j - x_i| < h_1 (1 + 2 eps); the
+    reach is widened further to cover the rounding of the band ends, so
+    the band holds every positive weight, however small. A general H, or
+    sites in another order, gets full rows.
+    """
+    n = coords.size
+    if not bandwidth.is_diagonal or np.any(coords[1:] < coords[:-1]):
+        return None
+    h = bandwidth.entries[0, 0]
+    reach = h + 16.0 * np.finfo(np.float64).eps * (h + max(abs(coords[0]), abs(coords[-1])))
+    blocks = list(_row_blocks(n, n))
+    first = np.array([sl.start for sl in blocks])
+    last = np.minimum(first + (blocks[0].stop - blocks[0].start), n) - 1
+    lo = np.searchsorted(coords, coords[first] - reach, side="left")
+    hi = np.searchsorted(coords, coords[last] + reach, side="right")
+    if lo.max() == 0 and hi.min() == n:
+        return None
+    return tuple((sl, slice(a, b)) for sl, a, b in zip(blocks, lo.tolist(), hi.tolist()))
+
+
+def _blocks(m: int, n: int, bands):
+    """The (rows, cols) slices an (m, n) kernel matrix is formed and read
+    in: its ``bands``, or each row block of ``_row_blocks`` with every
+    column."""
+    if bands is not None:
+        return bands
+    return [(sl, slice(0, n)) for sl in _row_blocks(m, n)]
+
+
+def _band_product(w, m, bands):
+    """w @ m for kernel matrices w (..., n, n) that are zero outside
+    ``bands``: one product per row block over its band, or the one dense
+    product when ``bands`` is None. Entries of w outside the bands are not
+    read."""
+    if bands is None:
+        return w @ m
+    out = np.empty(w.shape[:-1] + m.shape[-1:])
+    for rows, cols in bands:
+        out[..., rows, :] = w[..., rows, cols] @ m[..., cols, :]
+    return out
+
+
 def _kernel_weights(points, locations, bandwidth: BandwidthMatrix, min_neighbors: int = 0):
     """Kernel matrix W_ij = K(H^-1 (x_j - p_i)) between points p and sites x,
     K the product triweight kernel.
@@ -269,14 +330,15 @@ def _kernel_weights(points, locations, bandwidth: BandwidthMatrix, min_neighbors
     return w
 
 
-def _axis_factors(coords, scales) -> np.ndarray:
+def _axis_factors(coords, scales, bands=None) -> np.ndarray:
     """The univariate triweight factors K((c_j - c_i) / s) of one axis at
-    the sites, one n x n matrix per scale s, filled one row block at a time."""
+    the sites, one n x n matrix per scale s, filled one row block at a time
+    over its band (entries outside ``bands`` are left unset)."""
     n = coords.size
     out = np.empty((len(scales), n, n))
     for k, s in enumerate(scales):
-        for sl in _row_blocks(n, n):
-            out[k, sl] = _triweight_1d((coords[None, :] - coords[sl, None]) / s)
+        for sl, cols in _blocks(n, n, bands):
+            out[k, sl, cols] = _triweight_1d((coords[None, cols] - coords[sl, None]) / s)
     return out
 
 
@@ -292,6 +354,10 @@ class _LocalFit:
     use the hat matrix only through its products with a few vectors, which
     come from the moments W @ [v, z v]. ``SmootherMatrix`` offers the same
     methods on an explicit hat matrix.
+
+    The search's fits carry the ``bands`` of W (``_bands``): every product
+    then runs over each row block's band only, and the entries of W outside
+    the bands are never read.
     """
 
     weights: np.ndarray
@@ -300,6 +366,7 @@ class _LocalFit:
     z: np.ndarray
     p: np.ndarray
     bad: np.ndarray
+    bands: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -317,7 +384,9 @@ class _LocalFit:
     def smooth(self, v) -> np.ndarray:
         """S v, the smoother applied to data v."""
         v = np.asarray(v, dtype=np.float64)
-        return self._apply(self.weights @ np.column_stack([v, self.z * v[:, None]]))
+        return self._apply(
+            _band_product(self.weights, np.column_stack([v, self.z * v[:, None]]), self.bands)
+        )
 
     def hat_diagonal(self) -> np.ndarray:
         """diag S, at the sites."""
@@ -331,22 +400,34 @@ class _LocalFit:
         """tr(S R) at the sites, from the moments of W o R^T."""
         basis = np.column_stack([np.ones(self.n), self.z])
         moments = np.empty_like(basis)
-        for sl in _row_blocks(self.n, self.n):
-            moments[sl] = (self.weights[sl] * r[:, sl].T) @ basis
+        for sl, cols in _blocks(self.n, self.n, self.bands):
+            moments[sl] = (self.weights[sl, cols] * r[cols, sl].T) @ basis[cols]
         return float(self._apply(moments).sum())
 
+    def variance_trace(self, sigma) -> float:
+        """tr(S Sigma S^T) at the sites, over each row block's band."""
+        rows = self.hat_matrix()
+        if self.bands is None:
+            return float(np.einsum("ij,ij->", rows @ sigma, rows))
+        return float(sum(
+            np.einsum("ij,ij->", rows[sl, cols] @ sigma[cols, cols], rows[sl, cols])
+            for sl, cols in self.bands
+        ))
+
     def hat_matrix(self, out=None) -> np.ndarray:
-        """The rows, written into ``out`` if given. ``out`` may be
-        ``weights``: each row block is read before it is overwritten."""
+        """The rows (zero outside the bands), written into ``out`` if given.
+        ``out`` may be ``weights``: each row block is read before it is
+        overwritten."""
         m, n = self.weights.shape
-        rows = np.empty((m, n)) if out is None else out
+        if out is None:
+            out = np.empty((m, n)) if self.bands is None else np.zeros((m, n))
         c = self.coef
-        for sl in _row_blocks(m, n):
-            lin = np.repeat(c[sl, :1], n, axis=1)
+        for sl, cols in _blocks(m, n, self.bands):
+            lin = np.repeat(c[sl, :1], cols.stop - cols.start, axis=1)
             for k in range(self.z.shape[1]):
-                lin += c[sl, k + 1 : k + 2] * (self.z[None, :, k] - self.p[sl, None, k])
-            rows[sl] = self.weights[sl] / self.sums[sl, None] * lin
-        return rows
+                lin += c[sl, k + 1 : k + 2] * (self.z[None, cols, k] - self.p[sl, None, k])
+            out[sl, cols] = self.weights[sl, cols] / self.sums[sl, None] * lin
+        return out
 
 
 def _frame(bandwidth: BandwidthMatrix, centred) -> np.ndarray:
@@ -356,14 +437,16 @@ def _frame(bandwidth: BandwidthMatrix, centred) -> np.ndarray:
     return centred @ bandwidth.inverse
 
 
-def _site_designs(weights, z):
+def _site_designs(weights, z, bands=None):
     """The unit-sum local designs of (1, z_j - z_i) at the sites, for a
-    stack of kernel matrices W (k, n, n) and frames z (k, n, d).
+    stack of kernel matrices W (k, n, n) with ``bands`` and frames z
+    (k, n, d).
 
     The designs come from the moments W @ [1, z, z z^T], one n x 6 product
-    per kernel matrix. Returns (sums, a, shift, mean): the row sums of W,
-    the designs (k, n, d+1, d+1), the weighted mean offsets of the window
-    from each site and the normalized moments.
+    per kernel matrix (per row block over its band). Returns (sums, a,
+    shift, mean): the row sums of W, the designs (k, n, d+1, d+1), the
+    weighted mean offsets of the window from each site and the normalized
+    moments.
     """
     n, d = z.shape[1:]
     pairs = [(k, j) for k in range(d) for j in range(k, d)]
@@ -371,7 +454,7 @@ def _site_designs(weights, z):
         [np.ones(z.shape[:2] + (1,)), z] + [z[..., k, None] * z[..., j, None] for k, j in pairs],
         axis=2,
     )
-    moments = weights @ basis
+    moments = _band_product(weights, basis, bands)
     sums = moments[..., 0]
     mean = moments[..., 1:] / sums[..., None]
     # each second moment of (1, z_j - z_i) is the weighted covariance plus
@@ -540,9 +623,7 @@ def mase_score(
     m = np.asarray(true_mean, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
     bias = s.smooth(m) - m
-    rows = s.hat_matrix()
-    var_term = float(np.einsum("ij,ij->", rows @ sigma, rows))
-    return float(bias @ bias + var_term) / s.n
+    return float(bias @ bias + s.variance_trace(sigma)) / s.n
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +679,10 @@ def select_bandwidth(
 
     Each candidate is scored from its local fit (kernel moments), never from
     a hat matrix; consecutive diagonal candidates with the same first scale,
-    as in the default grid, are scored as one stack (``_grid_scores``).
+    as in the default grid, are scored as one stack (``_grid_scores``). The
+    search takes the sites in first-axis order, and with them the
+    correlation, true mean and covariance, which no criterion depends on:
+    each row block of a kernel matrix then reaches one band of columns.
     """
     if criterion not in _CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}; expected one of {_CRITERIA}")
@@ -611,6 +695,16 @@ def select_bandwidth(
     search_grid = list(search_grid)
     if not search_grid:
         raise ConfigError("empty bandwidth search grid")
+    order = np.argsort(sample.locations[:, 0], kind="stable")
+    sample = sample.reordered(order)
+    if correlation is not None:
+        # the CGCV trace reads R^T by rows, so R is held as its transpose
+        r = np.asarray(correlation, dtype=np.float64)
+        correlation = np.ascontiguousarray(r.T[np.ix_(order, order)]).T
+    if true_mean is not None:
+        true_mean = np.asarray(true_mean, dtype=np.float64)[order]
+    if covariance is not None:
+        covariance = np.asarray(covariance, dtype=np.float64)[np.ix_(order, order)]
 
     def score(fit):
         if criterion == "cv":
@@ -664,7 +758,9 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
     Consecutive diagonal candidates with the same h_1 form one stack of at
     most ``_STACK_ENTRIES`` kernel entries: 10 candidates of the default
     grid at n = 100, one from n = 363 on. The stack's W is the first axis's
-    factor, built once per h_1, times the other axes' factors. When stacks
+    factor, built once per h_1, times the other axes' factors, each formed
+    only over the ``_bands`` of h_1 (every column at n <= 181, where one
+    row block holds every row). When stacks
     hold several candidates those factors are built whole and kept for the
     next stack with the same scales (every stack of the default grid at
     small n); a stack of one forms them per row block of W, so that a
@@ -674,7 +770,7 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
     n, d = locs.shape
     per_stack = max(1, _STACK_ENTRIES // (n * n))
     values = []
-    first, first_factor = None, None
+    first, first_factor, bands = None, None, None
     trailing, factors = None, None
     i = 0
     while i < len(grid):
@@ -683,7 +779,8 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
             if grid[i].entries[0, 0] != first:
                 first_factor = None  # release the old factor before building the next
                 first = grid[i].entries[0, 0]
-                first_factor = _axis_factors(locs[:, 0], [first])[0]
+                bands = _bands(locs[:, 0], grid[i])
+                first_factor = _axis_factors(locs[:, 0], [first], bands)[0]
             while (
                 j < len(grid) and j - i < per_stack
                 and grid[j].is_diagonal and grid[j].entries[0, 0] == first
@@ -694,42 +791,45 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
                 factors = None
                 factors = [_axis_factors(locs[:, k], scales[:, k]) for k in range(1, d)]
                 trailing = scales[:, 1:]
-            w, fed = _stacked_weights(locs, first_factor, scales, factors, min_neighbors)
+            w, fed = _stacked_weights(locs, first_factor, scales, factors, min_neighbors, bands)
         else:
+            first, first_factor, bands = None, None, None
             w = _kernel_weights(locs, locs, grid[i])[None]
             fed = np.count_nonzero(w[0], axis=1).min(keepdims=True) >= min_neighbors
-        values += _stack_scores(sample, grid[i:j], w, fed, score)
+        values += _stack_scores(sample, grid[i:j], w, fed, score, bands)
         w = None
         i = j
     return values
 
 
-def _stacked_weights(locs, first_factor, scales, factors, min_neighbors):
+def _stacked_weights(locs, first_factor, scales, factors, min_neighbors, bands):
     """The stack's kernel matrices (k, n, n), the first axis's factor times
     the other axes' ``factors`` (formed per row block from ``scales`` when
     None), and which candidates have at least ``min_neighbors`` positive
-    weights at every site. W is filled one row block at a time and stops
-    once every candidate has a starved site."""
+    weights at every site. W is filled one row block at a time over its
+    band, which holds every positive weight, and stops once every candidate
+    has a starved site."""
     n, d = locs.shape
     w = np.empty((len(scales), n, n))
     fed = np.ones(len(scales), dtype=bool)
-    for sl in _row_blocks(n, n):
-        w[:, sl] = first_factor[sl]
+    for sl, cols in _blocks(n, n, bands):
+        w[:, sl, cols] = first_factor[sl, cols]
         for k in range(1, d):
             if factors is None:
-                diff = locs[None, :, k] - locs[sl, None, k]
-                w[:, sl] *= _triweight_1d(diff / scales[:, k, None, None])
+                u = (locs[None, cols, k] - locs[sl, None, k]) / scales[:, k, None, None]
+                w[:, sl, cols] *= _triweight_1d(u)
             else:
-                w[:, sl] *= factors[k - 1][:, sl]
-        fed &= np.count_nonzero(w[:, sl], axis=2).min(axis=1) >= min_neighbors
+                w[:, sl, cols] *= factors[k - 1][:, sl, cols]
+        fed &= np.count_nonzero(w[:, sl, cols], axis=2).min(axis=1) >= min_neighbors
         if not fed.any():
             break
     return w, fed
 
 
-def _stack_scores(sample, stack, weights, fed, score) -> list:
+def _stack_scores(sample, stack, weights, fed, score, bands) -> list:
     """The criterion at each bandwidth of ``stack``, whose kernel matrices
-    at the sites are ``weights`` (k, n, n), or None where it is inadmissible.
+    at the sites are ``weights`` (k, n, n) with ``bands``, or None where it
+    is inadmissible.
 
     Only the ``fed`` candidates (no starved site) are scored. Their designs
     are formed and solved in one batch (``_site_designs``, ``_local_coef``);
@@ -747,7 +847,7 @@ def _stack_scores(sample, stack, weights, fed, score) -> list:
         weights = weights[fed]
     centred = locs - locs.mean(axis=0)
     z = np.stack([_frame(stack[k], centred) for k in fed])
-    sums, a, shift, mean = _site_designs(weights, z)
+    sums, a, shift, mean = _site_designs(weights, z, bands)
     coef, offline = _local_coef(
         a.reshape(-1, d + 1, d + 1), shift.reshape(-1, d), mean.reshape(-1, mean.shape[-1])
     )
@@ -756,7 +856,8 @@ def _stack_scores(sample, stack, weights, fed, score) -> list:
     none_bad = np.empty(0, dtype=np.intp)
     for k in np.flatnonzero(~bad):
         fit = _LocalFit(
-            weights=weights[k], sums=sums[k], coef=coef[k], z=z[k], p=z[k], bad=none_bad
+            weights=weights[k], sums=sums[k], coef=coef[k], z=z[k], p=z[k], bad=none_bad,
+            bands=bands,
         )
         try:
             values[fed[k]] = score(fit)

@@ -21,7 +21,7 @@ from .exceptions import (
     DegenerateScoreError,
 )
 from .numerics import bessel_j0, nnls
-from .trend import TrendFit
+from .trend import TrendFit, _row_blocks
 
 LAG_RANGE_FRACTION = 0.55  # lags live inside 55% of the largest distance
 DEFAULT_N_LAGS = 25
@@ -203,6 +203,20 @@ class PairTable:
                 f"{v.shape[0]} values for a pair table over {self.matrix.shape[0]} sites"
             )
         return np.square(v[self.rows] - v[self.cols])
+
+    def relabeled(self, order) -> "PairTable":
+        """The same pairs, in the same order, with site ``order[k]`` renamed
+        k (``order`` a permutation of the sites), so that ``rows``/``cols``
+        index arrays held in that order and a row may exceed its column.
+        ``matrix`` is shared, in the old labels: the relabeled table serves
+        the calls that read only its size and its pairs
+        (``squared_differences``, ``corrections``, ``pseudo_covariances``)."""
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        return PairTable(
+            matrix=self.matrix, distances=self.distances,
+            rows=rank[self.rows], cols=rank[self.cols],
+        )
 
     def corrections(self, bias) -> np.ndarray:
         """B_ii + B_jj - 2 B_ij at every pair: the trend-removal bias of
@@ -617,16 +631,56 @@ def empirical_variogram(
     return EmpiricalVariogram(lags=lag_grid, estimates=estimates, pair_counts=mass)
 
 
+def _row_bands(s):
+    """(rows, cols) slices of each row block of a square S (the trend's
+    blocks of about 2^15 entries, so one block up to n = 181) and the
+    columns from its first to its last nonzero, widened to the block's own
+    columns, or None when every block spans every column."""
+    n = s.shape[0]
+    bands = []
+    for sl in _row_blocks(n, n):
+        rows = slice(sl.start, min(sl.stop, n))
+        nonzero = np.flatnonzero((s[rows] != 0.0).any(axis=0))
+        lo, hi = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (n, 0)
+        bands.append((rows, slice(min(lo, rows.start), max(hi, rows.stop))))
+    if all(cols.start == 0 and cols.stop == n for _, cols in bands):
+        return None
+    return bands
+
+
 def bias_matrix(smoother, covariance) -> np.ndarray:
     """The distortion of the residual covariance that trend removal induces,
     S Sigma S^T - Sigma S^T - S Sigma, for a hat matrix S and a symmetric
-    Sigma, so that Sigma S^T = (S Sigma)^T."""
+    Sigma, so that Sigma S^T = (S Sigma)^T.
+
+    When some row block of S is zero outside a band of columns (a compact
+    kernel with the sites in first-axis order), B is formed one block of
+    rows at a time as (S - I) Sigma (S - I)^T - Sigma, each product running
+    over the blocks' bands only; otherwise it comes from the dense
+    products.
+    """
     s = smoother.S if hasattr(smoother, "S") else np.asarray(smoother, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
-    s_sigma = s @ sigma
-    b = s_sigma @ s.T
-    b -= s_sigma.T
-    b -= s_sigma
+    bands = _row_bands(s)
+    if bands is None:
+        s_sigma = s @ sigma
+        b = s_sigma @ s.T
+        b -= s_sigma.T
+        b -= s_sigma
+        return b
+    blocks = []  # the bands of S - I
+    for rows, cols in bands:
+        block = s[rows, cols].copy()
+        k = np.arange(rows.stop - rows.start)
+        block[k, k + rows.start - cols.start] -= 1.0
+        blocks.append((rows, cols, block))
+    # a block of rows of B needs only the same rows of (S - I) Sigma
+    b = np.empty(s.shape)
+    for rows, cols, block in blocks:
+        t = block @ sigma[cols]
+        for rows2, cols2, block2 in blocks:
+            b[rows, rows2] = t[:, cols2] @ block2.T
+        b[rows] -= sigma[rows]
     return b
 
 
@@ -673,27 +727,34 @@ def bias_corrected_variogram(
     over the lag grid drops below ``tol`` or ``max_iter`` is reached. On
     non-convergence the best iterate is returned with a flag in ``report``.
     ``distances`` is a PairTable or a distance matrix.
+
+    The correction takes the sites in first-axis order: S, each
+    pseudo-covariance matrix and each bias matrix are held in that order
+    (the pair table relabeled once), so that ``bias_matrix`` multiplies
+    each block of rows of S over its band only. The pairs keep their order,
+    so the squared differences are those of the sites as given.
     """
     pairs = _pair_table(distances)
     if lag_grid is None:
         lag_grid = default_lag_grid(pairs.matrix)
-    est = empirical_variogram(
-        trend_fit.residuals, pairs, lag_grid, bandwidth, min_pairs=min_pairs
-    )
+    order = np.argsort(trend_fit.sample.locations[:, 0], kind="stable")
+    pairs = pairs.relabeled(order)
+    residuals = trend_fit.residuals[order]
+    est = empirical_variogram(residuals, pairs, lag_grid, bandwidth, min_pairs=min_pairs)
     if max_iter <= 0:
         report = BiasCorrectionReport(iterations=0, converged=False, max_rel_change=np.inf)
         return EmpiricalVariogram(est.lags, est.estimates, est.pair_counts, report=report)
 
-    s = trend_fit.smoother
+    s = trend_fit.smoother.S[np.ix_(order, order)]
     best = None
     current = est
     change = np.inf
     for iteration in range(1, max_iter + 1):
-        c_hat = pseudo_covariances(current, pairs)
-        corrections = pairs.corrections(bias_matrix(s, c_hat))
+        # no n x n or per-pair array outlives its step
         updated = empirical_variogram(
-            trend_fit.residuals, pairs, lag_grid, bandwidth,
-            corrections=corrections, min_pairs=min_pairs,
+            residuals, pairs, lag_grid, bandwidth,
+            corrections=pairs.corrections(bias_matrix(s, pseudo_covariances(current, pairs))),
+            min_pairs=min_pairs,
         )
         scale = np.maximum(np.abs(current.estimates), 1e-12)
         change = float(np.max(np.abs(updated.estimates - current.estimates) / scale))

@@ -203,21 +203,32 @@ def empirical_variogram_dense(residuals, distances, lag_grid, bandwidth, correct
     return np.clip(0.5 * alpha, 0.0, None), mass
 
 
-def bias_corrected_variogram_dense(
-    trend_fit, distances, lag_grid, bandwidth, max_iter=5, tol=1e-3
+def bias_matrix_dense(s, sigma):
+    """S Sigma S^T - Sigma S^T - S Sigma from dense products of the whole
+    matrices, for symmetric Sigma."""
+    s_sigma = s @ sigma
+    return s_sigma @ s.T - s_sigma.T - s_sigma
+
+
+def bias_iteration_dense(
+    trend_fit, distances, lag_grid, bandwidth, max_iter=5, tol=1e-3, bias_matrix=None
 ):
     """The plug-in bias iteration with dense n x n corrections
-    B_ii + B_jj - 2 B_ij; returns the estimates and pair weights of the
-    iterate the package reports (the converged one, else the one with the
-    smallest change)."""
-    from georisk.variogram import EmpiricalVariogram, bias_matrix, pseudo_covariances
+    B_ii + B_jj - 2 B_ij, B from ``bias_matrix`` (the package's by
+    default) on the sites as given; returns the estimates and pair weights
+    of the iterate the package reports (the converged one, else the one
+    with the smallest change), its iteration, whether it converged and its
+    maximum relative change."""
+    from georisk import variogram
+    from georisk.variogram import EmpiricalVariogram, pseudo_covariances
 
+    bias = variogram.bias_matrix if bias_matrix is None else bias_matrix
     d = np.asarray(distances, dtype=np.float64)
     est, mass = empirical_variogram_dense(trend_fit.residuals, d, lag_grid, bandwidth)
     best = None
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         pilot = EmpiricalVariogram(lag_grid, est, mass)
-        b = bias_matrix(trend_fit.smoother, pseudo_covariances(pilot, d))
+        b = bias(trend_fit.smoother.S, pseudo_covariances(pilot, d))
         diag = np.diag(b)
         corrections = diag[:, None] + diag[None, :] - 2.0 * b
         new_est, new_mass = empirical_variogram_dense(
@@ -226,10 +237,17 @@ def bias_corrected_variogram_dense(
         change = float(np.max(np.abs(new_est - est) / np.maximum(np.abs(est), 1e-12)))
         est, mass = new_est, new_mass
         if best is None or change < best[0]:
-            best = (change, est, mass)
+            best = (change, est, mass, iteration)
         if change < tol:
-            return est, mass
-    return best[1], best[2]
+            return est, mass, iteration, True, change
+    return best[1], best[2], best[3], False, best[0]
+
+
+def bias_corrected_variogram_dense(
+    trend_fit, distances, lag_grid, bandwidth, max_iter=5, tol=1e-3
+):
+    """The estimates and pair weights of ``bias_iteration_dense``."""
+    return bias_iteration_dense(trend_fit, distances, lag_grid, bandwidth, max_iter, tol)[:2]
 
 
 def sk_weights_dense(cov_dd, cov_d0):

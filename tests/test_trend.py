@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import (
@@ -675,10 +677,11 @@ def test_cgcv_search_memory_at_n1053():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the x-factor, W and row-block temporaries: under four n x n matrices
-    # (the search that built dense smoother rows per candidate peaked at
-    # 66.6 MB, 7.9 of them)
-    assert peak <= 4 * sample.n**2 * 8
+    # the x-factor, W and row-block temporaries peaked at 19.1 MB (2.15
+    # n x n matrices) with the sites as given; taking them in first-axis
+    # order adds one n x n matrix, the reordered correlation (the search
+    # that built dense smoother rows per candidate peaked at 66.6 MB)
+    assert peak <= 19.1e6 + 8 * sample.n**2
 
 
 def test_solve_e1_batches_regular_ridged_and_singular_rows():
@@ -772,6 +775,63 @@ def test_stacked_search_matches_per_candidate_loop_on_study_designs():
         ):
             ref = _assert_search_matches_loop(sample, criterion, grid, **kw)
             assert 0 < sum(s is not None for s in ref) < len(grid), (r, criterion)
+
+
+def test_banded_search_matches_per_candidate_loop_at_realistic_size():
+    # the risk map's sites (n = 1053) and the table1 full design (n = 400,
+    # 20 sites per first coordinate) in first-axis order, so that the
+    # stacks are formed and multiplied over bands; every third candidate of
+    # each default grid
+    sample, kwargs = _synth_case(1053, 1, 0.0)
+    order = np.argsort(sample.locations[:, 0], kind="stable")
+    ordered = sample.reordered(order)
+    corr = kwargs["cgcv"]["correlation"][np.ix_(order, order)]
+    grid = default_bandwidth_grid(sample)[::3]
+    assert trend._bands(ordered.locations[:, 0], grid[0]) is not None
+    for criterion, kw in (("cv", {}), ("cgcv", {"correlation": corr})):
+        ref = _assert_search_matches_loop(ordered, criterion, grid, **kw)
+        assert 0 < sum(s is not None for s in ref) < len(grid), criterion
+    scenario = table1_scenario("full", seed=20240)
+    design = _DesignContext.truth(scenario, simulate_field(scenario, 0).locations)
+    template = SpatialSample(design.locations, design.m_true)
+    assert np.all(np.diff(template.locations[:, 0]) >= 0.0)
+    grid = default_bandwidth_grid(template)[::3]
+    assert trend._bands(template.locations[:, 0], grid[0]) is not None
+    kw = {"true_mean": design.m_true, "covariance": design.sigma_true}
+    ref = _assert_search_matches_loop(template, "mase", grid, **kw)
+    assert 0 < sum(s is not None for s in ref) < len(grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(182, 600),
+    log_h=st.floats(-3.0, np.log10(2.0)),
+    offset=st.sampled_from([0.0, 1.0, -37.5, 5e6]),
+)
+def test_bands_hold_every_positive_kernel_weight(seed, n, log_h, offset):
+    # first coordinates on [0, 1) (plus an offset), a third of them
+    # repeated, and sites at |x_j - x_i| = h up to a few roundings, where
+    # the weight is positive but tiny or exactly zero
+    rng = np.random.default_rng(seed)
+    h = 10.0**log_h
+    x = rng.uniform(size=n)
+    x[: n // 3] = rng.choice(x[n // 3 :], size=n // 3)
+    eps = np.finfo(np.float64).eps
+    for k, step in enumerate((0.0, 1.0, 2.0, 4.0, -1.0)):
+        for sign in (1.0, -1.0):
+            x[n // 3 + 2 * k + (sign < 0)] = x[-1 - k] + sign * h * (1.0 - step * eps)
+    x = np.sort(x + offset)
+    factor = _triweight_1d((x[None, :] - x[:, None]) / h)
+    bands = trend._bands(x, BandwidthMatrix.diagonal(h, 1.0))
+    if bands is None:
+        return
+    rows = np.concatenate([np.arange(n)[sl] for sl, _ in bands])
+    assert np.array_equal(rows, np.arange(n))
+    for sl, cols in bands:
+        positive = factor[sl] > 0.0
+        assert not positive[:, : cols.start].any() and not positive[:, cols.stop :].any()
+    assert trend._bands(x, BandwidthMatrix([[h, 0.1 * h], [0.1 * h, h]])) is None
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from _oracles import (
     bias_corrected_variogram_dense,
+    bias_iteration_dense,
+    bias_matrix_dense,
     bias_matrix_tripleloop,
     empirical_variogram_dense,
     lag_base_sums_per_segment,
@@ -31,8 +33,13 @@ from georisk.geometry import (
 )
 from georisk.io import synth_dataset
 from georisk.numerics import bessel_j0
-from georisk.simulation import simulate_field, table1_scenario, table3_scenario
-from georisk.trend import fit_trend, smoother_matrix
+from georisk.simulation import (
+    _DesignContext,
+    simulate_field,
+    table1_scenario,
+    table3_scenario,
+)
+from georisk.trend import apply_smoother, fit_trend, smoother_matrix
 from georisk.variogram import (
     EmpiricalVariogram,
     PairTable,
@@ -159,23 +166,6 @@ def test_loo_estimates_match_naive_at_realistic_size(pairs_n1000):
         for p in picks:
             ref = 0.5 * local_lag_fit_naive(d[p], d, z, g, exclude=p)
             assert gamma[p] == pytest.approx(ref, rel=1e-8)
-
-
-def test_loo_score_memory_is_bounded_at_n1053():
-    # one score may hold at most 40 doubles per pair at any time
-    locs, values = synth_dataset(1053, seed=1)
-    table = PairTable.from_distances(pairwise_distances(locs))
-    z = table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
-    lags = default_lag_grid(table.matrix)
-    budget = 40 * table.distances.size * 8
-    for g in default_lag_bandwidths(table.matrix):
-        tracemalloc.start()
-        try:
-            _pair_loo_score(table.distances, z, lags, g, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget, (g, peak / (8 * table.distances.size))
 
 
 def test_loo_score_holds_at_most_12_doubles_per_pair_at_n1053():
@@ -377,6 +367,78 @@ def test_pair_table_estimates_bit_identical_to_dense_path(field_n400):
         est = bias_corrected_variogram(fit, dist, lags, 0.2)
         assert np.array_equal(est.estimates, ref_est)
         assert np.array_equal(est.pair_counts, ref_mass)
+
+
+@pytest.fixture(scope="module")
+def riskmap_bias_design():
+    """The benchmark risk map's first bias correction: ``synth_dataset(1053,
+    seed=1)`` under a square-root response, the trend at the bandwidth its
+    CV search selects and the lag bandwidth the pipeline selects there."""
+    locs, values = synth_dataset(1053, seed=1)
+    fit = fit_trend(
+        SpatialSample(locs, np.sqrt(values)),
+        BandwidthMatrix.diagonal(5.94289825208083, 2.4520523130490615),
+    )
+    table = PairTable.from_distances(pairwise_distances(locs))
+    return fit, table, default_lag_grid(table.matrix), 2.086469071864711
+
+
+@pytest.fixture(scope="module")
+def table1_bias_design():
+    """The table1 full study's design at study seed 20240: a regular 20 x 20
+    grid, so that every first coordinate is shared by 20 sites, its MASE
+    smoother, the first replicate's residuals and the study's lag
+    bandwidth."""
+    scenario = table1_scenario("full", seed=20240)
+    design = _DesignContext.build(scenario, simulate_field(scenario, 0).locations)
+    fit = apply_smoother(design.smoother, simulate_field(scenario, 0, design))
+    table, lags = design.site.pairs, design.site.lag_grid
+    return fit, table, lags, select_lag_bandwidth(fit.residuals, table, lags)
+
+
+@pytest.fixture(params=["riskmap", "table1"])
+def bias_design(request):
+    return request.getfixturevalue(f"{request.param}_bias_design")
+
+
+def test_banded_bias_matrix_matches_dense_products(bias_design):
+    # B of S and Sigma in first-axis order, formed over the row blocks'
+    # bands, against the dense products in the order given, relabeled
+    fit, table, lags, g = bias_design
+    order = np.argsort(fit.sample.locations[:, 0], kind="stable")
+    sigma = pseudo_covariances(empirical_variogram(fit.residuals, table, lags, g), table)
+    s = fit.smoother.S[np.ix_(order, order)]
+    assert variogram._row_bands(s) is not None
+    ref = bias_matrix_dense(fit.smoother.S, sigma)[np.ix_(order, order)]
+    b = bias_matrix(s, sigma[np.ix_(order, order)])
+    assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_bias_corrected_variogram_matches_dense_iteration(bias_design):
+    fit, table, lags, g = bias_design
+    est = bias_corrected_variogram(fit, table, lags, g)
+    ref, mass, iterations, converged, change = bias_iteration_dense(
+        fit, table.matrix, lags, g, bias_matrix=bias_matrix_dense
+    )
+    assert_allclose(est.estimates, ref, rtol=1e-12, atol=0.0)
+    assert np.array_equal(est.pair_counts, mass)
+    report = est.report
+    assert (report.iterations, report.converged) == (iterations, converged)
+    assert report.max_rel_change == pytest.approx(change, rel=1e-9)
+
+
+def test_bias_corrected_variogram_memory_at_n1053(riskmap_bias_design):
+    fit, table, lags, g = riskmap_bias_design
+    n = fit.sample.n
+    tracemalloc.start()
+    try:
+        bias_corrected_variogram(fit, table, lags, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the correction with the sites as given peaked at 31.2 MB (3.5 n x n
+    # matrices); taking them in first-axis order may add one n x n matrix
+    assert peak <= 31.2e6 + 8 * n * n
 
 
 def test_fit_pipeline_builds_one_pair_table(monkeypatch):
