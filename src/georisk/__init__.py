@@ -27,7 +27,6 @@ from .simulation import (
     Scenario,
     exp_variogram,
     run_scenario,
-    se_metrics,
     simulate_field,
     table1_scenario,
     table2_scenarios,
@@ -99,7 +98,6 @@ __all__ = [
     "pseudo_covariances",
     "risk_maps",
     "run_scenario",
-    "se_metrics",
     "select_bandwidth",
     "simulate_field",
     "sk_predict",

@@ -176,7 +176,8 @@ def site_design(locations) -> SiteDesign:
     """The site design of ``locations`` (a SpatialSample or an (n, d)
     coordinate array)."""
     dists = pairwise_distances(locations)
-    return SiteDesign(dists, PairTable.from_distances(dists), default_lag_grid(dists))
+    pairs = PairTable.from_distances(dists)
+    return SiteDesign(dists, pairs, default_lag_grid(pairs.distances))
 
 
 def fit_pipeline(
@@ -288,7 +289,7 @@ def _factorize(models, dists: np.ndarray) -> tuple:
 
 
 def _select_lag_bandwidth_with_fallback(residuals, pairs, lag_grid, notes):
-    candidates = default_lag_bandwidths(pairs.matrix)
+    candidates = default_lag_bandwidths(pairs.distances)
     try:
         return select_lag_bandwidth(residuals, pairs, lag_grid, candidates)
     except DegenerateScoreError:

@@ -46,12 +46,6 @@ def build_system(locations, model) -> KrigingSystem:
     return KrigingSystem(locations=locs, factor=factor, model=model)
 
 
-def covariance_to_targets(system: KrigingSystem, targets) -> np.ndarray:
-    """(m, n) matrix of covariances between targets and data sites."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    return covariance_matrix(system.model, cross_distances(targets, system.locations))
-
-
 def krige_block(model, residuals: np.ndarray, alpha: np.ndarray, dists: np.ndarray) -> tuple:
     """Simple kriging predictions at a block of targets from their (m, n)
     distances ``dists`` to the data sites.

@@ -291,25 +291,6 @@ def true_risk(x0, threshold: float, scenario: Scenario):
     return normal_cdf((np.asarray(m) - threshold) / math.sqrt(scenario.sigma2))
 
 
-def se_metrics(true_map, estimated_map) -> dict:
-    """Mean, median and standard deviation of squared errors over the
-    unmasked nodes of an estimated probability map."""
-    t = np.asarray(true_map, dtype=np.float64).ravel()
-    e = np.asarray(estimated_map, dtype=np.float64).ravel()
-    if t.shape != e.shape:
-        raise ConfigError("maps must share one grid")
-    keep = ~np.isnan(e)
-    if not keep.any():
-        raise ConfigError("all map nodes are masked")
-    se = (t[keep] - e[keep]) ** 2
-    return {
-        "mean": float(se.mean()),
-        "median": float(np.median(se)),
-        "sd": float(se.std()),
-        "n": int(se.size),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Scenario runner
 # ---------------------------------------------------------------------------

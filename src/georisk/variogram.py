@@ -156,14 +156,19 @@ class VariogramModel:
 # ---------------------------------------------------------------------------
 
 
+def _lag_range(distances) -> float:
+    """u_max, 55% of the largest of ``distances``: a distance matrix or the
+    pair distances of a ``PairTable``."""
+    d_max = float(np.max(distances, initial=0.0))
+    if d_max <= 0.0:
+        raise ConfigError("need at least two distinct sites for a lag grid")
+    return LAG_RANGE_FRACTION * d_max
+
+
 def default_lag_grid(distances, n_lags: int = DEFAULT_N_LAGS) -> np.ndarray:
     """Equally spaced lags from u_max/n_lags*... up to 55% of the largest
     pair distance (u_max), starting at u_max/50."""
-    d = np.asarray(distances, dtype=np.float64)
-    d_max = float(d.max())
-    if d_max <= 0.0:
-        raise ConfigError("need at least two distinct sites for a lag grid")
-    u_max = LAG_RANGE_FRACTION * d_max
+    u_max = _lag_range(distances)
     return np.linspace(u_max / 50.0, u_max, n_lags)
 
 
@@ -174,13 +179,13 @@ class PairTable:
     ``distances`` holds the upper-triangle pair distances in stable
     ascending order and ``rows``/``cols`` the two sites of each pair
     (row < col) as int32, which any n whose n x n distance matrix fits in
-    memory allows; ``matrix`` is the distance matrix the table was built
-    from. Build it once per sample with ``from_distances`` and pass it to
-    every lag-smoothing call: per-pair values are then gathered at the P
-    pairs instead of being formed as n x n matrices and re-sorted.
+    memory allows; ``n`` is the number of sites. Build it once per sample
+    with ``from_distances`` and pass it to every lag-smoothing call:
+    per-pair values are then gathered at the P pairs instead of being
+    formed as n x n matrices and re-sorted.
     """
 
-    matrix: np.ndarray
+    n: int
     distances: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -193,29 +198,23 @@ class PairTable:
         order = np.argsort(pd, kind="stable")
         rows = rows.astype(np.int32)[order]
         cols = cols.astype(np.int32)[order]
-        return cls(matrix=d, distances=pd[order], rows=rows, cols=cols)
+        return cls(n=d.shape[0], distances=pd[order], rows=rows, cols=cols)
 
     def squared_differences(self, values) -> np.ndarray:
         """(v_i - v_j)^2 at every pair."""
         v = np.asarray(values, dtype=np.float64).ravel()
-        if v.shape[0] != self.matrix.shape[0]:
-            raise ConfigError(
-                f"{v.shape[0]} values for a pair table over {self.matrix.shape[0]} sites"
-            )
+        if v.shape[0] != self.n:
+            raise ConfigError(f"{v.shape[0]} values for a pair table over {self.n} sites")
         return np.square(v[self.rows] - v[self.cols])
 
     def relabeled(self, order) -> "PairTable":
         """The same pairs, in the same order, with site ``order[k]`` renamed
         k (``order`` a permutation of the sites), so that ``rows``/``cols``
-        index arrays held in that order and a row may exceed its column.
-        ``matrix`` is shared, in the old labels: the relabeled table serves
-        the calls that read only its size and its pairs
-        (``squared_differences``, ``corrections``, ``pseudo_covariances``)."""
+        index arrays held in that order and a row may exceed its column."""
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
         return PairTable(
-            matrix=self.matrix, distances=self.distances,
-            rows=rank[self.rows], cols=rank[self.cols],
+            n=self.n, distances=self.distances, rows=rank[self.rows], cols=rank[self.cols]
         )
 
     def corrections(self, bias) -> np.ndarray:
@@ -234,44 +233,55 @@ def _pair_table(distances) -> PairTable:
     return PairTable.from_distances(distances)
 
 
+def _lag_windows(lags, d_sorted, bandwidth, min_pairs):
+    """The window lo..hi-1 of sorted pairs with nonzero kernel weight at
+    each lag, (lo, hi). The lag grid's admissibility rule: raises
+    BandwidthTooSmallError, naming the starved lags and their smallest
+    pair count, when some lag has fewer than ``min_pairs`` pairs."""
+    lo = np.searchsorted(d_sorted, lags - bandwidth, side="right")
+    hi = np.searchsorted(d_sorted, lags + bandwidth, side="left")
+    count = hi - lo
+    starved = count < min_pairs
+    if np.any(starved):
+        k = int(np.argmax(starved))
+        raise BandwidthTooSmallError(
+            f"lag {lags[k]:.6g} has only {int(count[k])} pairs with nonzero "
+            f"kernel weight (need >= {min_pairs}); enlarge the lag bandwidth",
+            indices=np.flatnonzero(starved).tolist(),
+            neighbors=int(count[starved].min()),
+        )
+    return lo, hi
+
+
 def _triweight_poly(u):
     w = 1.0 - u * u
     return w * w * w
 
 
-def _lag_fits_direct(targets, d_sorted, z_sorted, bandwidth):
-    """Local linear fit of z on distance at each target (direct windowed
-    sums). Returns (alpha, weight_mass, pair_count) arrays."""
-    targets = np.asarray(targets, dtype=np.float64)
-    alpha = np.empty(targets.shape)
-    mass = np.empty(targets.shape)
-    count = np.empty(targets.shape, dtype=np.int64)
-    for i, t in enumerate(targets):
-        lo = np.searchsorted(d_sorted, t - bandwidth, side="right")
-        hi = np.searchsorted(d_sorted, t + bandwidth, side="left")
-        count[i] = hi - lo
-        if hi <= lo:
-            alpha[i] = np.nan
-            mass[i] = 0.0
-            continue
-        dd = d_sorted[lo:hi] - t
+def _lag_fits_direct(lags, lo, hi, d_sorted, z_sorted, bandwidth):
+    """Local linear fit of z on distance at each lag from the direct sums
+    over its window of pairs lo..hi-1. Returns (alpha, weight_mass)."""
+    sums = np.empty((5, len(lags)))
+    for i, t in enumerate(lags):
+        dd = d_sorted[lo[i]:hi[i]] - t
         w = _triweight_poly(dd / bandwidth)
-        z = z_sorted[lo:hi]
-        s0 = w.sum()
-        s1 = w @ dd
-        s2 = w @ (dd * dd)
-        t0 = w @ z
-        t1 = w @ (dd * z)
-        alpha[i] = _intercept(s0, s1, s2, t0, t1)
-        mass[i] = s0
-    return alpha, mass, count
+        z = z_sorted[lo[i]:hi[i]]
+        sums[:, i] = w.sum(), w @ dd, w @ (dd * dd), w @ z, w @ (dd * z)
+    return _intercepts(*sums), sums[0]
 
 
-def _intercept(s0, s1, s2, t0, t1):
+def _intercepts(s0, s1, s2, t0, t1):
+    """The local linear intercepts (s2 t0 - s1 t1) / (s0 s2 - s1^2) from the
+    weighted sums S_k = sum w (d - t)^k and T_k = sum w (d - t)^k z; a
+    local constant t0 / s0 where the design is near singular, and NaN
+    where no weight is left."""
     den = s0 * s2 - s1 * s1
-    if den <= 1e-10 * max(s0 * s2, 1e-300):
-        return t0 / s0 if s0 > 0.0 else np.nan
-    return (s2 * t0 - s1 * t1) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            den > 1e-10 * np.maximum(s0 * s2, 1e-300),
+            (s2 * t0 - s1 * t1) / den,
+            np.where(s0 > 0.0, t0 / s0, np.nan),
+        )
 
 
 def _shift_matrices():
@@ -341,7 +351,7 @@ def _segment_chunks(lengths):
         a = b
 
 
-def _chunk_pass(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
+def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
     """One pass over the pairs of a stack of several segments, p0[j]..p1[j]-1
     for segment j; returns their total moments (17, segments).
 
@@ -369,12 +379,12 @@ def _chunk_pass(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
             j = seg[e]
             moments = np.take(flat, j * width + rel[e], axis=1)
             dest = out[:, r0 + e.start:r0 + e.stop]
-            q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+            q = (centres[j] - d_sorted[r0 + e.start:r0 + e.stop]) / g
             update(dest, _sums(_by_power(moments), q), out=dest)
     return running[:, np.arange(count.size), count]
 
 
-def _segment_pass(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
+def _segment_pass(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
     """One pass over the pairs p0..p1-1 of a lone segment; returns their
     total moments (17,).
 
@@ -413,28 +423,25 @@ def _segment_pass(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, running
                 if c0:
                     moments += carry[:, None]
                 dest = out[:, r0 + e.start:r0 + e.stop]
-                q = (centre - t[r0 + e.start:r0 + e.stop]) / g
+                q = (centre - d_sorted[r0 + e.start:r0 + e.stop]) / g
                 update(dest, _sums(_by_power(moments), q), out=dest)
         carry += block[:, -1]
     return carry
 
 
-def _span_entries(span_seg, span_rows, seg, shift, positions, p0, p1):
-    """The bound entries of the targets whose segment is ``shift`` past one
-    of the chunk's segments ``seg``: the first such target's row, the
-    chunk's segment each bound falls in, and how many of that segment's
-    pairs lie before the bound (``positions`` clipped to the segment; 0,
-    which hands out nothing, where that segment holds no pairs)."""
-    k0 = np.searchsorted(span_seg, seg[0] + shift, side="left")
-    k1 = np.searchsorted(span_seg, seg[-1] + shift, side="right")
-    wanted = span_seg[k0:k1] - shift
-    j = np.minimum(np.searchsorted(seg, wanted), seg.size - 1)
-    held = np.repeat(seg[j] == wanted, np.diff(span_rows[k0:k1 + 1]))
-    j = np.repeat(j, np.diff(span_rows[k0:k1 + 1]))
-    r0, r1 = span_rows[k0], span_rows[k1]
-    rel = np.clip(positions[r0:r1], p0[j], p1[j]) - p0[j]
-    rel[~held] = 0
-    return r0, j, rel
+def _neighbour_entries(p0, p1, adjoins, a, lo, hi, step, positions):
+    """The bound entries of the pairs of segments lo..hi-1, each handed out
+    by its neighbour k + ``step`` in a chunk starting at segment ``a``: the
+    first pair's row, the chunk segment each bound falls in, and how many
+    of that segment's pairs lie before the bound (``positions`` clipped to
+    the segment; 0, which hands out nothing, where the two segments do not
+    adjoin)."""
+    k = np.repeat(np.arange(lo, hi), p1[lo:hi] - p0[lo:hi])
+    j = k + step
+    r0 = p0[lo]
+    rel = np.clip(positions[r0:p1[hi - 1]], p0[j], p1[j]) - p0[j]
+    rel[~adjoins[np.minimum(k, j)]] = 0
+    return r0, j - a, rel
 
 
 def _pair_window_ends(d_sorted, left, g):
@@ -458,19 +465,23 @@ def _pair_window_ends(d_sorted, left, g):
     return ends
 
 
-def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
-    """Triweight-weighted local-linear sums of z on distance at many targets.
+def _lag_base_sums(d_sorted, z_sorted, bandwidth):
+    """Triweight-weighted local-linear sums of z on distance at every pair's
+    own distance, the leave-one-out targets.
 
-    For each target t, with K(u) = (1 - u^2)^3 on |u| < 1, u = (d - t)/g,
-    over the pairs in the open window (t - g, t + g): S_k = sum K(u)(d - t)^k
-    for k = 0, 1, 2 and T_k = sum K(u)(d - t)^k z for k = 0, 1. Returns
-    (S0, S1, S2, T0, T1, count), count being the pairs in each window.
+    For the pair at d_i, with K(u) = (1 - u^2)^3 on |u| < 1, u = (d - d_i)/g,
+    over the pairs in the open window (d_i - g, d_i + g), itself included:
+    S_k = sum K(u)(d - d_i)^k for k = 0, 1, 2 and T_k = sum K(u)(d - d_i)^k z
+    for k = 0, 1. Returns (S0, S1, S2, T0, T1, count), count being the pairs
+    in each window.
 
-    Pairs and targets are cut into width-g segments on one common origin;
-    each segment has one centre. A target in segment s has its window start
-    in segment s - 1 and end in segment s + 1, so its sums are all of
-    s - 1 and s, less the head of s - 1 before the window start, plus the
-    head of s + 1 up to the window end.
+    The pairs are cut into width-g segments, the runs of
+    floor((d - d_0)/g), each with one centre; a segment's targets are its
+    own pairs. A target in segment s has its window start in segment s - 1
+    and end in segment s + 1, so its sums are all of s - 1 and s, less the
+    head of s - 1 before the window start, plus the head of s + 1 up to
+    the window end, where those neighbours hold pairs. The window ends are
+    counted from the window starts (``_pair_window_ends``).
 
     Consecutive segments are chunked so that a chunk's padded stack,
     segments x longest, holds at most ``_STACK_PAIRS`` pairs, and a longer
@@ -479,52 +490,33 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
     one, read as slices and summed in blocks of ``_SUM_BLOCK`` pairs in one
     buffer per call (``_segment_pass``). One pass over each chunk forms
     running sums local to each of its segments, never over all P pairs,
-    and hands out the head moments at the window bounds that fall in it,
+    and hands out the head moments at the window starts of the next
+    segments' pairs and the window ends of the previous segments' pairs,
     one contraction per kind of bound and block of ``_CONTRACT_BLOCK``
     targets. Moments about a segment's centre (|a| <= 1/2) become
-    kernel-weighted sums for a target at q = (centre - t)/g (|q| <= 3/2)
+    kernel-weighted sums for a target at q = (centre - d_i)/g (|q| <= 3/2)
     through fixed 9 x 9 coefficient matrices applied to the powers of q
     (``_shift_matrices``). The totals of s - 1 and then s are applied last,
-    one span of targets at a time. Apart from a few arrays with one value
-    per target (window bounds, results), work runs in blocks, so memory
-    does not grow with P.
-
-    When the targets are the pair distances themselves (``targets is
-    d_sorted``, as in the leave-one-out score), the window ends are counted
-    from the window starts (``_pair_window_ends``).
+    one segment at a time. Apart from a few arrays with one value per pair
+    (window bounds, results), work runs in blocks, so memory does not grow
+    with P.
 
     A pair that rounding puts on the wrong side of a segment edge, just
     past a window bound, is dropped or counted with weight below 1e-40.
     """
-    own = targets is d_sorted
-    t = np.asarray(targets, dtype=np.float64).ravel()
+    d = d_sorted
     g = float(bandwidth)
-    order = None
-    if np.any(t[1:] < t[:-1]):
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-    left = np.searchsorted(d_sorted, t - g, side="right")
-    if own:
-        right = _pair_window_ends(d_sorted, left, g)
-    else:
-        right = np.searchsorted(d_sorted, t + g, side="left")
-    sums = np.zeros((5, t.size))
-    if t.size and d_sorted.size:
-        origin = min(t[0], d_sorted[0])
-        target_seg = np.floor((t - origin) / g)
-        firsts = np.r_[0, np.flatnonzero(target_seg[1:] != target_seg[:-1]) + 1]
-        # span k holds the targets span_rows[k]:span_rows[k + 1], of segment span_seg[k]
-        span_seg = target_seg[firsts]
-        span_rows = np.r_[firsts, t.size]
-        spans = dict(zip(span_seg, zip(span_rows[:-1], span_rows[1:])))
-        del target_seg
-        # the segments some window meets that hold pairs
-        seg = np.unique(np.add.outer([-1.0, 0.0, 1.0], span_seg))
-        p0 = np.searchsorted(d_sorted, origin + seg * g, side="left")
-        p1 = np.searchsorted(d_sorted, origin + (seg + 1.0) * g, side="left")
-        held = p0 < p1
-        seg, p0, p1 = seg[held], p0[held], p1[held]
-        centres = origin + (seg + 0.5) * g
+    left = np.searchsorted(d, d - g, side="right")
+    right = _pair_window_ends(d, left, g)
+    sums = np.zeros((5, d.size))
+    if d.size:
+        seg = np.floor((d - d[0]) / g)
+        p0 = np.r_[0, np.flatnonzero(seg[1:] != seg[:-1]) + 1]
+        p1 = np.r_[p0[1:], d.size]
+        seg = seg[p0]
+        # segment j + 1 is the width-g segment after j (never for the last)
+        adjoins = np.r_[np.diff(seg) == 1.0, False]
+        centres = d[0] + (seg + 0.5) * g
         totals = np.empty((17, seg.size))
         running = None  # the lone segments' block of running sums
         for a, b in _segment_chunks(p1 - p0):
@@ -532,52 +524,41 @@ def _lag_base_sums(targets, d_sorted, z_sorted, bandwidth):
                 if running is None:
                     running = np.empty((17, min(_SUM_BLOCK, int((p1 - p0).max())) + 1))
                     running[:, 0] = 0.0
-                # window starts of the next segment's targets, then window
-                # ends of the previous segment's targets
+                # window starts of the next segment's pairs, then window ends
+                # of the previous segment's pairs
                 bounds = []
-                for shift, pos, update in ((1.0, left, np.subtract), (-1.0, right, np.add)):
-                    if seg[a] + shift in spans:
-                        i0, i1 = spans[seg[a] + shift]
-                        bounds.append((i0, pos[i0:i1], update))
+                if adjoins[a]:
+                    bounds.append((p0[a + 1], left[p0[a + 1]:p1[a + 1]], np.subtract))
+                if a > 0 and adjoins[a - 1]:
+                    bounds.append((p0[a - 1], right[p0[a - 1]:p1[a - 1]], np.add))
                 totals[:, a] = _segment_pass(
-                    sums, t, d_sorted, z_sorted, p0[a], p1[a], centres[a], g, bounds, running
+                    sums, d, z_sorted, p0[a], p1[a], centres[a], g, bounds, running
                 )
                 continue
-            chunk = slice(a, b)
-            # window starts of the next segments' targets, then window ends of
-            # the previous segments' targets
+            # window starts of segments a + 1 .. b (the last if it adjoins
+            # the chunk), then window ends of segments a - 1 (if it adjoins
+            # the chunk) .. b - 2
+            last = b + 1 if adjoins[b - 1] else b
+            first = a - 1 if a > 0 and adjoins[a - 1] else a
             bounds = [
-                (*_span_entries(span_seg, span_rows, seg[chunk], shift, pos, p0[chunk], p1[chunk]),
-                 update)
-                for shift, pos, update in ((1.0, left, np.subtract), (-1.0, right, np.add))
+                (*_neighbour_entries(p0, p1, adjoins, a, a + 1, last, -1, left), np.subtract),
+                (*_neighbour_entries(p0, p1, adjoins, a, first, b - 1, 1, right), np.add),
             ]
-            totals[:, chunk] = _chunk_pass(
-                sums, t, d_sorted, z_sorted, p0[chunk], p1[chunk], centres[chunk], g, bounds
+            totals[:, a:b] = _chunk_pass(
+                sums, d, z_sorted, p0[a:b], p1[a:b], centres[a:b], g, bounds
             )
         # the tail of s - 1 is its total minus the moments handed out above;
         # each target takes that total, then the total of its own segment
         by_power = _by_power(totals)
-        for k, key in enumerate(span_seg):
-            i0, i1 = span_rows[k], span_rows[k + 1]
-            for held_key in (key - 1.0, key):
-                j = np.searchsorted(seg, held_key)
-                if j == seg.size or seg[j] != held_key:
-                    continue
-                for c0 in range(i0, i1, _CONTRACT_BLOCK):
-                    rows = slice(c0, min(c0 + _CONTRACT_BLOCK, i1))
-                    sums[:, rows] += by_power[:, :, j] @ _powers((centres[j] - t[rows]) / g, 9)
-    if order is not None:
-        unsorted = np.empty_like(sums)
-        unsorted[:, order] = sums
-        sums = unsorted
-        count = np.empty_like(left)
-        count[order] = right - left
-    else:
-        count = right - left
+        for k in range(seg.size):
+            for j in (k - 1, k) if k and adjoins[k - 1] else (k,):
+                for c0 in range(p0[k], p1[k], _CONTRACT_BLOCK):
+                    rows = slice(c0, min(c0 + _CONTRACT_BLOCK, p1[k]))
+                    sums[:, rows] += by_power[:, :, j] @ _powers((centres[j] - d[rows]) / g, 9)
     sums[1] *= g
     sums[2] *= g * g
     sums[4] *= g
-    return (*sums, count)
+    return (*sums, right - left)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +589,7 @@ def empirical_variogram(
         raise ConfigError("need at least two residuals")
     pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.matrix)
+        lag_grid = default_lag_grid(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     if bandwidth is None or bandwidth <= 0.0:
         raise ConfigError("a positive lag bandwidth is required")
@@ -617,16 +598,8 @@ def empirical_variogram(
     if corrections is not None:
         corr = np.asarray(corrections, dtype=np.float64)
         z_sorted = z_sorted - (corr[pairs.rows, pairs.cols] if corr.ndim == 2 else corr)
-    alpha, mass, count = _lag_fits_direct(lag_grid, pairs.distances, z_sorted, bandwidth)
-    starved = count < min_pairs
-    if np.any(starved):
-        k = int(np.argmax(starved))
-        raise BandwidthTooSmallError(
-            f"lag {lag_grid[k]:.6g} has only {int(count[k])} pairs with nonzero "
-            f"kernel weight (need >= {min_pairs}); enlarge the lag bandwidth",
-            indices=np.flatnonzero(starved).tolist(),
-            neighbors=int(count[starved].min()),
-        )
+    lo, hi = _lag_windows(lag_grid, pairs.distances, bandwidth, min_pairs)
+    alpha, mass = _lag_fits_direct(lag_grid, lo, hi, pairs.distances, z_sorted, bandwidth)
     estimates = np.clip(0.5 * alpha, 0.0, None)
     return EmpiricalVariogram(lags=lag_grid, estimates=estimates, pair_counts=mass)
 
@@ -696,7 +669,7 @@ def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
     values = np.interp(pairs.distances, pilot.lags, pilot.estimates)
     np.subtract(sill, values, out=values)
     np.maximum(values, 0.0, out=values)
-    c = np.empty(pairs.matrix.shape)
+    c = np.empty((pairs.n, pairs.n))
     c[pairs.rows, pairs.cols] = values
     c[pairs.cols, pairs.rows] = values
     np.fill_diagonal(c, sill)
@@ -736,7 +709,7 @@ def bias_corrected_variogram(
     """
     pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.matrix)
+        lag_grid = default_lag_grid(pairs.distances)
     order = np.argsort(trend_fit.sample.locations[:, 0], kind="stable")
     pairs = pairs.relabeled(order)
     residuals = trend_fit.residuals[order]
@@ -782,36 +755,19 @@ def _loo_estimates(pd_sorted, z_sorted, bandwidth) -> np.ndarray:
     """Leave-one-pair-out semivariogram estimate at every pair's own
     distance (NaN where the fit is undefined), formed ``_SUM_BLOCK`` pairs
     at a time."""
-    sums = _lag_base_sums(pd_sorted, pd_sorted, z_sorted, bandwidth)[:5]
+    sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)[:5]
     gamma = np.empty(pd_sorted.size)
     for k0 in range(0, pd_sorted.size, _SUM_BLOCK):
         blk = slice(k0, k0 + _SUM_BLOCK)
         s0, s1, s2, t0, t1 = (x[blk] for x in sums)
-        s0_loo = s0 - 1.0  # own pair sits exactly at the target: K(0) = 1
-        t0_loo = t0 - z_sorted[blk]
-        den = s0_loo * s2 - s1 * s1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(
-                den > 1e-10 * np.maximum(s0_loo * s2, 1e-300),
-                (s2 * t0_loo - s1 * t1) / den,
-                np.where(s0_loo > 0.0, t0_loo / np.maximum(s0_loo, 1e-300), np.nan),
-            )
+        # own pair sits exactly at the target: K(0) = 1
+        alpha = _intercepts(s0 - 1.0, s1, s2, t0 - z_sorted[blk], t1)
         np.multiply(0.5, alpha, out=gamma[blk])
     return gamma
 
 
 def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> float:
-    # admissibility on the lag grid, as for estimation
-    lo = np.searchsorted(pd_sorted, lag_grid - bandwidth, side="right")
-    hi = np.searchsorted(pd_sorted, lag_grid + bandwidth, side="left")
-    starved = (hi - lo) < min_pairs
-    if np.any(starved):
-        k = int(np.argmax(starved))
-        raise BandwidthTooSmallError(
-            f"lag {lag_grid[k]:.6g} has only {int(hi[k] - lo[k])} pairs with "
-            f"nonzero kernel weight (need >= {min_pairs})",
-            indices=np.flatnonzero(starved).tolist(),
-        )
+    _lag_windows(lag_grid, pd_sorted, bandwidth, min_pairs)  # as for estimation
 
     # The usable pairs' terms overwrite the estimates from the front, block
     # by block: a block's terms never reach past its own end, and they are
@@ -851,7 +807,7 @@ def cv_relative_error(
     """
     pairs = _pair_table(distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.matrix)
+        lag_grid = default_lag_grid(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     if bandwidth is None or bandwidth <= 0.0:
         raise ConfigError("a positive lag bandwidth is required")
@@ -860,8 +816,7 @@ def cv_relative_error(
 
 
 def default_lag_bandwidths(distances, n_candidates: int = 10) -> np.ndarray:
-    d_max = float(np.asarray(distances).max())
-    u_max = LAG_RANGE_FRACTION * d_max
+    u_max = _lag_range(distances)
     return np.geomspace(u_max / 25.0, u_max, n_candidates)
 
 
@@ -877,9 +832,9 @@ def select_lag_bandwidth(
     ``distances`` is a PairTable or a distance matrix."""
     pairs = _pair_table(distances)
     if candidates is None:
-        candidates = default_lag_bandwidths(pairs.matrix)
+        candidates = default_lag_bandwidths(pairs.distances)
     if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.matrix)
+        lag_grid = default_lag_grid(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     pd_sorted = pairs.distances
     z_sorted = pairs.squared_differences(residuals)

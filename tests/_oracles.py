@@ -723,6 +723,12 @@ def lag_base_sums_per_segment(targets, d_sorted, z_sorted, bandwidth, block=1638
     return (*unsorted, count)
 
 
+def pair_lag_base_sums_per_segment(d_sorted, z_sorted, bandwidth):
+    """``lag_base_sums_per_segment`` at every pair's own distance: the
+    reference for ``variogram._lag_base_sums``, same arguments."""
+    return lag_base_sums_per_segment(d_sorted, d_sorted, z_sorted, bandwidth)
+
+
 def lag_sums_naive_many(targets, pair_dists, pair_z, bandwidth):
     """``local_lag_sums_naive`` at many targets at once: (sums, abs_sums,
     counts) with sums and abs_sums of shape (5, targets)."""
@@ -739,7 +745,7 @@ def lag_sums_naive_many(targets, pair_dists, pair_z, bandwidth):
     return sums, abs_sums, inside.sum(axis=1)
 
 
-def chunk_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
+def chunk_pass_stacked(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
     """The padded-stack pass of ``variogram._chunk_pass`` for a chunk of one
     or more segments, the reference for ``variogram._segment_pass``: a lone
     segment is summed in blocks of 16,384 pairs gathered through a column
@@ -773,13 +779,13 @@ def chunk_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centres, g, bounds):
                 if c0:
                     moments += carry[:, j]
                 dest = out[:, r0 + e.start:r0 + e.stop]
-                q = (centres[j] - t[r0 + e.start:r0 + e.stop]) / g
+                q = (centres[j] - d_sorted[r0 + e.start:r0 + e.stop]) / g
                 update(dest, _sums(_by_power(moments), q), out=dest)
         carry = carry + running[:, np.arange(count.size), np.minimum(count, c1) - c0]
     return carry
 
 
-def segment_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
+def segment_pass_stacked(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
     """``variogram._segment_pass`` through ``chunk_pass_stacked``: each
     bound's positions become counts of the segment's pairs before them
     (clipped to the segment), and ``running`` is not used."""
@@ -788,4 +794,4 @@ def segment_pass_stacked(out, t, d_sorted, z_sorted, p0, p1, centre, g, bounds, 
         for r0, positions, update in bounds
     ]
     segment = (np.array([p0]), np.array([p1]), np.array([centre]))
-    return chunk_pass_stacked(out, t, d_sorted, z_sorted, *segment, g, rel_bounds)[:, 0]
+    return chunk_pass_stacked(out, d_sorted, z_sorted, *segment, g, rel_bounds)[:, 0]

@@ -25,11 +25,12 @@ from georisk.cli import main as cli_main
 from georisk.geometry import (
     BandwidthMatrix,
     SpatialSample,
+    cross_distances,
     make_regular_grid,
     pairwise_distances,
 )
 from georisk.io import write_synth_csv
-from georisk.kriging import build_system, covariance_to_targets, sk_predict
+from georisk.kriging import build_system, sk_predict
 from georisk.numerics import (
     _triweight_1d,
     bessel_j0,
@@ -243,7 +244,7 @@ def test_criterion_06_oracle_equivalence():
         targets = rng.uniform(size=(12, 2))
         pred = sk_predict(system, resid, targets)
         cov_dd = model.sill - model.semivariance(pairwise_distances(locs))
-        c0 = covariance_to_targets(system, targets)
+        c0 = covariance_matrix(model, cross_distances(targets, locs))
         oracle = np.array([sk_weights_dense(cov_dd, c0[t]) @ resid for t in range(12)])
         worst_sk = max(worst_sk, float(np.abs(pred - oracle).max()))
     assert worst_sk < 1e-8

@@ -40,7 +40,7 @@ from georisk.geometry import (
     pairwise_distances,
 )
 from georisk.io import synth_dataset
-from georisk.kriging import KrigingSystem, build_system, covariance_to_targets, sk_predict
+from georisk.kriging import KrigingSystem, build_system, sk_predict
 from georisk.numerics import CholeskyFactor, solve_spd
 from georisk.simulation import (
     _DesignContext,
@@ -48,7 +48,7 @@ from georisk.simulation import (
     table1_scenario,
 )
 from georisk.trend import apply_smoother, fit_trend, prediction_weights
-from georisk.variogram import GAUSSIAN_DIM, VariogramModel, select_lag_bandwidth
+from georisk.variogram import GAUSSIAN_DIM, VariogramModel, covariance_matrix, select_lag_bandwidth
 
 
 def bench_surface(pts):
@@ -403,7 +403,8 @@ def test_prediction_map_coincident_nodes_beyond_first_block():
     system = build_system(sample, model)
     trend, prediction = prediction_map(trend_fit, nodes, model, system.factor)
     pred, var = sk_predict(system, r, nodes, return_variance=True)
-    plain = covariance_to_targets(system, nodes[on_nodes]) @ solve_spd(system.factor, r)
+    c0 = covariance_matrix(model, cross_distances(nodes[on_nodes], sample.locations))
+    plain = c0 @ solve_spd(system.factor, r)
     assert abs(plain[1] - r[sites[1]]) > 1e-3
     assert np.isfinite(trend[on_nodes]).all()
     assert np.array_equal(prediction[on_nodes], trend[on_nodes] + r[sites])

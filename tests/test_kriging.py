@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from _oracles import sk_weights_dense
-from georisk.geometry import pairwise_distances
-from georisk.kriging import build_system, covariance_to_targets, sk_predict
-from georisk.variogram import GAUSSIAN_DIM, VariogramModel
+from georisk.geometry import cross_distances, pairwise_distances
+from georisk.kriging import build_system, sk_predict
+from georisk.variogram import GAUSSIAN_DIM, VariogramModel, covariance_matrix
 
 
 def exp_model(nugget=0.0, weight=0.3, freq=2.0):
@@ -81,7 +81,7 @@ def test_matches_dense_inverse_oracle():
         targets = rng.uniform(size=(9, 2))
         pred = sk_predict(system, resid, targets)
         cov_dd = model.sill - model.semivariance(pairwise_distances(locs))
-        c0 = covariance_to_targets(system, targets)
+        c0 = covariance_matrix(model, cross_distances(targets, locs))
         oracle = np.array([sk_weights_dense(cov_dd, c0[t]) @ resid for t in range(9)])
         assert_allclose(pred, oracle, atol=1e-8)
 

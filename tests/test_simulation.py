@@ -32,7 +32,6 @@ from georisk.simulation import (
     _evaluate_replicate,
     exp_variogram,
     run_scenario,
-    se_metrics,
     simulate_field,
     table1_scenario,
     table2_scenarios,
@@ -146,43 +145,6 @@ def test_simulate_field_covariance_moments():
     emp = float(np.mean(centered[:, i] * centered[:, j]))
     se = sc.sigma2 / math.sqrt(10_000)  # crude bound on the covariance SE
     assert abs(emp - target) < 3.0 * se
-
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-
-def test_se_metrics_identical_maps():
-    m = np.linspace(0, 1, 30)
-    out = se_metrics(m, m.copy())
-    assert out["mean"] == 0.0 and out["median"] == 0.0 and out["sd"] == 0.0
-
-
-def test_se_metrics_constant_offset():
-    t = np.linspace(0, 1, 40)
-    out = se_metrics(t, t + 0.1)
-    assert out["mean"] == pytest.approx(0.01, rel=1e-12)
-    assert out["sd"] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_se_metrics_checkerboard():
-    t = np.full(50, 0.5)
-    est = t + np.where(np.arange(50) % 2 == 0, 0.1, -0.1)
-    out = se_metrics(t, est)
-    assert out["mean"] == pytest.approx(0.01, rel=1e-12)
-    assert out["median"] == pytest.approx(0.01, rel=1e-12)
-
-
-def test_se_metrics_masked_and_errors():
-    t = np.zeros(4)
-    est = np.array([0.1, np.nan, 0.1, np.nan])
-    out = se_metrics(t, est)
-    assert out["n"] == 2
-    with pytest.raises(ConfigError):
-        se_metrics(t, np.full(4, np.nan))
-    with pytest.raises(ConfigError):
-        se_metrics(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from _oracles import (
     bias_matrix_dense,
     bias_matrix_tripleloop,
     empirical_variogram_dense,
-    lag_base_sums_per_segment,
     lag_sums_naive_many,
     local_lag_fit_naive,
     local_lag_sums_naive,
+    pair_lag_base_sums_per_segment,
     segment_pass_stacked,
     semivariance_dense,
 )
@@ -41,9 +41,11 @@ from georisk.simulation import (
 )
 from georisk.trend import apply_smoother, fit_trend, smoother_matrix
 from georisk.variogram import (
+    DEFAULT_MIN_PAIRS,
     EmpiricalVariogram,
     PairTable,
     VariogramModel,
+    _intercepts,
     _lag_base_sums,
     _loo_estimates,
     _pair_loo_score,
@@ -85,15 +87,15 @@ def gaussian_field_sample(rng, nx=12, ny=12, c0=0.04, c1=0.12, rng_par=0.5):
 
 
 def test_base_sums_match_naive():
+    # the sums at every pair's own distance, the leave-one-out targets
     rng = np.random.default_rng(0)
     for _ in range(5):
         p = int(rng.integers(30, 200))
         d = np.sort(rng.uniform(0.01, 2.0, size=p))
         z = rng.uniform(0.0, 1.0, size=p)
         g = float(rng.uniform(0.08, 1.5))
-        targets = np.sort(rng.uniform(0.0, 2.1, size=17))
-        s0, s1, s2, t0, t1, cnt = _lag_base_sums(targets, d, z, g)
-        for i, t in enumerate(targets):
+        s0, s1, s2, t0, t1, cnt = _lag_base_sums(d, z, g)
+        for i, t in enumerate(d):
             u = (d - t) / g
             w = np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 3, 0.0)
             dd = d - t
@@ -103,6 +105,25 @@ def test_base_sums_match_naive():
             assert t0[i] == pytest.approx(w @ z, rel=1e-8, abs=1e-12)
             assert t1[i] == pytest.approx(w @ (dd * z), rel=1e-8, abs=1e-10)
             assert cnt[i] == int(np.sum(np.abs(u) < 1.0))
+
+
+def test_intercepts_of_degenerate_windows_do_not_warn():
+    # both branches of the vectorized choice are evaluated at every entry,
+    # so an empty window (no weight: NaN) and a singular design (one
+    # distance: the local constant) must come out without a warning. At
+    # n = 1053 no leave-one-out window is empty, so only small inputs meet
+    # this. Under 0.1 s.
+    s0, s1, s2, t0, t1 = np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0],  # no pair in the window
+        [2.0, 0.0, 0.0, 1.0, 0.0],  # two pairs at the target itself
+        [3.0, 0.3, 0.5, 0.9, 0.1],  # a regular design
+    ]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = _intercepts(s0, s1, s2, t0, t1)
+    assert np.isnan(alpha[0])
+    assert alpha[1] == 0.5
+    assert alpha[2] == (0.5 * 0.9 - 0.3 * 0.1) / (3.0 * 0.5 - 0.3 * 0.3)
 
 
 def test_loo_score_matches_naive():
@@ -143,15 +164,12 @@ def pairs_n1000():
 def test_base_sums_match_naive_at_realistic_size(pairs_n1000):
     table, z = pairs_n1000
     d = table.distances
-    rng = np.random.default_rng(13)
-    # pair distances (the leave-one-out targets) and free targets, unsorted
-    targets = rng.permutation(
-        np.r_[d[rng.choice(d.size, 150, replace=False)], rng.uniform(d[0], d[-1], 50)]
-    )
-    for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
-        sums = _lag_base_sums(targets, d, z, g)
-        for i, t in enumerate(targets):
-            ref, abs_ref, count = local_lag_sums_naive(t, d, z, g)
+    # the sums at 150 sampled pairs' own distances, the leave-one-out targets
+    rows = np.random.default_rng(13).choice(d.size, 150, replace=False)
+    for g in default_lag_bandwidths(d)[[0, 4, 9]]:
+        sums = _lag_base_sums(d, z, g)
+        for i in rows:
+            ref, abs_ref, count = local_lag_sums_naive(d[i], d, z, g)
             assert sums[5][i] == count
             for k in range(5):
                 assert abs(sums[k][i] - ref[k]) <= 1e-10 * abs_ref[k]
@@ -161,7 +179,7 @@ def test_loo_estimates_match_naive_at_realistic_size(pairs_n1000):
     table, z = pairs_n1000
     d = table.distances
     picks = np.random.default_rng(14).choice(d.size, 100, replace=False)
-    for g in default_lag_bandwidths(table.matrix)[[0, 9]]:
+    for g in default_lag_bandwidths(table.distances)[[0, 9]]:
         gamma = _loo_estimates(d, z, g)
         for p in picks:
             ref = 0.5 * local_lag_fit_naive(d[p], d, z, g, exclude=p)
@@ -175,8 +193,8 @@ def test_loo_score_holds_at_most_12_doubles_per_pair_at_n1053():
     locs, values = synth_dataset(1053, seed=1)
     table = PairTable.from_distances(pairwise_distances(locs))
     z = table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
-    lags = default_lag_grid(table.matrix)
-    for g in default_lag_bandwidths(table.matrix):
+    lags = default_lag_grid(table.distances)
+    for g in default_lag_bandwidths(table.distances):
         tracemalloc.start()
         try:
             _pair_loo_score(table.distances, z, lags, g, 5)
@@ -191,10 +209,10 @@ def test_loo_score_equals_one_array_sum_at_realistic_size(pairs_n1000):
     # over every usable pair, so the two are equal, not merely close; the
     # centred values make many estimates negative, so pairs are skipped
     table, z = pairs_n1000
-    lags = default_lag_grid(table.matrix)
+    lags = default_lag_grid(table.distances)
     skipped = 0
     for values in (z, z - np.median(z)):
-        for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
+        for g in default_lag_bandwidths(table.distances)[[0, 4, 9]]:
             gamma = _loo_estimates(table.distances, values, g)
             usable = np.isfinite(gamma) & (gamma > 1e-12)
             skipped += int(np.count_nonzero(~usable))
@@ -230,10 +248,10 @@ def test_chunked_sums_match_direct_sums_at_desk_size(desk_pairs):
     # every 8th target and the first pair at each repeated distance
     _, first, repeats = np.unique(d, return_index=True, return_counts=True)
     checked = np.union1d(np.arange(0, d.size, 8), first[repeats > 1])
-    for g in default_lag_bandwidths(table.matrix):
+    for g in default_lag_bandwidths(table.distances):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sums = _lag_base_sums(d, d, z, g)
+            sums = _lag_base_sums(d, z, g)
         for k0 in range(0, checked.size, 250):
             rows = checked[k0:k0 + 250]
             ref, abs_ref, count = lag_sums_naive_many(d[rows], d, z, g)
@@ -250,7 +268,7 @@ def _loo_scores(table, resid, lags):
     the candidate is inadmissible on the lag grid."""
     z = table.squared_differences(resid)
     scores = []
-    for g in default_lag_bandwidths(table.matrix):
+    for g in default_lag_bandwidths(table.distances):
         try:
             scores.append(_pair_loo_score(table.distances, z, lags, g, 5))
         except BandwidthTooSmallError:
@@ -260,10 +278,10 @@ def _loo_scores(table, resid, lags):
 
 def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch):
     _, table, resid = desk_pairs
-    lags = default_lag_grid(table.matrix)
+    lags = default_lag_grid(table.distances)
     chosen = select_lag_bandwidth(resid, table, lags)
     scores = _loo_scores(table, resid, lags)
-    monkeypatch.setattr(variogram, "_lag_base_sums", lag_base_sums_per_segment)
+    monkeypatch.setattr(variogram, "_lag_base_sums", pair_lag_base_sums_per_segment)
     assert select_lag_bandwidth(resid, table, lags) == chosen
     ref = _loo_scores(table, resid, lags)
     assert [s is None for s in scores] == [s is None for s in ref]
@@ -293,15 +311,15 @@ def test_lone_segment_pass_equals_stacked_path_at_n1053(pairs_n1053, monkeypatch
     lone = []
 
     def stacked(*args):
-        lone.append(args[5] - args[4])
+        lone.append(args[4] - args[3])
         return segment_pass_stacked(*args)
 
-    for g in default_lag_bandwidths(table.matrix)[[0, 4, 9]]:
-        fast = _lag_base_sums(d, d, z, g)
+    for g in default_lag_bandwidths(table.distances)[[0, 4, 9]]:
+        fast = _lag_base_sums(d, z, g)
         lone.clear()
         with monkeypatch.context() as patch:
             patch.setattr(variogram, "_segment_pass", stacked)
-            ref = _lag_base_sums(d, d, z, g)
+            ref = _lag_base_sums(d, z, g)
         # most pairs lie in lone segments, some longer than one block
         assert sum(lone) > d.size // 2 and max(lone) > variogram._SUM_BLOCK, g
         for got, want in zip(fast, ref):
@@ -320,7 +338,7 @@ def test_pair_window_ends_equal_searchsorted(pairs_n1053):
     moved = 0
     for table in designs:
         d = table.distances
-        for g in np.r_[default_lag_bandwidths(table.matrix), 0.1, 0.2, 0.3]:
+        for g in np.r_[default_lag_bandwidths(table.distances), 0.1, 0.2, 0.3]:
             left = np.searchsorted(d, d - g, side="right")
             want = np.searchsorted(d, d + g, side="left")
             counted = np.cumsum(np.bincount(left, minlength=d.size)[:d.size])
@@ -380,7 +398,7 @@ def riskmap_bias_design():
         BandwidthMatrix.diagonal(5.94289825208083, 2.4520523130490615),
     )
     table = PairTable.from_distances(pairwise_distances(locs))
-    return fit, table, default_lag_grid(table.matrix), 2.086469071864711
+    return fit, table, default_lag_grid(table.distances), 2.086469071864711
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +436,7 @@ def test_bias_corrected_variogram_matches_dense_iteration(bias_design):
     fit, table, lags, g = bias_design
     est = bias_corrected_variogram(fit, table, lags, g)
     ref, mass, iterations, converged, change = bias_iteration_dense(
-        fit, table.matrix, lags, g, bias_matrix=bias_matrix_dense
+        fit, pairwise_distances(fit.sample), lags, g, bias_matrix=bias_matrix_dense
     )
     assert_allclose(est.estimates, ref, rtol=1e-12, atol=0.0)
     assert np.array_equal(est.pair_counts, mass)
@@ -496,6 +514,40 @@ def test_starved_lag_raises_with_lag_named():
     d = pairwise_distances(locs)
     with pytest.raises(BandwidthTooSmallError, match="lag"):
         empirical_variogram(rng.normal(size=8), d, bandwidth=1e-4)
+
+
+def test_starved_lag_raises_the_same_error_in_estimation_and_loo_score():
+    # one admissibility rule on the lag grid: estimation and the
+    # leave-one-pair-out score name the same starved lags and the same
+    # smallest pair count in the same message. Under 0.1 s.
+    rng = np.random.default_rng(3)
+    locs = rng.uniform(size=(8, 2))
+    d = pairwise_distances(locs)
+    resid = rng.normal(size=8)
+    lags = default_lag_grid(d)
+    errors = []
+    for call in (empirical_variogram, cv_relative_error):
+        with pytest.raises(BandwidthTooSmallError) as err:
+            call(resid, d, lags, 0.05)
+        errors.append(err.value)
+    est, loo = errors
+    assert 0 < len(est.indices) < lags.size
+    assert est.neighbors is not None and est.neighbors < DEFAULT_MIN_PAIRS
+    assert (str(loo), loo.indices, loo.neighbors) == (str(est), est.indices, est.neighbors)
+    assert str(est).endswith("enlarge the lag bandwidth")
+
+
+def test_one_site_lag_grid_raises_config_error():
+    # the lag grid and the lag-bandwidth candidates take the largest pair
+    # distance, of which one site has none: the same ConfigError from its
+    # 1 x 1 distance matrix and from its empty pair distances
+    one = pairwise_distances(np.zeros((1, 2)))
+    for distances in (one, PairTable.from_distances(one).distances):
+        for default in (default_lag_grid, default_lag_bandwidths):
+            with pytest.raises(ConfigError, match="at least two distinct sites"):
+                default(distances)
+    with pytest.raises(ConfigError, match="at least two distinct sites"):
+        bootstrap.site_design(np.zeros((1, 2)))
 
 
 def test_corrections_recover_error_scale_variogram():
