@@ -22,19 +22,22 @@ nodes whose local design is singular and its kept nodes' distances to the
 sites. ``build_engine`` forms the operator once per covariance mode: it
 solves Sigma^-1 (I - S) against f and L once, then builds ``offset`` and
 ``gain`` block by block, each block with its own rows of T and C0, so
-neither full T nor full C0 need exist. Replicates are evaluated per block
-of resampling rows, one matrix product each, and exceedance probabilities
-are the integer exceedance counts over all blocks divided by the number
-of replicates.
+neither full T nor full C0 need exist. The gain does not depend on the
+data, so ``mode_gain`` forms it alone, once for every replicate drawn on
+one design. Replicates are evaluated per block of resampling rows, one
+matrix product each, and exceedance probabilities are the integer
+exceedance counts over all blocks divided by the number of replicates.
 
-A covariance mode names the (model, factor) that recorrelates and kriges:
-the bias-corrected estimate, the residual-scale estimate or, in a
-simulation, the true covariance. ``mode_covariance`` resolves a mode and
+A covariance mode names the covariance that recorrelates and kriges: the
+bias-corrected estimate or the residual-scale estimate, each a (model,
+factor) pair, or, in a simulation, the true covariance, a (model, factor,
+gain) triple. ``mode_covariance`` resolves a mode and
 ``mode_probabilities`` evaluates several from one set of resampling rows
-at the held blocks of ``map_targets``. ``risk_maps`` draws a fitted
-pipeline's maps under one of the two estimates, forming each target block
-inside the operator loop; the simulation study, which alone knows the true
-covariance, holds its targets and calls ``mode_probabilities`` itself.
+and one whitening of the residuals at the held blocks of ``map_targets``.
+``risk_maps`` draws a fitted pipeline's maps under one of the two
+estimates, forming each target block inside the operator loop; the
+simulation study, which alone knows the true covariance, holds its
+targets and its true gain and calls ``mode_probabilities`` itself.
 
 ``prediction_map`` is the fit command's map: the trend plus simple kriging
 of the trend residuals (``kriging.krige_block``), formed and kriged one
@@ -396,47 +399,67 @@ class BootstrapEngine:
         return values
 
 
-def build_engine(
-    trend_fit: TrendFit,
-    targets: MapTargets,
-    model,
-    decorr_factor: CholeskyFactor,
-    factor: CholeskyFactor,
-) -> BootstrapEngine:
-    """The bootstrap operator of one covariance mode at the map ``targets``.
+def _operator_rows(smoother, targets: MapTargets, model, factor: CholeskyFactor, *columns):
+    """W v = T v + C0 Sigma^-1 (v - S v) at the map ``targets`` for each of
+    ``columns`` (a vector or a matrix), with the targets' mask of nodes
+    that take no row.
 
-    ``decorr_factor`` whitens the residuals. ``model`` with its ``factor``
-    (Sigma = L L^T) recorrelates a resample e*, giving y* = f + L e* around
-    the fitted trend f; y* is re-smoothed (target rows T, hat matrix S) and
-    completed by simple kriging of its residuals with the same Sigma and
-    the covariances C0 of the model at the target-to-site distances. Each
-    step is linear, so the map values are W y* with W = T + C0 Sigma^-1
-    (I - S): offset = W f and gain = W L. The two solves run once; the rows
-    of offset and gain are built per target block, each from that block's
-    rows of T and C0, and written after the kept rows of the blocks before
-    it, so masked nodes take no row. A block is dropped before the next
-    one is taken.
+    ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
+    kriges, ``smoother`` the hat matrix S. One solve runs per column set;
+    the rows are built per target block, each from that block's rows of T
+    and C0, and written after the kept rows of the blocks before it, so
+    every column set is imaged in one pass over the blocks. A block is
+    dropped before the next one is taken.
     """
-    s = trend_fit.smoother.S
-    f = trend_fit.fitted
-    L = factor.L
-    x_off = solve_spd(factor, f - s @ f)
-    x_gain = solve_spd(factor, L - s @ L)
-    offset = np.empty(targets.n_nodes)
-    gain = np.empty((targets.n_nodes, L.shape[1]))
+    s = smoother.S
+    solved = [solve_spd(factor, v - s @ v) for v in columns]
+    images = [np.empty((targets.n_nodes, *np.shape(v)[1:])) for v in columns]
     masks = []
     kept = 0
     for block in targets.blocks:
         rows = slice(kept, kept + len(block.rows))
         c0 = covariance_matrix(model, block.dists)
-        offset[rows] = block.rows @ f + c0 @ x_off
-        gain[rows] = block.rows @ L
-        gain[rows] += c0 @ x_gain
+        for image, v, x in zip(images, columns, solved):
+            image[rows] = block.rows @ v
+            image[rows] += c0 @ x
         masks.append(block.mask)
         kept = rows.stop
         del block, c0  # free this block before the next one is formed
-    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
-    return BootstrapEngine(offset=offset[:kept], gain=gain[:kept], e=e, mask=np.concatenate(masks))
+    return [image[:kept] for image in images], np.concatenate(masks)
+
+
+def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> np.ndarray:
+    """The gain W L (kept nodes x sites) of the covariance ``model`` with
+    its ``factor`` at the held map ``targets``, read-only.
+
+    The gain depends on the sites, the smoother, the targets and the
+    covariance, not on the data, so one gain serves every replicate drawn
+    on one design; its rows for a target block are a contiguous view.
+    """
+    (gain,), _ = _operator_rows(smoother, targets, model, factor, factor.L)
+    gain.flags.writeable = False
+    return gain
+
+
+def build_engine(
+    trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor, e: np.ndarray
+) -> BootstrapEngine:
+    """The bootstrap operator of one covariance mode at the map ``targets``,
+    resampling the whitened residuals ``e``.
+
+    ``model`` with its ``factor`` (Sigma = L L^T) recorrelates a resample
+    e*, giving y* = f + L e* around the fitted trend f; y* is re-smoothed
+    (target rows T, hat matrix S) and completed by simple kriging of its
+    residuals with the same Sigma and the covariances C0 of the model at
+    the target-to-site distances. Each step is linear, so the map values
+    are W y* with W = T + C0 Sigma^-1 (I - S): offset = W f and gain =
+    W L, both formed in one pass over the target blocks
+    (``_operator_rows``), so the blocks may come from a one-pass generator.
+    """
+    (offset, gain), mask = _operator_rows(
+        trend_fit.smoother, targets, model, factor, trend_fit.fitted, factor.L
+    )
+    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
 
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
@@ -448,6 +471,22 @@ def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.nda
     for j in range(n_replicates):
         idx[j] = rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)
     return idx
+
+
+def _probabilities(engine: BootstrapEngine, idx: np.ndarray, thresholds) -> np.ndarray:
+    """(len(thresholds), n_nodes) frequencies of replicate values >= c
+    under ``engine``, NaN at its masked nodes. Replicates are evaluated
+    ``_REPLICATE_BLOCK`` index rows at a time, and only their exceedance
+    counts are kept."""
+    counts = np.zeros((len(thresholds), len(engine.offset)), dtype=np.intp)
+    for lo in range(0, len(idx), _REPLICATE_BLOCK):
+        values = engine.replicate_values(idx[lo:lo + _REPLICATE_BLOCK])
+        for count, c in zip(counts, thresholds):
+            count += np.count_nonzero(values >= c, axis=0)
+        del values  # free this block before the next one is formed
+    probs = np.full((len(thresholds), len(engine.mask)), np.nan)
+    probs[:, ~engine.mask] = counts / len(idx)
+    return probs
 
 
 def exceedance_probabilities(
@@ -462,22 +501,12 @@ def exceedance_probabilities(
     """(len(thresholds), n_nodes) replicate frequencies of values >= c at
     the map ``targets``, NaN at the masked nodes.
 
-    ``model`` with its ``factor`` is the covariance that recorrelates and
-    kriges. The operator lives only inside this call, so one mode's arrays
-    are freed before the next mode's. Replicates are evaluated
-    ``_REPLICATE_BLOCK`` index rows at a time, and only their exceedance
-    counts are kept.
+    ``decorr_factor`` whitens the residuals; ``model`` with its ``factor``
+    is the covariance that recorrelates and kriges. The operator lives only
+    inside this call.
     """
-    engine = build_engine(trend_fit, targets, model, decorr_factor, factor)
-    counts = np.zeros((len(thresholds), len(engine.offset)), dtype=np.intp)
-    for lo in range(0, len(idx), _REPLICATE_BLOCK):
-        values = engine.replicate_values(idx[lo:lo + _REPLICATE_BLOCK])
-        for count, c in zip(counts, thresholds):
-            count += np.count_nonzero(values >= c, axis=0)
-        del values  # free this block before the next one is formed
-    probs = np.full((len(thresholds), len(engine.mask)), np.nan)
-    probs[:, ~engine.mask] = counts / len(idx)
-    return probs
+    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
+    return _probabilities(build_engine(trend_fit, targets, model, factor, e), idx, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +527,30 @@ def _check_mode(mode: str, truth_known: bool = True) -> None:
 
 
 def mode_covariance(mode: str, estimates, theoretical=None) -> tuple:
-    """The (model, factor) that recorrelates and kriges in ``mode``.
+    """The covariance that recorrelates and kriges in ``mode``.
 
     ``estimates`` holds the (model, factor) pairs of the residual-scale and
     the bias-corrected estimates (``PipelineFit.estimates``); "residual"
     and "corrected" pick them. "theoretical" picks ``theoretical``, the
-    true covariance's pair, which only a simulation knows.
+    true covariance's (model, factor, gain), which only a simulation knows;
+    its gain is ``mode_gain`` at the map targets.
     """
     _check_mode(mode, theoretical is not None)
     residual, corrected = estimates
     return {"theoretical": theoretical, "residual": residual, "corrected": corrected}[mode]
+
+
+def _mode_engine(trend_fit, targets, e, mode, estimates, theoretical) -> BootstrapEngine:
+    """The operator of ``mode``. The theoretical mode comes with its gain,
+    so only its offset is formed; an estimated mode forms both."""
+    covariance = mode_covariance(mode, estimates, theoretical)
+    if mode == "theoretical":
+        model, factor, gain = covariance
+        (offset,), mask = _operator_rows(
+            trend_fit.smoother, targets, model, factor, trend_fit.fitted
+        )
+        return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
+    return build_engine(trend_fit, targets, *covariance, e)
 
 
 def mode_probabilities(
@@ -517,16 +560,16 @@ def mode_probabilities(
     map ``targets``, NaN at the masked nodes, every mode from the same
     resampling rows ``idx``.
 
-    Decorrelation always whitens with the residual-scale factor; the modes
-    differ only in the covariance that recorrelates and kriges. Each mode's
+    The residuals are whitened once, with the residual-scale factor, and
+    every mode resamples them; the modes differ only in the covariance
+    that recorrelates and kriges (``mode_covariance``). Each mode's
     operator is freed before the next one is built. Every mode reads all
     target blocks, so ``targets`` must hold them (``map_targets``).
     """
-    decorr_factor = estimates[0][1]
+    e = decorrelate_residuals(trend_fit.residuals, estimates[0][1])
     return {
-        mode: exceedance_probabilities(
-            trend_fit, targets, decorr_factor,
-            *mode_covariance(mode, estimates, theoretical), idx, thresholds,
+        mode: _probabilities(
+            _mode_engine(trend_fit, targets, e, mode, estimates, theoretical), idx, thresholds
         )
         for mode in modes
     }

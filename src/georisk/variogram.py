@@ -472,8 +472,7 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
     For the pair at d_i, with K(u) = (1 - u^2)^3 on |u| < 1, u = (d - d_i)/g,
     over the pairs in the open window (d_i - g, d_i + g), itself included:
     S_k = sum K(u)(d - d_i)^k for k = 0, 1, 2 and T_k = sum K(u)(d - d_i)^k z
-    for k = 0, 1. Returns (S0, S1, S2, T0, T1, count), count being the pairs
-    in each window.
+    for k = 0, 1. Returns them as the rows of one (5, P) array.
 
     The pairs are cut into width-g segments, the runs of
     floor((d - d_0)/g), each with one centre; a segment's targets are its
@@ -558,7 +557,7 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
     sums[1] *= g
     sums[2] *= g * g
     sums[4] *= g
-    return (*sums, right - left)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +754,7 @@ def _loo_estimates(pd_sorted, z_sorted, bandwidth) -> np.ndarray:
     """Leave-one-pair-out semivariogram estimate at every pair's own
     distance (NaN where the fit is undefined), formed ``_SUM_BLOCK`` pairs
     at a time."""
-    sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)[:5]
+    sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)
     gamma = np.empty(pd_sorted.size)
     for k0 in range(0, pd_sorted.size, _SUM_BLOCK):
         blk = slice(k0, k0 + _SUM_BLOCK)

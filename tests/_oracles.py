@@ -677,8 +677,8 @@ def lag_base_sums_per_segment(targets, d_sorted, z_sorted, bandwidth, block=1638
     """``variogram._lag_base_sums`` one width-g segment at a time: for each
     segment one pass hands out the head moments at the window bounds that
     fall in it, then each target adds the totals of its segment and the one
-    before. Returns (S0, S1, S2, T0, T1, count) for the targets in the
-    order given."""
+    before. Returns (S0, S1, S2, T0, T1) for the targets in the order
+    given."""
     t = np.asarray(targets, dtype=np.float64).ravel()
     g = float(bandwidth)
     order = np.argsort(t, kind="stable")
@@ -715,12 +715,10 @@ def lag_base_sums_per_segment(targets, d_sorted, z_sorted, bandwidth, block=1638
                 _add_moment_sums(sums[:, i0:i1], total, (centre - t[i0:i1]) / g)
     unsorted = np.empty_like(sums)
     unsorted[:, order] = sums
-    count = np.empty_like(left)
-    count[order] = right - left
     unsorted[1] *= g
     unsorted[2] *= g * g
     unsorted[4] *= g
-    return (*unsorted, count)
+    return unsorted
 
 
 def pair_lag_base_sums_per_segment(d_sorted, z_sorted, bandwidth):
@@ -795,3 +793,66 @@ def segment_pass_stacked(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, run
     ]
     segment = (np.array([p0]), np.array([p1]), np.array([centre]))
     return chunk_pass_stacked(out, d_sorted, z_sorted, *segment, g, rel_bounds)[:, 0]
+
+
+def scenario_rows_per_replicate_operators(scenario, modes):
+    """``run_scenario(scenario, modes).rows`` for a regular-design study
+    whose replicates all succeed, with every mode's operator, the
+    theoretical one included, built per replicate by
+    ``exceedance_probabilities`` (which forms offset and gain together and
+    whitens the residuals itself). Under the MASE criterion the lag
+    bandwidth is tuned once, on the first replicate's residuals."""
+    from georisk.bootstrap import (
+        _factorize, _variogram_fit, exceedance_probabilities, fit_pipeline, map_targets,
+        resample_indices,
+    )
+    from georisk.simulation import _DesignContext, simulate_field, true_risk
+    from georisk.trend import apply_smoother
+    from georisk.variogram import select_lag_bandwidth
+
+    assert scenario.design == "regular"
+    nodes = scenario.prediction_grid().nodes()
+    design = _DesignContext.build(scenario, simulate_field(scenario, 0).locations)
+    pairs, lag_grid = design.site.pairs, design.site.lag_grid
+    mase = scenario.bandwidth_criterion == "mase"
+    if mase:
+        residuals0 = apply_smoother(design.smoother, simulate_field(scenario, 0, design)).residuals
+        g = select_lag_bandwidth(residuals0, pairs, lag_grid)
+    pools = {(m, c): [] for m in modes for c in scenario.thresholds}
+    for r in range(scenario.n_replicates):
+        sample = simulate_field(scenario, r, design)
+        if mase:
+            trend_fit = apply_smoother(design.smoother, sample)
+            _, resid_model, _, corr_model = _variogram_fit(trend_fit, pairs, lag_grid, g)
+            models = (resid_model, corr_model)
+            estimates = tuple(zip(models, _factorize(models, design.site.dists)))
+            targets = design.targets
+        else:
+            fit = fit_pipeline(sample)
+            trend_fit, estimates = fit.trend_fit, fit.estimates
+            targets = map_targets(trend_fit, nodes)
+        covariances = {
+            "theoretical": (scenario.model, design.factor_true),
+            "residual": estimates[0],
+            "corrected": estimates[1],
+        }
+        idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
+        keep = ~targets.mask
+        for mode in modes:
+            probs = exceedance_probabilities(
+                trend_fit, targets, estimates[0][1], *covariances[mode], idx, scenario.thresholds
+            )
+            for c, p in zip(scenario.thresholds, probs):
+                truth = true_risk(nodes, c, scenario)
+                pools[(mode, c)].append((truth[keep] - p[keep]) ** 2)
+    rows = []
+    for mode in modes:
+        for c in scenario.thresholds:
+            pooled = np.concatenate(pools[(mode, c)])
+            rows.append({
+                "scenario": scenario.name, "mode": mode, "threshold": float(c),
+                "n": scenario.n, "N": scenario.n_replicates, "B": scenario.n_boot,
+                "mean_se": float(np.mean(pooled)), "median_se": float(np.median(pooled)),
+                "sd_se": float(np.std(pooled)), "failures": 0,
+            })
+    return rows

@@ -25,6 +25,7 @@ from georisk.bootstrap import (
     fit_pipeline,
     map_targets,
     mode_covariance,
+    mode_gain,
     mode_probabilities,
     prediction_map,
     resample_indices,
@@ -188,8 +189,8 @@ def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
     targets = map_targets(fitted.trend_fit, fitted.sample.locations[:5])
     engine = build_engine(
-        fitted.trend_fit, targets,
-        fitted.corrected_model, fitted.residual_factor, fitted.corrected_factor,
+        fitted.trend_fit, targets, fitted.corrected_model, fitted.corrected_factor,
+        decorrelate_residuals(fitted.trend_fit.residuals, fitted.residual_factor),
     )
     idx = resample_indices(n, 3, 123, 9)
     zero = dataclasses.replace(engine, e=np.zeros(n))
@@ -253,7 +254,8 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     model, factor = covariances[mode]
     rows, dists = kept_rows_and_dists(ctx.targets)
     c0 = model.sill - model.semivariance(dists)
-    engine = build_engine(trend_fit, ctx.targets, model, resid_factor, factor)
+    e = decorrelate_residuals(trend_fit.residuals, resid_factor)
+    engine = build_engine(trend_fit, ctx.targets, model, factor, e)
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
     values = engine.replicate_values(idx)
     oracle = bootstrap_replicates_stepwise(
@@ -263,6 +265,43 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
     for c in (2.0, 2.5, 3.0):
         assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
+
+
+def _per_replicate_gain(sc, ctx, trend_fit, resid_factor):
+    e = decorrelate_residuals(trend_fit.residuals, resid_factor)
+    return build_engine(trend_fit, ctx.targets, sc.model, ctx.factor_true, e).gain
+
+
+def test_held_gain_equals_per_replicate_gain_full_scale(full_design):
+    # the design context's theoretical gain (n = 400 sites, 2500 map nodes)
+    # is the bits of the gain a replicate's own operator forms. About 0.1 s
+    # after the shared fixture.
+    sc, ctx, trend_fit, resid_factor, _ = full_design
+    assert ctx.gain.shape == (ctx.targets.n_nodes - ctx.targets.mask.sum(), sc.n)
+    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit, resid_factor))
+
+
+def test_held_gain_equals_per_replicate_gain_desk():
+    # as above at the desk design (n = 100 sites, 625 map nodes). About 0.1 s.
+    sc = table1_scenario("desk")
+    ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+    trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 3, ctx))
+    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.pairs, ctx.site.lag_grid)
+    resid_model = _variogram_fit(trend_fit, ctx.site.pairs, ctx.site.lag_grid, g)[1]
+    (resid_factor,) = _factorize((resid_model,), ctx.site.dists)
+    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit, resid_factor))
+
+
+def test_held_gain_is_read_only(full_design):
+    # replicates evaluated on several threads share the held gain, so no
+    # caller may write to it, through the whole array or a block's rows
+    ctx = full_design[1]
+    rows = ctx.gain[:_NODE_BLOCK]
+    assert rows.flags.c_contiguous
+    with pytest.raises(ValueError):
+        ctx.gain[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        rows += 1.0
 
 
 @pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
@@ -570,9 +609,13 @@ def test_mode_theoretical_runs_with_truth(fitted):
     true_model = VariogramModel(
         nugget=0.04, node_freqs=[6.0], node_weights=[0.12], kernel_dim=GAUSSIAN_DIM
     )
-    theoretical = (true_model, *_factorize((true_model,), pairwise_distances(fitted.sample)))
-    assert mode_covariance("theoretical", fitted.estimates, theoretical) is theoretical
+    (true_factor,) = _factorize((true_model,), pairwise_distances(fitted.sample))
     targets = map_targets(fitted.trend_fit, SMALL_GRID.nodes())
+    theoretical = (
+        true_model, true_factor,
+        mode_gain(fitted.trend_fit.smoother, targets, true_model, true_factor),
+    )
+    assert mode_covariance("theoretical", fitted.estimates, theoretical) is theoretical
     idx = resample_indices(fitted.sample.n, 40, 8)
     probs = mode_probabilities(
         fitted.trend_fit, targets, idx, [2.5], ("theoretical",), fitted.estimates, theoretical

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _oracles import blocked_targets
+from _oracles import blocked_targets, scenario_rows_per_replicate_operators
 import georisk.bootstrap as bootstrap
 import georisk.simulation as sim
 from georisk.bootstrap import (
@@ -309,6 +309,28 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     # the modes' maps differ, so a swapped covariance cannot pass
     errors = [rec.mean_se[(m, 2.5)] for m in covariances]
     assert not any(np.array_equal(a, b) for a, b in zip(errors, errors[1:] + errors[:1]))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_study_rows_equal_per_replicate_operators(threads):
+    # the design context's theoretical gain, shared by every replicate (and
+    # by threaded ones at once), gives the rows of operators rebuilt per
+    # replicate. About 0.4 s per thread count.
+    sc = table1_scenario("desk", n_replicates=6, seed=12)
+    res = run_scenario(sc, threads=threads)
+    assert res.n_failures == 0
+    assert res.rows == scenario_rows_per_replicate_operators(sc, sim.MODES)
+
+
+def test_pipeline_study_rows_equal_per_replicate_operators():
+    # the pipeline criterion forms the theoretical gain per replicate at
+    # the replicate's own targets. About 0.2 s.
+    sc = table1_scenario(
+        "desk", nx=6, ny=6, n_replicates=3, n_boot=20, bandwidth_criterion="pipeline"
+    )
+    res = run_scenario(sc)
+    assert res.n_failures == 0
+    assert res.rows == scenario_rows_per_replicate_operators(sc, sim.MODES)
 
 
 def test_replicate_failures_carry_their_stage():
