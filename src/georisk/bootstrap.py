@@ -19,25 +19,26 @@ where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. The map targets come in
 blocks of map nodes, each with its kept nodes' smoother rows, its mask of
 nodes whose local design is singular and its kept nodes' distances to the
-sites. ``build_engine`` forms the operator once per covariance mode: it
-solves Sigma^-1 (I - S) against f and L once, then builds ``offset`` and
-``gain`` block by block, each block with its own rows of T and C0, so
-neither full T nor full C0 need exist. The gain does not depend on the
-data, so ``mode_gain`` forms it alone, once for every replicate drawn on
-one design. Replicates are evaluated per block of resampling rows, one
-matrix product each, and exceedance probabilities are the integer
-exceedance counts over all blocks divided by the number of replicates.
+sites. ``build_engine`` is the one place an operator is formed: it solves
+Sigma^-1 (I - S) against f, and against L unless the gain is held, then
+builds the rows block by block, each block with its own rows of T and C0,
+so neither full T nor full C0 need exist. The gain does not depend on the
+data, so where many replicates are drawn on one design ``mode_gain``
+forms it once and the covariance entry holds it. Replicates are evaluated
+per block of resampling rows, one matrix product each, and exceedance
+probabilities are the integer exceedance counts over all blocks divided by
+the number of replicates.
 
 A covariance mode names the covariance that recorrelates and kriges: the
 bias-corrected estimate or the residual-scale estimate, each a (model,
-factor) pair, or, in a simulation, the true covariance, a (model, factor,
-gain) triple. ``mode_covariance`` resolves a mode and
-``mode_probabilities`` evaluates several from one set of resampling rows
-and one whitening of the residuals at the held blocks of ``map_targets``.
-``risk_maps`` draws a fitted pipeline's maps under one of the two
-estimates, forming each target block inside the operator loop; the
-simulation study, which alone knows the true covariance, holds its
-targets and its true gain and calls ``mode_probabilities`` itself.
+factor) entry, or, in a simulation, the true covariance, a (model, factor)
+entry or a (model, factor, gain) one when its design is shared.
+``mode_covariance`` resolves a mode, and ``mode_probabilities``, the one
+evaluator, scores one or several modes from one set of resampling rows and
+one whitening of the residuals. ``risk_maps`` calls it for one of the two
+estimates with a one-pass generator of target blocks, each block formed
+inside the operator loop; the simulation study, which alone knows the true
+covariance, holds its targets and calls it for several modes.
 
 ``prediction_map`` is the fit command's map: the trend plus simple kriging
 of the trend residuals (``kriging.krige_block``), formed and kriged one
@@ -442,24 +443,29 @@ def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> n
 
 
 def build_engine(
-    trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor, e: np.ndarray
+    trend_fit: TrendFit, targets: MapTargets, covariance: tuple, e: np.ndarray
 ) -> BootstrapEngine:
-    """The bootstrap operator of one covariance mode at the map ``targets``,
-    resampling the whitened residuals ``e``.
+    """The bootstrap operator of one covariance entry at the map
+    ``targets``, resampling the whitened residuals ``e``.
 
-    ``model`` with its ``factor`` (Sigma = L L^T) recorrelates a resample
-    e*, giving y* = f + L e* around the fitted trend f; y* is re-smoothed
-    (target rows T, hat matrix S) and completed by simple kriging of its
-    residuals with the same Sigma and the covariances C0 of the model at
-    the target-to-site distances. Each step is linear, so the map values
-    are W y* with W = T + C0 Sigma^-1 (I - S): offset = W f and gain =
-    W L, both formed in one pass over the target blocks
-    (``_operator_rows``), so the blocks may come from a one-pass generator.
+    ``covariance`` is (model, factor) or (model, factor, gain). ``model``
+    with its ``factor`` (Sigma = L L^T) recorrelates a resample e*, giving
+    y* = f + L e* around the fitted trend f; y* is re-smoothed (target rows
+    T, hat matrix S) and completed by simple kriging of its residuals with
+    the same Sigma and the covariances C0 of the model at the
+    target-to-site distances. Each step is linear, so the map values are
+    W y* with W = T + C0 Sigma^-1 (I - S): offset = W f and gain = W L.
+    An entry that holds its gain (``mode_gain``) has only the offset
+    formed; otherwise offset and gain are formed in one pass over the
+    target blocks (``_operator_rows``), so the blocks may come from a
+    one-pass generator.
     """
-    (offset, gain), mask = _operator_rows(
-        trend_fit.smoother, targets, model, factor, trend_fit.fitted, factor.L
+    model, factor, *held = covariance
+    columns = (trend_fit.fitted,) if held else (trend_fit.fitted, factor.L)
+    (offset, *formed), mask = _operator_rows(
+        trend_fit.smoother, targets, model, factor, *columns
     )
-    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
+    return BootstrapEngine(offset=offset, gain=(held or formed)[0], e=e, mask=mask)
 
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
@@ -489,26 +495,6 @@ def _probabilities(engine: BootstrapEngine, idx: np.ndarray, thresholds) -> np.n
     return probs
 
 
-def exceedance_probabilities(
-    trend_fit: TrendFit,
-    targets: MapTargets,
-    decorr_factor: CholeskyFactor,
-    model,
-    factor: CholeskyFactor,
-    idx: np.ndarray,
-    thresholds,
-) -> np.ndarray:
-    """(len(thresholds), n_nodes) replicate frequencies of values >= c at
-    the map ``targets``, NaN at the masked nodes.
-
-    ``decorr_factor`` whitens the residuals; ``model`` with its ``factor``
-    is the covariance that recorrelates and kriges. The operator lives only
-    inside this call.
-    """
-    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
-    return _probabilities(build_engine(trend_fit, targets, model, factor, e), idx, thresholds)
-
-
 # ---------------------------------------------------------------------------
 # Covariance modes
 # ---------------------------------------------------------------------------
@@ -532,25 +518,13 @@ def mode_covariance(mode: str, estimates, theoretical=None) -> tuple:
     ``estimates`` holds the (model, factor) pairs of the residual-scale and
     the bias-corrected estimates (``PipelineFit.estimates``); "residual"
     and "corrected" pick them. "theoretical" picks ``theoretical``, the
-    true covariance's (model, factor, gain), which only a simulation knows;
-    its gain is ``mode_gain`` at the map targets.
+    true covariance, which only a simulation knows: (model, factor), or
+    (model, factor, gain) with the gain ``mode_gain`` at the map targets
+    where a design's replicates share it.
     """
     _check_mode(mode, theoretical is not None)
     residual, corrected = estimates
     return {"theoretical": theoretical, "residual": residual, "corrected": corrected}[mode]
-
-
-def _mode_engine(trend_fit, targets, e, mode, estimates, theoretical) -> BootstrapEngine:
-    """The operator of ``mode``. The theoretical mode comes with its gain,
-    so only its offset is formed; an estimated mode forms both."""
-    covariance = mode_covariance(mode, estimates, theoretical)
-    if mode == "theoretical":
-        model, factor, gain = covariance
-        (offset,), mask = _operator_rows(
-            trend_fit.smoother, targets, model, factor, trend_fit.fitted
-        )
-        return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
-    return build_engine(trend_fit, targets, *covariance, e)
 
 
 def mode_probabilities(
@@ -562,14 +536,17 @@ def mode_probabilities(
 
     The residuals are whitened once, with the residual-scale factor, and
     every mode resamples them; the modes differ only in the covariance
-    that recorrelates and kriges (``mode_covariance``). Each mode's
-    operator is freed before the next one is built. Every mode reads all
-    target blocks, so ``targets`` must hold them (``map_targets``).
+    that recorrelates and kriges (``mode_covariance``), whose operator
+    ``build_engine`` forms. Each mode's operator is freed before the next
+    one is built. Several modes each read all target blocks, so
+    ``targets`` must then hold them (``map_targets``); one mode reads them
+    once, so its blocks may come from a one-pass generator.
     """
     e = decorrelate_residuals(trend_fit.residuals, estimates[0][1])
     return {
         mode: _probabilities(
-            _mode_engine(trend_fit, targets, e, mode, estimates, theoretical), idx, thresholds
+            build_engine(trend_fit, targets, mode_covariance(mode, estimates, theoretical), e),
+            idx, thresholds,
         )
         for mode in modes
     }
@@ -614,10 +591,9 @@ def risk_maps(
     # one mode reads the blocks once, so each is formed in the operator loop
     targets = MapTargets(len(nodes), _target_blocks(fit.trend_fit, nodes))
     idx = resample_indices(fit.sample.n, n_replicates, seed)
-    probs = exceedance_probabilities(
-        fit.trend_fit, targets, fit.residual_factor,
-        *mode_covariance(mode, fit.estimates), idx, thresholds,
-    )
+    probs = mode_probabilities(
+        fit.trend_fit, targets, idx, thresholds, (mode,), fit.estimates
+    )[mode]
     n_masked = int(np.isnan(probs[0]).sum())
     return [
         RiskMap(

@@ -9,16 +9,18 @@ estimate, bias-corrected estimate), and aggregates squared-error summaries
 of the estimated maps.
 
 What depends only on the sites (their site design, the true covariance and
-its factor and, under the MASE criterion, the oracle smoother, the map
-targets, every target block formed once and held, and the true
-covariance's bootstrap gain at them) lives in a design context.
-``run_scenario`` builds one for a regular-design study and one per
+its factor and, under the MASE criterion, the oracle smoother and the map
+targets, every target block formed once and held) lives in a design
+context. ``run_scenario`` builds one for a regular-design study and one per
 replicate from its drawn sites for the uniform design, and passes it
 explicitly to ``simulate_field`` and to the replicate's evaluation; nothing
-is cached between calls. Every replicate then runs the pipeline's own
-variogram and factorization stages, so a failure carries the label of the
-stage that failed, and scores its modes through the pipeline's one mode
-loop (``bootstrap.mode_probabilities``).
+is cached between calls. Only the regular design's MASE context, which
+every replicate shares, also holds the true covariance's bootstrap gain at
+its targets; elsewhere a replicate forms that gain with its offset, as it
+does for the estimated covariances. Every replicate then runs the
+pipeline's own variogram and factorization stages, so a failure carries
+the label of the stage that failed, and scores its modes through the
+pipeline's one evaluator (``bootstrap.mode_probabilities``).
 """
 
 from __future__ import annotations
@@ -226,10 +228,11 @@ class _DesignContext:
     ``truth`` holds what a draw needs: the sites with their site design
     (distances, pair table and lag grid), the true trend and the true
     covariance with its factor. ``build`` adds, under the MASE criterion,
-    the oracle smoother, the map targets it gives, whose blocks every mode
-    of every replicate reuses, and the theoretical mode's read-only gain
-    at them (``mode_gain``), which every replicate's theoretical operator
-    reuses.
+    the oracle smoother and the map targets it gives, whose blocks every
+    mode of every replicate reuses. On the regular design, whose one
+    context every replicate shares, it also forms the theoretical mode's
+    read-only gain at the targets (``mode_gain``); a uniform-design
+    context serves one replicate, so it holds no gain.
     """
 
     locations: np.ndarray
@@ -267,7 +270,10 @@ class _DesignContext:
             targets = map_targets(
                 apply_smoother(smoother, template), scenario.prediction_grid().nodes()
             )
-        gain = mode_gain(smoother, targets, scenario.model, design.factor_true)
+        gain = (
+            mode_gain(smoother, targets, scenario.model, design.factor_true)
+            if scenario.design == "regular" else None
+        )
         return dataclasses.replace(design, smoother=smoother, targets=targets, gain=gain)
 
 
@@ -428,16 +434,14 @@ def _lag_bandwidth(trend_fit, design: _DesignContext) -> float:
 
 def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
     """Score one replicate's maps in every mode. Under the MASE criterion
-    the trend is the design's oracle smoother, ``g`` the study's lag
-    bandwidth, or None to tune it on this replicate's residuals, and the
-    theoretical gain the design's. Under the pipeline criterion the
-    replicate's own fit gives the trend, and the theoretical gain is
-    formed at its targets."""
+    the trend is the design's oracle smoother and ``g`` the study's lag
+    bandwidth, or None to tune it on this replicate's residuals. Under the
+    pipeline criterion the replicate's own fit gives the trend. The
+    theoretical entry holds the design's gain if it has one."""
     if scenario.bandwidth_criterion == "pipeline":
         fit = fit_pipeline(sample)
         trend_fit, estimates = fit.trend_fit, fit.estimates
         targets = map_targets(trend_fit, scenario.prediction_grid().nodes())
-        gain = mode_gain(trend_fit.smoother, targets, scenario.model, design.factor_true)
     else:
         trend_fit = apply_smoother(design.smoother, sample)
         if g is None:
@@ -447,12 +451,14 @@ def _evaluate_replicate(scenario, sample, r, modes, truth_maps, design, g):
         )
         models = (resid_model, corr_model)
         estimates = tuple(zip(models, _factorize(models, design.site.dists)))
-        targets, gain = design.targets, design.gain
+        targets = design.targets
+    theoretical = (scenario.model, design.factor_true)
+    if design.gain is not None:
+        theoretical += (design.gain,)
 
     idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
     probs = mode_probabilities(
-        trend_fit, targets, idx, scenario.thresholds, modes, estimates,
-        (scenario.model, design.factor_true, gain),
+        trend_fit, targets, idx, scenario.thresholds, modes, estimates, theoretical
     )
     keep = ~targets.mask
     mean_se = {

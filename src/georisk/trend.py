@@ -69,26 +69,6 @@ class SmootherMatrix:
     def trace(self) -> float:
         return float(np.trace(self.S))
 
-    # the interface the bandwidth criteria score, shared with ``_LocalFit``
-
-    def smooth(self, v) -> np.ndarray:
-        """S v, the smoother applied to data v."""
-        return self.S @ v
-
-    def hat_diagonal(self) -> np.ndarray:
-        return np.diag(self.S)
-
-    def trace_with(self, r) -> float:
-        """tr(S R)."""
-        return float(np.einsum("ij,ji->", self.S, r))
-
-    def variance_trace(self, sigma) -> float:
-        """tr(S Sigma S^T)."""
-        return float(np.einsum("ij,ij->", self.S @ sigma, self.S))
-
-    def hat_matrix(self) -> np.ndarray:
-        return self.S
-
 
 @dataclass(frozen=True, eq=False)
 class TrendFit:
@@ -352,8 +332,7 @@ class _LocalFit:
     the solution of point i's unit-sum local design; the points listed in
     ``bad`` have c_i = 0, so zero rows. At the sites (p = z) the criteria
     use the hat matrix only through its products with a few vectors, which
-    come from the moments W @ [v, z v]. ``SmootherMatrix`` offers the same
-    methods on an explicit hat matrix.
+    come from the moments W @ [v, z v].
 
     The search's fits carry the ``bands`` of W (``_bands``): every product
     then runs over each row block's band only, and the entries of W outside
@@ -567,8 +546,8 @@ def _local_fit(
 
 
 def _smoother(sample: SpatialSample, bandwidth):
-    """What a criterion scores: a hat matrix or local fit as given, or the
-    local fit at a bandwidth."""
+    """What a criterion scores: a local fit as given, or the local fit at
+    a bandwidth."""
     if isinstance(bandwidth, BandwidthMatrix):
         return _local_fit(sample, bandwidth)
     return bandwidth

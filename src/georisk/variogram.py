@@ -166,8 +166,8 @@ def _lag_range(distances) -> float:
 
 
 def default_lag_grid(distances, n_lags: int = DEFAULT_N_LAGS) -> np.ndarray:
-    """Equally spaced lags from u_max/n_lags*... up to 55% of the largest
-    pair distance (u_max), starting at u_max/50."""
+    """``n_lags`` equally spaced lags from u_max/50 to u_max, 55% of the
+    largest pair distance."""
     u_max = _lag_range(distances)
     return np.linspace(u_max / 50.0, u_max, n_lags)
 
@@ -622,8 +622,8 @@ def _row_bands(s):
 
 def bias_matrix(smoother, covariance) -> np.ndarray:
     """The distortion of the residual covariance that trend removal induces,
-    S Sigma S^T - Sigma S^T - S Sigma, for a hat matrix S and a symmetric
-    Sigma, so that Sigma S^T = (S Sigma)^T.
+    S Sigma S^T - Sigma S^T - S Sigma, for a hat matrix S (an n x n array)
+    and a symmetric Sigma, so that Sigma S^T = (S Sigma)^T.
 
     When some row block of S is zero outside a band of columns (a compact
     kernel with the sites in first-axis order), B is formed one block of
@@ -631,7 +631,7 @@ def bias_matrix(smoother, covariance) -> np.ndarray:
     over the blocks' bands only; otherwise it comes from the dense
     products.
     """
-    s = smoother.S if hasattr(smoother, "S") else np.asarray(smoother, dtype=np.float64)
+    s = np.asarray(smoother, dtype=np.float64)
     sigma = np.asarray(covariance, dtype=np.float64)
     bands = _row_bands(s)
     if bands is None:

@@ -796,33 +796,46 @@ def segment_pass_stacked(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, run
 
 
 def scenario_rows_per_replicate_operators(scenario, modes):
-    """``run_scenario(scenario, modes).rows`` for a regular-design study
-    whose replicates all succeed, with every mode's operator, the
-    theoretical one included, built per replicate by
-    ``exceedance_probabilities`` (which forms offset and gain together and
-    whitens the residuals itself). Under the MASE criterion the lag
-    bandwidth is tuned once, on the first replicate's residuals."""
+    """``run_scenario(scenario, modes).rows`` for a study whose replicates
+    all succeed, with every mode's operator, the theoretical one included,
+    built per replicate from a (model, factor) entry that holds no gain,
+    one mode per ``mode_probabilities`` call. A regular design has one
+    design context for the study, and under the MASE criterion its lag
+    bandwidth is tuned once, on the first replicate's residuals; the
+    uniform design builds a context per replicate from its drawn sites and
+    tunes the lag bandwidth on each replicate's residuals."""
     from georisk.bootstrap import (
-        _factorize, _variogram_fit, exceedance_probabilities, fit_pipeline, map_targets,
+        _factorize, _variogram_fit, fit_pipeline, map_targets, mode_probabilities,
         resample_indices,
     )
     from georisk.simulation import _DesignContext, simulate_field, true_risk
     from georisk.trend import apply_smoother
     from georisk.variogram import select_lag_bandwidth
 
-    assert scenario.design == "regular"
     nodes = scenario.prediction_grid().nodes()
-    design = _DesignContext.build(scenario, simulate_field(scenario, 0).locations)
-    pairs, lag_grid = design.site.pairs, design.site.lag_grid
+    regular = scenario.design == "regular"
     mase = scenario.bandwidth_criterion == "mase"
-    if mase:
-        residuals0 = apply_smoother(design.smoother, simulate_field(scenario, 0, design)).residuals
-        g = select_lag_bandwidth(residuals0, pairs, lag_grid)
+
+    def design_of(r):
+        return _DesignContext.build(scenario, simulate_field(scenario, r).locations)
+
+    if regular:
+        design = design_of(0)
+        if mase:
+            residuals0 = apply_smoother(
+                design.smoother, simulate_field(scenario, 0, design)
+            ).residuals
+            g = select_lag_bandwidth(residuals0, design.site.pairs, design.site.lag_grid)
     pools = {(m, c): [] for m in modes for c in scenario.thresholds}
     for r in range(scenario.n_replicates):
+        if not regular:
+            design = design_of(r)
+        pairs, lag_grid = design.site.pairs, design.site.lag_grid
         sample = simulate_field(scenario, r, design)
         if mase:
             trend_fit = apply_smoother(design.smoother, sample)
+            if not regular:
+                g = select_lag_bandwidth(trend_fit.residuals, pairs, lag_grid)
             _, resid_model, _, corr_model = _variogram_fit(trend_fit, pairs, lag_grid, g)
             models = (resid_model, corr_model)
             estimates = tuple(zip(models, _factorize(models, design.site.dists)))
@@ -831,17 +844,13 @@ def scenario_rows_per_replicate_operators(scenario, modes):
             fit = fit_pipeline(sample)
             trend_fit, estimates = fit.trend_fit, fit.estimates
             targets = map_targets(trend_fit, nodes)
-        covariances = {
-            "theoretical": (scenario.model, design.factor_true),
-            "residual": estimates[0],
-            "corrected": estimates[1],
-        }
+        theoretical = (scenario.model, design.factor_true)
         idx = resample_indices(sample.n, scenario.n_boot, scenario.seed, r)
         keep = ~targets.mask
         for mode in modes:
-            probs = exceedance_probabilities(
-                trend_fit, targets, estimates[0][1], *covariances[mode], idx, scenario.thresholds
-            )
+            probs = mode_probabilities(
+                trend_fit, targets, idx, scenario.thresholds, (mode,), estimates, theoretical
+            )[mode]
             for c, p in zip(scenario.thresholds, probs):
                 truth = true_risk(nodes, c, scenario)
                 pools[(mode, c)].append((truth[keep] - p[keep]) ** 2)

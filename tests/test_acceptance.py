@@ -20,7 +20,7 @@ from _oracles import (
     sk_weights_dense,
     wls_affine_hat_row,
 )
-from georisk.bootstrap import exceedance_probabilities, resample_indices
+from georisk.bootstrap import mode_probabilities, resample_indices
 from georisk.cli import main as cli_main
 from georisk.geometry import (
     BandwidthMatrix,
@@ -160,13 +160,14 @@ def _theoretical_mean_abs_error(seed: int) -> float:
     trend_fit = apply_smoother(ctx.smoother, sample)
     g = select_lag_bandwidth(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid)
     pilot = empirical_variogram(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid, g)
-    resid_factor = cholesky(
-        covariance_matrix(fit_shapiro_botha(pilot), ctx.site.dists)
-    )
+    resid_model = fit_shapiro_botha(pilot)
+    resid_factor = cholesky(covariance_matrix(resid_model, ctx.site.dists))
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, 0)
-    (probs,) = exceedance_probabilities(
-        trend_fit, ctx.targets, resid_factor, sc.model, ctx.factor_true, idx, [2.5],
-    )
+    # the residual factor whitens; no corrected estimate is scored here
+    (probs,) = mode_probabilities(
+        trend_fit, ctx.targets, idx, [2.5], ("theoretical",),
+        ((resid_model, resid_factor), None), (sc.model, ctx.factor_true),
+    )["theoretical"]
     keep = ~ctx.targets.mask
     truth = true_risk(sc.prediction_grid().nodes(), 2.5, sc)[keep]
     return float(np.abs(probs[keep] - truth).mean())

@@ -21,7 +21,6 @@ from georisk.bootstrap import (
     _variogram_fit,
     build_engine,
     decorrelate_residuals,
-    exceedance_probabilities,
     fit_pipeline,
     map_targets,
     mode_covariance,
@@ -189,7 +188,7 @@ def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
     targets = map_targets(fitted.trend_fit, fitted.sample.locations[:5])
     engine = build_engine(
-        fitted.trend_fit, targets, fitted.corrected_model, fitted.corrected_factor,
+        fitted.trend_fit, targets, (fitted.corrected_model, fitted.corrected_factor),
         decorrelate_residuals(fitted.trend_fit.residuals, fitted.residual_factor),
     )
     idx = resample_indices(n, 3, 123, 9)
@@ -255,7 +254,7 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     rows, dists = kept_rows_and_dists(ctx.targets)
     c0 = model.sill - model.semivariance(dists)
     e = decorrelate_residuals(trend_fit.residuals, resid_factor)
-    engine = build_engine(trend_fit, ctx.targets, model, factor, e)
+    engine = build_engine(trend_fit, ctx.targets, (model, factor), e)
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
     values = engine.replicate_values(idx)
     oracle = bootstrap_replicates_stepwise(
@@ -269,7 +268,7 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
 
 def _per_replicate_gain(sc, ctx, trend_fit, resid_factor):
     e = decorrelate_residuals(trend_fit.residuals, resid_factor)
-    return build_engine(trend_fit, ctx.targets, sc.model, ctx.factor_true, e).gain
+    return build_engine(trend_fit, ctx.targets, (sc.model, ctx.factor_true), e).gain
 
 
 def test_held_gain_equals_per_replicate_gain_full_scale(full_design):
@@ -311,12 +310,15 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
     assert ctx.targets.n_nodes % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
+    estimates = (covariances["residual"], covariances["corrected"])
     for b in (1000, 333):
         idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
+        probs = mode_probabilities(
+            trend_fit, ctx.targets, idx, sc.thresholds, (mode,), estimates,
+            covariances["theoretical"],
+        )[mode]
         args = (trend_fit, ctx.targets, resid_factor, model, factor, idx, sc.thresholds)
-        assert np.array_equal(
-            exceedance_probabilities(*args), exceedance_probabilities_oneshot(*args)
-        )
+        assert np.array_equal(probs, exceedance_probabilities_oneshot(*args))
 
 
 @pytest.fixture(scope="module")
@@ -336,18 +338,28 @@ def riskmap_fit():
 @pytest.fixture(scope="module")
 def riskmap_design(riskmap_fit):
     """The benchmark's risk map at seed 1: its fit, the held targets of the
-    50 x 50 grid, and 1000 resampling rows of bootstrap seed 7."""
+    50 x 50 grid, 1000 resampling rows of bootstrap seed 7 and two
+    thresholds."""
     fit, grid = riskmap_fit
     targets = map_targets(fit.trend_fit, grid.nodes())
     idx = resample_indices(fit.sample.n, 1000, 7)
-    return (fit.trend_fit, targets, fit.residual_factor,
-            fit.corrected_model, fit.corrected_factor, idx, [1.0, 2.0])
+    return fit, targets, idx, [1.0, 2.0]
+
+
+def _corrected_probabilities(fit, targets, idx, thresholds):
+    return mode_probabilities(
+        fit.trend_fit, targets, idx, thresholds, ("corrected",), fit.estimates
+    )["corrected"]
 
 
 def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
+    fit, targets, idx, thresholds = riskmap_design
     assert np.array_equal(
-        exceedance_probabilities(*riskmap_design),
-        exceedance_probabilities_oneshot(*riskmap_design),
+        _corrected_probabilities(*riskmap_design),
+        exceedance_probabilities_oneshot(
+            fit.trend_fit, targets, fit.residual_factor,
+            fit.corrected_model, fit.corrected_factor, idx, thresholds,
+        ),
     )
 
 
@@ -355,7 +367,7 @@ def test_exceedance_memory_at_riskmap_design(riskmap_design):
     m, n = riskmap_design[1].n_nodes, riskmap_design[0].sample.n
     tracemalloc.start()
     try:
-        exceedance_probabilities(*riskmap_design)
+        _corrected_probabilities(*riskmap_design)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -624,6 +636,12 @@ def test_mode_theoretical_runs_with_truth(fitted):
     assert np.array_equal(np.isnan(probs[0]), targets.mask)
     kept = probs[0, ~targets.mask]
     assert kept.min() >= 0.0 and kept.max() <= 1.0
+    # an entry without its gain forms it with the offset, to the same bits
+    formed = mode_probabilities(
+        fitted.trend_fit, targets, idx, [2.5], ("theoretical",), fitted.estimates,
+        theoretical[:2],
+    )["theoretical"]
+    assert np.array_equal(formed, probs, equal_nan=True)
 
 
 def test_unknown_mode_rejected(fitted):

@@ -14,8 +14,8 @@ from _oracles import blocked_targets, scenario_rows_per_replicate_operators
 import georisk.bootstrap as bootstrap
 import georisk.simulation as sim
 from georisk.bootstrap import (
-    exceedance_probabilities,
     fit_pipeline,
+    mode_probabilities,
     resample_indices,
     risk_maps,
 )
@@ -299,11 +299,12 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     }
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, r)
     assert set(rec.mean_se) == {(m, c) for m in covariances for c in sc.thresholds}
-    for mode, (model, factor) in covariances.items():
-        probs = exceedance_probabilities(
-            fit.trend_fit, blocked_targets(rows[keep], ~keep, dists), fit.residual_factor,
-            model, factor, idx, sc.thresholds,
-        )
+    estimates = (covariances["residual"], covariances["corrected"])
+    for mode in covariances:
+        probs = mode_probabilities(
+            fit.trend_fit, blocked_targets(rows[keep], ~keep, dists), idx, sc.thresholds,
+            (mode,), estimates, covariances["theoretical"],
+        )[mode]
         for c, p in zip(sc.thresholds, probs):
             assert np.array_equal(rec.mean_se[(mode, c)], (truth_maps[c][keep] - p[keep]) ** 2)
     # the modes' maps differ, so a swapped covariance cannot pass
@@ -324,13 +325,51 @@ def test_study_rows_equal_per_replicate_operators(threads):
 
 def test_pipeline_study_rows_equal_per_replicate_operators():
     # the pipeline criterion forms the theoretical gain per replicate at
-    # the replicate's own targets. About 0.2 s.
+    # the replicate's own targets, with its offset. About 0.2 s.
     sc = table1_scenario(
         "desk", nx=6, ny=6, n_replicates=3, n_boot=20, bandwidth_criterion="pipeline"
     )
     res = run_scenario(sc)
     assert res.n_failures == 0
     assert res.rows == scenario_rows_per_replicate_operators(sc, sim.MODES)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_uniform_study_rows_equal_per_replicate_operators(threads):
+    # the uniform design builds a context per replicate, holding no gain,
+    # and tunes the lag bandwidth per replicate; two modes, to check the
+    # rows follow the modes asked for. About 1 s per thread count.
+    sc = table3_scenario("desk", n_replicates=4)
+    modes = ("theoretical", "corrected")
+    res = run_scenario(sc, modes=modes, threads=threads)
+    assert res.n_failures == 0
+    assert res.rows == scenario_rows_per_replicate_operators(sc, modes)
+
+
+def test_theoretical_gain_is_formed_only_for_a_shared_design(monkeypatch):
+    # mode_gain runs once per regular-design MASE study, and never where a
+    # context serves one replicate (uniform) or there is no design smoother
+    # (pipeline). About 0.7 s.
+    calls = []
+    gain = sim.mode_gain
+
+    def counted(*args):
+        calls.append(args)
+        return gain(*args)
+
+    monkeypatch.setattr(sim, "mode_gain", counted)
+    studies = {
+        "regular": (table1_scenario("desk", n_replicates=3, n_boot=20), 1),
+        "uniform": (table3_scenario("desk", n_replicates=3, n_boot=20), 0),
+        "pipeline": (table1_scenario(
+            "desk", nx=6, ny=6, n_replicates=2, n_boot=20, bandwidth_criterion="pipeline"
+        ), 0),
+    }
+    for name, (sc, expected) in studies.items():
+        calls.clear()
+        res = run_scenario(sc)
+        assert res.n_failures == 0, name
+        assert len(calls) == expected, name
 
 
 def test_replicate_failures_carry_their_stage():

@@ -34,7 +34,6 @@ from georisk.simulation import (
     table3_scenario,
 )
 from georisk.trend import (
-    SmootherMatrix,
     cgcv_score,
     cv_score,
     default_bandwidth_grid,
@@ -312,14 +311,6 @@ def test_cgcv_degenerate_denominator_raises():
     if tr >= 1.0:
         with pytest.raises(BandwidthTooSmallError):
             cgcv_score(sample, BandwidthMatrix.diagonal(5.0, 5.0), r)
-
-
-def test_mase_identity_smoother():
-    sample = unit_grid_sample(5, 5)
-    sigma = np.diag(np.linspace(0.5, 2.0, 25))
-    ident = SmootherMatrix(S=np.eye(25), bandwidth=H_MED)
-    m = bench_surface(sample.locations)
-    assert mase_score(sample, ident, m, sigma) == pytest.approx(np.trace(sigma) / 25.0)
 
 
 def test_mase_affine_zero_variance():

@@ -374,7 +374,7 @@ def test_pair_table_estimates_bit_identical_to_dense_path(field_n400):
     fit, d = field_n400
     lags = default_lag_grid(d)
     table = PairTable.from_distances(d)
-    b = bias_matrix(fit.smoother, pseudo_covariances(
+    b = bias_matrix(fit.smoother.S, pseudo_covariances(
         empirical_variogram(fit.residuals, table, lags, 0.2), d
     ))
     diag = np.diag(b)
@@ -573,7 +573,7 @@ def test_corrections_recover_error_scale_variogram():
     resid = eps - s.S @ eps
 
     sigma_realized = np.outer(eps, eps)
-    b = bias_matrix(s, sigma_realized)
+    b = bias_matrix(s.S, sigma_realized)
     diag = np.diag(b)
     corrections = diag[:, None] + diag[None, :] - 2.0 * b
 
