@@ -41,9 +41,7 @@ from .trend import (
     cv_score,
     fit_trend,
     gcv_score,
-    local_linear_weights,
     mase_score,
-    predict_trend,
     select_bandwidth,
     smoother_matrix,
 )
@@ -55,7 +53,6 @@ from .variogram import (
     bias_matrix,
     correlation_matrix,
     covariance_matrix,
-    cv_relative_error,
     empirical_variogram,
     fit_shapiro_botha,
     pseudo_covariances,
@@ -80,7 +77,6 @@ __all__ = [
     "cgcv_score",
     "correlation_matrix",
     "covariance_matrix",
-    "cv_relative_error",
     "cv_score",
     "decorrelate_residuals",
     "empirical_variogram",
@@ -90,11 +86,9 @@ __all__ = [
     "fit_trend",
     "gcv_score",
     "ingest_csv",
-    "local_linear_weights",
     "make_regular_grid",
     "mase_score",
     "pairwise_distances",
-    "predict_trend",
     "pseudo_covariances",
     "risk_maps",
     "run_scenario",

@@ -350,7 +350,7 @@ class MapTargets(NamedTuple):
 
 
 def _target_block(trend_fit: TrendFit, nodes: np.ndarray) -> TargetBlock:
-    rows, bad = prediction_weights(trend_fit, nodes, on_singular="mask")
+    rows, bad = prediction_weights(trend_fit, nodes)
     mask = np.zeros(len(nodes), dtype=bool)
     mask[bad] = True
     rows = rows[~mask]  # the full rows die here, before the distances exist

@@ -13,8 +13,8 @@ returns a ``_LocalFit``, whose ``hat_matrix`` gives the rows. At the sites
 the designs come from the moments W @ [1, z, z z^T], one n x 6 matrix
 product; at other points they are summed over each point's window. A point
 whose window has no spread on an axis while the point lies off that line
-has no affine fit: it is masked or raises, as are points with too few
-neighbors or a singular design.
+has no affine fit: a site raises and a map point is masked, as are points
+with too few neighbors or a singular design.
 
 The bandwidth search never forms S. Consecutive diagonal candidates with
 the same h_1 are scored as one stack of kernel matrices W at the sites,
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BandwidthTooSmallError, ConfigError
-from .geometry import BandwidthMatrix, RegularGrid, SpatialSample
+from .geometry import BandwidthMatrix, SpatialSample
 from .numerics import _triweight_1d
 
 _LOCAL_RIDGE = 1e-10
@@ -149,19 +149,6 @@ def _solve_e1_single(a):
     return np.full(p, np.nan)
 
 
-def local_linear_weights(
-    sample: SpatialSample,
-    x,
-    bandwidth: BandwidthMatrix,
-) -> np.ndarray:
-    """Weight vector s_x mapping observations to the fitted value at x.
-
-    The weights reproduce affine functions: they sum to one and are
-    orthogonal to the centered coordinates.
-    """
-    return _local_fit(sample, bandwidth, points=x).hat_matrix()[0]
-
-
 def smoother_matrix(sample: SpatialSample, bandwidth: BandwidthMatrix) -> SmootherMatrix:
     """Hat matrix with row i equal to the weight vector at sample site i."""
     return SmootherMatrix(S=_local_fit(sample, bandwidth).hat_matrix(), bandwidth=bandwidth)
@@ -183,27 +170,12 @@ def fit_trend(sample: SpatialSample, bandwidth: BandwidthMatrix) -> TrendFit:
     return apply_smoother(smoother_matrix(sample, bandwidth), sample)
 
 
-def prediction_weights(
-    fit: TrendFit,
-    targets,
-    on_singular: str = "raise",
-):
-    """Weight rows mapping observations to trend predictions at targets.
-
-    Returns (rows, bad_indices); with on_singular "mask" failed targets get
-    zero rows and are listed instead of raising.
-    """
-    points = targets.nodes() if isinstance(targets, RegularGrid) else targets
-    local = _local_fit(
-        fit.sample, fit.smoother.bandwidth, points=points, on_singular=on_singular
-    )
+def prediction_weights(fit: TrendFit, targets):
+    """Weight rows mapping observations to trend predictions at target
+    points. Returns (rows, bad_indices): targets without a local linear fit
+    get zero rows and are listed instead of raising."""
+    local = _local_fit(fit.sample, fit.smoother.bandwidth, points=targets)
     return local.hat_matrix(out=local.weights), local.bad.tolist()
-
-
-def predict_trend(fit: TrendFit, targets) -> np.ndarray:
-    """Trend estimate at target points, using the bandwidth of the fit."""
-    rows, _ = prediction_weights(fit, targets)
-    return rows @ fit.sample.values
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +450,6 @@ def _local_fit(
     bandwidth: BandwidthMatrix,
     min_neighbors: int | None = None,
     points=None,
-    on_singular: str = "raise",
 ) -> _LocalFit:
     """Local linear fit at ``points``, by default at the sample sites.
 
@@ -490,13 +461,11 @@ def _local_fit(
 
     A point is bad when it has fewer than ``min_neighbors`` positive
     weights, when its window has no spread on an axis but the point lies off
-    that line, or when its design stays singular. With on_singular "raise" a
-    bad point raises BandwidthTooSmallError (at the sites, the first row
-    block with a starved site raises before any design is built); with
-    "mask" the bad points get zero rows and are listed in ``bad``.
+    that line, or when its design stays singular. At the sites a bad site
+    raises BandwidthTooSmallError (the first row block with a starved site
+    raises before any design is built); other points are masked: the bad
+    points get zero rows and are listed in ``bad``.
     """
-    if on_singular not in ("raise", "mask"):
-        raise ConfigError(f"unknown on_singular {on_singular!r}; expected 'raise' or 'mask'")
     locs = sample.locations
     n, d = locs.shape
     if min_neighbors is None:
@@ -533,7 +502,7 @@ def _local_fit(
     coef, offline = _local_coef(a, shift, mean)
     bad = np.flatnonzero(starved | offline | np.isnan(coef[:, 0]))
     if bad.size:
-        if on_singular == "raise":
+        if points is None:
             counts = np.count_nonzero(weights[bad], axis=1)
             raise _singular_design_error(bad, counts.min(), min_neighbors)
         coef[bad] = 0.0

@@ -179,10 +179,10 @@ class PairTable:
     ``distances`` holds the upper-triangle pair distances in stable
     ascending order and ``rows``/``cols`` the two sites of each pair
     (row < col) as int32, which any n whose n x n distance matrix fits in
-    memory allows; ``n`` is the number of sites. Build it once per sample
-    with ``from_distances`` and pass it to every lag-smoothing call:
-    per-pair values are then gathered at the P pairs instead of being
-    formed as n x n matrices and re-sorted.
+    memory allows; ``n`` is the number of sites. ``bootstrap.site_design``
+    builds it once per sample with ``from_distances``, and every
+    lag-smoothing call takes it: per-pair values are then gathered at the P
+    pairs instead of being formed as n x n matrices and re-sorted.
     """
 
     n: int
@@ -223,14 +223,6 @@ class PairTable:
         b = np.asarray(bias, dtype=np.float64)
         diag = np.diag(b)
         return diag[self.rows] + diag[self.cols] - 2.0 * b[self.rows, self.cols]
-
-
-def _pair_table(distances) -> PairTable:
-    """The pair table of ``distances``, built from a distance matrix if
-    needed: the one place where a matrix becomes a pair table."""
-    if isinstance(distances, PairTable):
-        return distances
-    return PairTable.from_distances(distances)
 
 
 def _lag_windows(lags, d_sorted, bandwidth, min_pairs):
@@ -567,36 +559,31 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
 
 def empirical_variogram(
     residuals,
-    distances,
-    lag_grid=None,
-    bandwidth=None,
+    pairs: PairTable,
+    lag_grid,
+    bandwidth,
     corrections=None,
     min_pairs: int = DEFAULT_MIN_PAIRS,
 ) -> EmpiricalVariogram:
     """Local linear semivariogram of residuals on a scalar lag grid.
 
-    Squared residual differences (optionally minus ``corrections``) are
-    smoothed against pair distance with a univariate triweight kernel of
-    scale ``bandwidth``; the stored estimate is half the fitted intercept,
+    Squared residual differences at the ``pairs`` (optionally minus
+    ``corrections``, one value per pair in the table's order) are smoothed
+    against pair distance with a univariate triweight kernel of scale
+    ``bandwidth``; the stored estimate is half the fitted intercept,
     clamped at zero. Every lag must carry at least ``min_pairs`` pairs with
-    nonzero kernel weight. ``distances`` is a PairTable or a distance
-    matrix; ``corrections`` is an n x n matrix or one value per pair in the
-    table's order.
+    nonzero kernel weight.
     """
     resid = np.asarray(residuals, dtype=np.float64).ravel()
     if resid.size < 2:
         raise ConfigError("need at least two residuals")
-    pairs = _pair_table(distances)
-    if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
-    if bandwidth is None or bandwidth <= 0.0:
+    if bandwidth <= 0.0:
         raise ConfigError("a positive lag bandwidth is required")
 
     z_sorted = pairs.squared_differences(resid)
     if corrections is not None:
-        corr = np.asarray(corrections, dtype=np.float64)
-        z_sorted = z_sorted - (corr[pairs.rows, pairs.cols] if corr.ndim == 2 else corr)
+        z_sorted = z_sorted - corrections
     lo, hi = _lag_windows(lag_grid, pairs.distances, bandwidth, min_pairs)
     alpha, mass = _lag_fits_direct(lag_grid, lo, hi, pairs.distances, z_sorted, bandwidth)
     estimates = np.clip(0.5 * alpha, 0.0, None)
@@ -656,14 +643,13 @@ def bias_matrix(smoother, covariance) -> np.ndarray:
     return b
 
 
-def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
+def pseudo_covariances(pilot: EmpiricalVariogram, pairs: PairTable) -> np.ndarray:
     """Covariance surrogate from a pilot estimate: sill = max pilot value,
     C(d) = max(sill - gamma(d), 0) with gamma linearly interpolated on the
     lag grid (constant beyond its ends); unit-lag variance on the diagonal.
-    ``distances`` is a PairTable or a distance matrix: C is formed once per
-    pair, at the sorted pair distances, and written to both triangles.
+    C is formed once per pair, at the sorted pair distances, and written to
+    both triangles.
     """
-    pairs = _pair_table(distances)
     sill = float(pilot.estimates.max()) if pilot.estimates.size else 0.0
     values = np.interp(pairs.distances, pilot.lags, pilot.estimates)
     np.subtract(sill, values, out=values)
@@ -675,20 +661,27 @@ def pseudo_covariances(pilot: EmpiricalVariogram, distances) -> np.ndarray:
     return c
 
 
-DEFAULT_BIAS_MAX_ITER = 5
-# The plug-in iteration amplifies pilot noise: run to convergence it settles
-# far above the true sill (~+50% at n = 100..400 in calibration runs), while
-# a small cap lands the corrected sill near the truth and preserves the
-# expected ordering of the bootstrap variants. Five steps is that compromise.
+BIAS_MAX_ITER = 5
+BIAS_TOL = 1e-3
+# The plug-in iteration amplifies pilot noise, and the corrected sill keeps
+# growing with the step count: run to convergence it settles far above the
+# true sill (~+50% at n = 100..400 in calibration runs), while a small cap
+# lands the corrected sill near the truth and preserves the expected
+# ordering of the bootstrap variants. Five steps is that compromise. The
+# BIAS_TOL exit fires only on noise-free input, so on data all five steps
+# run and the step with the smallest relative change is reported. That is
+# the last step on the n = 1053 risk map and the first full table1
+# replicate, but step 3 on the desk table1 designs of 6 x 6 sites under the
+# pipeline's bandwidth (largest change 0.2084 at step 3, 0.2893 at step 5)
+# and of 5 x 5 sites in the pipeline's first pass (0.2400 at step 3, 1.0
+# at step 5).
 
 
 def bias_corrected_variogram(
     trend_fit: TrendFit,
-    distances,
-    lag_grid=None,
-    bandwidth=None,
-    max_iter: int = DEFAULT_BIAS_MAX_ITER,
-    tol: float = 1e-3,
+    pairs: PairTable,
+    lag_grid,
+    bandwidth,
     min_pairs: int = DEFAULT_MIN_PAIRS,
 ) -> EmpiricalVariogram:
     """Iteratively bias-corrected pilot semivariogram.
@@ -696,9 +689,10 @@ def bias_corrected_variogram(
     Alternates between approximating the residual-covariance distortion from
     the current pilot (via pseudo-covariances) and re-estimating the pilot
     from corrected squared differences, until the maximum relative change
-    over the lag grid drops below ``tol`` or ``max_iter`` is reached. On
-    non-convergence the best iterate is returned with a flag in ``report``.
-    ``distances`` is a PairTable or a distance matrix.
+    over the lag grid drops below ``BIAS_TOL`` or ``BIAS_MAX_ITER`` steps
+    are taken. The step with the smallest change is returned (the last one
+    when the iteration converged); ``report`` holds its number, its change
+    and whether that change is below ``BIAS_TOL``.
 
     The correction takes the sites in first-axis order: S, each
     pseudo-covariance matrix and each bias matrix are held in that order
@@ -706,22 +700,13 @@ def bias_corrected_variogram(
     each block of rows of S over its band only. The pairs keep their order,
     so the squared differences are those of the sites as given.
     """
-    pairs = _pair_table(distances)
-    if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.distances)
     order = np.argsort(trend_fit.sample.locations[:, 0], kind="stable")
     pairs = pairs.relabeled(order)
     residuals = trend_fit.residuals[order]
-    est = empirical_variogram(residuals, pairs, lag_grid, bandwidth, min_pairs=min_pairs)
-    if max_iter <= 0:
-        report = BiasCorrectionReport(iterations=0, converged=False, max_rel_change=np.inf)
-        return EmpiricalVariogram(est.lags, est.estimates, est.pair_counts, report=report)
-
+    current = empirical_variogram(residuals, pairs, lag_grid, bandwidth, min_pairs=min_pairs)
     s = trend_fit.smoother.S[np.ix_(order, order)]
     best = None
-    current = est
-    change = np.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, BIAS_MAX_ITER + 1):
         # no n x n or per-pair array outlives its step
         updated = empirical_variogram(
             residuals, pairs, lag_grid, bandwidth,
@@ -733,16 +718,13 @@ def bias_corrected_variogram(
         current = updated
         if best is None or change < best[0]:
             best = (change, current, iteration)
-        if change < tol:
-            report = BiasCorrectionReport(iterations=iteration, converged=True, max_rel_change=change)
-            return EmpiricalVariogram(
-                current.lags, current.estimates, current.pair_counts, report=report
-            )
-    change_best, est_best, it_best = best
-    report = BiasCorrectionReport(iterations=it_best, converged=False, max_rel_change=change_best)
-    return EmpiricalVariogram(
-        est_best.lags, est_best.estimates, est_best.pair_counts, report=report
+        if change < BIAS_TOL:
+            break
+    change, est, iteration = best
+    report = BiasCorrectionReport(
+        iterations=iteration, converged=change < BIAS_TOL, max_rel_change=change
     )
+    return EmpiricalVariogram(est.lags, est.estimates, est.pair_counts, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -788,32 +770,6 @@ def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> floa
     return float(terms[:used].sum())
 
 
-def cv_relative_error(
-    residuals,
-    distances,
-    lag_grid=None,
-    bandwidth=None,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
-) -> float:
-    """Leave-one-pair-out relative squared error of semivariogram estimates.
-
-    For every pair the local linear fit is re-evaluated at the pair's own
-    distance with that pair removed; pairs whose leave-one-out estimate is
-    not positive (<= 1e-12) are skipped. Raises DegenerateScoreError when
-    every pair is skipped. The lag grid is only used to check that the
-    candidate bandwidth is admissible for the eventual estimation.
-    ``distances`` is a PairTable or a distance matrix.
-    """
-    pairs = _pair_table(distances)
-    if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.distances)
-    lag_grid = np.asarray(lag_grid, dtype=np.float64)
-    if bandwidth is None or bandwidth <= 0.0:
-        raise ConfigError("a positive lag bandwidth is required")
-    z_sorted = pairs.squared_differences(residuals)
-    return _pair_loo_score(pairs.distances, z_sorted, lag_grid, bandwidth, min_pairs)
-
-
 def default_lag_bandwidths(distances, n_candidates: int = 10) -> np.ndarray:
     u_max = _lag_range(distances)
     return np.geomspace(u_max / 25.0, u_max, n_candidates)
@@ -821,19 +777,22 @@ def default_lag_bandwidths(distances, n_candidates: int = 10) -> np.ndarray:
 
 def select_lag_bandwidth(
     residuals,
-    distances,
-    lag_grid=None,
+    pairs: PairTable,
+    lag_grid,
     candidates=None,
     min_pairs: int = DEFAULT_MIN_PAIRS,
 ) -> float:
-    """Pick the lag bandwidth minimizing the leave-one-pair-out score over a
-    log-spaced candidate set; inadmissible candidates are skipped.
-    ``distances`` is a PairTable or a distance matrix."""
-    pairs = _pair_table(distances)
+    """Pick the lag bandwidth minimizing the leave-one-pair-out relative
+    squared error over a log-spaced candidate set.
+
+    For every pair the local linear fit is re-evaluated at the pair's own
+    distance with that pair removed; pairs whose leave-one-out estimate is
+    not positive (<= 1e-12) are skipped. The lag grid is only used to check
+    that a candidate is admissible for the eventual estimation;
+    inadmissible candidates, and those whose every pair is skipped, are
+    passed over."""
     if candidates is None:
         candidates = default_lag_bandwidths(pairs.distances)
-    if lag_grid is None:
-        lag_grid = default_lag_grid(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     pd_sorted = pairs.distances
     z_sorted = pairs.squared_differences(residuals)

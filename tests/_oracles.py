@@ -220,15 +220,16 @@ def bias_iteration_dense(
     with the smallest change), its iteration, whether it converged and its
     maximum relative change."""
     from georisk import variogram
-    from georisk.variogram import EmpiricalVariogram, pseudo_covariances
+    from georisk.variogram import EmpiricalVariogram, PairTable, pseudo_covariances
 
     bias = variogram.bias_matrix if bias_matrix is None else bias_matrix
     d = np.asarray(distances, dtype=np.float64)
+    pairs = PairTable.from_distances(d)
     est, mass = empirical_variogram_dense(trend_fit.residuals, d, lag_grid, bandwidth)
     best = None
     for iteration in range(1, max_iter + 1):
         pilot = EmpiricalVariogram(lag_grid, est, mass)
-        b = bias(trend_fit.smoother.S, pseudo_covariances(pilot, d))
+        b = bias(trend_fit.smoother.S, pseudo_covariances(pilot, pairs))
         diag = np.diag(b)
         corrections = diag[:, None] + diag[None, :] - 2.0 * b
         new_est, new_mass = empirical_variogram_dense(

@@ -49,8 +49,9 @@ from georisk.simulation import (
 from georisk.trend import (
     apply_smoother,
     cgcv_score,
+    fit_trend,
     gcv_score,
-    local_linear_weights,
+    prediction_weights,
     smoother_matrix,
 )
 from georisk.variogram import (
@@ -158,8 +159,8 @@ def _theoretical_mean_abs_error(seed: int) -> float:
     ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
     sample = simulate_field(sc, 0, ctx)
     trend_fit = apply_smoother(ctx.smoother, sample)
-    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid)
-    pilot = empirical_variogram(trend_fit.residuals, ctx.site.dists, ctx.site.lag_grid, g)
+    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.pairs, ctx.site.lag_grid)
+    pilot = empirical_variogram(trend_fit.residuals, ctx.site.pairs, ctx.site.lag_grid, g)
     resid_model = fit_shapiro_botha(pilot)
     resid_factor = cholesky(covariance_matrix(resid_model, ctx.site.dists))
     idx = resample_indices(sample.n, sc.n_boot, sc.seed, 0)
@@ -286,9 +287,10 @@ def test_criterion_07_analytic_identities():
     h = BandwidthMatrix.diagonal(0.6, 0.6)
 
     # affine reproduction at arbitrary points
-    for x in rng.uniform(0.15, 0.85, size=(10, 2)):
-        s_x = local_linear_weights(sample, x, h)
-        assert abs(s_x @ affine - (a + x @ slope)) < 1e-9
+    points = rng.uniform(0.15, 0.85, size=(10, 2))
+    rows, bad = prediction_weights(fit_trend(sample, h), points)
+    assert not bad
+    assert np.abs(rows @ affine - (a + points @ slope)).max() < 1e-9
 
     # unit row sums of the smoother
     s = smoother_matrix(sample, h).S

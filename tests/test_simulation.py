@@ -287,7 +287,7 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     rec = _evaluate_replicate(sc, sample, r, sim.MODES, truth_maps, design, None)
 
     fit = fit_pipeline(sample)
-    rows, bad = prediction_weights(fit.trend_fit, nodes, on_singular="mask")
+    rows, bad = prediction_weights(fit.trend_fit, nodes)
     keep = np.ones(len(nodes), dtype=bool)
     keep[bad] = False
     dists = cross_distances(nodes[keep], sample.locations)

@@ -39,10 +39,8 @@ from georisk.trend import (
     default_bandwidth_grid,
     fit_trend,
     gcv_score,
-    local_linear_weights,
     mase_score,
     median_nn_spacing,
-    predict_trend,
     select_bandwidth,
     smoother_matrix,
 )
@@ -69,6 +67,21 @@ def random_sample(rng, n, values=None):
     return SpatialSample(locs, values)
 
 
+def predict(fit, targets):
+    """The trend of ``fit`` at ``targets``, each of which has a local fit."""
+    rows, bad = trend.prediction_weights(fit, np.atleast_2d(targets))
+    assert not bad
+    return rows @ fit.sample.values
+
+
+def weights_at(sample, x, h):
+    """s_x, the weight row at point ``x`` at bandwidth ``h``, from the
+    engine behind ``prediction_weights``, so that the sites need no fit."""
+    local = trend._local_fit(sample, h, points=np.atleast_2d(x))
+    assert not local.bad.size
+    return local.hat_matrix()[0]
+
+
 H_MED = BandwidthMatrix.diagonal(0.35, 0.35)
 SEARCH_NEIGHBORS = 9  # the search's admissibility rule, 3 (d + 1) kernel neighbors
 
@@ -87,7 +100,7 @@ def test_weights_reproduce_affine():
     for h in (0.25, 0.5, 0.9):
         hmat = BandwidthMatrix.diagonal(h, h)
         for x in ([0.5, 0.5], [0.25, 0.75], [0.9, 0.1]):
-            s = local_linear_weights(sample, np.asarray(x), hmat)
+            s = weights_at(sample, np.asarray(x), hmat)
             assert s @ y == pytest.approx(a + np.asarray(x) @ b, abs=1e-10)
             assert s.sum() == pytest.approx(1.0, abs=1e-10)
             moments = s @ (locs - np.asarray(x))
@@ -101,15 +114,16 @@ def test_weights_huge_bandwidth_is_ols_hat():
     x0 = np.array([0.4, 0.6])
     # bandwidth so large that every kernel weight is effectively constant
     h = BandwidthMatrix.diagonal(1e6, 1e6)
-    s = local_linear_weights(sample, x0, h)
+    s = weights_at(sample, x0, h)
     oracle = wls_affine_hat_row(locs, x0, np.ones(25))
     assert_allclose(s, oracle, atol=1e-8)
 
 
 def test_weights_singular_design_raises():
+    # a site without a local linear fit raises (a map point is masked)
     sample = SpatialSample([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [1.0, 2.0, 3.0])
     with pytest.raises(BandwidthTooSmallError) as err:
-        local_linear_weights(sample, np.array([0.0, 0.0]), BandwidthMatrix.diagonal(0.1, 0.1))
+        smoother_matrix(sample, BandwidthMatrix.diagonal(0.1, 0.1))
     assert err.value.neighbors is not None
     assert err.value.neighbors < 3
 
@@ -125,7 +139,7 @@ def test_weights_match_brute_force_wls():
         u = (locs - x0) / h
         w = np.prod(_triweight_1d(u), axis=-1)
         oracle = wls_affine_hat_row(locs, x0, w)
-        ours = local_linear_weights(sample, x0, hmat)
+        ours = weights_at(sample, x0, hmat)
         assert_allclose(ours, oracle, atol=1e-8)
 
 
@@ -218,7 +232,7 @@ def test_fit_trend_benchmark_surface_bias():
 def test_predict_at_sample_site_matches_fitted():
     sample = unit_grid_sample(8, 8)
     fit = fit_trend(sample, H_MED)
-    pred = predict_trend(fit, sample.locations[12][None, :])
+    pred = predict(fit, sample.locations[12])
     assert pred[0] == pytest.approx(fit.fitted[12], abs=1e-12)
 
 
@@ -228,14 +242,14 @@ def test_predict_affine_exact_anywhere():
     y = 0.3 + locs @ np.array([1.5, 2.5])
     fit = fit_trend(SpatialSample(locs, y), BandwidthMatrix.diagonal(0.7, 0.7))
     targets = rng.uniform(0.1, 0.9, size=(15, 2))
-    assert_allclose(predict_trend(fit, targets), 0.3 + targets @ [1.5, 2.5], atol=1e-9)
+    assert_allclose(predict(fit, targets), 0.3 + targets @ [1.5, 2.5], atol=1e-9)
 
 
 def test_predict_benchmark_surface_grid():
     sample = unit_grid_sample(20, 20)
     fit = fit_trend(sample, BandwidthMatrix.diagonal(0.12, 0.12))
     grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50))
-    pred = predict_trend(fit, grid)
+    pred = predict(fit, grid.nodes())
     truth = bench_surface(grid.nodes())
     assert np.abs(pred - truth).max() < 0.05
 
@@ -244,9 +258,9 @@ def test_predict_failure_lists_nodes():
     sample = unit_grid_sample(5, 5)
     fit = fit_trend(sample, H_MED)
     far = np.array([[25.0, 25.0], [0.5, 0.5]])
-    with pytest.raises(BandwidthTooSmallError) as err:
-        predict_trend(fit, far)
-    assert err.value.indices == [0]
+    rows, bad = trend.prediction_weights(fit, far)
+    assert bad == [0]
+    assert not rows[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +281,7 @@ def test_cv_score_equals_explicit_leave_one_out():
         keep = np.arange(25) != i
         reduced = SpatialSample(locs[keep], y[keep])
         fit = fit_trend(reduced, h)
-        pred = predict_trend(fit, locs[i][None, :])[0]
+        pred = predict(fit, locs[i])[0]
         by_refit += (y[i] - pred) ** 2
     by_refit /= 25.0
     assert cv_score(sample, h) == pytest.approx(by_refit, rel=1e-9)
@@ -459,9 +473,8 @@ def test_local_fit_flat_axis_matches_dense_rows():
 def test_prediction_masks_nodes_off_a_flat_window():
     # h below the grid spacing on one axis: a node whose window holds a
     # single column (row) of sites and lies off it has no affine fit, so
-    # "mask" drops it and "raise" raises; every kept row reproduces affine
-    # data up to the ridge (1e-10 tr(A) on a design whose inverse is O(10),
-    # times |y| <= 3)
+    # it is masked; every kept row reproduces affine data up to the ridge
+    # (1e-10 tr(A) on a design whose inverse is O(10), times |y| <= 3)
     grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50))
     nodes = grid.nodes()
     locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
@@ -477,23 +490,11 @@ def test_prediction_masks_nodes_off_a_flat_window():
         ]
         assert len(off) > 1000
         fit = fit_trend(sample, h)
-        rows, bad = trend.prediction_weights(fit, grid, on_singular="mask")
+        rows, bad = trend.prediction_weights(fit, nodes)
         assert bad == off
         assert not rows[bad].any()
         keep = np.setdiff1d(np.arange(len(nodes)), bad)
         assert np.abs(rows[keep] @ sample.values - (0.7 + nodes[keep] @ slope)).max() <= 1e-8
-        with pytest.raises(BandwidthTooSmallError) as err:
-            predict_trend(fit, grid)
-        assert err.value.indices == off
-
-
-def test_prediction_rejects_unknown_on_singular():
-    # the node at (5, 5) has no neighbours: a misspelt policy must not
-    # fall through to masking it
-    fit = fit_trend(unit_grid_sample(5, 5), BandwidthMatrix.diagonal(0.3, 0.3))
-    for policy in ("rasie", "Mask", None):
-        with pytest.raises(ConfigError, match="on_singular"):
-            trend.prediction_weights(fit, [[0.5, 0.5], [5.0, 5.0]], on_singular=policy)
 
 
 H_RISKMAP = BandwidthMatrix.diagonal(5.942898252196416, 4.045057152294498)
@@ -514,7 +515,7 @@ def test_rows_match_dense_rows_at_realistic_size():
     # level only: 1e-12 of the largest entry
     fit, grid = _riskmap_design()
     locs = fit.sample.locations
-    rows, bad = trend.prediction_weights(fit, grid, on_singular="mask")
+    rows, bad = trend.prediction_weights(fit, grid.nodes())
     ref, ref_bad = _weight_rows(grid.nodes(), locs, H_RISKMAP, on_singular="mask")
     assert bad == ref_bad
     assert np.abs(rows - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -535,17 +536,18 @@ def test_full_bandwidth_rows_match_brute_force_wls():
         return np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     for x0 in ([0.5, 0.5], [0.1, 0.85], [0.95, 0.05]):
-        assert agrees(local_linear_weights(sample, np.asarray(x0), h), np.asarray(x0))
+        assert agrees(weights_at(sample, np.asarray(x0), h), np.asarray(x0))
     for i in (3, 40):
-        assert agrees(local_linear_weights(sample, locs[i], h), locs[i])
+        assert agrees(weights_at(sample, locs[i], h), locs[i])
         assert agrees(S[i], locs[i])
 
 
 def test_prediction_weights_memory_at_n1053():
     fit, grid = _riskmap_design()
+    nodes = grid.nodes()
     tracemalloc.start()
     try:
-        trend.prediction_weights(fit, grid, on_singular="mask")
+        trend.prediction_weights(fit, nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
