@@ -13,21 +13,22 @@ re-smooths the result with the same bandwidth and adds simple kriging of
 its own residuals. Every step is linear in e*, so a replicate's map values
 are ``offset + gain @ e*`` with
 
-    W = T + C0 Sigma^-1 (I - S),    offset = W f,    gain = W L,
+    W = T + C0 Sigma^-1 (I - S),    gain = W L,    offset = W f = gain L^-1 f,
 
 where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. The map targets come in
-blocks of map nodes, each with its kept nodes' smoother rows, its mask of
-nodes whose local design is singular and its kept nodes' distances to the
-sites. ``build_engine`` is the one place an operator is formed: it solves
-Sigma^-1 (I - S) against f, and against L unless the gain is held, then
-builds the rows block by block, each block with its own rows of T and C0,
-so neither full T nor full C0 need exist. The gain does not depend on the
-data, so where many replicates are drawn on one design ``mode_gain``
-forms it once and the covariance entry holds it. Replicates are evaluated
-per block of resampling rows, one matrix product each, and exceedance
-probabilities are the integer exceedance counts over all blocks divided by
-the number of replicates.
+blocks of map nodes, each with its kept nodes' smoother rows, the band of
+columns those rows reach, its mask of nodes whose local design is singular
+and its kept nodes' distances to the sites. ``build_engine`` is the one
+place an operator is formed: unless the gain is held, it solves
+Sigma^-1 (I - S) against L and builds the gain block by block, each block
+with its own rows of T and C0, so neither full T nor full C0 need exist;
+the offset is then the gain applied to L^-1 f. The gain does not depend on
+the data, so where many replicates are drawn on one design ``mode_gain``
+forms it once and the covariance entry holds it, and its operators read
+no target block. Replicates are evaluated per block of resampling rows, one
+matrix product each, and exceedance probabilities are the integer
+exceedance counts over all blocks divided by the number of replicates.
 
 A covariance mode names the covariance that recorrelates and kriges: the
 bias-corrected estimate or the residual-scale estimate, each a (model,
@@ -318,16 +319,27 @@ def decorrelate_residuals(residuals, factor: CholeskyFactor) -> np.ndarray:
 
 
 _NODE_BLOCK = 256  # map nodes per target block of the operator build
+# A block's smoother rows are multiplied over their band of columns only
+# where it spans at most this share of the sites. On a regular design in
+# first-axis order (the 20 x 20 table1 grid) a band spans 100-199 of 400
+# columns; with the sites of a data set in input order (the n = 1053 risk
+# map) it spans 1040-1052 of 1053, where cutting it would save little and
+# would move the bits of each product.
+_BAND_SHARE = 0.75
 
 
 class TargetBlock(NamedTuple):
     """One block of at most ``_NODE_BLOCK`` map nodes: the smoother rows of
     its kept nodes, its mask of the nodes whose local design is singular,
-    and its kept nodes' distances to the sample sites."""
+    its kept nodes' distances to the sample sites, and ``band``, the
+    columns over which the rows are multiplied: from their first to their
+    last nonzero where that spans at most ``_BAND_SHARE`` of the sites, and
+    every column otherwise (the default)."""
 
     rows: np.ndarray
     mask: np.ndarray
     dists: np.ndarray
+    band: slice = slice(None)
 
 
 class MapTargets(NamedTuple):
@@ -354,7 +366,13 @@ def _target_block(trend_fit: TrendFit, nodes: np.ndarray) -> TargetBlock:
     mask = np.zeros(len(nodes), dtype=bool)
     mask[bad] = True
     rows = rows[~mask]  # the full rows die here, before the distances exist
-    return TargetBlock(rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations))
+    reached = np.flatnonzero(rows.any(axis=0))
+    band = slice(int(reached[0]), int(reached[-1]) + 1) if reached.size else slice(0, 0)
+    if band.stop - band.start > _BAND_SHARE * rows.shape[1]:
+        band = slice(None)
+    return TargetBlock(
+        rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations), band
+    )
 
 
 def _target_blocks(trend_fit: TrendFit, nodes: np.ndarray) -> Iterator[TargetBlock]:
@@ -400,33 +418,30 @@ class BootstrapEngine:
         return values
 
 
-def _operator_rows(smoother, targets: MapTargets, model, factor: CholeskyFactor, *columns):
-    """W v = T v + C0 Sigma^-1 (v - S v) at the map ``targets`` for each of
-    ``columns`` (a vector or a matrix), with the targets' mask of nodes
-    that take no row.
+def _operator_rows(smoother, targets: MapTargets, model, factor: CholeskyFactor):
+    """The gain W L = T L + C0 Sigma^-1 (L - S L) at the map ``targets``,
+    with the targets' mask of nodes that take no row.
 
     ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
-    kriges, ``smoother`` the hat matrix S. One solve runs per column set;
-    the rows are built per target block, each from that block's rows of T
-    and C0, and written after the kept rows of the blocks before it, so
-    every column set is imaged in one pass over the blocks. A block is
-    dropped before the next one is taken.
+    kriges, ``smoother`` the hat matrix S. One solve runs; the rows are
+    built per target block, each from that block's rows of T (over their
+    band) and C0, and written after the kept rows of the blocks before it.
+    A block is dropped before the next one is taken.
     """
-    s = smoother.S
-    solved = [solve_spd(factor, v - s @ v) for v in columns]
-    images = [np.empty((targets.n_nodes, *np.shape(v)[1:])) for v in columns]
+    L = factor.L
+    solved = solve_spd(factor, L - smoother.S @ L)
+    gain = np.empty((targets.n_nodes, factor.n))
     masks = []
     kept = 0
     for block in targets.blocks:
         rows = slice(kept, kept + len(block.rows))
         c0 = covariance_matrix(model, block.dists)
-        for image, v, x in zip(images, columns, solved):
-            image[rows] = block.rows @ v
-            image[rows] += c0 @ x
+        gain[rows] = block.rows[:, block.band] @ L[block.band]
+        gain[rows] += c0 @ solved
         masks.append(block.mask)
         kept = rows.stop
         del block, c0  # free this block before the next one is formed
-    return [image[:kept] for image in images], np.concatenate(masks)
+    return gain[:kept], np.concatenate(masks)
 
 
 def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> np.ndarray:
@@ -437,7 +452,7 @@ def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> n
     covariance, not on the data, so one gain serves every replicate drawn
     on one design; its rows for a target block are a contiguous view.
     """
-    (gain,), _ = _operator_rows(smoother, targets, model, factor, factor.L)
+    gain, _ = _operator_rows(smoother, targets, model, factor)
     gain.flags.writeable = False
     return gain
 
@@ -454,18 +469,19 @@ def build_engine(
     T, hat matrix S) and completed by simple kriging of its residuals with
     the same Sigma and the covariances C0 of the model at the
     target-to-site distances. Each step is linear, so the map values are
-    W y* with W = T + C0 Sigma^-1 (I - S): offset = W f and gain = W L.
-    An entry that holds its gain (``mode_gain``) has only the offset
-    formed; otherwise offset and gain are formed in one pass over the
+    W y* with W = T + C0 Sigma^-1 (I - S): gain = W L, and offset = W f =
+    gain L^-1 f. An entry that holds its gain (``mode_gain``) reads only
+    the targets' mask; otherwise the gain is formed in one pass over the
     target blocks (``_operator_rows``), so the blocks may come from a
     one-pass generator.
     """
     model, factor, *held = covariance
-    columns = (trend_fit.fitted,) if held else (trend_fit.fitted, factor.L)
-    (offset, *formed), mask = _operator_rows(
-        trend_fit.smoother, targets, model, factor, *columns
-    )
-    return BootstrapEngine(offset=offset, gain=(held or formed)[0], e=e, mask=mask)
+    if held:
+        gain, mask = held[0], targets.mask
+    else:
+        gain, mask = _operator_rows(trend_fit.smoother, targets, model, factor)
+    offset = gain @ solve_lower(factor, trend_fit.fitted)
+    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
 
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
@@ -627,7 +643,7 @@ def prediction_map(
     lo = 0
     for block in _target_blocks(trend_fit, nodes):
         kept = lo + np.flatnonzero(~block.mask)
-        trend[kept] = block.rows @ trend_fit.sample.values
+        trend[kept] = block.rows[:, block.band] @ trend_fit.sample.values[block.band]
         krig = krige_block(model, residuals, alpha, block.dists)[0]
         prediction[kept] = trend[kept] + krig
         lo += len(block.mask)

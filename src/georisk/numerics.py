@@ -2,9 +2,9 @@
 
 The univariate triweight kernel, Bessel J0, the standard normal CDF, a
 Cholesky factorization (numpy's LAPACK) with escalating diagonal jitter,
-blocked triangular solves, and a Lawson-Hanson style non-negative least
-squares solver. Only numpy is used; every routine is a pure function of its
-inputs.
+blocked triangular solves that apply the inverses of the factor's diagonal
+blocks, and a Lawson-Hanson style non-negative least squares solver. Only
+numpy is used; every routine is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,9 @@ def normal_cdf(z):
 # ---------------------------------------------------------------------------
 
 
+_SOLVE_BLOCK = 64
+
+
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
     """Lower-triangular factor L with L L^T equal to the (possibly ridged)
@@ -190,6 +194,15 @@ class CholeskyFactor:
     @property
     def n(self) -> int:
         return self.L.shape[0]
+
+    @cached_property
+    def block_inverses(self) -> list:
+        """The inverses of L's diagonal blocks of ``_SOLVE_BLOCK`` rows, which
+        the triangular solves apply by a matrix product. Formed on the first
+        solve and kept with the factor, so later solves, one-column ones
+        included, do not form them again."""
+        L = np.asarray(self.L, dtype=np.float64)
+        return [np.linalg.inv(L[blk, blk]) for blk in _solve_blocks(len(L))]
 
 
 def _lapack_factor(a: np.ndarray):
@@ -258,42 +271,50 @@ def cholesky(a) -> CholeskyFactor:
     )
 
 
-_SOLVE_BLOCK = 64
+def _solve_blocks(n):
+    return [slice(lo, lo + _SOLVE_BLOCK) for lo in range(0, n, _SOLVE_BLOCK)]
 
 
 def _blocked(factor, b, copy=True):
-    """(L, ``b`` as a 2-D float array, the row blocks of _SOLVE_BLOCK rows).
-    Without ``copy`` the array is a view of ``b``, which must then be a
-    C-contiguous float array."""
-    L = factor.L if isinstance(factor, CholeskyFactor) else np.asarray(factor, dtype=np.float64)
-    x = (np.array(b, dtype=np.float64) if copy else b).reshape(len(L), -1)
-    return L, x, [slice(lo, lo + _SOLVE_BLOCK) for lo in range(0, len(L), _SOLVE_BLOCK)]
+    """(``factor`` as a CholeskyFactor, ``b`` as a 2-D float array, the row
+    blocks of _SOLVE_BLOCK rows). A bare lower-triangular array is wrapped,
+    so its block inverses are formed for this call only. Without ``copy``
+    the array is a view of ``b``, which must then be a C-contiguous float
+    array."""
+    if not isinstance(factor, CholeskyFactor):
+        factor = CholeskyFactor(np.asarray(factor, dtype=np.float64))
+    x = (np.array(b, dtype=np.float64) if copy else b).reshape(factor.n, -1)
+    return factor, x, _solve_blocks(factor.n)
 
 
 def solve_lower(factor, b) -> np.ndarray:
     """Forward substitution: solve L x = b for lower-triangular L.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides. Each row
-    block takes the update from the rows above it, then solves its diagonal.
+    block takes the update from the rows above it, then applies the inverse
+    of its diagonal block (``CholeskyFactor.block_inverses``).
     """
-    L, x, blocks = _blocked(factor, b)
-    for blk in blocks:
+    factor, x, blocks = _blocked(factor, b)
+    L = factor.L
+    for blk, inverse in zip(blocks, factor.block_inverses):
         x[blk] -= L[blk, : blk.start] @ x[: blk.start]
-        x[blk] = np.linalg.solve(L[blk, blk], x[blk])
+        x[blk] = inverse @ x[blk]
     return x.reshape(np.shape(b))
 
 
-def _back_substitute(L, x, blocks):
-    for blk in reversed(blocks):
+def _back_substitute(factor, x, blocks):
+    L = factor.L
+    for blk, inverse in zip(reversed(blocks), reversed(factor.block_inverses)):
         x[blk] -= L[blk.stop :, blk].T @ x[blk.stop :]
-        x[blk] = np.linalg.solve(L[blk, blk].T, x[blk])
+        x[blk] = inverse.T @ x[blk]
 
 
 def solve_lower_t(factor, b) -> np.ndarray:
     """Back substitution: solve L^T x = b for lower-triangular L, by row
-    blocks from the bottom as in solve_lower."""
-    L, x, blocks = _blocked(factor, b)
-    _back_substitute(L, x, blocks)
+    blocks from the bottom as in solve_lower, each applying the transposed
+    inverse of its diagonal block."""
+    factor, x, blocks = _blocked(factor, b)
+    _back_substitute(factor, x, blocks)
     return x.reshape(np.shape(b))
 
 

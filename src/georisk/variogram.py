@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,20 +157,34 @@ class VariogramModel:
 # ---------------------------------------------------------------------------
 
 
-def _lag_range(distances) -> float:
-    """u_max, 55% of the largest of ``distances``: a distance matrix or the
-    pair distances of a ``PairTable``."""
-    d_max = float(np.max(distances, initial=0.0))
+def _lag_range(pair_distances) -> float:
+    """u_max, 55% of the largest of the ``pair_distances`` (a
+    ``PairTable``'s distances)."""
+    d_max = float(np.max(pair_distances, initial=0.0))
     if d_max <= 0.0:
         raise ConfigError("need at least two distinct sites for a lag grid")
     return LAG_RANGE_FRACTION * d_max
 
 
-def default_lag_grid(distances, n_lags: int = DEFAULT_N_LAGS) -> np.ndarray:
-    """``n_lags`` equally spaced lags from u_max/50 to u_max, 55% of the
-    largest pair distance."""
-    u_max = _lag_range(distances)
-    return np.linspace(u_max / 50.0, u_max, n_lags)
+def default_lag_grid(pair_distances) -> np.ndarray:
+    """``DEFAULT_N_LAGS`` equally spaced lags from u_max/50 to u_max, 55% of
+    the largest of the ``pair_distances``."""
+    u_max = _lag_range(pair_distances)
+    return np.linspace(u_max / 50.0, u_max, DEFAULT_N_LAGS)
+
+
+class DistanceLevels(NamedTuple):
+    """The distinct distances of a pair table whose distances repeat, as on
+    a regular grid: ``distances`` ascending, ``counts`` the number of pairs
+    at each, and ``index`` each pair's level as int32."""
+
+    distances: np.ndarray
+    counts: np.ndarray
+    index: np.ndarray
+
+    def sums(self, values) -> np.ndarray:
+        """The sum of the per-pair ``values`` at each level."""
+        return np.bincount(self.index, weights=values, minlength=self.distances.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +194,10 @@ class PairTable:
     ``distances`` holds the upper-triangle pair distances in stable
     ascending order and ``rows``/``cols`` the two sites of each pair
     (row < col) as int32, which any n whose n x n distance matrix fits in
-    memory allows; ``n`` is the number of sites. ``bootstrap.site_design``
+    memory allows; ``n`` is the number of sites. ``levels`` holds the
+    distinct distances (``DistanceLevels``) when some distance repeats, and
+    is None otherwise: the levels are then the distances themselves, and
+    the table holds no per-pair level array. ``bootstrap.site_design``
     builds it once per sample with ``from_distances``, and every
     lag-smoothing call takes it: per-pair values are then gathered at the P
     pairs instead of being formed as n x n matrices and re-sorted.
@@ -189,6 +207,7 @@ class PairTable:
     distances: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    levels: DistanceLevels | None = None
 
     @classmethod
     def from_distances(cls, distances) -> "PairTable":
@@ -198,7 +217,17 @@ class PairTable:
         order = np.argsort(pd, kind="stable")
         rows = rows.astype(np.int32)[order]
         cols = cols.astype(np.int32)[order]
-        return cls(n=d.shape[0], distances=pd[order], rows=rows, cols=cols)
+        pd = pd[order]
+        new = np.empty(pd.size, dtype=bool)  # the first pair at each distance
+        new[:1] = True
+        np.not_equal(pd[1:], pd[:-1], out=new[1:])
+        levels = None
+        if not new.all():
+            starts = np.flatnonzero(new)
+            levels = DistanceLevels(
+                pd[starts], np.diff(np.r_[starts, pd.size]), np.cumsum(new, dtype=np.int32) - 1
+            )
+        return cls(n=d.shape[0], distances=pd, rows=rows, cols=cols, levels=levels)
 
     def squared_differences(self, values) -> np.ndarray:
         """(v_i - v_j)^2 at every pair."""
@@ -214,7 +243,8 @@ class PairTable:
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
         return PairTable(
-            n=self.n, distances=self.distances, rows=rank[self.rows], cols=rank[self.cols]
+            n=self.n, distances=self.distances, rows=rank[self.rows], cols=rank[self.cols],
+            levels=self.levels,
         )
 
     def corrections(self, bias) -> np.ndarray:
@@ -343,7 +373,7 @@ def _segment_chunks(lengths):
         a = b
 
 
-def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
+def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds, *, counts=None):
     """One pass over the pairs of a stack of several segments, p0[j]..p1[j]-1
     for segment j; returns their total moments (17, segments).
 
@@ -354,7 +384,9 @@ def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
     formed along its rows. ``bounds`` lists (r0, seg, rel, update): for the
     k-th entry, the sums over the first rel[k] pairs of segment seg[k], seen
     from target r0 + k, are applied with ``update`` to that target's column
-    of ``out``, ``_CONTRACT_BLOCK`` entries per contraction.
+    of ``out``, ``_CONTRACT_BLOCK`` entries per contraction. With
+    ``counts`` the entries are distinct distances, each standing for
+    counts[k] pairs (see ``_lag_base_sums``).
     """
     count = p1 - p0
     width = int(count.max()) + 1
@@ -363,6 +395,8 @@ def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
     running[:, :, 0] = 0.0
     running[:9, :, 1:] = _powers((d_sorted[cols] - centres[:, None]) / g, 9)
     np.multiply(running[:8, :, 1:], z_sorted[cols], out=running[9:, :, 1:])
+    if counts is not None:
+        running[:9, :, 1:] *= counts[cols]
     np.cumsum(running, axis=2, out=running)
     flat = running.reshape(17, -1)
     for r0, seg, rel, update in bounds:
@@ -376,7 +410,7 @@ def _chunk_pass(out, d_sorted, z_sorted, p0, p1, centres, g, bounds):
     return running[:, np.arange(count.size), count]
 
 
-def _segment_pass(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
+def _segment_pass(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running, *, counts=None):
     """One pass over the pairs p0..p1-1 of a lone segment; returns their
     total moments (17,).
 
@@ -389,7 +423,8 @@ def _segment_pass(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
     being nondecreasing window bounds into the pairs: the sums over the
     segment's pairs before positions[k] (clipped to the segment), seen from
     target r0 + k, are applied with ``update`` to that target's column of
-    ``out``, ``_CONTRACT_BLOCK`` targets per contraction.
+    ``out``, ``_CONTRACT_BLOCK`` targets per contraction. ``counts`` is as
+    for ``_chunk_pass``.
     """
     count = p1 - p0
     carry = np.zeros(17)
@@ -403,6 +438,8 @@ def _segment_pass(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, running):
         for m in range(2, 9):
             np.multiply(block[m - 1, 1:], a, out=block[m, 1:])
         np.multiply(block[:8, 1:], z_sorted[k0:k1], out=block[9:, 1:])
+        if counts is not None:
+            block[:9, 1:] *= counts[k0:k1]
         np.cumsum(block, axis=1, out=block)
         for r0, positions, update in bounds:
             # the targets this block serves, k0 < bound <= k1 (a bound at or
@@ -457,7 +494,7 @@ def _pair_window_ends(d_sorted, left, g):
     return ends
 
 
-def _lag_base_sums(d_sorted, z_sorted, bandwidth):
+def _lag_base_sums(d_sorted, z_sorted, bandwidth, counts=None):
     """Triweight-weighted local-linear sums of z on distance at every pair's
     own distance, the leave-one-out targets.
 
@@ -465,6 +502,13 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
     over the pairs in the open window (d_i - g, d_i + g), itself included:
     S_k = sum K(u)(d - d_i)^k for k = 0, 1, 2 and T_k = sum K(u)(d - d_i)^k z
     for k = 0, 1. Returns them as the rows of one (5, P) array.
+
+    With ``counts``, the sums are taken once per distinct distance: then
+    ``d_sorted`` holds the distinct distances (``DistanceLevels``), counts[i]
+    the pairs at d_sorted[i] and z_sorted[i] the sum of their z, so that the
+    z-free moments are weighted by the counts, and every pair at d_i has the
+    i-th column. On the 20 x 20 grid that is 473 targets for 79,800 pairs.
+    The passes are handed ``counts`` only when it is given.
 
     The pairs are cut into width-g segments, the runs of
     floor((d - d_0)/g), each with one centre; a segment's targets are its
@@ -509,6 +553,7 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
         adjoins = np.r_[np.diff(seg) == 1.0, False]
         centres = d[0] + (seg + 0.5) * g
         totals = np.empty((17, seg.size))
+        weights = {} if counts is None else {"counts": counts}
         running = None  # the lone segments' block of running sums
         for a, b in _segment_chunks(p1 - p0):
             if b - a == 1:
@@ -523,7 +568,7 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
                 if a > 0 and adjoins[a - 1]:
                     bounds.append((p0[a - 1], right[p0[a - 1]:p1[a - 1]], np.add))
                 totals[:, a] = _segment_pass(
-                    sums, d, z_sorted, p0[a], p1[a], centres[a], g, bounds, running
+                    sums, d, z_sorted, p0[a], p1[a], centres[a], g, bounds, running, **weights
                 )
                 continue
             # window starts of segments a + 1 .. b (the last if it adjoins
@@ -536,7 +581,7 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth):
                 (*_neighbour_entries(p0, p1, adjoins, a, first, b - 1, 1, right), np.add),
             ]
             totals[:, a:b] = _chunk_pass(
-                sums, d, z_sorted, p0[a:b], p1[a:b], centres[a:b], g, bounds
+                sums, d, z_sorted, p0[a:b], p1[a:b], centres[a:b], g, bounds, **weights
             )
         # the tail of s - 1 is its total minus the moments handed out above;
         # each target takes that total, then the total of its own segment
@@ -732,29 +777,39 @@ def bias_corrected_variogram(
 # ---------------------------------------------------------------------------
 
 
-def _loo_estimates(pd_sorted, z_sorted, bandwidth) -> np.ndarray:
+def _loo_estimates(pd_sorted, z_sorted, bandwidth, levels=None) -> np.ndarray:
     """Leave-one-pair-out semivariogram estimate at every pair's own
     distance (NaN where the fit is undefined), formed ``_SUM_BLOCK`` pairs
-    at a time."""
-    sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)
+    at a time.
+
+    ``levels`` is None, or for a table whose distances repeat its
+    ``DistanceLevels`` and the sum of z at each level: the window sums are
+    then taken once per level, and each pair reads its level's."""
+    if levels is None:
+        sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)
+    else:
+        (distances, counts, index), z_levels = levels
+        sums = _lag_base_sums(distances, z_levels, bandwidth, counts)
     gamma = np.empty(pd_sorted.size)
     for k0 in range(0, pd_sorted.size, _SUM_BLOCK):
         blk = slice(k0, k0 + _SUM_BLOCK)
-        s0, s1, s2, t0, t1 = (x[blk] for x in sums)
+        s0, s1, s2, t0, t1 = sums[:, blk] if levels is None else sums[:, index[blk]]
         # own pair sits exactly at the target: K(0) = 1
         alpha = _intercepts(s0 - 1.0, s1, s2, t0 - z_sorted[blk], t1)
         np.multiply(0.5, alpha, out=gamma[blk])
     return gamma
 
 
-def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> float:
+def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs, levels=None) -> float:
+    """The leave-one-pair-out relative squared error at ``bandwidth``;
+    ``levels`` as for ``_loo_estimates``."""
     _lag_windows(lag_grid, pd_sorted, bandwidth, min_pairs)  # as for estimation
 
     # The usable pairs' terms overwrite the estimates from the front, block
     # by block: a block's terms never reach past its own end, and they are
     # written after its estimates are read. So one sum over the packed terms
     # adds them in the order a sum over all usable pairs at once would.
-    terms = _loo_estimates(pd_sorted, z_sorted, bandwidth)
+    terms = _loo_estimates(pd_sorted, z_sorted, bandwidth, levels)
     used = 0
     for k0 in range(0, terms.size, _SUM_BLOCK):
         gamma = terms[k0:k0 + _SUM_BLOCK]
@@ -770,9 +825,11 @@ def _pair_loo_score(pd_sorted, z_sorted, lag_grid, bandwidth, min_pairs) -> floa
     return float(terms[:used].sum())
 
 
-def default_lag_bandwidths(distances, n_candidates: int = 10) -> np.ndarray:
-    u_max = _lag_range(distances)
-    return np.geomspace(u_max / 25.0, u_max, n_candidates)
+def default_lag_bandwidths(pair_distances) -> np.ndarray:
+    """Ten log-spaced lag bandwidths from u_max/25 to u_max, 55% of the
+    largest of the ``pair_distances``."""
+    u_max = _lag_range(pair_distances)
+    return np.geomspace(u_max / 25.0, u_max, 10)
 
 
 def select_lag_bandwidth(
@@ -790,17 +847,21 @@ def select_lag_bandwidth(
     not positive (<= 1e-12) are skipped. The lag grid is only used to check
     that a candidate is admissible for the eventual estimation;
     inadmissible candidates, and those whose every pair is skipped, are
-    passed over."""
+    passed over. Where the table's distances repeat, the sums of z at its
+    distinct distances are formed once and serve every candidate."""
     if candidates is None:
         candidates = default_lag_bandwidths(pairs.distances)
     lag_grid = np.asarray(lag_grid, dtype=np.float64)
     pd_sorted = pairs.distances
     z_sorted = pairs.squared_differences(residuals)
+    levels = pairs.levels
+    if levels is not None:
+        levels = (levels, levels.sums(z_sorted))
     best = None
     degenerate = 0
     for g in candidates:
         try:
-            score = _pair_loo_score(pd_sorted, z_sorted, lag_grid, float(g), min_pairs)
+            score = _pair_loo_score(pd_sorted, z_sorted, lag_grid, float(g), min_pairs, levels)
         except BandwidthTooSmallError:
             continue
         except DegenerateScoreError:

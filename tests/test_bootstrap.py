@@ -11,6 +11,7 @@ import georisk.bootstrap as bootstrap
 import georisk.variogram as variogram
 from _oracles import (
     blocked_targets,
+    bootstrap_engine_oneshot,
     bootstrap_replicates_stepwise,
     exceedance_probabilities_oneshot,
     kept_rows_and_dists,
@@ -19,6 +20,8 @@ from georisk.bootstrap import (
     _NODE_BLOCK,
     _REPLICATE_BLOCK,
     BootstrapEngine,
+    MapTargets,
+    TargetBlock,
     _factorize,
     _variogram_fit,
     build_engine,
@@ -328,6 +331,70 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
         assert np.array_equal(probs, exceedance_probabilities_oneshot(*args))
 
 
+def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
+    """The bootstrap mean identity of one covariance entry: the mean of the
+    replicate values over the rows ``idx`` is offset + gain @ mean(e[idx]),
+    and the offset, gain L^-1 f, is the dense W f of the one-shot operator.
+
+    Bounds, set before running (u = 2^-53). A value and the identity's
+    right side are each a sum of n + 1 products, so each errs by at most
+    (n + 1) u times the sum of the absolute products, scale = |offset| +
+    |gain| @ max|e|; the mean of b values adds at most ceil(log2 b) u
+    relative to that scale, so they agree to 2 (n + 1 + ceil(log2 b)) u
+    scale per node. The offset solves through L and the oracle through
+    Sigma = L L^T, each erring by at most about n u kappa(Sigma) relative to
+    the terms it adds, so they agree to 4 n u kappa(Sigma) times the
+    largest of |gain| @ |L^-1 f|, |T| @ |f| and |C0| @ |Sigma^-1 (f - S f)|.
+    """
+    model, factor, *_ = covariance
+    u = np.finfo(float).eps / 2
+    n, b = trend_fit.sample.n, len(idx)
+    e = decorrelate_residuals(trend_fit.residuals, resid_factor)
+    assert abs(e.mean()) <= 1e-15 * np.abs(e).max()
+    engine = build_engine(trend_fit, targets, covariance, e)
+    values = engine.replicate_values(idx)
+    want = engine.offset + engine.gain @ e[idx].mean(axis=0)
+    scale = np.abs(engine.offset) + np.abs(engine.gain) @ np.abs(e[idx]).max(axis=0)
+    assert np.all(
+        np.abs(values.mean(axis=0) - want) <= 2 * (n + 1 + math.ceil(math.log2(b))) * u * scale
+    )
+    rows, dists = kept_rows_and_dists(targets)
+    c0 = covariance_matrix(model, dists)
+    oracle = bootstrap_engine_oneshot(trend_fit, rows, c0, resid_factor, factor).offset
+    f = trend_fit.fitted
+    sigma = factor.L @ factor.L.T
+    x = np.linalg.solve(sigma, f - trend_fit.smoother.S @ f)
+    terms = max(
+        (np.abs(engine.gain) @ np.abs(np.linalg.solve(factor.L, f))).max(),
+        (np.abs(rows) @ np.abs(f)).max(),
+        (np.abs(c0) @ np.abs(x)).max(),
+    )
+    assert np.abs(engine.offset - oracle).max() <= 4 * n * u * np.linalg.cond(sigma) * terms
+    return engine
+
+
+@pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
+def test_bootstrap_mean_identity_full_scale(full_design, mode):
+    # the table1 full design, the theoretical mode through the design's
+    # held gain; one block of 500 resampling rows. The held gain reads only
+    # the targets' mask: blocks holding masks alone give the same offset.
+    # About 1 s per mode after the shared fixture.
+    sc, ctx, trend_fit, resid_factor, covariances = full_design
+    covariance = covariances[mode]
+    if mode == "theoretical":
+        covariance = (*covariance, ctx.gain)
+    idx = resample_indices(trend_fit.sample.n, _REPLICATE_BLOCK, sc.seed, 0)
+    engine = _check_mean_identity(trend_fit, ctx.targets, covariance, resid_factor, idx)
+    if mode == "theoretical":
+        masks_only = MapTargets(
+            ctx.targets.n_nodes,
+            tuple(TargetBlock(None, block.mask, None) for block in ctx.targets.blocks),
+        )
+        held = build_engine(trend_fit, masks_only, covariance, engine.e)
+        assert np.array_equal(held.offset, engine.offset)
+        assert np.array_equal(held.mask, engine.mask)
+
+
 @pytest.fixture(scope="module")
 def riskmap_fit():
     """The benchmark's risk-map fit at seed 1: ``synth_dataset(1053,
@@ -367,6 +434,18 @@ def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
             fit.trend_fit, targets, fit.residual_factor,
             fit.corrected_model, fit.corrected_factor, idx, thresholds,
         ),
+    )
+
+
+@pytest.mark.parametrize("mode", ["residual", "corrected"])
+def test_bootstrap_mean_identity_riskmap(riskmap_design, mode):
+    # the bounds of _check_mean_identity at n = 1053, 2500 map nodes and
+    # the first 500 resampling rows of bootstrap seed 7. About 3 s per mode
+    # after the shared fixture.
+    fit, targets, idx, _ = riskmap_design
+    covariance = dict(zip(("residual", "corrected"), fit.estimates))[mode]
+    _check_mean_identity(
+        fit.trend_fit, targets, covariance, fit.residual_factor, idx[:_REPLICATE_BLOCK]
     )
 
 

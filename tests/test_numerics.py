@@ -341,6 +341,29 @@ def test_solve_spd_with_a_square_right_hand_side_holds_one_copy(synth_covariance
     assert np.array_equal(x, solve_lower_t(f, solve_lower(f, b)))
 
 
+def test_solves_with_a_ridged_factor_match_the_full_solve_at_n1000():
+    # a Gaussian covariance without nugget on 1000 random sites is singular
+    # to rounding, so its factor is ridged, and the diagonal blocks whose
+    # inverses the solves apply are far from orthogonal. Bound, set before
+    # running: the solve of the ridged matrix A and numpy's LU solve of the
+    # same A each err by at most about n u kappa(A) relative (u = 2^-53), so
+    # they differ by at most 2 n u kappa(A) in the Frobenius norm, for one
+    # right-hand side and for 40. About 1.5 s.
+    n = 1000
+    locs = np.random.default_rng(21).uniform(size=(n, 2))
+    a = np.exp(-np.square(pairwise_distances(locs) / 0.3))
+    f = cholesky(a)
+    assert f.ridge > 0.0
+    ridged = a + f.ridge * np.eye(n)
+    bound = 2 * n * (np.finfo(float).eps / 2) * np.linalg.cond(ridged)
+    rng = np.random.default_rng(22)
+    for b in (rng.normal(size=n), rng.normal(size=(n, 40))):
+        x = solve_spd(f, b)
+        ref = np.linalg.solve(ridged, b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+
+
 def test_cholesky_indefinite_pivot_beyond_first_block(synth_covariance):
     a = synth_covariance[:300, :300].copy()
     v = np.zeros(300)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -37,6 +38,7 @@ from georisk.simulation import (
     _DesignContext,
     simulate_field,
     table1_scenario,
+    table2_scenarios,
     table3_scenario,
 )
 from georisk.trend import apply_smoother, fit_trend, smoother_matrix
@@ -152,7 +154,7 @@ def test_loo_score_matches_naive():
     pd = d[iu]
     z = (resid[:, None] - resid[None, :])[iu] ** 2
     g = 0.4
-    lags = default_lag_grid(d)
+    lags = default_lag_grid(pd)
 
     ours = _cv_relative_error(resid, d, lags, g, min_pairs=1)
     total = 0.0
@@ -299,7 +301,18 @@ def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch)
     lags = default_lag_grid(table.distances)
     chosen = select_lag_bandwidth(resid, table, lags)
     scores = _loo_scores(table, resid, lags)
-    monkeypatch.setattr(variogram, "_lag_base_sums", pair_lag_base_sums_per_segment)
+
+    def per_segment(d, z, g, counts=None):
+        # where distances repeat the search asks for sums at each distinct
+        # distance: the per-segment sums at every pair, read at the first
+        # pair of each distance
+        if counts is None:
+            return pair_lag_base_sums_per_segment(d, z, g)
+        first = np.cumsum(counts) - counts
+        pair_z = table.squared_differences(resid)
+        return pair_lag_base_sums_per_segment(table.distances, pair_z, g)[:, first]
+
+    monkeypatch.setattr(variogram, "_lag_base_sums", per_segment)
     assert select_lag_bandwidth(resid, table, lags) == chosen
     ref = _loo_scores(table, resid, lags)
     assert [s is None for s in scores] == [s is None for s in ref]
@@ -307,6 +320,148 @@ def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch)
     for score, want in zip(scores, ref):
         if want is not None:
             assert score == pytest.approx(want, rel=1e-10)
+
+
+def test_pair_table_levels_only_where_distances_repeat():
+    # a regular grid's table holds its distinct distances, the pairs at
+    # each and each pair's level (int32), carried over by relabeling; a
+    # random design's distances do not repeat, so its table holds no
+    # per-pair level array. Under 0.1 s.
+    grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (10, 10)).nodes()
+    table = PairTable.from_distances(pairwise_distances(grid))
+    levels = table.levels
+    assert levels.index.dtype == np.int32 and levels.index.size == table.distances.size
+    assert np.array_equal(levels.distances, np.unique(table.distances))
+    assert np.array_equal(levels.distances[levels.index], table.distances)
+    assert np.array_equal(levels.counts, np.bincount(levels.index))
+    order = np.random.default_rng(4).permutation(100)
+    assert table.relabeled(order).levels is levels
+    random = np.random.default_rng(5).uniform(size=(100, 2))
+    assert PairTable.from_distances(pairwise_distances(random)).levels is None
+
+
+@pytest.fixture(scope="module")
+def grid_32():
+    """The pair table of a 32 x 32 regular grid (n = 1024, P = 523,776
+    pairs at 1,133 distinct distances) and structured residuals."""
+    locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (32, 32)).nodes()
+    table = PairTable.from_distances(pairwise_distances(locs))
+    rng = np.random.default_rng(16)
+    return table, np.sin(4.0 * locs[:, 0]) + 0.5 * rng.standard_normal(len(locs))
+
+
+def test_level_sums_match_naive_at_realistic_size(grid_32):
+    # the sums taken once per distinct distance, read at 150 sampled pairs,
+    # against direct sums over each pair's window, with the bound of
+    # test_chunked_sums_match_direct_sums_at_desk_size for a regular grid.
+    # About 5 s.
+    table, resid = grid_32
+    d, levels = table.distances, table.levels
+    assert d.size == 523_776 and levels.distances.size == 1_133
+    z = table.squared_differences(resid)
+    z_levels = levels.sums(z)
+    rows = np.random.default_rng(17).choice(d.size, 150, replace=False)
+    for g in default_lag_bandwidths(d)[[0, 4, 9]]:
+        sums = _lag_base_sums(levels.distances, z_levels, g, levels.counts)
+        for i in rows:
+            lo, hi = np.searchsorted(d, d[i] - g), np.searchsorted(d, d[i] + g, side="right")
+            ref, abs_ref, _ = local_lag_sums_naive(d[i], d[lo:hi], z[lo:hi], g)
+            for k, p in enumerate((0, 1, 2, 0, 1)):
+                scale = abs_ref[k] + g**p * abs_ref[0 if k < 3 else 3]
+                assert abs(sums[k][levels.index[i]] - ref[k]) <= 1e-10 * scale, (g, k)
+
+
+def test_level_scores_match_per_pair_engine_at_realistic_size(grid_32):
+    # all ten default candidates scored over distinct distances and pair by
+    # pair: the same inadmissible candidates and the same winner; every
+    # leave-one-out estimate within 1e-10 of the largest, and each score
+    # within 1e-10 relative plus the first-order change of its terms
+    # ((z/2 - gamma)/gamma)^2 under that change of their estimates. The
+    # second part matters at the two narrowest candidates: the far corner
+    # pair's estimate is 1.1e-8, the fit through two distinct distances
+    # cancelling terms of about 1e-2, so its term is about 9e14 and moves
+    # by about 7e8 between the engines, with the estimates 4.6e-15 apart.
+    # About 4 s, most of it the per-pair engine.
+    table, resid = grid_32
+    d = table.distances
+    z = table.squared_differences(resid)
+    lags = default_lag_grid(d)
+    levels = (table.levels, table.levels.sums(z))
+    by_level, by_pair = [], []
+    for g in default_lag_bandwidths(d):
+        try:
+            score = _pair_loo_score(d, z, lags, g, 5, levels)
+        except BandwidthTooSmallError:
+            by_level.append(np.inf)
+            by_pair.append(np.inf)
+            continue
+        got, want = _loo_estimates(d, z, g, levels), _loo_estimates(d, z, g)
+        used = np.isfinite(want) & (want > 1e-12)
+        assert np.array_equal(used, np.isfinite(got) & (got > 1e-12))
+        delta = 1e-10 * want[used].max()
+        assert np.all(np.abs(got[used] - want[used]) <= delta), g
+        half_z, gamma = 0.5 * z[used], want[used]
+        terms = ((half_z - gamma) / gamma) ** 2
+        slope = 2.0 * np.abs(half_z / gamma - 1.0) * half_z / gamma**2
+        assert abs(score - terms.sum()) <= 1e-10 * terms.sum() + delta * slope.sum(), g
+        by_level.append(score)
+        by_pair.append(float(terms.sum()))
+    assert sum(np.isfinite(by_pair)) >= 5
+    assert np.argmin(by_level) == np.argmin(by_pair)
+    assert select_lag_bandwidth(resid, table, lags) == default_lag_bandwidths(d)[np.argmin(by_pair)]
+
+
+def test_level_sums_in_lone_segments_match_per_pair_sums(monkeypatch):
+    # the n = 1053 risk-map sites with site 0 given twice: 1,052 distances
+    # repeat, so the table has levels, and nearly all of its 554,931 pairs
+    # are levels of one pair in segments longer than a stack, which take
+    # the lone-segment path with the counts. Every pair's level sums equal
+    # its per-pair sums within 1e-10 of their scale: S0, S2 and T0 have
+    # nonnegative terms, and |d - t| < g in a window, so the absolute terms
+    # of S_k and T_k sum to at most g^k S0 and g^k T0. About 2 s.
+    locs, values = synth_dataset(1053, seed=1)
+    locs, values = np.vstack([locs, locs[:1]]), np.r_[values, values[0]]
+    table = PairTable.from_distances(pairwise_distances(locs))
+    levels = table.levels
+    assert np.count_nonzero(levels.counts > 1) == 1052
+    z = table.squared_differences(np.sqrt(values) - np.sqrt(values).mean())
+    weighted = []
+
+    def lone(*args, **kwargs):
+        weighted.append("counts" in kwargs)
+        return segment_pass(*args, **kwargs)
+
+    segment_pass = variogram._segment_pass
+    monkeypatch.setattr(variogram, "_segment_pass", lone)
+    for g in default_lag_bandwidths(table.distances)[[0, 4, 9]]:
+        per_pair = _lag_base_sums(table.distances, z, g)
+        weighted.clear()
+        by_level = _lag_base_sums(levels.distances, levels.sums(z), g, levels.counts)
+        assert weighted and all(weighted), g
+        got = by_level[:, levels.index]
+        for k, p in enumerate((0, 1, 2, 0, 1)):
+            scale = g**p * per_pair[0 if k < 3 else 3]
+            assert np.all(np.abs(got[k] - per_pair[k]) <= 1e-10 * scale), (g, k)
+
+
+@pytest.mark.parametrize("design", ["table1-full", "table1-desk", "table2-desk"])
+def test_level_search_selects_as_per_pair_engine_on_study_designs(design):
+    # the lag bandwidth the study selects on its regular design, for the
+    # first 10 replicates of study seed 20240 (each of the three table2
+    # ranges), is the one the per-pair engine selects from the same table
+    # without its levels. About 5 s for table1 full, 1 s for the others.
+    scale = design.split("-")[1]
+    scenarios = table2_scenarios(scale) if design.startswith("table2") else [table1_scenario(scale)]
+    for sc in scenarios:
+        ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
+        pairs, lags = ctx.site.pairs, ctx.site.lag_grid
+        assert pairs.levels is not None
+        per_pair = dataclasses.replace(pairs, levels=None)
+        for rep in range(10):
+            resid = apply_smoother(ctx.smoother, simulate_field(sc, rep, ctx)).residuals
+            assert select_lag_bandwidth(resid, pairs, lags) == select_lag_bandwidth(
+                resid, per_pair, lags
+            ), (sc.name, rep)
 
 
 @pytest.fixture(scope="module")
@@ -380,8 +535,8 @@ def field_n400():
 
 def test_pair_table_estimates_bit_identical_to_dense_path(field_n400):
     fit, d = field_n400
-    lags = default_lag_grid(d)
     table = PairTable.from_distances(d)
+    lags = default_lag_grid(table.distances)
     b = bias_matrix(fit.smoother.S, pseudo_covariances(
         empirical_variogram(fit.residuals, table, lags, 0.2), table
     ))
@@ -554,7 +709,7 @@ def test_starved_lag_raises_the_same_error_in_estimation_and_loo_score():
     locs = rng.uniform(size=(8, 2))
     d = pairwise_distances(locs)
     resid = rng.normal(size=8)
-    lags = default_lag_grid(d)
+    lags = default_lag_grid(PairTable.from_distances(d).distances)
     with pytest.raises(BandwidthTooSmallError) as est:
         empirical_variogram(resid, PairTable.from_distances(d), lags, 0.05)
     with pytest.raises(BandwidthTooSmallError) as loo:
@@ -569,12 +724,11 @@ def test_starved_lag_raises_the_same_error_in_estimation_and_loo_score():
 def test_one_site_lag_grid_raises_config_error():
     # the lag grid and the lag-bandwidth candidates take the largest pair
     # distance, of which one site has none: the same ConfigError from its
-    # 1 x 1 distance matrix and from its empty pair distances
-    one = pairwise_distances(np.zeros((1, 2)))
-    for distances in (one, PairTable.from_distances(one).distances):
-        for default in (default_lag_grid, default_lag_bandwidths):
-            with pytest.raises(ConfigError, match="at least two distinct sites"):
-                default(distances)
+    # empty pair distances
+    distances = PairTable.from_distances(pairwise_distances(np.zeros((1, 2)))).distances
+    for default in (default_lag_grid, default_lag_bandwidths):
+        with pytest.raises(ConfigError, match="at least two distinct sites"):
+            default(distances)
     with pytest.raises(ConfigError, match="at least two distinct sites"):
         bootstrap.site_design(np.zeros((1, 2)))
 
@@ -725,7 +879,10 @@ def test_cv_relative_error_equal_residuals_degenerate():
     locs = np.random.default_rng(12).uniform(size=(10, 2))
     d = pairwise_distances(locs)
     with pytest.raises(DegenerateScoreError):
-        _cv_relative_error(np.ones(10), d, default_lag_grid(d), 2.0, min_pairs=1)
+        _cv_relative_error(
+            np.ones(10), d, default_lag_grid(PairTable.from_distances(d).distances), 2.0,
+            min_pairs=1,
+        )
 
 
 def test_select_lag_bandwidth_prefers_informative_scale():
