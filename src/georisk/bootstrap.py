@@ -19,27 +19,33 @@ where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. The map targets come in
 blocks of map nodes, each with its kept nodes' smoother rows, the band of
 columns those rows reach, its mask of nodes whose local design is singular
-and its kept nodes' distances to the sites. ``build_engine`` is the one
-place an operator is formed: unless the gain is held, it solves
-Sigma^-1 (I - S) against L and builds the gain block by block, each block
-with its own rows of T and C0, so neither full T nor full C0 need exist;
-the offset is then the gain applied to L^-1 f. The gain does not depend on
-the data, so where many replicates are drawn on one design ``mode_gain``
-forms it once and the covariance entry holds it, and its operators read
-no target block. Replicates are evaluated per block of resampling rows, one
-matrix product each, and exceedance probabilities are the integer
-exceedance counts over all blocks divided by the number of replicates.
+and its kept nodes' distances to the sites.
+
+``block_engines`` is the one place an operator is formed, one target block
+at a time. Per covariance it solves Sigma^-1 (L - S L) and L^-1 f once for
+the whole map; then each block's gain rows come from that block's rows of
+T and C0 and its offset is those rows applied to L^-1 f, so no array of
+every node's gain, smoother rows or covariances exists. The gain does not
+depend on the data, so where many replicates are drawn on one design
+``mode_gain`` forms it once and the covariance entry holds it; its
+operators then read a block's rows as views and only the targets' masks.
+The resampled residuals e[idx] are gathered once per evaluation and
+shared by every mode and every block. Each block scores every replicate,
+one matrix product per block of resampling rows, and adds its integer
+exceedance counts; exceedance probabilities are the counts divided by the
+number of replicates.
 
 A covariance mode names the covariance that recorrelates and kriges: the
 bias-corrected estimate or the residual-scale estimate, each a (model,
 factor) entry, or, in a simulation, the true covariance, a (model, factor)
 entry or a (model, factor, gain) one when its design is shared.
 ``mode_covariance`` resolves a mode, and ``mode_probabilities``, the one
-evaluator, scores one or several modes from one set of resampling rows and
-one whitening of the residuals. ``risk_maps`` calls it for one of the two
-estimates with a one-pass generator of target blocks, each block formed
-inside the operator loop; the simulation study, which alone knows the true
-covariance, holds its targets and calls it for several modes.
+evaluator, scores one or several modes from one set of resampling rows,
+one whitening of the residuals and one gather of their resample.
+``risk_maps`` calls it for one of the two estimates with a one-pass
+generator of target blocks, each block formed inside the operator loop;
+the simulation study, which alone knows the true covariance, holds its
+targets and calls it for several modes.
 
 ``prediction_map`` is the fit command's map: the trend plus simple kriging
 of the trend residuals (``kriging.krige_block``), formed and kriged one
@@ -392,56 +398,67 @@ def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
 # Bootstrap operator
 # ---------------------------------------------------------------------------
 
-_REPLICATE_BLOCK = 500  # resampling rows per block of map values
+_REPLICATE_BLOCK = 1000  # resampling rows per block of map values
 
 
 @dataclass(frozen=True, eq=False)
 class BootstrapEngine:
-    """One map's bootstrap as an affine map of the resampled residuals.
+    """One target block's bootstrap as an affine map of the resampled
+    residuals.
 
-    The replicate that draws resampling indices ``idx`` has the map values
-    ``offset + e[idx] @ gain.T``, where ``e`` are the whitened residuals,
-    ``offset`` (one value per kept node) is what the fitted trend itself
-    maps to, and ``gain`` (kept nodes x data sites) is what a unit residual
-    maps to. ``mask`` marks the map's nodes that have no row.
+    The replicate that draws resampling indices ``idx`` has the values
+    ``offset + e[idx] @ gain.T`` at the block's kept nodes, where ``e`` are
+    the whitened residuals, which the caller holds, ``offset`` (one value
+    per kept node) is what the fitted trend itself maps to, and ``gain``
+    (kept nodes x data sites) is what a unit residual maps to. ``mask``
+    marks the block's nodes that have no row.
     """
 
     offset: np.ndarray
     gain: np.ndarray
-    e: np.ndarray
     mask: np.ndarray
 
-    def replicate_values(self, idx: np.ndarray) -> np.ndarray:
-        """(b, kept nodes) map values for a block of resampling index rows."""
-        values = self.e[idx] @ self.gain.T
-        values += self.offset
-        return values
+    def replicate_values(self, idx: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """(b, kept nodes) values for a block of resampling index rows
+        ``idx`` from ``draws``, the resampled residuals e[idx] the caller
+        has gathered. The product takes the block's gain rows on the left,
+        which keeps a block's product about as fast per node as a
+        whole-map one."""
+        # idx is not read here; the benchmark tracer counts its rows
+        values = self.gain @ draws.T
+        values += self.offset[:, None]
+        return values.T
 
 
-def _operator_rows(smoother, targets: MapTargets, model, factor: CholeskyFactor):
-    """The gain W L = T L + C0 Sigma^-1 (L - S L) at the map ``targets``,
-    with the targets' mask of nodes that take no row.
+def _gain_blocks(smoother, targets: MapTargets, model, factor: CholeskyFactor):
+    """Each target block's gain rows W L = T L + C0 Sigma^-1 (L - S L),
+    with the block's mask, formed when the block is reached.
 
     ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
-    kriges, ``smoother`` the hat matrix S. One solve runs; the rows are
-    built per target block, each from that block's rows of T (over their
-    band) and C0, and written after the kept rows of the blocks before it.
-    A block is dropped before the next one is taken.
+    kriges, ``smoother`` the hat matrix S. The one solve runs for the whole
+    map; a block's rows come from its rows of T (over their band) and its
+    C0, and the block is dropped before the next one is formed.
     """
     L = factor.L
     solved = solve_spd(factor, L - smoother.S @ L)
-    gain = np.empty((targets.n_nodes, factor.n))
-    masks = []
+    for block in targets.blocks:
+        gain = block.rows[:, block.band] @ L[block.band]
+        mask, dists = block.mask, block.dists
+        del block  # its smoother rows die here, before C0 exists
+        gain += covariance_matrix(model, dists) @ solved
+        del dists
+        yield gain, mask
+        del gain  # free this block's rows before the next one is formed
+
+
+def _held_gain_blocks(gain: np.ndarray, targets: MapTargets):
+    """Each target block's rows of a held gain, as views, with the block's
+    mask; only the masks of ``targets`` are read."""
     kept = 0
     for block in targets.blocks:
-        rows = slice(kept, kept + len(block.rows))
-        c0 = covariance_matrix(model, block.dists)
-        gain[rows] = block.rows[:, block.band] @ L[block.band]
-        gain[rows] += c0 @ solved
-        masks.append(block.mask)
+        rows = slice(kept, kept + np.count_nonzero(~block.mask))
+        yield gain[rows], block.mask
         kept = rows.stop
-        del block, c0  # free this block before the next one is formed
-    return gain[:kept], np.concatenate(masks)
 
 
 def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> np.ndarray:
@@ -452,16 +469,21 @@ def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> n
     covariance, not on the data, so one gain serves every replicate drawn
     on one design; its rows for a target block are a contiguous view.
     """
-    gain, _ = _operator_rows(smoother, targets, model, factor)
+    gain = np.empty((np.count_nonzero(~targets.mask), factor.n))
+    kept = 0
+    for rows, _ in _gain_blocks(smoother, targets, model, factor):
+        gain[kept:kept + len(rows)] = rows
+        kept += len(rows)
     gain.flags.writeable = False
     return gain
 
 
-def build_engine(
-    trend_fit: TrendFit, targets: MapTargets, covariance: tuple, e: np.ndarray
-) -> BootstrapEngine:
+def block_engines(
+    trend_fit: TrendFit, targets: MapTargets, covariance: tuple
+) -> Iterator[BootstrapEngine]:
     """The bootstrap operator of one covariance entry at the map
-    ``targets``, resampling the whitened residuals ``e``.
+    ``targets``: one ``BootstrapEngine`` per target block, each formed when
+    it is reached.
 
     ``covariance`` is (model, factor) or (model, factor, gain). ``model``
     with its ``factor`` (Sigma = L L^T) recorrelates a resample e*, giving
@@ -470,18 +492,20 @@ def build_engine(
     the same Sigma and the covariances C0 of the model at the
     target-to-site distances. Each step is linear, so the map values are
     W y* with W = T + C0 Sigma^-1 (I - S): gain = W L, and offset = W f =
-    gain L^-1 f. An entry that holds its gain (``mode_gain``) reads only
-    the targets' mask; otherwise the gain is formed in one pass over the
-    target blocks (``_operator_rows``), so the blocks may come from a
-    one-pass generator.
+    gain L^-1 f, with L^-1 f solved once. A block's gain rows are views of
+    a held gain (``mode_gain``), which reads only the targets' masks, or
+    are formed from the block (``_gain_blocks``); either way the blocks are
+    read in one pass, so they may come from a one-pass generator.
     """
     model, factor, *held = covariance
+    white_fit = solve_lower(factor, trend_fit.fitted)
     if held:
-        gain, mask = held[0], targets.mask
+        gains = _held_gain_blocks(held[0], targets)
     else:
-        gain, mask = _operator_rows(trend_fit.smoother, targets, model, factor)
-    offset = gain @ solve_lower(factor, trend_fit.fitted)
-    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=mask)
+        gains = _gain_blocks(trend_fit.smoother, targets, model, factor)
+    for gain, mask in gains:
+        yield BootstrapEngine(offset=gain @ white_fit, gain=gain, mask=mask)
+        del gain  # free this block's rows before the next one is formed
 
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
@@ -495,19 +519,26 @@ def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.nda
     return idx
 
 
-def _probabilities(engine: BootstrapEngine, idx: np.ndarray, thresholds) -> np.ndarray:
+def _probabilities(engines, n_nodes: int, idx, draws, thresholds) -> np.ndarray:
     """(len(thresholds), n_nodes) frequencies of replicate values >= c
-    under ``engine``, NaN at its masked nodes. Replicates are evaluated
-    ``_REPLICATE_BLOCK`` index rows at a time, and only their exceedance
-    counts are kept."""
-    counts = np.zeros((len(thresholds), len(engine.offset)), dtype=np.intp)
-    for lo in range(0, len(idx), _REPLICATE_BLOCK):
-        values = engine.replicate_values(idx[lo:lo + _REPLICATE_BLOCK])
-        for count, c in zip(counts, thresholds):
-            count += np.count_nonzero(values >= c, axis=0)
-        del values  # free this block before the next one is formed
-    probs = np.full((len(thresholds), len(engine.mask)), np.nan)
-    probs[:, ~engine.mask] = counts / len(idx)
+    under the block ``engines``, NaN at their masked nodes.
+
+    Each block's engine evaluates the replicates ``_REPLICATE_BLOCK`` index
+    rows at a time, from ``draws``, the resampled residuals e[idx] gathered
+    once for all blocks, and only its exceedance counts are kept.
+    """
+    probs = np.full((len(thresholds), n_nodes), np.nan)
+    lo = 0
+    for engine in engines:
+        counts = np.zeros((len(thresholds), len(engine.offset)), dtype=np.intp)
+        for r0 in range(0, len(idx), _REPLICATE_BLOCK):
+            rows = slice(r0, r0 + _REPLICATE_BLOCK)
+            values = engine.replicate_values(idx[rows], draws[rows])
+            for count, c in zip(counts, thresholds):
+                count += np.count_nonzero(values >= c, axis=0)
+        probs[:, lo + np.flatnonzero(~engine.mask)] = counts / len(idx)
+        lo += len(engine.mask)
+        del engine, values  # free this block before the next one is formed
     return probs
 
 
@@ -551,18 +582,18 @@ def mode_probabilities(
     resampling rows ``idx``.
 
     The residuals are whitened once, with the residual-scale factor, and
-    every mode resamples them; the modes differ only in the covariance
-    that recorrelates and kriges (``mode_covariance``), whose operator
-    ``build_engine`` forms. Each mode's operator is freed before the next
-    one is built. Several modes each read all target blocks, so
-    ``targets`` must then hold them (``map_targets``); one mode reads them
-    once, so its blocks may come from a one-pass generator.
+    resampled once: the draws e[idx] serve every mode and every target
+    block. The modes differ only in the covariance that recorrelates and
+    kriges (``mode_covariance``), whose operator ``block_engines`` forms
+    one target block at a time. Several modes each read all target blocks,
+    so ``targets`` must then hold them (``map_targets``); one mode reads
+    them once, so its blocks may come from a one-pass generator.
     """
-    e = decorrelate_residuals(trend_fit.residuals, estimates[0][1])
+    draws = decorrelate_residuals(trend_fit.residuals, estimates[0][1])[idx]
     return {
         mode: _probabilities(
-            build_engine(trend_fit, targets, mode_covariance(mode, estimates, theoretical), e),
-            idx, thresholds,
+            block_engines(trend_fit, targets, mode_covariance(mode, estimates, theoretical)),
+            targets.n_nodes, idx, draws, thresholds,
         )
         for mode in modes
     }

@@ -17,6 +17,15 @@ class DataError(GeoriskError):
     """Malformed or inconsistent input data (bad CSV rows, duplicate sites)."""
 
 
+class DuplicateLocationError(DataError):
+    """Two sites lie within ``DUPLICATE_TOL``; ``indices`` names the first
+    such pair (i < j) in input order."""
+
+    def __init__(self, message, *, indices):
+        super().__init__(message)
+        self.indices = indices
+
+
 class NumericalError(GeoriskError):
     """Base class for numerical failures in the estimation pipeline."""
 

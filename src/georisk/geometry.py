@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import DataError, DuplicateLocationError
 
 DUPLICATE_TOL = 1e-12
 
@@ -54,15 +54,16 @@ class SpatialSample:
         if not np.all(np.isfinite(vals)):
             raise DataError("values contain non-finite entries")
         if n > 1:
-            dmat = _pairwise(locs)
-            off = dmat[np.triu_indices(n, k=1)]
-            if off.min() <= DUPLICATE_TOL:
-                i, j = np.unravel_index(
-                    np.argmin(dmat + np.eye(n) * (dmat.max() + 1.0)), dmat.shape
-                )
-                raise DataError(
-                    f"duplicate locations at indices {min(i, j)} and {max(i, j)} "
-                    f"(separation <= {DUPLICATE_TOL:g})"
+            close = _pairwise(locs) <= DUPLICATE_TOL
+            np.fill_diagonal(close, False)
+            if close.any():
+                # the distances are symmetric, so the first close pair in
+                # row-major order has i < j: the first pair in input order
+                i, j = (int(k) for k in np.unravel_index(np.argmax(close), close.shape))
+                raise DuplicateLocationError(
+                    f"duplicate locations at indices {i} and {j} "
+                    f"(separation <= {DUPLICATE_TOL:g})",
+                    indices=(i, j),
                 )
         object.__setattr__(self, "locations", _readonly(locs))
         object.__setattr__(self, "values", _readonly(vals))

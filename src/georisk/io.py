@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import STREAM_SYNTH, rng_stream
-from .exceptions import DataError
+from .exceptions import DataError, DuplicateLocationError
 from .geometry import RegularGrid, SpatialSample, pairwise_distances
 from .numerics import cholesky
 
@@ -96,18 +96,14 @@ def ingest_csv(path, transform: str = "none") -> SpatialSample:
             )
         vals = np.sqrt(vals)
 
-    dmat = pairwise_distances(locs)
-    n = len(locs)
-    iu = np.triu_indices(n, k=1)
-    dup = dmat[iu] <= 1e-12
-    if dup.any():
-        k = int(np.argmax(dup))
-        i, j = iu[0][k], iu[1][k]
+    try:
+        return SpatialSample(locs, vals)
+    except DuplicateLocationError as err:
+        i, j = err.indices
         raise DataError(
             f"{path}: duplicate locations at lines "
             f"{line_numbers[i]} and {line_numbers[j]}"
-        )
-    return SpatialSample(locs, vals)
+        ) from None
 
 
 # ---------------------------------------------------------------------------

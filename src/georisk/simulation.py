@@ -16,11 +16,12 @@ replicate from its drawn sites for the uniform design, and passes it
 explicitly to ``simulate_field`` and to the replicate's evaluation; nothing
 is cached between calls. Only the regular design's MASE context, which
 every replicate shares, also holds the true covariance's bootstrap gain at
-its targets; elsewhere a replicate forms that gain with its offset, as it
-does for the estimated covariances. Every replicate then runs the
-pipeline's own variogram and factorization stages, so a failure carries
-the label of the stage that failed, and scores its modes through the
-pipeline's one evaluator (``bootstrap.mode_probabilities``).
+its targets; elsewhere a replicate forms that gain one target block at a
+time with its offsets, as it does for the estimated covariances. Every
+replicate then runs the pipeline's own variogram and factorization
+stages, so a failure carries the label of the stage that failed, and
+scores its modes through the pipeline's one evaluator
+(``bootstrap.mode_probabilities``).
 """
 
 from __future__ import annotations

@@ -486,7 +486,7 @@ def _pair_window_ends(d_sorted, left, g):
     that rounding moved are searched again.
     """
     size = d_sorted.size
-    ends = np.cumsum(np.bincount(left, minlength=size)[:size])
+    ends = np.cumsum(np.bincount(left, minlength=size)[:size], dtype=left.dtype)
     reach = d_sorted + g
     padded = np.concatenate(([-np.inf], d_sorted, [np.inf]))
     moved = np.flatnonzero(~((padded[ends] < reach) & (reach <= padded[ends + 1])))
@@ -541,7 +541,10 @@ def _lag_base_sums(d_sorted, z_sorted, bandwidth, counts=None):
     """
     d = d_sorted
     g = float(bandwidth)
-    left = np.searchsorted(d, d - g, side="right")
+    # int32 window bounds, where every position fits, halve their share
+    # of the working set
+    bound = np.int32 if d.size < 2**31 else np.intp
+    left = np.searchsorted(d, d - g, side="right").astype(bound)
     right = _pair_window_ends(d, left, g)
     sums = np.zeros((5, d.size))
     if d.size:
@@ -784,13 +787,19 @@ def _loo_estimates(pd_sorted, z_sorted, bandwidth, levels=None) -> np.ndarray:
 
     ``levels`` is None, or for a table whose distances repeat its
     ``DistanceLevels`` and the sum of z at each level: the window sums are
-    then taken once per level, and each pair reads its level's."""
+    then taken once per level, and each pair reads its level's.
+
+    Per pair the estimates overwrite row 0 of the sums, block by block,
+    each after its block is read, so they need no array of their own; the
+    levels' sums have one column per level, so that path writes a new
+    array."""
     if levels is None:
         sums = _lag_base_sums(pd_sorted, z_sorted, bandwidth)
+        gamma = sums[0]
     else:
         (distances, counts, index), z_levels = levels
         sums = _lag_base_sums(distances, z_levels, bandwidth, counts)
-    gamma = np.empty(pd_sorted.size)
+        gamma = np.empty(pd_sorted.size)
     for k0 in range(0, pd_sorted.size, _SUM_BLOCK):
         blk = slice(k0, k0 + _SUM_BLOCK)
         s0, s1, s2, t0, t1 = sums[:, blk] if levels is None else sums[:, index[blk]]

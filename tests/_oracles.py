@@ -277,12 +277,12 @@ def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e
     return y_star @ target_rows.T + alpha.T @ c0.T
 
 
-def bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor):
+def bootstrap_engine_oneshot(trend_fit, target_rows, c0, factor):
     """The bootstrap operator formed in one shot from the full (m, n) target
     covariances ``c0``: offset = T f + c0 Sigma^-1 (I - S) f and
     gain = T L + c0 Sigma^-1 (I - S) L, each as one product over all
     targets."""
-    from georisk.bootstrap import BootstrapEngine, decorrelate_residuals
+    from georisk.bootstrap import BootstrapEngine
     from georisk.numerics import solve_spd
 
     s = trend_fit.smoother.S
@@ -291,8 +291,21 @@ def bootstrap_engine_oneshot(trend_fit, target_rows, c0, decorr_factor, factor):
     offset = target_rows @ f + c0 @ solve_spd(factor, f - s @ f)
     gain = target_rows @ L
     gain += c0 @ solve_spd(factor, L - s @ L)
-    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
-    return BootstrapEngine(offset=offset, gain=gain, e=e, mask=np.zeros(len(offset), dtype=bool))
+    return BootstrapEngine(offset=offset, gain=gain, mask=np.zeros(len(offset), dtype=bool))
+
+
+def whole_map_engine(trend_fit, targets, covariance):
+    """The block engines of ``bootstrap.block_engines`` joined into one
+    engine over every kept node: their offsets, gain rows and masks
+    concatenated in block order."""
+    from georisk.bootstrap import BootstrapEngine, block_engines
+
+    engines = list(block_engines(trend_fit, targets, covariance))
+    return BootstrapEngine(
+        offset=np.concatenate([engine.offset for engine in engines]),
+        gain=np.concatenate([engine.gain for engine in engines]),
+        mask=np.concatenate([engine.mask for engine in engines]),
+    )
 
 
 def kept_rows_and_dists(targets):
@@ -326,15 +339,41 @@ def exceedance_probabilities_oneshot(
     """Exceedance frequencies from the one-shot operator at held map
     ``targets``, every replicate evaluated in one product, as the mean of
     booleans per kept node; NaN at the masked nodes."""
+    from georisk.bootstrap import decorrelate_residuals
     from georisk.variogram import covariance_matrix
 
     rows, dists = kept_rows_and_dists(targets)
     c0 = covariance_matrix(model, dists)
-    engine = bootstrap_engine_oneshot(trend_fit, rows, c0, decorr_factor, factor)
-    values = engine.replicate_values(idx)
+    engine = bootstrap_engine_oneshot(trend_fit, rows, c0, factor)
+    e = decorrelate_residuals(trend_fit.residuals, decorr_factor)
+    values = engine.replicate_values(idx, e[idx])
     probs = np.full((len(thresholds), targets.n_nodes), np.nan)
     probs[:, ~targets.mask] = [(values >= c).mean(axis=0) for c in thresholds]
     return probs
+
+
+def exceedance_probabilities_per_block(
+    trend_fit, targets, decorr_factor, model, factor, idx, thresholds
+):
+    """``exceedance_probabilities_oneshot`` taken one target block of held
+    ``targets`` at a time and joined in block order: each block's operator
+    is formed in one shot from its own rows and covariances, and every
+    replicate is evaluated against it in one product. OpenBLAS gives a
+    block of rows of a product the bits of the same rows of the whole
+    product only where it splits the rows alike, which on two threads it
+    need not, so a blocked result is compared with this reference."""
+    from georisk.bootstrap import MapTargets
+
+    return np.concatenate(
+        [
+            exceedance_probabilities_oneshot(
+                trend_fit, MapTargets(len(block.mask), (block,)), decorr_factor,
+                model, factor, idx, thresholds,
+            )
+            for block in targets.blocks
+        ],
+        axis=1,
+    )
 
 
 def _scaled_kernel(eval_points, locations, bandwidth):

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -14,17 +13,19 @@ from _oracles import (
     bootstrap_engine_oneshot,
     bootstrap_replicates_stepwise,
     exceedance_probabilities_oneshot,
+    exceedance_probabilities_per_block,
     kept_rows_and_dists,
+    whole_map_engine,
 )
 from georisk.bootstrap import (
     _NODE_BLOCK,
     _REPLICATE_BLOCK,
+    MODES,
     BootstrapEngine,
     MapTargets,
     TargetBlock,
     _factorize,
     _variogram_fit,
-    build_engine,
     decorrelate_residuals,
     fit_pipeline,
     map_targets,
@@ -197,13 +198,12 @@ def test_decorrelate_round_trip(fitted):
 def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
     n = fitted.sample.n
     targets = map_targets(fitted.trend_fit, fitted.sample.locations[:5])
-    engine = build_engine(
-        fitted.trend_fit, targets, (fitted.corrected_model, fitted.corrected_factor),
-        decorrelate_residuals(fitted.trend_fit.residuals, fitted.residual_factor),
+    engine = whole_map_engine(
+        fitted.trend_fit, targets, (fitted.corrected_model, fitted.corrected_factor)
     )
     idx = resample_indices(n, 3, 123, 9)
-    zero = dataclasses.replace(engine, e=np.zeros(n))
-    assert np.array_equal(zero.replicate_values(idx), np.tile(engine.offset, (3, 1)))
+    zero = np.zeros(n)
+    assert np.array_equal(engine.replicate_values(idx, zero[idx]), np.tile(engine.offset, (3, 1)))
     out = engine.offset
     # with e = 0 the replicate is the fitted surface re-smoothed plus kriging
     # of its self-consistency gap S(SY) - SY
@@ -264,11 +264,11 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     rows, dists = kept_rows_and_dists(ctx.targets)
     c0 = model.sill - model.semivariance(dists)
     e = decorrelate_residuals(trend_fit.residuals, resid_factor)
-    engine = build_engine(trend_fit, ctx.targets, (model, factor), e)
+    engine = whole_map_engine(trend_fit, ctx.targets, (model, factor))
     idx = resample_indices(trend_fit.sample.n, 64, sc.seed, 0)
-    values = engine.replicate_values(idx)
+    values = engine.replicate_values(idx, e[idx])
     oracle = bootstrap_replicates_stepwise(
-        trend_fit.fitted, trend_fit.smoother.S, rows, c0, factor.L, engine.e, idx
+        trend_fit.fitted, trend_fit.smoother.S, rows, c0, factor.L, e, idx
     )
     assert values.shape == (64, rows.shape[0]) and values.shape[1] > 2000
     assert np.abs(values - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -276,18 +276,17 @@ def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
         assert np.array_equal((values >= c).sum(axis=0), (oracle >= c).sum(axis=0))
 
 
-def _per_replicate_gain(sc, ctx, trend_fit, resid_factor):
-    e = decorrelate_residuals(trend_fit.residuals, resid_factor)
-    return build_engine(trend_fit, ctx.targets, (sc.model, ctx.factor_true), e).gain
+def _per_replicate_gain(sc, ctx, trend_fit):
+    return whole_map_engine(trend_fit, ctx.targets, (sc.model, ctx.factor_true)).gain
 
 
 def test_held_gain_equals_per_replicate_gain_full_scale(full_design):
     # the design context's theoretical gain (n = 400 sites, 2500 map nodes)
     # is the bits of the gain a replicate's own operator forms. About 0.1 s
     # after the shared fixture.
-    sc, ctx, trend_fit, resid_factor, _ = full_design
+    sc, ctx, trend_fit, _, _ = full_design
     assert ctx.gain.shape == (ctx.targets.n_nodes - ctx.targets.mask.sum(), sc.n)
-    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit, resid_factor))
+    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit))
 
 
 def test_held_gain_equals_per_replicate_gain_desk():
@@ -295,10 +294,7 @@ def test_held_gain_equals_per_replicate_gain_desk():
     sc = table1_scenario("desk")
     ctx = _DesignContext.build(sc, simulate_field(sc, 0).locations)
     trend_fit = apply_smoother(ctx.smoother, simulate_field(sc, 3, ctx))
-    g = select_lag_bandwidth(trend_fit.residuals, ctx.site.pairs, ctx.site.lag_grid)
-    resid_model = _variogram_fit(trend_fit, ctx.site.pairs, ctx.site.lag_grid, g)[1]
-    (resid_factor,) = _factorize((resid_model,), ctx.site.dists)
-    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit, resid_factor))
+    assert np.array_equal(ctx.gain, _per_replicate_gain(sc, ctx, trend_fit))
 
 
 def test_held_gain_is_read_only(full_design):
@@ -315,13 +311,14 @@ def test_held_gain_is_read_only(full_design):
 
 @pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
 def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
-    # 1000 replicates fill two whole blocks; 333 and the ~2500 map nodes
-    # leave a partial block
+    # 2 * _REPLICATE_BLOCK + 7 replicates fill two whole blocks of
+    # resampling rows and leave a partial third; 333 and the ~2500 map
+    # nodes leave a partial block
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
     assert ctx.targets.n_nodes % _NODE_BLOCK and 333 % _REPLICATE_BLOCK
     estimates = (covariances["residual"], covariances["corrected"])
-    for b in (1000, 333):
+    for b in (2 * _REPLICATE_BLOCK + 7, 333):
         idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
         probs = mode_probabilities(
             trend_fit, ctx.targets, idx, sc.thresholds, (mode,), estimates,
@@ -329,6 +326,23 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
         )[mode]
         args = (trend_fit, ctx.targets, resid_factor, model, factor, idx, sc.thresholds)
         assert np.array_equal(probs, exceedance_probabilities_oneshot(*args))
+
+
+def test_node_blocks_equal_oneshot_full_scale_held_gain(full_design):
+    # every mode from one call, so from one gather of the resampled
+    # residuals, the theoretical one reading the design's held gain per
+    # target block as views; two whole blocks of resampling rows and a
+    # partial third. About 1 s after the shared fixture.
+    sc, ctx, trend_fit, resid_factor, covariances = full_design
+    idx = resample_indices(trend_fit.sample.n, 2 * _REPLICATE_BLOCK + 7, sc.seed, 0)
+    probs = mode_probabilities(
+        trend_fit, ctx.targets, idx, sc.thresholds, MODES,
+        (covariances["residual"], covariances["corrected"]),
+        (*covariances["theoretical"], ctx.gain),
+    )
+    for mode in MODES:
+        args = (trend_fit, ctx.targets, resid_factor, *covariances[mode], idx, sc.thresholds)
+        assert np.array_equal(probs[mode], exceedance_probabilities_per_block(*args)), mode
 
 
 def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
@@ -351,8 +365,8 @@ def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
     n, b = trend_fit.sample.n, len(idx)
     e = decorrelate_residuals(trend_fit.residuals, resid_factor)
     assert abs(e.mean()) <= 1e-15 * np.abs(e).max()
-    engine = build_engine(trend_fit, targets, covariance, e)
-    values = engine.replicate_values(idx)
+    engine = whole_map_engine(trend_fit, targets, covariance)
+    values = engine.replicate_values(idx, e[idx])
     want = engine.offset + engine.gain @ e[idx].mean(axis=0)
     scale = np.abs(engine.offset) + np.abs(engine.gain) @ np.abs(e[idx]).max(axis=0)
     assert np.all(
@@ -360,7 +374,7 @@ def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
     )
     rows, dists = kept_rows_and_dists(targets)
     c0 = covariance_matrix(model, dists)
-    oracle = bootstrap_engine_oneshot(trend_fit, rows, c0, resid_factor, factor).offset
+    oracle = bootstrap_engine_oneshot(trend_fit, rows, c0, factor).offset
     f = trend_fit.fitted
     sigma = factor.L @ factor.L.T
     x = np.linalg.solve(sigma, f - trend_fit.smoother.S @ f)
@@ -376,7 +390,7 @@ def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
 @pytest.mark.parametrize("mode", ["theoretical", "residual", "corrected"])
 def test_bootstrap_mean_identity_full_scale(full_design, mode):
     # the table1 full design, the theoretical mode through the design's
-    # held gain; one block of 500 resampling rows. The held gain reads only
+    # held gain; one block of 1000 resampling rows. The held gain reads only
     # the targets' mask: blocks holding masks alone give the same offset.
     # About 1 s per mode after the shared fixture.
     sc, ctx, trend_fit, resid_factor, covariances = full_design
@@ -390,7 +404,7 @@ def test_bootstrap_mean_identity_full_scale(full_design, mode):
             ctx.targets.n_nodes,
             tuple(TargetBlock(None, block.mask, None) for block in ctx.targets.blocks),
         )
-        held = build_engine(trend_fit, masks_only, covariance, engine.e)
+        held = whole_map_engine(trend_fit, masks_only, covariance)
         assert np.array_equal(held.offset, engine.offset)
         assert np.array_equal(held.mask, engine.mask)
 
@@ -427,9 +441,12 @@ def _corrected_probabilities(fit, targets, idx, thresholds):
 
 
 def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
-    fit, targets, idx, thresholds = riskmap_design
+    # two whole blocks of resampling rows and a partial third, the first
+    # 1000 rows those of the shared design
+    fit, targets, _, thresholds = riskmap_design
+    idx = resample_indices(fit.sample.n, 2 * _REPLICATE_BLOCK + 7, 7)
     assert np.array_equal(
-        _corrected_probabilities(*riskmap_design),
+        _corrected_probabilities(fit, targets, idx, thresholds),
         exceedance_probabilities_oneshot(
             fit.trend_fit, targets, fit.residual_factor,
             fit.corrected_model, fit.corrected_factor, idx, thresholds,
@@ -437,10 +454,41 @@ def test_blocked_probabilities_equal_oneshot_riskmap(riskmap_design):
     )
 
 
+def test_node_blocks_equal_oneshot_on_widened_riskmap_grid(riskmap_fit):
+    # the data box widened by 20% a side masks 690 of the 2500 nodes,
+    # some blocks in part, and the last of the ten blocks holds 196 nodes;
+    # two whole blocks of resampling rows and a partial third. Each block
+    # is compared with its own one-shot reference. About 5 s.
+    fit, grid = riskmap_fit
+    locs = fit.sample.locations
+    box = [(locs[:, k].min(), locs[:, k].max()) for k in range(2)]
+    box = [(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo)) for lo, hi in box]
+    grid = make_regular_grid(box, grid.dims)
+    targets = map_targets(fit.trend_fit, grid.nodes())
+    masks = [block.mask for block in targets.blocks]
+    assert targets.mask.sum() == 690 and targets.n_nodes % _NODE_BLOCK
+    assert any(mask.any() and not mask.all() for mask in masks)
+    b = 2 * _REPLICATE_BLOCK + 7
+    idx = resample_indices(fit.sample.n, b, 7)
+    thresholds = [1.0, 2.0]
+    probs = mode_probabilities(
+        fit.trend_fit, targets, idx, thresholds, ("residual", "corrected"), fit.estimates
+    )
+    for mode, (model, factor) in zip(("residual", "corrected"), fit.estimates):
+        want = exceedance_probabilities_per_block(
+            fit.trend_fit, targets, fit.residual_factor, model, factor, idx, thresholds
+        )
+        assert np.array_equal(probs[mode], want, equal_nan=True), mode
+    maps = risk_maps(fit, grid, thresholds, n_replicates=b, seed=7)
+    assert np.array_equal(
+        np.array([m.probabilities for m in maps]), probs["corrected"], equal_nan=True
+    )
+
+
 @pytest.mark.parametrize("mode", ["residual", "corrected"])
 def test_bootstrap_mean_identity_riskmap(riskmap_design, mode):
     # the bounds of _check_mean_identity at n = 1053, 2500 map nodes and
-    # the first 500 resampling rows of bootstrap seed 7. About 3 s per mode
+    # the first 1000 resampling rows of bootstrap seed 7. About 3 s per mode
     # after the shared fixture.
     fit, targets, idx, _ = riskmap_design
     covariance = dict(zip(("residual", "corrected"), fit.estimates))[mode]
@@ -476,6 +524,43 @@ def test_risk_maps_memory_at_riskmap_design(riskmap_fit):
     # since each target block is formed inside the operator loop (holding
     # all of them peaked at 87.7 MB)
     assert peak <= 8 * m * n + 2 * 8 * n * n + 8 * b * n + 4 * 2**20
+
+
+def test_risk_maps_memory_without_whole_map_gain(riskmap_fit):
+    # the bound of the test above without its (m, n) gain term. Set before
+    # running: the (B, n) resampling indices and the (B, n) draws gathered
+    # from them, then either the n x n solve with the right-hand side it is
+    # formed from, or the solve and one target block: at most six (256, n)
+    # doubles (its smoother rows and distances, the semivariance and C0,
+    # its gain rows and the previous block's), plus 4 MiB of smaller
+    # temporaries, among them one (1000, 256) block of replicate values
+    fit, grid = riskmap_fit
+    n, b = fit.sample.n, 1000
+    tracemalloc.start()
+    try:
+        risk_maps(fit, grid, [1.0, 2.0], n_replicates=b, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * b * n + 8 * n * n + max(8 * n * n, 6 * 8 * _NODE_BLOCK * n) + 4 * 2**20
+
+
+def test_risk_maps_memory_grows_only_by_per_node_outputs(fitted):
+    # n = 64 sites. A 120 x 120 grid holds 13,500 nodes more than a 30 x 30
+    # one; a whole-map gain would add 8 n = 512 bytes per node. Set before
+    # running: per node, risk_maps holds its coordinates (two doubles, four
+    # while they are formed) and one probability per threshold, so the
+    # peaks differ by at most 8 (4 + 2) bytes per node, plus 64 KiB. About 1 s.
+    peaks = []
+    for k in (30, 120):
+        grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (k, k))
+        tracemalloc.start()
+        try:
+            risk_maps(fitted, grid, [2.0, 2.5], n_replicates=200, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * (4 + 2) * (120**2 - 30**2) + 2**16
 
 
 @pytest.mark.parametrize("widen", [0.0, 0.2])
@@ -567,14 +652,15 @@ def test_prediction_map_memory_at_riskmap_design(riskmap_fit):
 
 
 def test_replicates_are_evaluated_per_block_of_index_rows(fitted, monkeypatch):
-    # per block of replicates, never per block of targets: every call
-    # sees whole index rows, and the calls add up to B once per map set
+    # per block of replicates within each target block: every call sees
+    # whole index rows, and the 49 nodes of SMALL_GRID make one target
+    # block, so the calls add up to B once per map set
     calls = []
     evaluate = BootstrapEngine.replicate_values
 
-    def counted(self, idx):
+    def counted(self, idx, draws):
         calls.append(idx.shape)
-        return evaluate(self, idx)
+        return evaluate(self, idx, draws)
 
     monkeypatch.setattr(BootstrapEngine, "replicate_values", counted)
     b = 2 * _REPLICATE_BLOCK + 7
