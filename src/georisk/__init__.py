@@ -22,7 +22,6 @@ from .geometry import (
     pairwise_distances,
 )
 from .io import ingest_csv
-from .kriging import KrigingSystem, build_system, sk_predict
 from .simulation import (
     Scenario,
     exp_variogram,
@@ -61,7 +60,6 @@ from .variogram import (
 __all__ = [
     "BandwidthMatrix",
     "EmpiricalVariogram",
-    "KrigingSystem",
     "PairTable",
     "PipelineFit",
     "RegularGrid",
@@ -73,7 +71,6 @@ __all__ = [
     "VariogramModel",
     "bias_corrected_variogram",
     "bias_matrix",
-    "build_system",
     "cgcv_score",
     "correlation_matrix",
     "covariance_matrix",
@@ -94,7 +91,6 @@ __all__ = [
     "run_scenario",
     "select_bandwidth",
     "simulate_field",
-    "sk_predict",
     "smoother_matrix",
     "table1_scenario",
     "table2_scenarios",

@@ -164,13 +164,8 @@ def _stage(label: str):
         raise
 
 
-def _h_scales(h: BandwidthMatrix) -> np.ndarray:
-    return h.diagonal_scales() if h.is_diagonal else np.diag(h.entries)
-
-
 def _rel_change(old: BandwidthMatrix, new: BandwidthMatrix) -> float:
-    a = _h_scales(old)
-    b = _h_scales(new)
+    a, b = old.diagonal_scales(), new.diagonal_scales()
     return float(np.max(np.abs(b - a) / np.maximum(np.abs(a), 1e-300)))
 
 
@@ -219,7 +214,7 @@ def fit_pipeline(
         h = bandwidth
         max_outer = 1
 
-    h_history = [tuple(_h_scales(h))]
+    h_history = [tuple(h.diagonal_scales())]
     h_converged = False
     outer = 0
     while True:
@@ -240,7 +235,7 @@ def fit_pipeline(
             break
         with _stage("bandwidth refresh (CGCV)"):
             h_new = _cgcv_bandwidth(sample, corrected_model, dists, search_grid)
-        h_history.append(tuple(_h_scales(h_new)))
+        h_history.append(tuple(h_new.diagonal_scales()))
         if _rel_change(h, h_new) < H_TOL:
             h_converged = True
             break
@@ -510,10 +505,12 @@ def block_engines(
 
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
     """(n_replicates, n) indices drawn with replacement; row j comes from
-    its own stream (seed, STREAM_BOOT, *path, j)."""
+    its own stream (seed, STREAM_BOOT, *path, j). Each row is drawn as the
+    generator's default int64, which fixes the stream, and held as int32,
+    which halves the array (an n x n covariance caps n far below 2^31)."""
     if n_replicates < 1:
         raise ConfigError("need at least one bootstrap replicate")
-    idx = np.empty((n_replicates, n), dtype=np.intp)
+    idx = np.empty((n_replicates, n), dtype=np.int32)
     for j in range(n_replicates):
         idx[j] = rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)
     return idx
@@ -675,8 +672,7 @@ def prediction_map(
     for block in _target_blocks(trend_fit, nodes):
         kept = lo + np.flatnonzero(~block.mask)
         trend[kept] = block.rows[:, block.band] @ trend_fit.sample.values[block.band]
-        krig = krige_block(model, residuals, alpha, block.dists)[0]
-        prediction[kept] = trend[kept] + krig
+        prediction[kept] = trend[kept] + krige_block(model, residuals, alpha, block.dists)
         lo += len(block.mask)
         del block  # free this block before the next one is formed
     return trend, prediction

@@ -135,11 +135,12 @@ class RegularGrid:
 
 @dataclass(frozen=True, eq=False)
 class BandwidthMatrix:
-    """Symmetric positive-definite d x d smoothing matrix.
+    """Diagonal d x d smoothing matrix diag(h_1, ..., h_d) with every h_k
+    positive: one scale per axis, the space every bandwidth search covers.
 
-    The default construction path (`diagonal`) keeps the search space at one
-    scale per axis; full symmetric matrices are accepted when supplied
-    explicitly but are never searched over.
+    Direct construction checks the entries: finite, diagonal, then
+    positive. ``diagonal`` builds one from its scales without going
+    through those checks (a search grid builds hundreds of these).
     """
 
     entries: np.ndarray
@@ -150,18 +151,16 @@ class BandwidthMatrix:
             raise DataError("bandwidth matrix must be square")
         if not np.all(np.isfinite(h)):
             raise DataError("bandwidth matrix must be finite")
-        if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
-            raise DataError("bandwidth matrix must be symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (h + h.T))
-        if eigvals.min() <= 0.0:
+        if np.any(h != np.diag(np.diagonal(h))):
+            raise DataError("bandwidth matrix must be diagonal")
+        if not np.all(np.diagonal(h) > 0.0):
             raise DataError("bandwidth matrix must be positive definite")
         object.__setattr__(self, "entries", _readonly(h))
 
     @classmethod
     def diagonal(cls, *scales: float) -> "BandwidthMatrix":
-        """diag(scales). A diagonal matrix is symmetric, and positive
-        definite exactly when every scale is positive, so only finiteness
-        and sign are checked (a search grid builds hundreds of these)."""
+        """diag(scales), checking only that every scale is finite and
+        positive."""
         s = [float(v) for v in scales]
         if not all(math.isfinite(v) for v in s):
             raise DataError("bandwidth matrix must be finite")
@@ -172,7 +171,6 @@ class BandwidthMatrix:
         entries.flags.writeable = False
         h = object.__new__(cls)
         object.__setattr__(h, "entries", entries)
-        h.__dict__["is_diagonal"] = True
         return h
 
     @property
@@ -182,15 +180,6 @@ class BandwidthMatrix:
     @cached_property
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return _readonly(np.linalg.inv(self.entries))
-
-    @cached_property
-    def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.all(off == 0.0))
 
     def diagonal_scales(self) -> np.ndarray:
         return self.entries.diagonal().copy()

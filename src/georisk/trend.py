@@ -16,28 +16,29 @@ whose window has no spread on an axis while the point lies off that line
 has no affine fit: a site raises and a map point is masked, as are points
 with too few neighbors or a singular design.
 
-The bandwidth search never forms S. Consecutive diagonal candidates with
-the same h_1 are scored as one stack of kernel matrices W at the sites,
-up to ``_STACK_ENTRIES`` entries (the ten candidates of one h_1 of the
-default grid at n = 100, one candidate from n = 363 on): the first axis's
-factor is built once per h_1, and the other axes' factors once per search
-when the stacks share their scales. The neighbor counts are read from the
-stack, and a candidate with a starved site is dropped before any design
-is built; the others' moments W @ [1, z, z z^T] and 3x3 solves run
-as one batch (``_site_designs``, ``_local_coef``). Each admissible
-candidate's ``_LocalFit`` is then a slice of the stack, scored by the
-public criterion: the fitted values and diag S follow from W @ [y, z y].
-CV, GCV and CGCV need nothing else but tr(S R), which comes from
-(W o R^T) @ [1, z]. Only the simulation's MASE oracle builds the rows, for
-tr(S Sigma S^T). One candidate takes a few O(n^2) passes and one n x 6
+H is diagonal, one scale per axis, so the kernel is a product of
+univariate triweights. The bandwidth search never forms S. Consecutive
+candidates with the same h_1 are scored as one stack of kernel matrices W
+at the sites, up to ``_STACK_ENTRIES`` entries (the ten candidates of one
+h_1 of the default grid at n = 100, one candidate from n = 363 on): the
+first axis's factor is built once per h_1, and the other axes' factors
+once per search when the stacks share their scales. The neighbor counts
+are read from the stack, and a candidate with a starved site is dropped
+before any design is built; the others' moments W @ [1, z, z z^T] and 3x3
+solves run as one batch (``_site_designs``, ``_local_coef``). Each
+admissible candidate's ``_LocalFit`` is then a slice of the stack, scored
+by the public criterion: the fitted values and diag S follow from
+W @ [y, z y]. CV, GCV and CGCV need nothing else but tr(S R), which comes
+from (W o R^T) @ [1, z]. Only the simulation's MASE oracle builds the
+rows, for tr(S Sigma S^T). One candidate takes a few O(n^2) passes and one n x 6
 matrix product (MASE adds an n^3 product), and the winner's S is built
 once, by ``smoother_matrix``.
 
-The search takes the sites in first-axis order. A diagonal H's compact
-kernel then gives each row block of W one contiguous band of columns,
-those within h_1 of its rows (``_bands``), and W, its moments, the CGCV
-trace and the MASE rows are formed over the bands only; a band that spans
-every column runs as the dense code.
+The search takes the sites in first-axis order. The compact kernel then
+gives each row block of W one contiguous band of columns, those within h_1
+of its rows (``_bands``), and W, its moments, the CGCV trace and the MASE
+rows are formed over the bands only; a band that spans every column runs
+as the dense code.
 """
 
 from __future__ import annotations
@@ -200,17 +201,16 @@ def _bands(coords, bandwidth: BandwidthMatrix):
     first coordinates ``coords``: a tuple of (rows, cols) slices over
     ``_row_blocks(n, n)``, or None when every block reaches every column.
 
-    With the sites in first-axis order and a diagonal H, the positive
-    weights of row i lie where |x_j - x_i| < h_1, one contiguous run of
-    columns, so a block's band runs from its first row's run start to its
-    last row's run end. A weight counted as positive has
-    |fl(x_j - x_i) / h_1| < 1, hence |x_j - x_i| < h_1 (1 + 2 eps); the
-    reach is widened further to cover the rounding of the band ends, so
-    the band holds every positive weight, however small. A general H, or
-    sites in another order, gets full rows.
+    With the sites in first-axis order, the positive weights of row i lie
+    where |x_j - x_i| < h_1, one contiguous run of columns, so a block's
+    band runs from its first row's run start to its last row's run end. A
+    weight counted as positive has |fl(x_j - x_i) / h_1| < 1, hence
+    |x_j - x_i| < h_1 (1 + 2 eps); the reach is widened further to cover
+    the rounding of the band ends, so the band holds every positive
+    weight, however small. Sites in another order get full rows.
     """
     n = coords.size
-    if not bandwidth.is_diagonal or np.any(coords[1:] < coords[:-1]):
+    if np.any(coords[1:] < coords[:-1]):
         return None
     h = bandwidth.entries[0, 0]
     reach = h + 16.0 * np.finfo(np.float64).eps * (h + max(abs(coords[0]), abs(coords[-1])))
@@ -252,9 +252,9 @@ def _kernel_weights(points, locations, bandwidth: BandwidthMatrix, min_neighbors
 
     The 1/det(H) normalization is a per-row constant that cancels in the
     local linear weights, so it is omitted. W is filled one row block at a
-    time, and the first block with a point that has fewer than
-    ``min_neighbors`` positive weights raises BandwidthTooSmallError. For a
-    diagonal H the univariate factors are multiplied per block.
+    time, as the product of the axes' univariate factors, and the first
+    block with a point that has fewer than ``min_neighbors`` positive
+    weights raises BandwidthTooSmallError.
     """
     m, d = points.shape
     n = locations.shape[0]
@@ -265,15 +265,9 @@ def _kernel_weights(points, locations, bandwidth: BandwidthMatrix, min_neighbors
 
     w = np.empty((m, n))
     for sl in _row_blocks(m, n):
-        if bandwidth.is_diagonal:
-            block = factor(0, sl)
-            for axis in range(1, d):
-                block = block * factor(axis, sl)
-        else:
-            u = (locations[None, :, :] - points[sl, None, :]) @ bandwidth.inverse
-            block = _triweight_1d(u[..., 0])
-            for axis in range(1, d):
-                block = block * _triweight_1d(u[..., axis])
+        block = factor(0, sl)
+        for axis in range(1, d):
+            block = block * factor(axis, sl)
         counts = np.count_nonzero(block, axis=1)
         starved = np.flatnonzero(counts < min_neighbors)
         if starved.size:
@@ -381,13 +375,6 @@ class _LocalFit:
         return out
 
 
-def _frame(bandwidth: BandwidthMatrix, centred) -> np.ndarray:
-    """Centred coordinates mapped by H^-1."""
-    if bandwidth.is_diagonal:
-        return centred / bandwidth.diagonal_scales()
-    return centred @ bandwidth.inverse
-
-
 def _site_designs(weights, z, bands=None):
     """The unit-sum local designs of (1, z_j - z_i) at the sites, for a
     stack of kernel matrices W (k, n, n) with ``bands`` and frames z
@@ -471,7 +458,7 @@ def _local_fit(
     if min_neighbors is None:
         min_neighbors = d + 1
     centre = locs.mean(axis=0)
-    z = _frame(bandwidth, locs - centre)
+    z = (locs - centre) / bandwidth.diagonal_scales()  # the H^-1 frame
     if points is None:
         weights = _kernel_weights(locs, locs, bandwidth, min_neighbors)
         p, starved = z, np.zeros(n, dtype=bool)
@@ -479,7 +466,7 @@ def _local_fit(
     else:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         weights = _kernel_weights(points, locs, bandwidth)
-        p = _frame(bandwidth, points - centre)
+        p = (points - centre) / bandwidth.diagonal_scales()
         m = len(p)
         sums = weights.sum(axis=1)
         sums[sums == 0.0] = 1.0
@@ -626,7 +613,7 @@ def select_bandwidth(
     doubling the largest candidate.
 
     Each candidate is scored from its local fit (kernel moments), never from
-    a hat matrix; consecutive diagonal candidates with the same first scale,
+    a hat matrix; consecutive candidates with the same first scale,
     as in the default grid, are scored as one stack (``_grid_scores``). The
     search takes the sites in first-axis order, and with them the
     correlation, true mean and covariance, which no criterion depends on:
@@ -681,7 +668,7 @@ def select_bandwidth(
 
     # nothing admissible: probe upward from the largest candidate and report
     probe = max(search_grid, key=lambda h: h.det)
-    scales = probe.diagonal_scales() if probe.is_diagonal else np.diag(probe.entries)
+    scales = probe.diagonal_scales()
     for _ in range(40):
         scales = scales * 2.0
         h = BandwidthMatrix.diagonal(*scales)
@@ -703,7 +690,7 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
     """The criterion ``score`` at every candidate of ``grid``, in order, or
     None where the candidate is inadmissible.
 
-    Consecutive diagonal candidates with the same h_1 form one stack of at
+    Consecutive candidates with the same h_1 form one stack of at
     most ``_STACK_ENTRIES`` kernel entries: 10 candidates of the default
     grid at n = 100, one from n = 363 on. The stack's W is the first axis's
     factor, built once per h_1, times the other axes' factors, each formed
@@ -712,7 +699,7 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
     hold several candidates those factors are built whole and kept for the
     next stack with the same scales (every stack of the default grid at
     small n); a stack of one forms them per row block of W, so that a
-    starved candidate stops early. A general H is a stack of one.
+    starved candidate stops early.
     """
     locs = sample.locations
     n, d = locs.shape
@@ -723,27 +710,19 @@ def _grid_scores(sample, grid, score, min_neighbors) -> list:
     i = 0
     while i < len(grid):
         j = i + 1
-        if grid[i].is_diagonal:
-            if grid[i].entries[0, 0] != first:
-                first_factor = None  # release the old factor before building the next
-                first = grid[i].entries[0, 0]
-                bands = _bands(locs[:, 0], grid[i])
-                first_factor = _axis_factors(locs[:, 0], [first], bands)[0]
-            while (
-                j < len(grid) and j - i < per_stack
-                and grid[j].is_diagonal and grid[j].entries[0, 0] == first
-            ):
-                j += 1
-            scales = np.array([h.diagonal_scales() for h in grid[i:j]])
-            if per_stack > 1 and (trailing is None or not np.array_equal(trailing, scales[:, 1:])):
-                factors = None
-                factors = [_axis_factors(locs[:, k], scales[:, k]) for k in range(1, d)]
-                trailing = scales[:, 1:]
-            w, fed = _stacked_weights(locs, first_factor, scales, factors, min_neighbors, bands)
-        else:
-            first, first_factor, bands = None, None, None
-            w = _kernel_weights(locs, locs, grid[i])[None]
-            fed = np.count_nonzero(w[0], axis=1).min(keepdims=True) >= min_neighbors
+        if grid[i].entries[0, 0] != first:
+            first_factor = None  # release the old factor before building the next
+            first = grid[i].entries[0, 0]
+            bands = _bands(locs[:, 0], grid[i])
+            first_factor = _axis_factors(locs[:, 0], [first], bands)[0]
+        while j < len(grid) and j - i < per_stack and grid[j].entries[0, 0] == first:
+            j += 1
+        scales = np.array([h.diagonal_scales() for h in grid[i:j]])
+        if per_stack > 1 and (trailing is None or not np.array_equal(trailing, scales[:, 1:])):
+            factors = None
+            factors = [_axis_factors(locs[:, k], scales[:, k]) for k in range(1, d)]
+            trailing = scales[:, 1:]
+        w, fed = _stacked_weights(locs, first_factor, scales, factors, min_neighbors, bands)
         values += _stack_scores(sample, grid[i:j], w, fed, score, bands)
         w = None
         i = j
@@ -794,7 +773,7 @@ def _stack_scores(sample, stack, weights, fed, score, bands) -> list:
     if fed.size < len(stack):
         weights = weights[fed]
     centred = locs - locs.mean(axis=0)
-    z = np.stack([_frame(stack[k], centred) for k in fed])
+    z = np.stack([centred / stack[k].diagonal_scales() for k in fed])
     sums, a, shift, mean = _site_designs(weights, z, bands)
     coef, offline = _local_coef(
         a.reshape(-1, d + 1, d + 1), shift.reshape(-1, d), mean.reshape(-1, mean.shape[-1])

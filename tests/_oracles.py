@@ -256,6 +256,28 @@ def sk_weights_dense(cov_dd, cov_d0):
     return np.linalg.inv(cov_dd) @ cov_d0
 
 
+def kriging_factor(locations, model):
+    """The package's Cholesky factor of the data-data covariance of
+    ``model`` at ``locations``."""
+    from georisk.geometry import pairwise_distances
+    from georisk.numerics import cholesky
+    from georisk.variogram import covariance_matrix
+
+    return cholesky(covariance_matrix(model, pairwise_distances(locations)))
+
+
+def krige_targets(model, factor, locations, residuals, targets):
+    """The package's simple kriging of ``residuals`` at ``targets``: all
+    targets as one block of ``kriging.krige_block``, with Sigma^-1 r
+    solved through ``factor``."""
+    from georisk.geometry import cross_distances
+    from georisk.kriging import krige_block
+    from georisk.numerics import solve_spd
+
+    alpha = solve_spd(factor, residuals)
+    return krige_block(model, residuals, alpha, cross_distances(targets, locations))
+
+
 def bootstrap_replicates_stepwise(fitted, smoother, target_rows, c0, factor_l, e, idx):
     """Bootstrap replicate values built step by step, one block of index rows.
 
@@ -386,10 +408,7 @@ def _scaled_kernel(eval_points, locations, bandwidth):
     from georisk.numerics import _triweight_1d as k1
 
     diffs = locations[None, :, :] - eval_points[:, None, :]
-    if bandwidth.is_diagonal:
-        u = diffs / bandwidth.diagonal_scales()[None, None, :]
-    else:
-        u = diffs @ bandwidth.inverse
+    u = diffs / bandwidth.diagonal_scales()[None, None, :]
     if u.shape[-1] == 2:
         w = k1(u[..., 0]) * k1(u[..., 1])
     else:

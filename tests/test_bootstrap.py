@@ -15,6 +15,8 @@ from _oracles import (
     exceedance_probabilities_oneshot,
     exceedance_probabilities_per_block,
     kept_rows_and_dists,
+    krige_targets,
+    kriging_factor,
     whole_map_engine,
 )
 from georisk.bootstrap import (
@@ -46,7 +48,6 @@ from georisk.geometry import (
     pairwise_distances,
 )
 from georisk.io import synth_dataset
-from georisk.kriging import KrigingSystem, build_system, sk_predict
 from georisk.numerics import CholeskyFactor, solve_spd
 from georisk.simulation import (
     _DesignContext,
@@ -193,6 +194,15 @@ def test_decorrelate_round_trip(fitted):
 # ---------------------------------------------------------------------------
 # single replicate behavior
 # ---------------------------------------------------------------------------
+
+
+def test_resample_indices_hold_each_streams_draws_as_int32():
+    # each row is the int64 draw of its own stream, held in half the bytes
+    idx = resample_indices(1053, 5, 7, 3)
+    assert idx.dtype == np.int32
+    for j in range(5):
+        draw = rng_stream(7, bootstrap.STREAM_BOOT, 3, j).integers(0, 1053, size=1053)
+        assert np.array_equal(idx[j], draw)
 
 
 def test_replicate_zero_e_reproduces_smoothed_fit(fitted):
@@ -409,6 +419,45 @@ def test_bootstrap_mean_identity_full_scale(full_design, mode):
         assert np.array_equal(held.mask, engine.mask)
 
 
+def test_bootstrap_variance_identity_full_scale(full_design):
+    # Var*[Y_i] = mean(e^2) |gain_i|^2 at every kept node, all three modes
+    # from one set of 1000 resampling rows at a fixed seed, the theoretical
+    # one through the design's held gain.
+    #
+    # Bound, set before running. A replicate value is Y_i = offset_i +
+    # sum_k a_k e*_k, a = gain_i, with the e*_k drawn i.i.d. from the
+    # centred e. With m2 = mean(e^2) and m4 = mean(e^4) it has variance
+    # s = m2 |a|_2^2 and fourth central moment mu4 = 3 s^2 + (m4 - 3 m2^2)
+    # |a|_4^4. The sample variance v of b i.i.d. replicates has standard
+    # deviation sd = sqrt((mu4 - s^2 (b - 3) / (b - 1)) / b), and each node
+    # must hold |v - s| <= 6 sd. Under the normal approximation to v at
+    # b = 1000 one node breaks that with probability 2 Phi(-6) = 2.0e-9,
+    # so by the union bound over the 7,500 kept nodes of the three modes a
+    # correct bootstrap fails this test with probability below 1.5e-5.
+    # About 0.5 s after the shared fixture.
+    sc, ctx, trend_fit, resid_factor, covariances = full_design
+    e = decorrelate_residuals(trend_fit.residuals, resid_factor)
+    m2, m4 = np.mean(e**2), np.mean(e**4)
+    b = _REPLICATE_BLOCK
+    idx = resample_indices(trend_fit.sample.n, b, sc.seed, 0)
+    draws = e[idx]
+    checked = 0
+    for mode in MODES:
+        covariance = covariances[mode]
+        if mode == "theoretical":
+            covariance = (*covariance, ctx.gain)
+        engine = whole_map_engine(trend_fit, ctx.targets, covariance)
+        v = engine.replicate_values(idx, draws).var(axis=0, ddof=1)
+        s = m2 * np.einsum("ij,ij->i", engine.gain, engine.gain)
+        mu4 = 3.0 * s**2 + (m4 - 3.0 * m2**2) * np.sum(engine.gain**4, axis=1)
+        sd = np.sqrt((mu4 - s**2 * (b - 3) / (b - 1)) / b)
+        # the check has power: it tells a variance 30% off
+        assert np.all(6.0 * sd <= 0.3 * s), mode
+        assert np.all(np.abs(v - s) <= 6.0 * sd), mode
+        checked += len(s)
+    assert checked == 3 * np.count_nonzero(~ctx.targets.mask)
+
+
 @pytest.fixture(scope="module")
 def riskmap_fit():
     """The benchmark's risk-map fit at seed 1: ``synth_dataset(1053,
@@ -590,17 +639,22 @@ def test_prediction_map_equals_whole_map_kriging(riskmap_fit, widen):
     mask[bad] = True
     assert mask.sum() == (690 if widen else 0)
     assert np.array_equal(np.isnan(trend), mask) and np.array_equal(np.isnan(prediction), mask)
-    system = KrigingSystem(fit.sample.locations, fit.corrected_factor, fit.corrected_model)
     residuals, values = fit.trend_fit.residuals, fit.sample.values
+
+    def krige(targets):
+        return krige_targets(
+            fit.corrected_model, fit.corrected_factor, fit.sample.locations, residuals, targets
+        )
+
     for lo in range(0, len(nodes), _NODE_BLOCK):
         keep = lo + np.flatnonzero(~mask[lo:lo + _NODE_BLOCK])
         block_trend = rows[keep] @ values
         assert np.array_equal(trend[keep], block_trend)
         assert np.array_equal(
-            prediction[keep], block_trend + sk_predict(system, residuals, nodes[keep])
+            prediction[keep], block_trend + krige(nodes[keep])
         )
     reference = rows[~mask] @ values
-    krig = sk_predict(system, residuals, nodes[~mask])
+    krig = krige(nodes[~mask])
     assert_allclose(trend[~mask], reference, rtol=1e-12, atol=0)
     assert_allclose(prediction[~mask], reference + krig, rtol=1e-12, atol=0)
 
@@ -622,16 +676,15 @@ def test_prediction_map_coincident_nodes_beyond_first_block():
     trend_fit = fit_trend(sample, BandwidthMatrix.diagonal(5.0, 5.0))
     r = trend_fit.residuals
     model = VariogramModel(nugget=0.05, node_freqs=[0.5], node_weights=[0.3])
-    system = build_system(sample, model)
-    trend, prediction = prediction_map(trend_fit, nodes, model, system.factor)
-    pred, var = sk_predict(system, r, nodes, return_variance=True)
+    factor = kriging_factor(sample.locations, model)
+    trend, prediction = prediction_map(trend_fit, nodes, model, factor)
+    pred = krige_targets(model, factor, sample.locations, r, nodes)
     c0 = covariance_matrix(model, cross_distances(nodes[on_nodes], sample.locations))
-    plain = c0 @ solve_spd(system.factor, r)
+    plain = c0 @ solve_spd(factor, r)
     assert abs(plain[1] - r[sites[1]]) > 1e-3
     assert np.isfinite(trend[on_nodes]).all()
     assert np.array_equal(prediction[on_nodes], trend[on_nodes] + r[sites])
     assert np.array_equal(pred[on_nodes], r[sites])
-    assert np.array_equal(var[on_nodes], [0.0, 0.0])
 
 
 def test_prediction_map_memory_at_riskmap_design(riskmap_fit):
