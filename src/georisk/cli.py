@@ -38,6 +38,7 @@ from .exceptions import (
 )
 from .geometry import make_regular_grid
 from .io import (
+    TRANSFORMS,
     ingest_csv,
     write_grid_csv,
     write_heatmap_svg,
@@ -46,7 +47,6 @@ from .io import (
     write_table_csv,
 )
 from .simulation import (
-    Scenario,
     run_scenario,
     table1_scenario,
     table2_scenarios,
@@ -61,44 +61,95 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_GATE = 5
 
-_DEFAULTS = {
+_EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a number"}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Setting:
+    """One setting of a command: its flag ``--<name>`` (underscores as
+    dashes) and the config-file entry ``<name>``, both read the same way.
+
+    ``type`` is int, float or str, or bool for a switch that only turns the
+    setting on. ``listable`` lets a config file give a str setting as a
+    JSON list.
+    """
+
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+    listable: bool = False
+
+    def read(self, key: str, value):
+        """A config-file value as its flag reads it: true or false for a
+        switch, a string for a str setting, and a number or a string that
+        the flag's type parses for an int or float setting, within the
+        flag's choices. Any other value is a ConfigError."""
+        if self.type in (bool, str):
+            ok = isinstance(value, self.type) or self.listable and isinstance(value, list)
+        else:
+            ok = isinstance(value, (int, float, str))
+            try:
+                value = self.type(str(value)) if ok else value
+            except ValueError:
+                ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {_EXPECTED[self.type]}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(self.choices)}, got {value!r}"
+            )
+        return value
+
+
+_SEED = _Setting(int, 0, "RNG seed (nonnegative integer)")
+_OUT = _Setting(str, "georisk-out", "output directory")
+_THREADS = _Setting(
+    int, 1,
+    "worker threads for simulation replicates (results unchanged); "
+    "riskmap and fit accept it, the bootstrap is parallel through BLAS",
+)
+# the settings of the commands that fit an input data set
+_DATA = {
+    "input": _Setting(str, None, "input CSV with header x,y,value"),
+    "transform": _Setting(str, "none", "response transform", TRANSFORMS),
+    "seed": _SEED,
+    "out": _OUT,
+    "threads": _THREADS,
+    "grid": _Setting(str, "50x50", "prediction grid as NXxNY"),
+    "svg": _Setting(bool, False, "emit SVG heatmaps"),
+}
+
+# every setting of every command, in flag order; a config file may give
+# any of them, at its top level or under the command's name
+_SETTINGS = {
     "riskmap": {
-        "transform": "none",
-        "seed": 0,
-        "out": "georisk-out",
-        "threads": 1,
-        "thresholds": "1.0,2.0",
-        "replicates": 1000,
-        "grid": "50x50",
-        "mode": "corrected",
-        "svg": False,
+        **_DATA,
+        "thresholds": _Setting(str, "1.0,2.0", "comma-separated threshold values",
+                               listable=True),
+        "replicates": _Setting(int, 1000, "bootstrap replicates B"),
+        "mode": _Setting(str, "corrected", "covariance mode", ("corrected", "residual")),
     },
-    "fit": {
-        "transform": "none",
-        "seed": 0,
-        "out": "georisk-out",
-        "threads": 1,
-        "grid": "50x50",
-        "svg": False,
-    },
+    "fit": _DATA,
     "simulate": {
-        "seed": 20240,
-        "out": "georisk-out",
-        "threads": 1,
-        "scenario": "table1",
-        "scale": "desk",
-        "n": None,
-        "N": None,
-        "B": None,
-        "range": 0.5,
-        "sill": 0.16,
-        "nugget_frac": 0.25,
-        "design": "regular",
+        "seed": dataclasses.replace(_SEED, default=20240),
+        "out": _OUT,
+        "threads": _THREADS,
+        "scenario": _Setting(str, "table1", "scenario family",
+                             ("table1", "table2", "table3", "custom")),
+        "scale": _Setting(str, "desk", "study scale", ("desk", "full")),
+        "n": _Setting(int, None, "sample size (perfect square)"),
+        "N": _Setting(int, None, "number of field replicates"),
+        "B": _Setting(int, None, "bootstrap replicates per map"),
+        "range": _Setting(float, 0.5, "practical range (custom scenario)"),
+        "sill": _Setting(float, 0.16, "total sill (custom scenario)"),
+        "nugget_frac": _Setting(float, 0.25, "nugget as a fraction of the sill"),
+        "design": _Setting(str, "regular", "sampling design", ("regular", "uniform")),
     },
     "synth-data": {
-        "seed": 0,
-        "out": "georisk-out",
-        "n": 1053,
+        "seed": _SEED,
+        "out": _OUT,
+        "n": _Setting(int, 1053, "number of sites"),
     },
 }
 
@@ -110,131 +161,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"georisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", help="input CSV with header x,y,value")
-            p.add_argument(
-                "--transform", choices=("none", "sqrt"), help="response transform"
+    for command, settings in _SETTINGS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        for key, s in settings.items():
+            kind = (
+                {"action": "store_const", "const": True} if s.type is bool
+                else {"type": s.type, "choices": s.choices}
             )
-        p.add_argument("--seed", type=int, help="RNG seed (nonnegative integer)")
-        p.add_argument("--out", help="output directory")
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=s.help, **kind)
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument(
-            "--threads", type=int,
-            help="worker threads for simulation replicates (results unchanged); "
-                 "riskmap and fit accept it, the bootstrap is parallel through BLAS",
-        )
-
-    p_risk = sub.add_parser("riskmap", help="bootstrap exceedance-probability maps")
-    add_shared(p_risk)
-    p_risk.add_argument("--thresholds", help="comma-separated threshold values")
-    p_risk.add_argument("--replicates", type=int, help="bootstrap replicates B")
-    p_risk.add_argument("--grid", help="prediction grid as NXxNY")
-    p_risk.add_argument("--mode", choices=("corrected", "residual"), help="covariance mode")
-    p_risk.add_argument("--svg", action="store_const", const=True, help="emit SVG heatmaps")
-
-    p_fit = sub.add_parser("fit", help="trend, variogram and kriging diagnostics")
-    add_shared(p_fit)
-    p_fit.add_argument("--grid", help="prediction grid as NXxNY")
-    p_fit.add_argument("--svg", action="store_const", const=True, help="emit SVG heatmaps")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo scenario study")
-    add_shared(p_sim, with_input=False)
-    p_sim.add_argument(
-        "--scenario", choices=("table1", "table2", "table3", "custom"),
-        help="scenario family",
-    )
-    p_sim.add_argument("--scale", choices=("desk", "full"), help="study scale")
-    p_sim.add_argument("--n", type=int, help="sample size (perfect square)")
-    p_sim.add_argument("--N", type=int, help="number of field replicates")
-    p_sim.add_argument("--B", type=int, help="bootstrap replicates per map")
-    p_sim.add_argument("--range", type=float, help="practical range (custom scenario)")
-    p_sim.add_argument("--sill", type=float, help="total sill (custom scenario)")
-    p_sim.add_argument("--nugget-frac", dest="nugget_frac", type=float,
-                       help="nugget as a fraction of the sill")
-    p_sim.add_argument("--design", choices=("regular", "uniform"), help="sampling design")
-
-    p_synth = sub.add_parser("synth-data", help="write a synthetic input data set")
-    p_synth.add_argument("--seed", type=int, help="RNG seed")
-    p_synth.add_argument("--out", help="output directory")
-    p_synth.add_argument("--config", help="JSON config file")
-    p_synth.add_argument("--n", type=int, help="number of sites")
-
     return parser
 
 
-# settings whose config-file values must be coerced like their flags
-_NUMERIC = {
-    "seed": int, "threads": int, "replicates": int, "n": int, "N": int, "B": int,
-    "range": float, "sill": float, "nugget_frac": float,
-}
+def _read_config(path, command: str) -> dict:
+    """The config-file entries that apply to ``command``: the file's
+    top-level values, overridden by its ``command`` section."""
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            loaded = json.load(handle)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}") from err
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config file is not valid JSON: {err}") from err
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    entries = {k: v for k, v in loaded.items() if not isinstance(v, dict)}
+    section = loaded.get(command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config entry {command!r} must be a JSON object")
+    entries.update(section)
+    return entries
 
 
-def _choices(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The allowed values of each setting of ``command``, as declared by its
-    flags' ``choices``."""
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    actions = subparsers.choices[command]._actions
-    return {a.dest: a.choices for a in actions if a.choices is not None}
-
-
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Apply precedence: command-line flags over config file over defaults,
-    then coerce the numeric settings and check every setting that has
-    ``choices`` against them (config-file values bypass argparse)."""
-    defaults = dict(_DEFAULTS[args.command])
-    file_cfg = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except OSError as err:
-            raise ConfigError(f"cannot read config file: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        # values may sit at the top level or under a per-command key
-        file_cfg.update({k: v for k, v in loaded.items() if not isinstance(v, dict)})
-        section = loaded.get(args.command, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config entry {args.command!r} must be a JSON object")
-        file_cfg.update(section)
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each setting of the command from its flag, else from the config
+    file (read as the flag reads it), else its default."""
+    entries = _read_config(args.config, args.command)
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
+    for key, setting in _SETTINGS[args.command].items():
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+        elif key in entries:
+            resolved[key] = setting.read(key, entries[key])
         else:
-            resolved[key] = default
-    for key in ("input",):
-        if hasattr(args, key):
-            resolved[key] = getattr(args, key) or file_cfg.get(key)
-            if resolved[key] is not None and not isinstance(resolved[key], str):
-                raise ConfigError(f"{key} must be a path, got {resolved[key]!r}")
-    for key, kind in _NUMERIC.items():
-        value = resolved.get(key)
-        if value is None:
-            continue
-        try:
-            resolved[key] = kind(value)
-        except (TypeError, ValueError) as err:
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key} must be {expected}, got {value!r}") from err
-    if "seed" in resolved and resolved["seed"] < 0:
+            resolved[key] = setting.default
+    if resolved["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
-    for key, allowed in _choices(parser, args.command).items():
-        value = resolved.get(key)
-        if value is not None and value not in allowed:
-            raise ConfigError(
-                f"{key} must be one of {', '.join(map(str, allowed))}, got {value!r}"
-            )
     return resolved
 
 
@@ -262,14 +236,6 @@ def _parse_grid(text) -> tuple:
     if nx < 2 or ny < 2:
         raise ConfigError("grid needs at least 2 nodes per axis")
     return nx, ny
-
-
-def _data_grid(sample, dims):
-    xs = sample.locations[:, 0]
-    ys = sample.locations[:, 1]
-    return make_regular_grid(
-        [(float(xs.min()), float(xs.max())), (float(ys.min()), float(ys.max()))], dims
-    )
 
 
 def _model_summary(model) -> dict:
@@ -306,18 +272,29 @@ def _threshold_tag(c: float) -> str:
     return format(c, "g").replace("-", "m").replace(".", "p")
 
 
-def cmd_riskmap(cfg: dict) -> int:
-    if not cfg.get("input"):
-        raise ConfigError("riskmap needs --input (or an input entry in --config)")
-    out = Path(cfg["out"])
-    thresholds = _parse_thresholds(cfg["thresholds"])
+def _fit_input(cfg: dict, command: str) -> tuple:
+    """The preamble of ``riskmap`` and ``fit``: (dims, grid, fit) of the
+    pipeline fitted to the input CSV, with the map grid over its sites."""
+    if not cfg["input"]:
+        raise ConfigError(f"{command} needs --input (or an input entry in --config)")
     dims = _parse_grid(cfg["grid"])
     t0 = time.perf_counter()
     sample = ingest_csv(cfg["input"], cfg["transform"])
-    grid = _data_grid(sample, dims)
+    xs, ys = sample.locations[:, 0], sample.locations[:, 1]
+    grid = make_regular_grid(
+        [(float(xs.min()), float(xs.max())), (float(ys.min()), float(ys.max()))], dims
+    )
     fit = fit_pipeline(sample)
+    logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
+    return dims, grid, fit
+
+
+def cmd_riskmap(cfg: dict) -> int:
+    """bootstrap exceedance-probability maps"""
+    out = Path(cfg["out"])
+    thresholds = _parse_thresholds(cfg["thresholds"])
+    dims, grid, fit = _fit_input(cfg, "riskmap")
     t_fit = time.perf_counter()
-    logger.info("pipeline fitted in %.2fs (n=%d)", t_fit - t0, sample.n)
     maps = risk_maps(fit, grid, thresholds, cfg["replicates"], cfg["seed"], mode=cfg["mode"])
     logger.info("bootstrap of %d replicates in %.2fs", cfg["replicates"],
                 time.perf_counter() - t_fit)
@@ -351,16 +328,9 @@ def cmd_riskmap(cfg: dict) -> int:
 
 
 def cmd_fit(cfg: dict) -> int:
-    if not cfg.get("input"):
-        raise ConfigError("fit needs --input (or an input entry in --config)")
+    """trend, variogram and kriging diagnostics"""
     out = Path(cfg["out"])
-    dims = _parse_grid(cfg["grid"])
-    t0 = time.perf_counter()
-    sample = ingest_csv(cfg["input"], cfg["transform"])
-    grid = _data_grid(sample, dims)
-    fit = fit_pipeline(sample)
-    logger.info("pipeline fitted in %.2fs (n=%d)", time.perf_counter() - t0, sample.n)
-
+    dims, grid, fit = _fit_input(cfg, "fit")
     nodes = grid.nodes()
     trend, prediction = prediction_map(
         fit.trend_fit, nodes, fit.corrected_model, fit.corrected_factor
@@ -397,7 +367,7 @@ def cmd_fit(cfg: dict) -> int:
 def _build_scenarios(cfg: dict) -> list:
     overrides = {}
     if cfg["n"] is not None:
-        side = math.isqrt(cfg["n"])
+        side = math.isqrt(max(cfg["n"], 0))
         if side * side != cfg["n"]:
             raise ConfigError("--n must be a perfect square (sites form an nx x ny layout)")
         overrides.update(nx=side, ny=side)
@@ -418,22 +388,19 @@ def _build_scenarios(cfg: dict) -> list:
     frac = cfg["nugget_frac"]
     if not 0.0 <= frac < 1.0:
         raise ConfigError("--nugget-frac must be in [0, 1)")
-    from .simulation import _scale_params
-
-    params = _scale_params(scale)
-    params.update(
+    return [table1_scenario(
+        scale,
         name=f"custom-{scale}",
         design=cfg["design"],
         nugget=frac * sill,
         partial_sill=(1.0 - frac) * sill,
         practical_range=cfg["range"],
-        scale=scale,
-    )
-    params.update(overrides)
-    return [Scenario(**params)]
+        **overrides,
+    )]
 
 
 def cmd_simulate(cfg: dict) -> int:
+    """Monte Carlo scenario study"""
     out = Path(cfg["out"])
     scenarios = _build_scenarios(cfg)
     rows = []
@@ -483,6 +450,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_synth(cfg: dict) -> int:
+    """write a synthetic input data set"""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / "synthetic.csv"
@@ -503,10 +471,9 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args, parser)
+        cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
     except ConfigError as err:
         logger.error("configuration error: %s", err)

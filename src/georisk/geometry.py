@@ -248,12 +248,18 @@ def pairwise_distances(sample) -> np.ndarray:
     return _pairwise(locs)
 
 
-def cross_distances(points_a, points_b) -> np.ndarray:
-    """(m, n) matrix of distances between two point sets of one dimension."""
-    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
+def _same_dimension(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise DataError unless the (m, d) and (n, d) point arrays ``a`` and
+    ``b`` share their dimension d."""
     if a.shape[1] != b.shape[1]:
         raise DataError(
             f"point sets differ in dimension: {a.shape[1]}-D against {b.shape[1]}-D"
         )
+
+
+def cross_distances(points_a, points_b) -> np.ndarray:
+    """(m, n) matrix of distances between two point sets of one dimension."""
+    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
+    _same_dimension(a, b)
     return _distances(a, b)

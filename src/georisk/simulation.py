@@ -157,7 +157,9 @@ def _scale_params(scale: str):
 
 
 def table1_scenario(scale: str = "desk", **overrides) -> Scenario:
-    """Benchmark scenario: threshold 2.5, sill 0.16, range 0.5, nugget 25%."""
+    """Benchmark scenario: threshold 2.5, sill 0.16, range 0.5, nugget 25%.
+    ``overrides`` replace any field; the CLI's custom scenario replaces the
+    name, design and model."""
     params = _scale_params(scale)
     params.update(
         name=f"table1-{scale}",

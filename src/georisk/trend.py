@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BandwidthTooSmallError, ConfigError
-from .geometry import BandwidthMatrix, SpatialSample
+from .geometry import BandwidthMatrix, SpatialSample, _same_dimension
 from .numerics import _triweight_1d
 
 _LOCAL_RIDGE = 1e-10
@@ -465,6 +465,7 @@ def _local_fit(
         sums, a, shift, mean = (x[0] for x in _site_designs(weights[None], z[None]))
     else:
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        _same_dimension(points, locs)
         weights = _kernel_weights(points, locs, bandwidth)
         p = (points - centre) / bandwidth.diagonal_scales()
         m = len(p)

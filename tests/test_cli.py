@@ -1,10 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from georisk import cli
 from georisk.bootstrap import fit_pipeline, risk_maps
 from georisk.cli import main
+from georisk.exceptions import ConfigError
 from georisk.geometry import make_regular_grid
 from georisk.io import ingest_csv, write_synth_csv
 
@@ -314,3 +317,70 @@ def test_config_file_bad_numbers_exit_2(tmp_path, synth_csv):
         "--out", str(tmp_path / "tr"),
     ]) == 2
     assert not (tmp_path / "tr").exists()
+
+
+# (flag text, config-file value) of every setting, each unlike its default;
+# the svg switch takes no text
+_SETTING_VALUES = {
+    "input": ("data.csv", "data.csv"),
+    "transform": ("sqrt", "sqrt"),
+    "seed": ("5", 5),
+    "out": ("elsewhere", "elsewhere"),
+    "threads": ("2", "2"),
+    "grid": ("8x9", "8x9"),
+    "svg": (None, True),
+    "thresholds": ("1.5,2", "1.5,2"),
+    "replicates": ("30", 30),
+    "mode": ("residual", "residual"),
+    "scenario": ("custom", "custom"),
+    "scale": ("full", "full"),
+    "n": ("16", 16),
+    "N": ("3", "3"),
+    "B": ("7", 7),
+    "range": ("0.3", 0.3),
+    "sill": ("0.2", "0.2"),
+    "nugget_frac": ("0.1", 0.1),
+    "design": ("uniform", "uniform"),
+}
+
+
+def _rejected_values(setting):
+    """Config-file values that no flag of ``setting``'s kind can give."""
+    if setting.type is bool:
+        return ["no", "false", 1, None]
+    if setting.type is str:
+        bad = [5, None] + ([] if setting.listable else [["a"]])
+    else:
+        bad = [True, None, "x"] + ([7.9, "7.9"] if setting.type is int else [])
+    return bad + (["foo"] if setting.choices else [])
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c, settings in cli._SETTINGS.items() for k in settings]
+)
+def test_config_value_reads_as_its_flag(tmp_path, monkeypatch, command, key):
+    # each of the 32 settings resolves the same from its flag and from a
+    # config file, and every value its flag cannot give is a configuration
+    # error (exit 2) before any output exists; about 0.5 s in all
+    monkeypatch.chdir(tmp_path)
+    setting = cli._SETTINGS[command][key]
+    text, value = _SETTING_VALUES[key]
+    parser = cli.build_parser()
+    flag = ["--" + key.replace("_", "-")] + ([text] if text is not None else [])
+    from_flag = cli._resolve(parser.parse_args([command, *flag]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_file = cli._resolve(parser.parse_args([command, "--config", str(cfg)]))
+    assert from_file == from_flag
+    assert type(from_file[key]) is type(from_flag[key])
+    assert from_flag[key] != setting.default
+
+    # a missing input file would exit 3, so a bad value let through shows
+    extra = ["--input", "missing.csv"] if "input" in cli._SETTINGS[command] else []
+    for bad in _rejected_values(setting):
+        cfg.write_text(json.dumps({command: {key: bad}}))
+        with pytest.raises(ConfigError, match=key):
+            cli._resolve(parser.parse_args([command, "--config", str(cfg)]))
+        argv = [command, "--config", str(cfg)] + (extra if key != "input" else [])
+        assert main(argv + (["--out", "out"] if key != "out" else [])) == 2, bad
+        assert os.listdir(tmp_path) == ["cfg.json"], bad

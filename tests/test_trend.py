@@ -18,7 +18,7 @@ from _oracles import (
 )
 from georisk import trend
 from georisk.bootstrap import fit_pipeline
-from georisk.exceptions import BandwidthTooSmallError, ConfigError
+from georisk.exceptions import BandwidthTooSmallError, ConfigError, DataError
 from georisk.geometry import (
     BandwidthMatrix,
     SpatialSample,
@@ -261,6 +261,14 @@ def test_predict_failure_lists_nodes():
     rows, bad = trend.prediction_weights(fit, far)
     assert bad == [0]
     assert not rows[0].any()
+
+
+def test_prediction_weights_reject_points_of_another_dimension():
+    # read on the first axis alone, the 1-D point [0.5] would get a row
+    # that sums to 1
+    fit = fit_trend(unit_grid_sample(5, 5), H_MED)
+    with pytest.raises(DataError, match="1-D against 2-D"):
+        trend.prediction_weights(fit, [[0.5]])
 
 
 # ---------------------------------------------------------------------------
