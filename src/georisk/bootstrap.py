@@ -17,9 +17,10 @@ are ``offset + gain @ e*`` with
 
 where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. The map targets come in
-blocks of map nodes, each with its kept nodes' smoother rows, the band of
-columns those rows reach, its mask of nodes whose local design is singular
-and its kept nodes' distances to the sites.
+blocks of map nodes, each with its kept nodes' smoother rows over the band
+of columns those rows reach, the band, its mask of nodes whose local
+design is singular and its kept nodes' coordinates. A block's distances to
+the sites are formed just before its C0 and dropped with it.
 
 ``block_engines`` is the one place an operator is formed, one target block
 at a time. Per covariance it solves Sigma^-1 (L - S L) and L^-1 f once for
@@ -70,7 +71,13 @@ from .geometry import (
     pairwise_distances,
 )
 from .kriging import krige_block
-from .numerics import CholeskyFactor, cholesky, solve_lower, solve_spd
+from .numerics import (
+    CholeskyFactor,
+    _solve_spd_in_place,
+    cholesky,
+    solve_lower,
+    solve_spd,
+)
 from .trend import (
     TrendFit,
     default_bandwidth_grid,
@@ -320,26 +327,30 @@ def decorrelate_residuals(residuals, factor: CholeskyFactor) -> np.ndarray:
 
 
 _NODE_BLOCK = 256  # map nodes per target block of the operator build
-# A block's smoother rows are multiplied over their band of columns only
-# where it spans at most this share of the sites. On a regular design in
-# first-axis order (the 20 x 20 table1 grid) a band spans 100-199 of 400
-# columns; with the sites of a data set in input order (the n = 1053 risk
-# map) it spans 1040-1052 of 1053, where cutting it would save little and
-# would move the bits of each product.
+# A block keeps its smoother rows over their band of columns only where it
+# spans at most this share of the sites. On a regular design in first-axis
+# order (the 20 x 20 table1 grid) a band spans 100-199 of 400 columns; with
+# the sites of a data set in input order (the n = 1053 risk map) it spans
+# 1040-1052 of 1053, where cutting it would save little and would move the
+# bits of each product.
 _BAND_SHARE = 0.75
 
 
 class TargetBlock(NamedTuple):
     """One block of at most ``_NODE_BLOCK`` map nodes: the smoother rows of
-    its kept nodes, its mask of the nodes whose local design is singular,
-    its kept nodes' distances to the sample sites, and ``band``, the
-    columns over which the rows are multiplied: from their first to their
-    last nonzero where that spans at most ``_BAND_SHARE`` of the sites, and
-    every column otherwise (the default)."""
+    its kept nodes over ``band``, its mask of the nodes whose local design
+    is singular, and its kept nodes' coordinates, from which a caller forms
+    their distances to the sample sites just before their covariances.
+
+    ``band`` is the columns the rows reach: from their first to their last
+    nonzero where that spans at most ``_BAND_SHARE`` of the sites, and
+    every column otherwise (the default, with the full rows kept). The
+    rows are zero outside it.
+    """
 
     rows: np.ndarray
     mask: np.ndarray
-    dists: np.ndarray
+    nodes: np.ndarray
     band: slice = slice(None)
 
 
@@ -366,14 +377,14 @@ def _target_block(trend_fit: TrendFit, nodes: np.ndarray) -> TargetBlock:
     rows, bad = prediction_weights(trend_fit, nodes)
     mask = np.zeros(len(nodes), dtype=bool)
     mask[bad] = True
-    rows = rows[~mask]  # the full rows die here, before the distances exist
+    rows = rows[~mask]
     reached = np.flatnonzero(rows.any(axis=0))
     band = slice(int(reached[0]), int(reached[-1]) + 1) if reached.size else slice(0, 0)
     if band.stop - band.start > _BAND_SHARE * rows.shape[1]:
         band = slice(None)
-    return TargetBlock(
-        rows, mask, cross_distances(nodes[~mask], trend_fit.sample.locations), band
-    )
+    else:
+        rows = np.ascontiguousarray(rows[:, band])  # the full rows die here
+    return TargetBlock(rows, mask, nodes[~mask], band)
 
 
 def _target_blocks(trend_fit: TrendFit, nodes: np.ndarray) -> Iterator[TargetBlock]:
@@ -425,23 +436,27 @@ class BootstrapEngine:
         return values.T
 
 
-def _gain_blocks(smoother, targets: MapTargets, model, factor: CholeskyFactor):
+def _gain_blocks(trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor):
     """Each target block's gain rows W L = T L + C0 Sigma^-1 (L - S L),
     with the block's mask, formed when the block is reached.
 
     ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
-    kriges, ``smoother`` the hat matrix S. The one solve runs for the whole
-    map; a block's rows come from its rows of T (over their band) and its
-    C0, and the block is dropped before the next one is formed.
+    kriges; ``trend_fit`` gives the hat matrix S and the sites. The one
+    solve runs for the whole map, in place on S L; a block's rows come from
+    its rows of T (over their band) and its C0, at the distances from its
+    nodes to the sites, formed here, and the block is dropped before the
+    next one is formed.
     """
     L = factor.L
-    solved = solve_spd(factor, L - smoother.S @ L)
+    sites = trend_fit.sample.locations
+    solved = trend_fit.smoother.S @ L
+    np.subtract(L, solved, out=solved)
+    _solve_spd_in_place(factor, solved)
     for block in targets.blocks:
-        gain = block.rows[:, block.band] @ L[block.band]
-        mask, dists = block.mask, block.dists
+        gain = block.rows @ L[block.band]
+        mask, nodes = block.mask, block.nodes
         del block  # its smoother rows die here, before C0 exists
-        gain += covariance_matrix(model, dists) @ solved
-        del dists
+        gain += covariance_matrix(model, cross_distances(nodes, sites)) @ solved
         yield gain, mask
         del gain  # free this block's rows before the next one is formed
 
@@ -456,9 +471,11 @@ def _held_gain_blocks(gain: np.ndarray, targets: MapTargets):
         kept = rows.stop
 
 
-def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> np.ndarray:
+def mode_gain(
+    trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor
+) -> np.ndarray:
     """The gain W L (kept nodes x sites) of the covariance ``model`` with
-    its ``factor`` at the held map ``targets``, read-only.
+    its ``factor`` at the held map ``targets`` of ``trend_fit``, read-only.
 
     The gain depends on the sites, the smoother, the targets and the
     covariance, not on the data, so one gain serves every replicate drawn
@@ -466,7 +483,7 @@ def mode_gain(smoother, targets: MapTargets, model, factor: CholeskyFactor) -> n
     """
     gain = np.empty((np.count_nonzero(~targets.mask), factor.n))
     kept = 0
-    for rows, _ in _gain_blocks(smoother, targets, model, factor):
+    for rows, _ in _gain_blocks(trend_fit, targets, model, factor):
         gain[kept:kept + len(rows)] = rows
         kept += len(rows)
     gain.flags.writeable = False
@@ -497,7 +514,7 @@ def block_engines(
     if held:
         gains = _held_gain_blocks(held[0], targets)
     else:
-        gains = _gain_blocks(trend_fit.smoother, targets, model, factor)
+        gains = _gain_blocks(trend_fit, targets, model, factor)
     for gain, mask in gains:
         yield BootstrapEngine(offset=gain @ white_fit, gain=gain, mask=mask)
         del gain  # free this block's rows before the next one is formed
@@ -661,18 +678,20 @@ def prediction_map(
     The prediction is the trend plus simple kriging of the trend residuals
     under ``model`` with its ``factor``. Sigma^-1 r is solved once; each
     target block is formed when the loop reaches it and kriged from its
-    own distances (``krige_block``), so no array of all nodes' smoother
-    rows, covariances or distances exists.
+    own distances, formed there (``krige_block``), so no array of all
+    nodes' smoother rows, covariances or distances exists.
     """
     residuals = trend_fit.residuals
+    sites = trend_fit.sample.locations
     alpha = solve_spd(factor, residuals)
     trend = np.full(len(nodes), np.nan)
     prediction = np.full(len(nodes), np.nan)
     lo = 0
     for block in _target_blocks(trend_fit, nodes):
         kept = lo + np.flatnonzero(~block.mask)
-        trend[kept] = block.rows[:, block.band] @ trend_fit.sample.values[block.band]
-        prediction[kept] = trend[kept] + krige_block(model, residuals, alpha, block.dists)
+        trend[kept] = block.rows @ trend_fit.sample.values[block.band]
+        dists = cross_distances(block.nodes, sites)
+        prediction[kept] = trend[kept] + krige_block(model, residuals, alpha, dists)
         lo += len(block.mask)
-        del block  # free this block before the next one is formed
+        del block, dists  # free this block before the next one is formed
     return trend, prediction

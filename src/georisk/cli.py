@@ -71,7 +71,8 @@ class _Setting:
 
     ``type`` is int, float or str, or bool for a switch that only turns the
     setting on. ``listable`` lets a config file give a str setting as a
-    JSON list.
+    JSON list. ``minimum`` is the least value an int setting takes, from
+    its flag or its config-file entry alike.
     """
 
     type: type
@@ -79,6 +80,7 @@ class _Setting:
     help: str
     choices: tuple | None = None
     listable: bool = False
+    minimum: int | None = None
 
     def read(self, key: str, value):
         """A config-file value as its flag reads it: true or false for a
@@ -101,13 +103,21 @@ class _Setting:
             )
         return value
 
+    def check(self, key: str, value):
+        """``value``, or a ConfigError naming ``key`` when it is below the
+        setting's minimum."""
+        if self.minimum is not None and value is not None and value < self.minimum:
+            raise ConfigError(f"{key} must be at least {self.minimum}, got {value!r}")
+        return value
 
-_SEED = _Setting(int, 0, "RNG seed (nonnegative integer)")
+
+_SEED = _Setting(int, 0, "RNG seed (nonnegative integer)", minimum=0)
 _OUT = _Setting(str, "georisk-out", "output directory")
 _THREADS = _Setting(
     int, 1,
     "worker threads for simulation replicates (results unchanged); "
     "riskmap and fit accept it, the bootstrap is parallel through BLAS",
+    minimum=1,
 )
 # the settings of the commands that fit an input data set
 _DATA = {
@@ -127,7 +137,7 @@ _SETTINGS = {
         **_DATA,
         "thresholds": _Setting(str, "1.0,2.0", "comma-separated threshold values",
                                listable=True),
-        "replicates": _Setting(int, 1000, "bootstrap replicates B"),
+        "replicates": _Setting(int, 1000, "bootstrap replicates B", minimum=1),
         "mode": _Setting(str, "corrected", "covariance mode", ("corrected", "residual")),
     },
     "fit": _DATA,
@@ -197,18 +207,18 @@ def _read_config(path, command: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Each setting of the command from its flag, else from the config
-    file (read as the flag reads it), else its default."""
+    file (read as the flag reads it), else its default, checked against
+    the setting's minimum before any input is read."""
     entries = _read_config(args.config, args.command)
     resolved = {}
     for key, setting in _SETTINGS[args.command].items():
         if getattr(args, key) is not None:
-            resolved[key] = getattr(args, key)
+            value = getattr(args, key)
         elif key in entries:
-            resolved[key] = setting.read(key, entries[key])
+            value = setting.read(key, entries[key])
         else:
-            resolved[key] = setting.default
-    if resolved["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
+            value = setting.default
+        resolved[key] = setting.check(key, value)
     return resolved
 
 

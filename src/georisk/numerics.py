@@ -295,11 +295,15 @@ def solve_lower(factor, b) -> np.ndarray:
     of its diagonal block (``CholeskyFactor.block_inverses``).
     """
     factor, x, blocks = _blocked(factor, b)
+    _forward_substitute(factor, x, blocks)
+    return x.reshape(np.shape(b))
+
+
+def _forward_substitute(factor, x, blocks):
     L = factor.L
     for blk, inverse in zip(blocks, factor.block_inverses):
         x[blk] -= L[blk, : blk.start] @ x[: blk.start]
         x[blk] = inverse @ x[blk]
-    return x.reshape(np.shape(b))
 
 
 def _back_substitute(factor, x, blocks):
@@ -324,6 +328,15 @@ def solve_spd(factor: CholeskyFactor, b) -> np.ndarray:
     y = solve_lower(factor, b)
     _back_substitute(*_blocked(factor, y, copy=False))
     return y
+
+
+def _solve_spd_in_place(factor: CholeskyFactor, b: np.ndarray) -> None:
+    """``solve_spd`` that overwrites ``b``, a C-contiguous float array of
+    right-hand sides, with the solution, by the same two blocked triangular
+    solves, so a caller that owns an n x n right-hand side holds no copy."""
+    factor, x, blocks = _blocked(factor, b, copy=False)
+    _forward_substitute(factor, x, blocks)
+    _back_substitute(factor, x, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,10 @@ class _DesignContext:
                 template, "mase", true_mean=design.m_true, covariance=design.sigma_true
             )
             smoother = smoother_matrix(template, bandwidth)
-            targets = map_targets(
-                apply_smoother(smoother, template), scenario.prediction_grid().nodes()
-            )
+            oracle_fit = apply_smoother(smoother, template)
+            targets = map_targets(oracle_fit, scenario.prediction_grid().nodes())
         gain = (
-            mode_gain(smoother, targets, scenario.model, design.factor_true)
+            mode_gain(oracle_fit, targets, scenario.model, design.factor_true)
             if scenario.design == "regular" else None
         )
         return dataclasses.replace(design, smoother=smoother, targets=targets, gain=gain)
@@ -342,6 +341,8 @@ def run_scenario(scenario: Scenario, modes=MODES, threads: int = 1) -> ScenarioR
     nodes. Replicates whose pipeline fails are dropped and counted with the
     stage that failed; a run with more than 5% failures is flagged invalid.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads!r}")
     modes = tuple(modes)
     for mode in modes:
         _check_mode(mode)
@@ -378,7 +379,7 @@ def run_scenario(scenario: Scenario, modes=MODES, threads: int = 1) -> ScenarioR
                 index=r, failed=True, error=str(err), stage=getattr(err, "stage", None) or ""
             )
 
-    if threads <= 1:
+    if threads == 1:
         for r in range(scenario.n_replicates):
             guarded(r)
     else:

@@ -330,19 +330,26 @@ def whole_map_engine(trend_fit, targets, covariance):
     )
 
 
-def kept_rows_and_dists(targets):
-    """The kept nodes' smoother rows and distances of held map targets, each
-    as one array over all blocks."""
-    return (
-        np.concatenate([block.rows for block in targets.blocks]),
-        np.concatenate([block.dists for block in targets.blocks]),
-    )
+def kept_rows_and_dists(targets, sites):
+    """The kept nodes' full smoother rows (zero outside each block's band)
+    and their distances to ``sites`` of held map targets, each as one array
+    over all blocks."""
+    from georisk.geometry import cross_distances
+
+    rows = []
+    for block in targets.blocks:
+        full = np.zeros((len(block.rows), len(sites)))
+        full[:, block.band] = block.rows
+        rows.append(full)
+    nodes = np.concatenate([block.nodes for block in targets.blocks])
+    return np.concatenate(rows), cross_distances(nodes, sites)
 
 
-def blocked_targets(rows, mask, dists):
+def blocked_targets(rows, mask, nodes):
     """Held map targets of the nodes marked by ``mask``, from the kept
-    nodes' ``rows`` and ``dists`` formed all at once, cut into blocks of
-    ``_NODE_BLOCK`` nodes as ``map_targets`` cuts them."""
+    nodes' full ``rows`` formed all at once and their coordinates
+    ``nodes``, cut into blocks of ``_NODE_BLOCK`` nodes as ``map_targets``
+    cuts them."""
     from georisk.bootstrap import _NODE_BLOCK, MapTargets, TargetBlock
 
     blocks = []
@@ -350,7 +357,7 @@ def blocked_targets(rows, mask, dists):
     for lo in range(0, len(mask), _NODE_BLOCK):
         block_mask = mask[lo:lo + _NODE_BLOCK]
         rows_of = slice(kept, kept + np.count_nonzero(~block_mask))
-        blocks.append(TargetBlock(rows[rows_of], block_mask, dists[rows_of]))
+        blocks.append(TargetBlock(rows[rows_of], block_mask, nodes[rows_of]))
         kept = rows_of.stop
     return MapTargets(len(mask), tuple(blocks))
 
@@ -364,7 +371,7 @@ def exceedance_probabilities_oneshot(
     from georisk.bootstrap import decorrelate_residuals
     from georisk.variogram import covariance_matrix
 
-    rows, dists = kept_rows_and_dists(targets)
+    rows, dists = kept_rows_and_dists(targets, trend_fit.sample.locations)
     c0 = covariance_matrix(model, dists)
     engine = bootstrap_engine_oneshot(trend_fit, rows, c0, factor)
     e = decorrelate_residuals(trend_fit.residuals, decorr_factor)

@@ -271,7 +271,7 @@ def full_design():
 def test_operator_matches_stepwise_replicates_full_scale(full_design, mode):
     sc, ctx, trend_fit, resid_factor, covariances = full_design
     model, factor = covariances[mode]
-    rows, dists = kept_rows_and_dists(ctx.targets)
+    rows, dists = kept_rows_and_dists(ctx.targets, trend_fit.sample.locations)
     c0 = model.sill - model.semivariance(dists)
     e = decorrelate_residuals(trend_fit.residuals, resid_factor)
     engine = whole_map_engine(trend_fit, ctx.targets, (model, factor))
@@ -338,6 +338,91 @@ def test_blocked_probabilities_equal_oneshot_full_scale(full_design, mode):
         assert np.array_equal(probs, exceedance_probabilities_oneshot(*args))
 
 
+def _full_rows(trend_fit, nodes):
+    """The kept nodes' full smoother rows at ``nodes`` and those nodes."""
+    rows, bad = prediction_weights(trend_fit, nodes)
+    keep = np.ones(len(nodes), dtype=bool)
+    keep[bad] = False
+    return rows[keep], nodes[keep]
+
+
+def test_held_blocks_keep_banded_rows_full_scale(full_design):
+    # every held block of the table1 full design keeps its kept nodes' full
+    # prediction_weights rows on its band, as one contiguous array, and
+    # their coordinates; the full rows are zero outside the band, and each
+    # band spans at most _BAND_SHARE of the sites, so the banded path runs.
+    # Under 0.1 s after the shared fixture.
+    sc, ctx, trend_fit, _, _ = full_design
+    nodes = sc.prediction_grid().nodes()
+    n = trend_fit.sample.n
+    blocks = ctx.targets.blocks
+    assert len(blocks) == -(-len(nodes) // _NODE_BLOCK)
+    for lo, block in zip(range(0, len(nodes), _NODE_BLOCK), blocks):
+        full, kept_nodes = _full_rows(trend_fit, nodes[lo:lo + _NODE_BLOCK])
+        band = block.band
+        assert band != slice(None) and band.stop - band.start <= bootstrap._BAND_SHARE * n
+        assert block.rows.flags.c_contiguous
+        assert np.array_equal(block.rows, full[:, band])
+        assert not full[:, :band.start].any() and not full[:, band.stop:].any()
+        assert np.array_equal(block.nodes, kept_nodes)
+
+
+def test_held_and_replicate_gains_equal_dense_formula_full_scale(full_design):
+    # the design's held theoretical gain and one replicate's residual- and
+    # corrected-mode gains equal, per target block, T L + C0 Sigma^-1 (L - S L)
+    # formed from the full prediction_weights rows, the distances from
+    # cross_distances and solve_spd: array-equal with T taken over the
+    # block's band, as the operator multiplies it. Over every column the
+    # product adds the exact zeros outside the band in another order, so
+    # it may differ in the last bits: T L within 2 n u (|T| @ |L|), plus
+    # 2 u |gain| for the rounding of the sum with the C0 term (u = 2^-53).
+    # The bound written before the first run lacked that second term, and
+    # that run failed on it. About 0.5 s after the shared fixture.
+    sc, ctx, trend_fit, _, covariances = full_design
+    nodes = sc.prediction_grid().nodes()
+    sites = trend_fit.sample.locations
+    S = trend_fit.smoother.S
+    n = trend_fit.sample.n
+    u = np.finfo(float).eps / 2
+    gains = {
+        "theoretical": ctx.gain,
+        "residual": whole_map_engine(trend_fit, ctx.targets, covariances["residual"]).gain,
+        "corrected": whole_map_engine(trend_fit, ctx.targets, covariances["corrected"]).gain,
+    }
+    for mode, gain in gains.items():
+        model, factor = covariances[mode]
+        L = factor.L
+        solved = solve_spd(factor, L - S @ L)
+        banded, dense, scale = [], [], []
+        for lo, block in zip(range(0, len(nodes), _NODE_BLOCK), ctx.targets.blocks):
+            full, kept_nodes = _full_rows(trend_fit, nodes[lo:lo + _NODE_BLOCK])
+            c0_term = covariance_matrix(model, cross_distances(kept_nodes, sites)) @ solved
+            banded.append(full[:, block.band] @ L[block.band] + c0_term)
+            dense.append(full @ L + c0_term)
+            scale.append(np.abs(full) @ np.abs(L))
+        assert np.array_equal(gain, np.concatenate(banded)), mode
+        bound = 2 * n * u * np.concatenate(scale) + 2 * u * np.abs(gain)
+        assert np.all(np.abs(gain - np.concatenate(dense)) <= bound), mode
+
+
+def test_held_targets_bytes_full_scale(full_design):
+    # the held targets of the table1 full design (m = 2,500 nodes, n = 400
+    # sites): every block's banded rows, mask and node coordinates. Bound,
+    # set before running: each band spans at most n / 2 = 200 columns, so
+    # 8 m n / 2 bytes of rows plus 17 m bytes of coordinates and mask,
+    # 4,042,500 bytes; the rows over every column and the distances took
+    # 16 m n = 16,000,000 bytes. Under 0.1 s after the shared fixture.
+    sc, ctx, trend_fit, _, _ = full_design
+    m, n = ctx.targets.n_nodes, trend_fit.sample.n
+    held = sum(
+        array.nbytes
+        for block in ctx.targets.blocks
+        for array in (block.rows, block.mask, block.nodes)
+    )
+    bound = 8 * m * n // 2 + 17 * m
+    assert bound == 4_042_500 and held <= bound
+
+
 def test_node_blocks_equal_oneshot_full_scale_held_gain(full_design):
     # every mode from one call, so from one gather of the resampled
     # residuals, the theoretical one reading the design's held gain per
@@ -382,7 +467,7 @@ def _check_mean_identity(trend_fit, targets, covariance, resid_factor, idx):
     assert np.all(
         np.abs(values.mean(axis=0) - want) <= 2 * (n + 1 + math.ceil(math.log2(b))) * u * scale
     )
-    rows, dists = kept_rows_and_dists(targets)
+    rows, dists = kept_rows_and_dists(targets, trend_fit.sample.locations)
     c0 = covariance_matrix(model, dists)
     oracle = bootstrap_engine_oneshot(trend_fit, rows, c0, factor).offset
     f = trend_fit.fitted
@@ -412,7 +497,10 @@ def test_bootstrap_mean_identity_full_scale(full_design, mode):
     if mode == "theoretical":
         masks_only = MapTargets(
             ctx.targets.n_nodes,
-            tuple(TargetBlock(None, block.mask, None) for block in ctx.targets.blocks),
+            tuple(
+                TargetBlock(rows=None, mask=block.mask, nodes=None)
+                for block in ctx.targets.blocks
+            ),
         )
         held = whole_map_engine(trend_fit, masks_only, covariance)
         assert np.array_equal(held.offset, engine.offset)
@@ -765,8 +853,7 @@ def test_risk_maps_on_hostile_grids(sparse_fit, name):
     for m in maps:
         assert m.n_masked == n_masked
         assert np.array_equal(np.isnan(m.probabilities), mask)
-    dists = cross_distances(nodes[~mask], trend_fit.sample.locations)
-    targets = blocked_targets(rows[~mask], mask, dists)
+    targets = blocked_targets(rows[~mask], mask, nodes[~mask])
     oneshot = exceedance_probabilities_oneshot(
         trend_fit, targets, sparse_fit.residual_factor,
         *mode_covariance("corrected", sparse_fit.estimates),
@@ -850,7 +937,7 @@ def test_mode_theoretical_runs_with_truth(fitted):
     targets = map_targets(fitted.trend_fit, SMALL_GRID.nodes())
     theoretical = (
         true_model, true_factor,
-        mode_gain(fitted.trend_fit.smoother, targets, true_model, true_factor),
+        mode_gain(fitted.trend_fit, targets, true_model, true_factor),
     )
     assert mode_covariance("theoretical", fitted.estimates, theoretical) is theoretical
     idx = resample_indices(fitted.sample.n, 40, 8)

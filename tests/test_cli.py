@@ -352,7 +352,11 @@ def _rejected_values(setting):
         bad = [5, None] + ([] if setting.listable else [["a"]])
     else:
         bad = [True, None, "x"] + ([7.9, "7.9"] if setting.type is int else [])
-    return bad + (["foo"] if setting.choices else [])
+    return (
+        bad
+        + (["foo"] if setting.choices else [])
+        + ([setting.minimum - 1] if setting.minimum is not None else [])
+    )
 
 
 @pytest.mark.parametrize(
@@ -384,3 +388,34 @@ def test_config_value_reads_as_its_flag(tmp_path, monkeypatch, command, key):
         argv = [command, "--config", str(cfg)] + (extra if key != "input" else [])
         assert main(argv + (["--out", "out"] if key != "out" else [])) == 2, bad
         assert os.listdir(tmp_path) == ["cfg.json"], bad
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [([command, "--threads", value], "threads")
+     for command, settings in cli._SETTINGS.items() if "threads" in settings
+     for value in ("0", "-3")]
+    + [(["riskmap", "--replicates", "0"], "replicates")],
+)
+def test_counts_below_one_exit_2_before_input_is_read(
+    tmp_path, monkeypatch, caplog, argv, key
+):
+    # a count below 1 from a flag is a configuration error naming the
+    # setting, raised before the input is read (a missing input would
+    # exit 3) or anything is fitted, simulated or written; under 0.1 s each
+    monkeypatch.chdir(tmp_path)
+    for name in ("ingest_csv", "fit_pipeline", "run_scenario"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran past the check"))
+    extra = ["--input", "missing.csv"] if "input" in cli._SETTINGS[argv[0]] else []
+    assert main([*argv, *extra, "--out", "out"]) == 2
+    assert f"{key} must be at least 1" in caplog.text
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_scenario_rejects_threads_below_one():
+    from georisk.simulation import run_scenario, table1_scenario
+
+    sc = table1_scenario("desk", n_replicates=1, n_boot=2)
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads"):
+            run_scenario(sc, threads=threads)

@@ -20,7 +20,7 @@ from georisk.bootstrap import (
     risk_maps,
 )
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
-from georisk.geometry import cross_distances, make_regular_grid, pairwise_distances
+from georisk.geometry import make_regular_grid, pairwise_distances
 from georisk.numerics import cholesky
 from georisk.trend import prediction_weights
 from georisk.variogram import covariance_matrix
@@ -290,7 +290,6 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     rows, bad = prediction_weights(fit.trend_fit, nodes)
     keep = np.ones(len(nodes), dtype=bool)
     keep[bad] = False
-    dists = cross_distances(nodes[keep], sample.locations)
     true_factor = cholesky(covariance_matrix(sc.model, pairwise_distances(sample.locations)))
     covariances = {
         "theoretical": (sc.model, true_factor),
@@ -302,7 +301,7 @@ def test_pipeline_replicate_scores_each_mode_with_its_own_covariance():
     estimates = (covariances["residual"], covariances["corrected"])
     for mode in covariances:
         probs = mode_probabilities(
-            fit.trend_fit, blocked_targets(rows[keep], ~keep, dists), idx, sc.thresholds,
+            fit.trend_fit, blocked_targets(rows[keep], ~keep, nodes[keep]), idx, sc.thresholds,
             (mode,), estimates, covariances["theoretical"],
         )[mode]
         for c, p in zip(sc.thresholds, probs):
