@@ -159,7 +159,7 @@ _SETTINGS = {
     "synth-data": {
         "seed": _SEED,
         "out": _OUT,
-        "n": _Setting(int, 1053, "number of sites"),
+        "n": _Setting(int, 1053, "number of sites", minimum=10),
     },
 }
 
@@ -461,9 +461,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_synth(cfg: dict) -> int:
     """write a synthetic input data set"""
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "synthetic.csv"
+    path = Path(cfg["out"]) / "synthetic.csv"
     write_synth_csv(path, n=cfg["n"], seed=cfg["seed"])
     logger.info("wrote %s (%d sites)", path, cfg["n"])
     return EXIT_OK

@@ -51,7 +51,6 @@ from .exceptions import BandwidthTooSmallError, ConfigError
 from .geometry import BandwidthMatrix, SpatialSample, _same_dimension
 from .numerics import _triweight_1d
 
-_LOCAL_RIDGE = 1e-10
 _MIN_NEIGHBORS_FACTOR = 3  # admissibility asks for 3 (d+1) kernel neighbors
 
 
@@ -94,33 +93,21 @@ def _singular_design_error(bad_idx, worst, min_neighbors) -> BandwidthTooSmallEr
 
 
 def _solve_e1(a):
-    """Solve A c = e1 for a stack of small SPD-ish systems.
+    """Solve A c = e1 for a stack of local designs in one batch.
 
-    Rows that are exactly singular, or whose solution is not finite, get a
-    scaled ridge (as in ``_solve_e1_single``); rows that stay singular come
-    back as NaN. Both passes solve their rows in one batch.
+    An exactly singular design (a zero pivot in its LU factor) makes the
+    batched solve raise; the stack is then solved with those designs
+    screened out (``_solve_nonsingular``), and they come back as NaN, as
+    does any row whose solution is not finite.
     """
     m, p, _ = a.shape
     e1 = np.zeros((m, p))
     e1[:, 0] = 1.0
     try:
         out = np.linalg.solve(a, e1[..., None])[..., 0]
-        ridged = np.zeros(m, dtype=bool)
     except np.linalg.LinAlgError:
         out = _solve_nonsingular(a, e1)
-        ridged = ~np.isfinite(out).all(axis=1)
-        if ridged.any():
-            sub = a[ridged]
-            ridge = _LOCAL_RIDGE * np.trace(sub, axis1=1, axis2=2)
-            sol = _solve_nonsingular(sub + ridge[:, None, None] * np.eye(p), e1[ridged])
-            sol[~np.isfinite(sol).all(axis=1)] = np.nan
-            out[ridged] = sol
-    # a batched solve may contain garbage for ill-conditioned rows on some
-    # BLAS builds; validate the unridged rows via the residual of e1
-    resid = np.abs(np.einsum("mij,mj->mi", a, out) - e1).max(axis=1)
-    shaky = np.flatnonzero(~ridged & (~np.isfinite(resid) | (resid > 1e-6)))
-    for i in shaky:
-        out[i] = _solve_e1_single(a[i])
+    out[~np.isfinite(out).all(axis=1)] = np.nan
     return out
 
 
@@ -133,21 +120,6 @@ def _solve_nonsingular(a, b):
     if regular.any():
         out[regular] = np.linalg.solve(a[regular], b[regular][..., None])[..., 0]
     return out
-
-
-def _solve_e1_single(a):
-    p = a.shape[0]
-    e1 = np.zeros(p)
-    e1[0] = 1.0
-    for attempt in range(2):
-        mat = a if attempt == 0 else a + _LOCAL_RIDGE * np.trace(a) * np.eye(p)
-        try:
-            sol = np.linalg.solve(mat, e1)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(sol)):
-            return sol
-    return np.full(p, np.nan)
 
 
 def smoother_matrix(sample: SpatialSample, bandwidth: BandwidthMatrix) -> SmootherMatrix:
@@ -415,10 +387,12 @@ def _local_coef(a, shift, mean):
 
     A window with no spread on an axis (a regular design with h below the
     spacing) has a weighted variance at rounding level there (observed
-    <= 2e-15 of the raw moment, genuine values >= 1e-5 of it). A point on
-    that line takes the ridged solve with that axis cleared, so c_k = 0; a
-    point off the line has no affine fit and is flagged ``offline``. Rows
-    whose design stays singular come back as NaN.
+    <= 2e-15 of the raw moment, genuine values >= 1e-5 of it). That axis's
+    row and column are cleared and its pivot set to 1, so c_k = 0 exactly
+    and the other coefficients solve the design of the remaining axes: a
+    point on that line keeps an exact affine fit along it, and a point off
+    the line has none and is flagged ``offline``. Any other exactly
+    singular design (collinear sites off the axes) comes back as NaN.
     """
     d = shift.shape[1]
     offline = np.zeros(len(a), dtype=bool)
@@ -429,6 +403,7 @@ def _local_coef(a, shift, mean):
         offline |= flat & (shift[:, k] ** 2 > bound)
         a[flat, k + 1, :] = 0.0
         a[flat, :, k + 1] = 0.0
+        a[flat, k + 1, k + 1] = 1.0
     return _solve_e1(a), offline
 
 
@@ -448,7 +423,7 @@ def _local_fit(
 
     A point is bad when it has fewer than ``min_neighbors`` positive
     weights, when its window has no spread on an axis but the point lies off
-    that line, or when its design stays singular. At the sites a bad site
+    that line, or when its design is exactly singular. At the sites a bad site
     raises BandwidthTooSmallError (the first row block with a starved site
     raises before any design is built); other points are masked: the bad
     points get zero rows and are listed in ``bad``.

@@ -437,8 +437,9 @@ def _weight_rows(
     differences u in full and solves every point's design of (1, u_j) from
     unit-sum weighted sums of them. Returns (rows, bad) where rows is
     (m, n) and bad lists evaluation-point indices with a singular or
-    starved local design. With on_singular "raise" any bad point aborts;
-    with "mask" the offending rows are zeroed and reported.
+    starved local design, or off the line of a window flat on one axis.
+    With on_singular "raise" any bad point aborts; with "mask" the
+    offending rows are zeroed and reported.
     """
     from georisk.trend import _singular_design_error
 
@@ -473,8 +474,6 @@ def _weight_rows(
 def _weight_rows_chunk(
     eval_points, locations, bandwidth, min_neighbors, rows_out, bad_out, counts_out
 ):
-    from georisk.trend import _solve_e1
-
     m, d = eval_points.shape
     w, u = _scaled_kernel(eval_points, locations, bandwidth)
     counts = (w > 0.0).sum(axis=1)
@@ -503,9 +502,28 @@ def _weight_rows_chunk(
         a[:, 1:, 0] = first
         a[:, 1:, 1:] = np.einsum("mn,mnj,mnk->mjk", wn, u, u)
 
+    # an axis on which every site of the window has one coordinate has no
+    # slope: its row and column are cleared and its pivot set to 1, so that
+    # coefficient is 0; a point off that line has no affine fit
+    window = w > 0.0
+    for k in range(d):
+        lo = np.where(window, u[..., k], np.inf).min(axis=1)
+        hi = np.where(window, u[..., k], -np.inf).max(axis=1)
+        flat = ~bad & (lo == hi)
+        bad |= flat & (lo != 0.0)
+        a[flat, k + 1, :] = 0.0
+        a[flat, :, k + 1] = 0.0
+        a[flat, k + 1, k + 1] = 1.0
+
     good_idx = np.flatnonzero(~bad)
     if good_idx.size:
-        coef = _solve_e1(a[good_idx])
+        e1 = np.zeros((good_idx.size, d + 1, 1))
+        e1[:, 0] = 1.0
+        try:
+            coef = np.linalg.solve(a[good_idx], e1)[..., 0]
+        except np.linalg.LinAlgError:
+            coef = solve_e1_rowwise(a[good_idx])
+        coef[~np.isfinite(coef).all(axis=1)] = np.nan
         singular = np.flatnonzero(np.isnan(coef[:, 0]))
         if singular.size:
             bad[good_idx[singular]] = True
@@ -601,23 +619,20 @@ def semivariance_dense(model, u):
     return float(out[0]) if scalar else out
 
 
-def solve_e1_rowwise(a, ridge=1e-10):
-    """A c = e1 for each p x p system of a stack, one system at a time: the
-    system as it is, else with ridge * trace(A) added to its diagonal, else
-    NaN (a solve that raises or returns non-finite values fails)."""
+def solve_e1_rowwise(a):
+    """A c = e1 for each p x p system of a stack, one system at a time, NaN
+    where the solve raises or returns non-finite values."""
     m, p, _ = a.shape
     e1 = np.zeros(p)
     e1[0] = 1.0
     out = np.full((m, p), np.nan)
     for i in range(m):
-        for mat in (a[i], a[i] + ridge * np.trace(a[i]) * np.eye(p)):
-            try:
-                sol = np.linalg.solve(mat, e1)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(sol)):
-                out[i] = sol
-                break
+        try:
+            sol = np.linalg.solve(a[i], e1)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(sol)):
+            out[i] = sol
     return out
 
 

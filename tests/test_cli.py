@@ -395,20 +395,23 @@ def test_config_value_reads_as_its_flag(tmp_path, monkeypatch, command, key):
     [([command, "--threads", value], "threads")
      for command, settings in cli._SETTINGS.items() if "threads" in settings
      for value in ("0", "-3")]
-    + [(["riskmap", "--replicates", "0"], "replicates")],
+    + [(["riskmap", "--replicates", "0"], "replicates")]
+    + [(["synth-data", "--n", value], "n") for value in ("0", "-5", "9")],
 )
 def test_counts_below_one_exit_2_before_input_is_read(
     tmp_path, monkeypatch, caplog, argv, key
 ):
-    # a count below 1 from a flag is a configuration error naming the
-    # setting, raised before the input is read (a missing input would
-    # exit 3) or anything is fitted, simulated or written; under 0.1 s each
+    # a count below its floor (1, or the 10 sites of a synthetic data set)
+    # from a flag is a configuration error naming the setting, raised
+    # before the input is read (a missing input would exit 3) or anything
+    # is fitted, simulated or written; under 0.1 s each
     monkeypatch.chdir(tmp_path)
-    for name in ("ingest_csv", "fit_pipeline", "run_scenario"):
+    for name in ("ingest_csv", "fit_pipeline", "run_scenario", "write_synth_csv"):
         monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran past the check"))
     extra = ["--input", "missing.csv"] if "input" in cli._SETTINGS[argv[0]] else []
     assert main([*argv, *extra, "--out", "out"]) == 2
-    assert f"{key} must be at least 1" in caplog.text
+    floor = cli._SETTINGS[argv[0]][key].minimum
+    assert f"{key} must be at least {floor}" in caplog.text
     assert os.listdir(tmp_path) == []
 
 

@@ -463,7 +463,8 @@ def test_kernel_weights_equal_dense_weights():
 
 def test_local_fit_flat_axis_matches_dense_rows():
     # h_1 below the grid spacing: every window is one column of the grid,
-    # so the dense design is exactly singular in x and takes the ridged solve
+    # so the dense design is exactly singular in x; both the dense rows and
+    # the local fit clear that axis and give it a unit pivot
     sample = unit_grid_sample(20, 20)
     for h in (BandwidthMatrix.diagonal(0.04, 1.0), BandwidthMatrix.diagonal(0.6, 0.03)):
         fit = trend._local_fit(sample, h, min_neighbors=SEARCH_NEIGHBORS)
@@ -481,8 +482,8 @@ def test_local_fit_flat_axis_matches_dense_rows():
 def test_prediction_masks_nodes_off_a_flat_window():
     # h below the grid spacing on one axis: a node whose window holds a
     # single column (row) of sites and lies off it has no affine fit, so
-    # it is masked; every kept row reproduces affine data up to the ridge
-    # (1e-10 tr(A) on a design whose inverse is O(10), times |y| <= 3)
+    # it is masked; every kept row reproduces affine data (to rounding:
+    # test_flat_axis_rows_sum_to_one_and_reproduce_affine_data)
     grid = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50))
     nodes = grid.nodes()
     locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
@@ -667,44 +668,131 @@ def test_cgcv_search_memory_at_n1053():
 
 
 def test_solve_e1_batches_regular_ridged_and_singular_rows():
+    # one batched solve: a flat axis cleared with a unit pivot is regular
+    # and gets c_k = 0; a cleared axis without its pivot and a zero design
+    # are exactly singular, and a NaN entry has no zero pivot but no finite
+    # solution: those three come back NaN, with no ridge
     rng = np.random.default_rng(19)
     b = rng.normal(size=(9, 3, 3))
     a = b @ b.transpose(0, 2, 1) + 0.1 * np.eye(3)
-    a[1, 1, :] = a[1, :, 1] = 0.0  # a flat axis: the ridge solves it
+    a[1, 1, :] = a[1, :, 1] = 0.0
+    a[1, 1, 1] = 1.0
     a[4, 2, :] = a[4, :, 2] = 0.0
-    a[6] = 0.0  # zero trace: still singular with the ridge
-    a[7, 0, 0] = np.nan  # no zero pivot, but no finite solution
+    a[6] = 0.0
+    a[7, 0, 0] = np.nan
     want = solve_e1_rowwise(a)
-    assert np.isnan(want[[6, 7]]).all() and np.isfinite(np.delete(want, [6, 7], axis=0)).all()
+    singular = [4, 6, 7]
+    assert np.isnan(want[singular]).all()
+    assert np.isfinite(np.delete(want, singular, axis=0)).all() and want[1, 1] == 0.0
     assert np.array_equal(trend._solve_e1(a), want, equal_nan=True)
-    regular = np.delete(a, [1, 4, 6, 7], axis=0)  # the batched solve does not raise
+    regular = np.delete(a, singular, axis=0)  # the batched solve does not raise
     assert np.array_equal(trend._solve_e1(regular), solve_e1_rowwise(regular))
 
 
 def test_solve_e1_singular_stacks_of_study_design_match_rowwise(monkeypatch):
-    # the table1 full design's MASE search has stacks in which every 3x3
-    # design is singular (h below the grid spacing on one axis); the batched
-    # ridge must give the row-by-row values without the per-row fallback
-    raised, single_calls = [], []
-    solve_e1, solve_single = trend._solve_e1, trend._solve_e1_single
+    # the table1 full design's MASE search has stacks in which every site's
+    # window is flat on one axis (h below the grid spacing); with a unit
+    # pivot on the cleared axis none of those designs is singular, so no
+    # stack's batched solve raises, and it gives the row-by-row values
+    flat_stacks, raised = [], []
+    solve_e1 = trend._solve_e1
+    unit_rows = np.eye(3)[1:]
 
     def recording(a):
         if np.any(np.linalg.slogdet(a)[0] == 0.0):
             raised.append(a.copy())
+        if np.any(np.all(a[:, 1:, :] == unit_rows, axis=2)):
+            flat_stacks.append(a.copy())
         return solve_e1(a)
 
-    def counted(a):
-        single_calls.append(1)
-        return solve_single(a)
-
     monkeypatch.setattr(trend, "_solve_e1", recording)
-    monkeypatch.setattr(trend, "_solve_e1_single", counted)
     sc = table1_scenario("full")
     _DesignContext.build(sc, simulate_field(sc, 0).locations)
-    assert len(raised) >= 10
-    assert len(single_calls) == 0
-    for a in raised:
-        assert np.array_equal(solve_e1(a), solve_e1_rowwise(a), equal_nan=True)
+    assert len(raised) == 0
+    assert len(flat_stacks) >= 10
+    for a in flat_stacks:
+        assert np.array_equal(solve_e1(a), solve_e1_rowwise(a))
+
+
+@pytest.mark.parametrize("scales", [(0.04, 1.0), (0.6, 0.03)])
+def test_flat_axis_rows_sum_to_one_and_reproduce_affine_data(scales):
+    # h below the grid spacing on one axis: every site's window and many
+    # nodes' windows are flat on that axis. Row i's sum is (A c)_0 and its
+    # value on affine data is y(p_i) + sum_k slope_k (A c - e1)_k, with A
+    # the exact moments of its weights. The computed moments are sums of
+    # n = 400 terms of size <= 1 and the 3x3 solve is backward stable, so
+    # A c - e1 is within n eps |c|_1 per entry, and forming and summing the
+    # row adds n eps |row|_1: hence the bound 2 n eps (|row|_1 + |c|_1)
+    # (times max |y| on the data)
+    locs = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
+    nodes = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50)).nodes()
+    slope = np.array([1.3, -2.1])
+    sample = SpatialSample(locs, 0.7 + locs @ slope)
+    h = BandwidthMatrix.diagonal(*scales)
+    for points in (locs, nodes):
+        fit = trend._local_fit(sample, h, points=points)
+        keep = np.setdiff1d(np.arange(fit.n), fit.bad)
+        assert keep.size >= 400
+        rows, coef = fit.hat_matrix()[keep], fit.coef[keep]
+        bound = 2 * sample.n * np.finfo(float).eps * (
+            np.abs(rows).sum(axis=1) + np.abs(coef).sum(axis=1)
+        )
+        assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= bound)
+        affine = np.abs(rows @ sample.values - (0.7 + points[keep] @ slope))
+        assert np.all(affine <= bound * np.abs(sample.values).max())
+
+
+def test_flat_axis_coefficient_is_exactly_zero():
+    # a window flat on axis k gets c_k = 0 exactly, and the intercept and
+    # the other slope solve the 2x2 design of (1, z_j - p_i) on the other
+    # axis alone: here from dense sums, so equal to rounding
+    sample = unit_grid_sample(20, 20)
+    nodes = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (50, 50)).nodes()
+    for scales, axis in (((0.04, 1.0), 0), ((0.6, 0.03), 1)):
+        h = BandwidthMatrix.diagonal(*scales)
+        for points in (None, nodes):
+            fit = trend._local_fit(sample, h, min_neighbors=SEARCH_NEIGHBORS, points=points)
+            w = fit.weights / fit.sums[:, None]
+            spread = [
+                np.where(w > 0.0, fit.z[:, k], -np.inf).max(axis=1)
+                - np.where(w > 0.0, fit.z[:, k], np.inf).min(axis=1)
+                for k in range(2)
+            ]
+            flat = np.setdiff1d(np.flatnonzero(spread[axis] == 0.0), fit.bad)
+            assert flat.size > 20 and spread[1 - axis][flat].min() > 0.0
+            assert np.all(fit.coef[flat, axis + 1] == 0.0)
+            other = 1 - axis
+            dz = fit.z[None, :, other] - fit.p[flat, None, other]
+            m1, m2 = (w[flat] * dz).sum(axis=1), (w[flat] * dz**2).sum(axis=1)
+            reduced = np.linalg.solve(
+                np.stack([np.ones_like(m1), m1, m1, m2], axis=1).reshape(-1, 2, 2),
+                np.tile([[1.0], [0.0]], (flat.size, 1, 1)),
+            )[..., 0]
+            got = fit.coef[flat][:, [0, other + 1]]
+            assert np.abs(got - reduced).max() <= 1e-12 * np.abs(reduced).max()
+
+
+def test_transect_designs_are_singular_and_the_search_skips_them():
+    # 60 sites on the diagonal x = y: the local design of (1, z_j - p_i) is
+    # singular at every point in exact arithmetic, and it is solved as it
+    # is. A design whose LU factor meets an exact zero pivot has no fit: at
+    # the sites of every equal-scale candidate (z_1 = z_2 bitwise) that
+    # raises and names the sites, and the search drops each candidate with
+    # such a site. The search and the pipeline select h = (0.1400, 1.0)
+    t = np.linspace(0.0, 1.0, 60)
+    rng = np.random.default_rng(7)
+    values = 1.0 + 0.5 * t + 0.3 * np.sin(6.0 * t) + 0.1 * rng.normal(size=t.size)
+    sample = SpatialSample(np.column_stack([t, t]), values)
+    grid = default_bandwidth_grid(sample)
+    equal = [h for h in grid if h.entries[0, 0] == h.entries[1, 1]]
+    assert len(equal) == 10
+    for h in equal:
+        with pytest.raises(BandwidthTooSmallError, match="singular local design") as err:
+            fit_trend(sample, h)
+        assert err.value.indices and set(err.value.indices) <= set(range(sample.n))
+    want = [0.13997778175053385, 1.0]
+    assert select_bandwidth(sample, "cv", grid).diagonal_scales().tolist() == want
+    assert fit_pipeline(sample).bandwidth.diagonal_scales().tolist() == want
 
 
 # ---------------------------------------------------------------------------
