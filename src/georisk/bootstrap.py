@@ -48,6 +48,15 @@ generator of target blocks, each block formed inside the operator loop;
 the simulation study, which alone knows the true covariance, holds its
 targets and calls it for several modes.
 
+The resampling rows come from one stream per replicate, j from (seed,
+STREAM_BOOT, *path, j) (``rng_stream``), and ``resample_indices`` draws
+them without a Generator per row: numpy's SeedSequence hash runs once over
+every row's entropy in wrapping uint32 arithmetic, each row's PCG64 hands
+out its raw outputs, and Lemire's bounded draw, which
+``Generator.integers`` uses, maps a block of rows at once; a row that hits
+the draw's rejection zone is redrawn by its own generator. The rows are
+array-equal to one generator per row.
+
 ``prediction_map`` is the fit command's map: the trend plus simple kriging
 of the trend residuals (``kriging.krige_block``), formed and kriged one
 target block at a time.
@@ -55,12 +64,15 @@ target block at a time.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from .exceptions import ConfigError, DegenerateScoreError, GeoriskError
 from .geometry import (
@@ -105,11 +117,100 @@ STREAM_BOOT = 2
 STREAM_SYNTH = 3
 
 
+def _stream_key(seed, path) -> list:
+    """[seed, *path] as Python ints, each of which must be an integer
+    (``operator.index``) and nonnegative; a float is not truncated."""
+    key = []
+    for value in (seed, *path):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ConfigError(
+                f"seed and stream path must be integers, got {value!r}"
+            ) from None
+        if value < 0:
+            raise ConfigError(f"seed and stream path must be nonnegative, got {value}")
+        key.append(value)
+    return key
+
+
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic, scheduling-independent generator for (seed, path)."""
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    return np.random.default_rng(np.random.SeedSequence(_stream_key(seed, path)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), reproduced in
+# uint32 arithmetic over a vector of streams; arrays wrap without warning
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words32(value: int) -> list:
+    """A nonnegative int as numpy's SeedSequence reads it: its 32-bit words,
+    least significant first, and [0] for 0."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_seed_words(key, last: np.ndarray) -> np.ndarray:
+    """(len(last), 4) uint64: for each j in ``last`` (each below 2^32), the
+    words ``SeedSequence([*key, j]).generate_state(4, np.uint64)`` from
+    which ``PCG64`` seeds itself. The hash constants do not depend on the
+    data, so every stream runs the same steps: ``mix_entropy`` into a
+    pool of four words, then ``generate_state``."""
+    rows = last.size
+    entropy = [np.full(rows, w, dtype=np.uint32) for v in key for w in _words32(v)]
+    entropy.append(last.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # entropy past the pool, e.g. a seed >= 2^32
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = np.empty((rows, 4), dtype=np.uint64)
+    const = _INIT_B
+    for k in range(8):  # four uint64 words, the low 32-bit word first
+        value = pool[k % _POOL_SIZE] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        value = (value ^ (value >> 16)).astype(np.uint64)
+        if k % 2:
+            out[:, k // 2] |= value << 32
+        else:
+            out[:, k // 2] = value
+    return out
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` its four precomputed words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +506,7 @@ def map_targets(trend_fit: TrendFit, nodes: np.ndarray) -> MapTargets:
 # ---------------------------------------------------------------------------
 
 _REPLICATE_BLOCK = 1000  # resampling rows per block of map values
+_DRAW_BLOCK = 1 << 16  # bounded draws per block of resampling rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,16 +622,62 @@ def block_engines(
         del gain  # free this block's rows before the next one is formed
 
 
+def _stream_draws(key, first: int, words: np.ndarray, bound: int, out: np.ndarray) -> None:
+    """Write into each row k of ``out`` the draws
+    ``rng_stream(*key, first + k).integers(0, bound, size=out.shape[1])``,
+    given the streams' PCG64 seed words (``_pcg64_seed_words``), for a
+    ``bound`` below 2^32.
+
+    ``Generator.integers`` draws each value from a 32-bit half of the
+    PCG64 output, the low half first, by Lemire's method: a half x gives
+    (x bound) >> 32, unless (x bound) mod 2^32 falls below 2^32 mod bound,
+    the rejection zone, where it draws again. A bound of 1 draws nothing.
+    So each row's PCG64 hands out ceil(size/2) raw outputs, the method is
+    applied to all their halves at once, and a row with a draw in the
+    rejection zone is redrawn by its own generator.
+    """
+    if bound == 1:
+        out[:] = 0
+        return
+    rows, size = out.shape
+    half = (size + 1) // 2
+    raw = np.empty((rows, half), dtype=np.uint64)
+    for k in range(rows):
+        raw[k] = PCG64(_SeedWords(words[k])).random_raw(half)
+    draws = np.empty((rows, 2 * half), dtype=np.uint64)
+    np.bitwise_and(raw, _MASK32, out=draws[:, 0::2])
+    np.right_shift(raw, 32, out=draws[:, 1::2])
+    del raw
+    draws = draws[:, :size]
+    draws *= bound
+    redraw = np.flatnonzero(((draws & _MASK32) < (1 << 32) % bound).any(axis=1))
+    np.right_shift(draws, 32, out=draws)
+    out[:] = draws
+    for k in redraw:
+        out[k] = rng_stream(*key, first + k).integers(0, bound, size=size)
+
+
 def resample_indices(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
-    """(n_replicates, n) indices drawn with replacement; row j comes from
-    its own stream (seed, STREAM_BOOT, *path, j). Each row is drawn as the
-    generator's default int64, which fixes the stream, and held as int32,
-    which halves the array (an n x n covariance caps n far below 2^31)."""
+    """(n_replicates, n) indices drawn with replacement; row j is the draw
+    ``rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)`` of
+    its own stream, held as int32, which halves the array (an n x n
+    covariance caps n far below 2^31).
+
+    No row builds a Generator: every row's PCG64 seed words come from one
+    vectorised pass of numpy's SeedSequence hash, and the rows are drawn
+    by ``_stream_draws`` a block of about ``_DRAW_BLOCK`` draws at a time.
+    """
+    n = operator.index(n)
+    key = _stream_key(seed, (STREAM_BOOT, *path))
+    if n < 1:
+        raise ConfigError("need at least one site to resample")
     if n_replicates < 1:
         raise ConfigError("need at least one bootstrap replicate")
     idx = np.empty((n_replicates, n), dtype=np.int32)
-    for j in range(n_replicates):
-        idx[j] = rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)
+    words = _pcg64_seed_words(key, np.arange(n_replicates))
+    step = max(1, _DRAW_BLOCK // n)
+    for r0 in range(0, n_replicates, step):
+        _stream_draws(key, r0, words[r0:r0 + step], n, idx[r0:r0 + step])
     return idx
 
 

@@ -41,6 +41,7 @@ from .bootstrap import (
     _check_mode,
     _factorize,
     _stage,
+    _stream_key,
     _variogram_fit,
     fit_pipeline,
     map_targets,
@@ -128,8 +129,7 @@ class Scenario:
             raise ConfigError("sample and prediction grids need at least 2 nodes per axis")
         if self.n_replicates < 1 or self.n_boot < 1:
             raise ConfigError("n_replicates and n_boot must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        _stream_key(self.seed, ())  # a nonnegative integer, not truncated
         object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
 
     @property

@@ -876,6 +876,18 @@ def segment_pass_stacked(out, d_sorted, z_sorted, p0, p1, centre, g, bounds, run
     return chunk_pass_stacked(out, d_sorted, z_sorted, *segment, g, rel_bounds)[:, 0]
 
 
+def resample_indices_rowwise(n: int, n_replicates: int, seed: int, *path: int) -> np.ndarray:
+    """``bootstrap.resample_indices`` with one Generator per row: row j is
+    ``rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)``,
+    held as int32."""
+    from georisk.bootstrap import STREAM_BOOT, rng_stream
+
+    idx = np.empty((n_replicates, n), dtype=np.int32)
+    for j in range(n_replicates):
+        idx[j] = rng_stream(seed, STREAM_BOOT, *path, j).integers(0, n, size=n)
+    return idx
+
+
 def scenario_rows_per_replicate_operators(scenario, modes):
     """``run_scenario(scenario, modes).rows`` for a study whose replicates
     all succeed, with every mode's operator, the theoretical one included,

@@ -17,9 +17,11 @@ from _oracles import (
     kept_rows_and_dists,
     krige_targets,
     kriging_factor,
+    resample_indices_rowwise,
     whole_map_engine,
 )
 from georisk.bootstrap import (
+    _DRAW_BLOCK,
     _NODE_BLOCK,
     _REPLICATE_BLOCK,
     MODES,
@@ -27,6 +29,8 @@ from georisk.bootstrap import (
     MapTargets,
     TargetBlock,
     _factorize,
+    _pcg64_seed_words,
+    _stream_draws,
     _variogram_fit,
     decorrelate_residuals,
     fit_pipeline,
@@ -203,6 +207,92 @@ def test_resample_indices_hold_each_streams_draws_as_int32():
     for j in range(5):
         draw = rng_stream(7, bootstrap.STREAM_BOOT, 3, j).integers(0, 1053, size=1053)
         assert np.array_equal(idx[j], draw)
+
+
+class _CountedStreams:
+    """``bootstrap.rng_stream`` with a count of its calls, the rows that
+    ``_stream_draws`` redraws by their own generator."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.stream = bootstrap.rng_stream
+        monkeypatch.setattr(bootstrap, "rng_stream", self)
+
+    def __call__(self, *key):
+        self.calls += 1
+        return self.stream(*key)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240, 2**32 + 5])
+@pytest.mark.parametrize("path", [(), (3,), (1, 2)])
+def test_resample_indices_equal_one_generator_per_row(seed, path, monkeypatch):
+    # with 1,024 draws per block every size crosses a block of rows: 2,051
+    # rows of one draw, 5 of 1,053; a seed of 2^32 + 5 is two entropy
+    # words. Under 0.1 s per case
+    monkeypatch.setattr(bootstrap, "_DRAW_BLOCK", 1024)
+    for n in (1, 2, 100, 400, 1053):
+        rows = 2 * max(1, 1024 // n) + 3
+        idx = resample_indices(n, rows, seed, *path)
+        assert idx.dtype == np.int32
+        assert np.array_equal(idx, resample_indices_rowwise(n, rows, seed, *path)), n
+
+
+@pytest.mark.parametrize("n, seed", [(1053, 20249), (400, 20241)])
+def test_resample_indices_redraw_rejected_rows_at_study_sizes(n, seed, monkeypatch):
+    # B = 1000 at the block size in use; these streams of study seeds hold
+    # draws in Lemire's rejection zone (2 rows at n = 1053, 1 at n = 400),
+    # which their own generators redraw. About 0.05 s each
+    streams = _CountedStreams(monkeypatch)
+    idx = resample_indices(n, 1000, seed, 0)
+    assert streams.calls > 0
+    assert np.array_equal(idx, resample_indices_rowwise(n, 1000, seed, 0))
+
+
+def test_bounded_draws_follow_generator_integers_in_a_wide_rejection_zone(monkeypatch):
+    # at bound 2^31 + 1 the rejection zone holds 2^31 - 1 of the 2^32
+    # products, so about 3 in 4 rows of two draws are redrawn by their
+    # generator and the rest keep the batched draw; rows 10..73 of a
+    # stream, each equal to Generator.integers. Under 0.01 s
+    streams = _CountedStreams(monkeypatch)
+    bound, key = 2**31 + 1, [5, bootstrap.STREAM_BOOT, 4]
+    out = np.empty((64, 2), dtype=np.int64)
+    _stream_draws(key, 10, _pcg64_seed_words(key, np.arange(10, 74)), bound, out)
+    assert 0 < streams.calls < 64
+    for k in range(64):
+        want = streams.stream(*key, 10 + k).integers(0, bound, size=2)
+        assert np.array_equal(out[k], want), k
+
+
+def test_resample_indices_hold_no_array_of_every_draw_at_n1053():
+    # bound fixed before running: the int32 result, 4 n B bytes, plus each
+    # block's raw outputs, halves, products and rejection flags (17 bytes
+    # per draw of at most _DRAW_BLOCK) with room to 24, plus 64 bytes a row
+    # for the seed words and their hashing; a (B, n) uint64 array alone
+    # (8.4 MB) would break it. Under 0.05 s
+    n, b = 1053, 1000
+    tracemalloc.start()
+    try:
+        resample_indices(n, b, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * b + 24 * _DRAW_BLOCK + 64 * b, peak
+
+
+def test_stream_seeds_must_be_nonnegative_integers(fitted):
+    # a float seed used to be truncated (7.9 drew seed 7's stream) and a
+    # negative path entry escaped as numpy's ValueError. Under 0.01 s
+    assert np.array_equal(
+        rng_stream(np.int64(7), np.uint8(2)).integers(0, 100, 5),
+        rng_stream(7, 2).integers(0, 100, 5),
+    )
+    for seed, path in ((7.9, ()), (7.0, ()), (-1, ()), (1, (-2,)), (1, (2.0,)), ("7", ())):
+        with pytest.raises(ConfigError):
+            rng_stream(seed, *path)
+        with pytest.raises(ConfigError):
+            resample_indices(10, 2, seed, *path)
+    with pytest.raises(ConfigError):
+        risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=10, seed=7.5)
 
 
 def test_replicate_zero_e_reproduces_smoothed_fit(fitted):

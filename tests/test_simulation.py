@@ -163,6 +163,8 @@ def test_scenario_validation():
         Scenario(thresholds=())
     with pytest.raises(ConfigError):
         Scenario(seed=-3)
+    with pytest.raises(ConfigError):
+        Scenario(seed=7.5)  # would have drawn seed 7's fields
 
 
 def test_scale_presets():

@@ -169,13 +169,20 @@ def test_loo_score_matches_naive():
 
 
 @pytest.fixture(scope="module")
-def pairs_n1000():
+def residuals_n1000():
     """n = 1000 uniform sites (P = 499,500 pairs) and spatially structured
-    residuals, as a realistic input to the lag smoother."""
+    residuals, as a realistic input to the lag smoother: the pair table
+    and the residuals."""
     rng = np.random.default_rng(12)
     locs = rng.uniform(size=(1000, 2))
     resid = np.sin(4.0 * locs[:, 0]) + 0.5 * rng.standard_normal(1000)
-    table = PairTable.from_distances(pairwise_distances(locs))
+    return PairTable.from_distances(pairwise_distances(locs)), resid
+
+
+@pytest.fixture(scope="module")
+def pairs_n1000(residuals_n1000):
+    """The pair table of ``residuals_n1000`` and its squared differences."""
+    table, resid = residuals_n1000
     return table, table.squared_differences(resid)
 
 
@@ -297,7 +304,22 @@ def _loo_scores(table, resid, lags):
 
 
 def test_chunked_lag_search_selects_as_per_segment_sums(desk_pairs, monkeypatch):
+    # under 0.5 s per design
     _, table, resid = desk_pairs
+    _assert_selects_as_per_segment_sums(table, resid, monkeypatch)
+
+
+def test_lag_search_selects_as_per_segment_sums_at_realistic_size(residuals_n1000, monkeypatch):
+    # P = 499,500 pairs, all ten default candidates admissible or not as
+    # the per-segment oracle finds them. About 9 s
+    table, resid = residuals_n1000
+    _assert_selects_as_per_segment_sums(table, resid, monkeypatch)
+
+
+def _assert_selects_as_per_segment_sums(table, resid, monkeypatch):
+    """The lag search selects the g it selects from the per-segment sums of
+    ``_oracles``, and every candidate scores within 1e-10 of its score
+    there, inadmissible where it is inadmissible there."""
     lags = default_lag_grid(table.distances)
     chosen = select_lag_bandwidth(resid, table, lags)
     scores = _loo_scores(table, resid, lags)
