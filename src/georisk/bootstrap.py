@@ -19,8 +19,10 @@ where T holds the smoother rows at the map nodes, C0 the covariances from
 the nodes to the sites and S the hat matrix. The map targets come in
 blocks of map nodes, each with its kept nodes' smoother rows over the band
 of columns those rows reach, the band, its mask of nodes whose local
-design is singular and its kept nodes' coordinates. A block's distances to
-the sites are formed just before its C0 and dropped with it.
+design is singular and its kept nodes' coordinates. A block's C0 is formed
+from those coordinates just before it is used and dropped with it: a
+Gaussian-basis estimate on grid nodes reads it from per-axis factor
+tables, any other covariance from the block's distances to the sites.
 
 ``block_engines`` is the one place an operator is formed, one target block
 at a time. Per covariance it solves Sigma^-1 (L - S L) and L^-1 f once for
@@ -64,6 +66,7 @@ target block at a time.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -132,6 +135,21 @@ def _stream_key(seed, path) -> list:
             raise ConfigError(f"seed and stream path must be nonnegative, got {value}")
         key.append(value)
     return key
+
+
+def _threshold_values(thresholds) -> tuple:
+    """``thresholds`` as a tuple of floats: at least one, none NaN and none
+    repeated, else a ConfigError. A NaN threshold has no exceedance event,
+    and a repeated one would map the same event twice; -inf and inf are
+    the events' limits, with probabilities 1 and 0."""
+    values = tuple(float(c) for c in np.atleast_1d(np.asarray(thresholds, dtype=np.float64)))
+    if not values:
+        raise ConfigError("at least one threshold is required")
+    if any(math.isnan(c) for c in values):
+        raise ConfigError(f"thresholds must not be NaN, got {list(values)}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"thresholds must not repeat, got {list(values)}")
+    return values
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
@@ -538,6 +556,26 @@ class BootstrapEngine:
         return values.T
 
 
+def _block_covariances(model, nodes: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The covariances C0 of ``model`` from a target block's ``nodes`` to
+    the ``sites``, the one place the operator forms them.
+
+    A Gaussian-basis ``VariogramModel`` (``axis_product``) forms them from
+    per-axis factor tables over the nodes' distinct coordinates
+    (``VariogramModel.axis_covariances``) where those number at most half
+    the nodes, summed over the axes, as on a grid, so that one node's
+    tables hold no more than the block's C0. Every other model or block,
+    among them the simulation's exponential truth and the Bessel and sinc
+    bases, reads them at the distances (``covariance_matrix``). Both give
+    the sill exactly where a distance is 0.
+    """
+    if isinstance(model, VariogramModel) and model.axis_product:
+        axes = [np.unique(coords, return_inverse=True) for coords in nodes.T]
+        if 2 * sum(len(coords) for coords, _ in axes) <= len(nodes):
+            return model.axis_covariances(axes, sites)
+    return covariance_matrix(model, cross_distances(nodes, sites))
+
+
 def _gain_blocks(trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor):
     """Each target block's gain rows W L = T L + C0 Sigma^-1 (L - S L),
     with the block's mask, formed when the block is reached.
@@ -545,9 +583,11 @@ def _gain_blocks(trend_fit: TrendFit, targets: MapTargets, model, factor: Choles
     ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
     kriges; ``trend_fit`` gives the hat matrix S and the sites. The one
     solve runs for the whole map, in place on S L; a block's rows come from
-    its rows of T (over their band) and its C0, at the distances from its
-    nodes to the sites, formed here, and the block is dropped before the
-    next one is formed.
+    its rows of T (over their band) and its C0, formed here
+    (``_block_covariances``: from per-axis factor tables for a
+    Gaussian-basis estimate on grid nodes, from the distances for the
+    simulation's exponential truth and the other bases), and the block is
+    dropped before the next one is formed.
     """
     L = factor.L
     sites = trend_fit.sample.locations
@@ -558,7 +598,7 @@ def _gain_blocks(trend_fit: TrendFit, targets: MapTargets, model, factor: Choles
         gain = block.rows @ L[block.band]
         mask, nodes = block.mask, block.nodes
         del block  # its smoother rows die here, before C0 exists
-        gain += covariance_matrix(model, cross_distances(nodes, sites)) @ solved
+        gain += _block_covariances(model, nodes, sites) @ solved
         yield gain, mask
         del gain  # free this block's rows before the next one is formed
 
@@ -792,10 +832,11 @@ def risk_maps(
     ``mode`` names the covariance estimate that recorrelates and kriges:
     the bias-corrected one of the full pipeline ("corrected") or the raw
     residual-scale one ("residual"); see ``mode_covariance``. Nodes whose
-    local design is singular are masked.
+    local design is singular are masked. The thresholds must be distinct
+    and not NaN.
     """
     _check_mode(mode, truth_known=False)
-    thresholds = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    thresholds = np.array(_threshold_values(thresholds))
     nodes = grid.nodes()
     # one mode reads the blocks once, so each is formed in the operator loop
     targets = MapTargets(len(nodes), _target_blocks(fit.trend_fit, nodes))

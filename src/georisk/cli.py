@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import fit_pipeline, prediction_map, risk_maps
+from .bootstrap import _threshold_values, fit_pipeline, prediction_map, risk_maps
 from .exceptions import (
     ConfigError,
     DataError,
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"georisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, settings in _SETTINGS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        p = sub.add_parser(command, help=_command(command).__doc__)
         for key, s in settings.items():
             kind = (
                 {"action": "store_const", "const": True} if s.type is bool
@@ -230,8 +230,13 @@ def _parse_thresholds(text) -> tuple:
             values = tuple(float(part) for part in str(text).split(",") if part.strip())
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad threshold list {text!r}") from err
-    if not values:
-        raise ConfigError("at least one threshold is required")
+    values = _threshold_values(values)
+    # an infinite threshold would write Infinity, which JSON does not have
+    if not all(math.isfinite(c) for c in values):
+        raise ConfigError(f"thresholds must be finite, got {list(values)}")
+    tags = [_threshold_tag(c) for c in values]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"thresholds {list(values)} share an output file name")
     return values
 
 
@@ -467,12 +472,18 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
+# each command's function by name, looked up in this module when it runs,
+# so a wrapped or patched ``cmd_*`` is the one called
 _COMMANDS = {
-    "riskmap": cmd_riskmap,
-    "fit": cmd_fit,
-    "simulate": cmd_simulate,
-    "synth-data": cmd_synth,
+    "riskmap": "cmd_riskmap",
+    "fit": "cmd_fit",
+    "simulate": "cmd_simulate",
+    "synth-data": "cmd_synth",
 }
+
+
+def _command(name: str):
+    return globals()[_COMMANDS[name]]
 
 
 def main(argv=None) -> int:
@@ -482,7 +493,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[args.command](cfg)
+        return _command(args.command)(cfg)
     except ConfigError as err:
         logger.error("configuration error: %s", err)
         return EXIT_CONFIG

@@ -6,8 +6,16 @@ alpha = Sigma^-1 r solved once per map by the caller through the Cholesky
 factor of the data-data covariance, so no explicit inverse is formed.
 The fit command's map (``bootstrap.prediction_map``) runs it once per
 block of map nodes, so no whole-map array of covariances or distances
-exists. The bootstrap operator forms C0 Sigma^-1 inside its gain rows
-instead (``bootstrap._gain_blocks``), without the coincidence rule.
+exists. Every model kriges here from the distances, which the coincidence
+rule reads too.
+
+The bootstrap operator forms C0 Sigma^-1 inside its gain rows instead
+(``bootstrap._gain_blocks``), without the coincidence rule, and takes C0
+from ``bootstrap._block_covariances``: a Gaussian-basis ``VariogramModel``
+on grid nodes from per-axis factor tables
+(``VariogramModel.axis_covariances``), every other model (the simulation's
+exponential truth, the Bessel and sinc bases) and scattered nodes from the
+distances. Both give the sill exactly where a distance is 0.
 """
 
 from __future__ import annotations

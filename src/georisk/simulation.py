@@ -42,6 +42,7 @@ from .bootstrap import (
     _factorize,
     _stage,
     _stream_key,
+    _threshold_values,
     _variogram_fit,
     fit_pipeline,
     map_targets,
@@ -115,22 +116,25 @@ class Scenario:
     bandwidth_criterion: str = "mase"
 
     def __post_init__(self):
-        if self.nugget < 0.0 or self.partial_sill <= 0.0 or self.practical_range <= 0.0:
+        # written so that NaN, for which every comparison is false, fails
+        if not (
+            0.0 <= self.nugget < math.inf
+            and 0.0 < self.partial_sill < math.inf
+            and 0.0 < self.practical_range < math.inf
+        ):
             raise ConfigError(
-                "scenario needs nugget >= 0, partial_sill > 0 and practical_range > 0"
+                "scenario needs finite nugget >= 0, partial_sill > 0 and practical_range > 0"
             )
         if self.design not in ("regular", "uniform"):
             raise ConfigError("design must be 'regular' or 'uniform'")
         if self.bandwidth_criterion not in ("mase", "pipeline"):
             raise ConfigError("bandwidth_criterion must be 'mase' or 'pipeline'")
-        if not self.thresholds:
-            raise ConfigError("at least one threshold is required")
         if min(self.nx, self.ny, self.grid_nx, self.grid_ny) < 2:
             raise ConfigError("sample and prediction grids need at least 2 nodes per axis")
         if self.n_replicates < 1 or self.n_boot < 1:
             raise ConfigError("n_replicates and n_boot must be positive")
         _stream_key(self.seed, ())  # a nonnegative integer, not truncated
-        object.__setattr__(self, "thresholds", tuple(float(c) for c in self.thresholds))
+        object.__setattr__(self, "thresholds", _threshold_values(self.thresholds))
 
     @property
     def n(self) -> int:

@@ -85,6 +85,7 @@ def _basis_kernel(kernel_dim):
 
 
 _EVAL_BLOCK = 8192  # node-term values semivariance forms at a time
+_FACTOR_ROWS = 32  # points axis_covariances accumulates a node's products over at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +151,70 @@ class VariogramModel:
                 flat_out[b0:b0 + step] += total
         out[u == 0.0] = 0.0
         return float(out[0]) if scalar else out
+
+    @property
+    def axis_product(self) -> bool:
+        """Whether the covariance at u > 0, sum b_k kappa(t_k u), is a
+        product over coordinate axes in every term: true of the Gaussian
+        basis, exp(-t^2 u^2) = prod_a exp(-t^2 (x_a - s_a)^2)."""
+        return self.kernel_dim == GAUSSIAN_DIM
+
+    def axis_covariances(self, axes, sites: np.ndarray) -> np.ndarray:
+        """(m, n) covariances sill - gamma from m points to the (n, d)
+        ``sites`` of an ``axis_product`` model, from per-axis factor tables.
+
+        ``axes`` gives the points one axis at a time: for axis a, the pair
+        (coords, index) of their distinct coordinates on that axis and each
+        point's index into them. Node k's table for axis a holds
+        exp(-t_k^2 (coords - s_a)^2) (len(coords) x n, weighted by b_k on
+        the first axis); a point's covariances are the sum over k of the
+        product of its rows of the tables. One node's tables exist at a
+        time, refilled in place for the next, and each node's products are
+        accumulated in place ``_FACTOR_ROWS`` points at a time. A pair
+        whose squared difference is 0 on every axis, which is where its
+        distance is 0, takes the sill.
+        """
+        if not self.axis_product:
+            raise ConfigError("only a Gaussian-basis model factors over axes")
+        index = [idx for _, idx in axes]
+        squares = []
+        for a, (coords, _) in enumerate(axes):
+            diff = np.subtract.outer(coords, sites[:, a])
+            squares.append(np.square(diff, out=diff))
+        m, n = len(index[0]), sites.shape[0]
+        out = np.empty((m, n)) if self.node_weights.size else np.zeros((m, n))
+        term = np.empty((min(_FACTOR_ROWS, m), n))
+        factor = np.empty_like(term)
+        tables = [np.empty_like(sq) for sq in squares]
+        for k, (t, w) in enumerate(zip(self.node_freqs, self.node_weights)):
+            for table, sq in zip(tables, squares):
+                np.exp(np.multiply(sq, -t * t, out=table), out=table)
+            tables[0] *= w
+            for lo in range(0, m, _FACTOR_ROWS):
+                rows = slice(lo, min(lo + _FACTOR_ROWS, m))
+                size = rows.stop - lo
+                # the first node's products are written in place, the
+                # others formed in ``term`` and added. Under mode "clip"
+                # np.take writes ``out`` directly instead of buffering it;
+                # every index is in range.
+                prod = out[rows] if k == 0 else term[:size]
+                np.take(tables[0], index[0][rows], axis=0, out=prod, mode="clip")
+                for table, idx in zip(tables[1:], index[1:]):
+                    np.take(table, idx[rows], axis=0, out=factor[:size], mode="clip")
+                    prod *= factor[:size]
+                if k:
+                    out[rows] += prod
+        # the sites with a zero squared difference on every axis, then the
+        # points that meet them on every axis
+        zeros = [sq == 0.0 for sq in squares]
+        hit_sites = np.flatnonzero(np.logical_and.reduce([z.any(axis=0) for z in zeros]))
+        if hit_sites.size:
+            hit = np.ones((m, hit_sites.size), dtype=bool)
+            for z, idx in zip(zeros, index):
+                hit &= z[:, hit_sites][idx]
+            points, col = np.nonzero(hit)
+            out[points, hit_sites[col]] = self.sill
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from georisk.bootstrap import (
     BootstrapEngine,
     MapTargets,
     TargetBlock,
+    _block_covariances,
     _factorize,
     _pcg64_seed_words,
     _stream_draws,
@@ -460,8 +461,9 @@ def test_held_blocks_keep_banded_rows_full_scale(full_design):
 def test_held_and_replicate_gains_equal_dense_formula_full_scale(full_design):
     # the design's held theoretical gain and one replicate's residual- and
     # corrected-mode gains equal, per target block, T L + C0 Sigma^-1 (L - S L)
-    # formed from the full prediction_weights rows, the distances from
-    # cross_distances and solve_spd: array-equal with T taken over the
+    # formed from the full prediction_weights rows, the block's C0
+    # (_block_covariances, checked against the distances in the tests
+    # below) and solve_spd: array-equal with T taken over the
     # block's band, as the operator multiplies it. Over every column the
     # product adds the exact zeros outside the band in another order, so
     # it may differ in the last bits: T L within 2 n u (|T| @ |L|), plus
@@ -486,13 +488,147 @@ def test_held_and_replicate_gains_equal_dense_formula_full_scale(full_design):
         banded, dense, scale = [], [], []
         for lo, block in zip(range(0, len(nodes), _NODE_BLOCK), ctx.targets.blocks):
             full, kept_nodes = _full_rows(trend_fit, nodes[lo:lo + _NODE_BLOCK])
-            c0_term = covariance_matrix(model, cross_distances(kept_nodes, sites)) @ solved
+            c0_term = _block_covariances(model, kept_nodes, sites) @ solved
             banded.append(full[:, block.band] @ L[block.band] + c0_term)
             dense.append(full @ L + c0_term)
             scale.append(np.abs(full) @ np.abs(L))
         assert np.array_equal(gain, np.concatenate(banded)), mode
         bound = 2 * n * u * np.concatenate(scale) + 2 * u * np.abs(gain)
         assert np.all(np.abs(gain - np.concatenate(dense)) <= bound), mode
+
+
+# ---------------------------------------------------------------------------
+# node-to-site covariances
+# ---------------------------------------------------------------------------
+
+
+U = np.finfo(float).eps / 2
+
+
+def _check_covariances(model, nodes, sites, c0):
+    """C0 from nodes to sites against sill - semivariance at the distances:
+    the sill exactly where a distance is 0 and nowhere else (the model has
+    a nugget), and elsewhere within 8 (K + 1) u sill. The bound, set before
+    running: the factor tables give each of the K node terms and the
+    distance path its semivariance terms and the difference from the sill
+    to a few ulps of the sill, and exp(-t^2 u^2) moves by at most
+    |x| e^-x (x = t^2 u^2), under 1/e, times the relative rounding of x."""
+    assert model.nugget > 0.0
+    dists = cross_distances(nodes, sites)
+    want = model.sill - model.semivariance(dists)
+    assert np.array_equal(c0 == model.sill, dists == 0.0)
+    bound = 8 * (model.node_weights.size + 1) * U * model.sill
+    assert np.abs(c0 - want).max() <= bound
+    return dists
+
+
+def _axes(points):
+    return [np.unique(c, return_inverse=True) for c in points.T]
+
+
+def _map_covariances(model, nodes, sites):
+    return np.concatenate([
+        _block_covariances(model, nodes[lo:lo + _NODE_BLOCK], sites)
+        for lo in range(0, len(nodes), _NODE_BLOCK)
+    ])
+
+
+def test_block_covariances_from_factor_tables_table1_full(full_design):
+    # the table1 full design: 2,500 nodes x 400 sites, replicate 0's two
+    # fitted Gaussian-basis models. Node 0 sits on site 0; nodes 49, 2450
+    # and 2499 sit 1.1e-16 from a corner site and are not coincident.
+    # About 0.3 s after the shared fixture.
+    sc, _, trend_fit, _, covariances = full_design
+    nodes, sites = sc.prediction_grid().nodes(), trend_fit.sample.locations
+    for mode in ("residual", "corrected"):
+        model = covariances[mode][0]
+        assert model.axis_product and model.node_weights.size
+        c0 = _map_covariances(model, nodes, sites)
+        dists = _check_covariances(model, nodes, sites, c0)
+        assert dists[0, 0] == 0.0 and c0[0, 0] == model.sill
+        near = dists[[49, 2450, 2499]].min(axis=1)
+        assert np.all((near > 0.0) & (near < 2e-16))
+        assert np.all(c0[[49, 2450, 2499]].max(axis=1) < model.sill)
+
+
+def test_block_covariances_from_factor_tables_riskmap(riskmap_fit):
+    # the benchmark's risk map: 2,500 nodes of the 50 x 50 grid x 1,053
+    # sites, both fitted models. About 1 s after the shared fixture.
+    fit, grid = riskmap_fit
+    for model in (fit.residual_model, fit.corrected_model):
+        assert model.axis_product and model.node_weights.size
+        _check_covariances(
+            model, grid.nodes(), fit.sample.locations,
+            _map_covariances(model, grid.nodes(), fit.sample.locations),
+        )
+
+
+def test_block_covariances_of_other_models_read_the_distances():
+    # the simulation's exponential truth and the Bessel and sinc bases keep
+    # the distance path bit for bit, as does a Gaussian-basis model on a
+    # scattered block, whose distinct coordinates outnumber half its nodes
+    # (its tables would hold more than its C0). Under 0.1 s.
+    sc = table1_scenario("full")
+    nodes = sc.prediction_grid().nodes()[:_NODE_BLOCK]
+    sites = make_regular_grid([(0.0, 1.0), (0.0, 1.0)], (20, 20)).nodes()
+    scattered = np.random.default_rng(3).uniform(size=(_NODE_BLOCK, 2))
+    freqs, weights = [4.0, 9.0], [0.08, 0.03]
+    cases = [(sc.model, nodes), (VariogramModel(0.02, freqs, weights), scattered)]
+    cases += [(VariogramModel(0.02, freqs, weights, kernel_dim=k), nodes) for k in (2, 3)]
+    for model, points in cases:
+        want = covariance_matrix(model, cross_distances(points, sites))
+        assert np.array_equal(_block_covariances(model, points, sites), want)
+    with pytest.raises(ConfigError):
+        VariogramModel(0.02, freqs, weights, kernel_dim=2).axis_covariances(_axes(nodes), sites)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axis_covariances_on_scattered_and_grid_points(dim):
+    # 1-, 2- and 3-D grid points, three of them moved onto sites, and
+    # scattered points: three on sites, one 1e-13 from a site and one off
+    # a site by a squared difference that underflows to 0 on its one
+    # differing axis (a distance of 0). The 2- and 3-D grids share their
+    # coordinates enough for the dispatch to take the tables; a 1-D grid
+    # does not. Under 0.1 s each.
+    rng = np.random.default_rng(dim)
+    model = VariogramModel(0.03, [2.0, 5.0, 11.0], [0.05, 0.02, 0.01])
+    sites = rng.uniform(size=(60, dim))
+    sites[-1] = 0.0
+    side = {1: 300, 2: 20, 3: 7}[dim]
+    grid = make_regular_grid([(0.0, 1.0)] * dim, (side,) * dim).nodes()
+    grid[[5, 17, 40]] = sites[:3]
+    scattered = rng.uniform(size=(200, dim))
+    scattered[[0, 1, 2]] = sites[3:6]
+    scattered[3] = sites[6] + 1e-13
+    scattered[4, 0] = 1e-170  # the rest of its coordinates 0, as site 59's
+    scattered[4, 1:] = 0.0
+    c0 = model.axis_covariances(_axes(grid), sites)
+    assert np.count_nonzero(_check_covariances(model, grid, sites, c0) == 0.0) >= 3
+    shared = 2 * sum(len(c) for c, _ in _axes(grid)) <= len(grid)
+    assert shared == (dim > 1)
+    if shared:
+        assert np.array_equal(_block_covariances(model, grid, sites), c0)
+    c0 = model.axis_covariances(_axes(scattered), sites)
+    dists = _check_covariances(model, scattered, sites, c0)
+    assert np.count_nonzero(dists == 0.0) == 4 and dists[3, 6] > 0.0
+
+
+def test_block_covariances_memory_table1_block(full_design):
+    # one 256-node block of the table1 full map against its 400 sites, the
+    # corrected model. Bound, set before running: no more than the block's
+    # distances and covariances, two (256, n) doubles, which the distance
+    # path holds beside its semivariance.
+    sc, _, trend_fit, _, covariances = full_design
+    model = covariances["corrected"][0]
+    nodes = sc.prediction_grid().nodes()[:_NODE_BLOCK]
+    sites = trend_fit.sample.locations
+    tracemalloc.start()
+    try:
+        _block_covariances(model, nodes, sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * _NODE_BLOCK * len(sites)
 
 
 def test_held_targets_bytes_full_scale(full_design):
@@ -1049,6 +1185,15 @@ def test_mode_theoretical_runs_with_truth(fitted):
 def test_unknown_mode_rejected(fitted):
     with pytest.raises(ConfigError):
         risk_maps(fitted, SMALL_GRID, [2.5], n_replicates=10, seed=0, mode="nope")
+
+
+@pytest.mark.parametrize("thresholds", [[np.nan], [2.5, np.nan], [2.5, 2.5], [], np.array([2.0, 2.0])])
+def test_risk_maps_rejects_nan_or_repeated_thresholds(fitted, thresholds):
+    # a NaN threshold gave an all-zero map, and a repeated one the same map
+    # twice; -inf and inf stay the limits (test_risk_map_threshold_limits).
+    # Under 0.1 s each
+    with pytest.raises(ConfigError, match="threshold"):
+        risk_maps(fitted, SMALL_GRID, thresholds, n_replicates=10, seed=0)
 
 
 def test_rng_stream_independent_of_call_order():

@@ -422,3 +422,46 @@ def test_run_scenario_rejects_threads_below_one():
     for threads in (0, -3):
         with pytest.raises(ConfigError, match="threads"):
             run_scenario(sc, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "thresholds", ["nan", "inf", "1,nan", "-inf,2", "1,1", "1,1.0", "1,1.0000001"]
+)
+def test_riskmap_bad_thresholds_exit_2_before_anything_is_written(
+    tmp_path, monkeypatch, caplog, synth_csv, thresholds
+):
+    # a non-finite threshold has no map, a repeated one maps one event
+    # twice, and two that print alike would write one file twice; each is
+    # a configuration error raised before the data are read. From a flag
+    # and from a config-file list; under 0.1 s each
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ingest_csv", lambda *a, **k: pytest.fail("ran past the check"))
+    argv = ["riskmap", "--input", str(synth_csv), "--out", "out"]
+    assert main([*argv, f"--thresholds={thresholds}"]) == 2
+    assert "threshold" in caplog.text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thresholds": [float(c) for c in thresholds.split(",")]}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--sill", "nan"], ["--sill", "inf"], ["--range", "nan"], ["--range", "inf"]]
+)
+def test_custom_scenario_nonfinite_model_exits_2(tmp_path, monkeypatch, flags):
+    # a NaN passed the scenario's < and <= checks and failed later as a
+    # numerical error (exit 4); now no replicate runs. Under 0.1 s each
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("ran past the check"))
+    assert main(["simulate", "--scenario", "custom", *flags, "--N", "1", "--out", "out"]) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_main_calls_the_command_bound_in_the_module(tmp_path, monkeypatch):
+    # a wrapped or patched cmd_* (the benchmark tracer replaces module
+    # attributes) is the one main runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_synth", lambda cfg: calls.append(cfg["n"]) or 0)
+    assert main(["synth-data", "--out", str(tmp_path / "s"), "--n", "40"]) == 0
+    assert calls == [40]
+    assert not (tmp_path / "s").exists()

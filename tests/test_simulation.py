@@ -167,6 +167,24 @@ def test_scenario_validation():
         Scenario(seed=7.5)  # would have drawn seed 7's fields
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("nugget", math.nan), ("nugget", math.inf), ("partial_sill", math.nan),
+     ("partial_sill", math.inf), ("practical_range", math.nan), ("practical_range", math.inf)],
+)
+def test_scenario_rejects_nonfinite_model(field, value):
+    # NaN passes every < and <= check, so it used to fail later as a
+    # numerical error inside the first replicate
+    with pytest.raises(ConfigError, match="finite"):
+        Scenario(**{field: value})
+
+
+@pytest.mark.parametrize("thresholds", [(math.nan,), (2.5, math.nan), (2.5, 2.5), (2.5, 3.0, 2.5)])
+def test_scenario_rejects_nan_or_repeated_thresholds(thresholds):
+    with pytest.raises(ConfigError, match="threshold"):
+        Scenario(thresholds=thresholds)
+
+
 def test_scale_presets():
     desk = table1_scenario("desk")
     assert (desk.nx, desk.n_replicates, desk.n_boot, desk.grid_nx) == (10, 100, 200, 25)
