@@ -23,6 +23,9 @@ design is singular and its kept nodes' coordinates. A block's C0 is formed
 from those coordinates just before it is used and dropped with it: a
 Gaussian-basis estimate on grid nodes reads it from per-axis factor
 tables, any other covariance from the block's distances to the sites.
+Where the sites themselves form a product grid, a Gaussian-basis
+estimate never forms C0: its term C0 Sigma^-1 (L - S L) is a sum of
+Kronecker products and is contracted axis by axis.
 
 ``block_engines`` is the one place an operator is formed, one target block
 at a time. Per covariance it solves Sigma^-1 (L - S L) and L^-1 f once for
@@ -558,7 +561,10 @@ class BootstrapEngine:
 
 def _block_covariances(model, nodes: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """The covariances C0 of ``model`` from a target block's ``nodes`` to
-    the ``sites``, the one place the operator forms them.
+    the ``sites``, the one place the operator forms them: for every block
+    whose kriging term ``_gain_blocks`` does not add axis by axis (the
+    sites are not a product grid, the nodes do not share their first-axis
+    coordinates, or the model is not a Gaussian basis).
 
     A Gaussian-basis ``VariogramModel`` (``axis_product``) forms them from
     per-axis factor tables over the nodes' distinct coordinates
@@ -576,29 +582,138 @@ def _block_covariances(model, nodes: np.ndarray, sites: np.ndarray) -> np.ndarra
     return covariance_matrix(model, cross_distances(nodes, sites))
 
 
+def _site_grid(sites: np.ndarray):
+    """The distinct coordinates of ``sites`` per axis, where there are at
+    least two axes and the sites are every point of that product grid,
+    listed in the grid's own order, first axis slowest (as
+    ``RegularGrid.nodes`` lists them), so that an (n, ...) array over the
+    sites reshapes to (n_1, ..., n_d, ...) as a view, and one first-axis
+    coordinate holds at most ``_NODE_BLOCK`` sites; None otherwise."""
+    coords = [np.unique(c) for c in sites.T]
+    shape = [len(c) for c in coords]
+    if len(shape) < 2 or math.prod(shape) != len(sites) or math.prod(shape[1:]) > _NODE_BLOCK:
+        return None
+    mesh = np.meshgrid(*coords, indexing="ij")
+    if all(np.array_equal(m.ravel(), c) for m, c in zip(mesh, sites.T)):
+        return coords
+    return None
+
+
+def _add_axis_products(out, rows, tables, index, part) -> None:
+    """out[rows] += the sum over K basis nodes and the grid sites of each
+    row's product of per-axis table entries times ``part``.
+
+    ``tables[a]`` is (distinct coordinates, K, n_a), and a row takes
+    ``tables[a][index[a][row]]`` on axis a. ``part`` is the
+    (1, n_1, ..., n_d, n) view of the right-hand side on the first call,
+    shared by the K nodes, and (K, n_a, ..., n_d, n) below it. The rows'
+    distinct coordinates on the first of the axes are contracted with
+    ``part`` a chunk at a time, each chunk's product holding at most
+    ``_NODE_BLOCK`` sites' worth of rows per node, and each coordinate's
+    rows recurse over the other axes. On the last axis one product sums
+    over the K nodes and the axis's sites at once and adds into the rows.
+    """
+    table, idx = tables[0], index[0][rows]
+    k, n_a = table.shape[1:]
+    if len(tables) == 1:
+        if rows[-1] - rows[0] == len(rows) - 1:  # contiguous, so a view
+            rows = slice(rows[0], rows[-1] + 1)
+        out[rows] += table[idx].reshape(len(idx), -1) @ part.reshape(k * n_a, -1)
+        return
+    coords = np.unique(idx)
+    shape = part.shape[2:]
+    rest = math.prod(shape)
+    step = _NODE_BLOCK // (k * math.prod(shape[:-1]))
+    buffer = np.empty(min(step, len(coords)) * k * rest)  # one chunk's products
+    for lo in range(0, len(coords), step):
+        chunk = coords[lo:lo + step]
+        partial = buffer[:len(chunk) * k * rest]
+        if len(part) == 1:  # one product for every node, in (chunk, K) order
+            left = table[chunk].reshape(-1, n_a)
+            np.matmul(left, part.reshape(n_a, rest), out=partial.reshape(-1, rest))
+            subs = partial.reshape(len(chunk), k, *shape)
+        else:
+            left = table[chunk].transpose(1, 0, 2)
+            np.matmul(left, part.reshape(k, n_a, rest), out=partial.reshape(k, -1, rest))
+            subs = partial.reshape(k, len(chunk), *shape).swapaxes(0, 1)
+        for c, sub in zip(chunk, subs):
+            _add_axis_products(out, rows[idx == c], tables[1:], index[1:], sub)
+
+
+def _add_grid_covariances_product(out, model, nodes, grid, solved) -> None:
+    """out += C0 @ ``solved`` for the covariances C0 of an ``axis_product``
+    ``model`` from ``nodes`` to the sites of the product ``grid``
+    (``_site_grid``), without forming C0.
+
+    Off the sites C0 = sum_k b_k prod_a exp(-t_k^2 (x_a - s_a)^2), a sum of
+    Kronecker products over the axes, so ``solved`` (sites x columns) is
+    read as a (n_1, ..., n_d, columns) view and contracted axis by axis
+    (``_add_axis_products``) with per-axis tables over the nodes' distinct
+    coordinates and the grid's, weighted by b_k on the first axis, for
+    groups of basis nodes whose first-axis products hold at most
+    ``_NODE_BLOCK`` sites' worth of rows. Where a node meets a site on
+    every axis (a squared difference of 0, the sill rule of
+    ``VariogramModel.axis_covariances``) the tables give sill - nugget, so
+    nugget * solved[site] is added there.
+    """
+    axes = [np.unique(c, return_inverse=True) for c in nodes.T]
+    squares = [np.square(np.subtract.outer(coords, g)) for (coords, _), g in zip(axes, grid)]
+    index = [idx for _, idx in axes]
+    view = solved.reshape(1, *(len(g) for g in grid), solved.shape[1])
+    rows = np.arange(len(nodes))
+    freqs, weights = model.node_freqs, model.node_weights
+    group = _NODE_BLOCK // math.prod(view.shape[2:-1])
+    for lo in range(0, len(freqs), group):
+        scale = -np.square(freqs[lo:lo + group])[:, None]
+        tables = [np.exp(sq[:, None, :] * scale) for sq in squares]
+        tables[0] *= weights[lo:lo + group, None]
+        _add_axis_products(out, rows, tables, index, view)
+    if model.nugget:
+        meets = [(sq == 0.0)[idx] for sq, idx in zip(squares, index)]  # (nodes, n_a) each
+        on = np.flatnonzero(np.logical_and.reduce([z.any(axis=1) for z in meets]))
+        hit = np.ones((len(on), 1), dtype=bool)
+        for z in meets:
+            hit = (hit[:, :, None] & z[on][:, None, :]).reshape(len(on), hit.shape[1] * z.shape[1])
+        node, site = np.nonzero(hit)
+        np.add.at(out, on[node], model.nugget * solved[site])
+
+
 def _gain_blocks(trend_fit: TrendFit, targets: MapTargets, model, factor: CholeskyFactor):
     """Each target block's gain rows W L = T L + C0 Sigma^-1 (L - S L),
     with the block's mask, formed when the block is reached.
 
     ``model`` with its ``factor`` (Sigma = L L^T) is the covariance that
     kriges; ``trend_fit`` gives the hat matrix S and the sites. The one
-    solve runs for the whole map, in place on S L; a block's rows come from
-    its rows of T (over their band) and its C0, formed here
-    (``_block_covariances``: from per-axis factor tables for a
-    Gaussian-basis estimate on grid nodes, from the distances for the
-    simulation's exponential truth and the other bases), and the block is
-    dropped before the next one is formed.
+    solve runs for the whole map, in place on S L. A block's T L reads its
+    rows of T over their band, and only the columns of L below the band's
+    end: L is lower triangular, so the others are exactly 0.
+
+    A Gaussian-basis estimate (``axis_product``) on sites that form a full
+    product grid in the grid's own order (``_site_grid``) adds the block's
+    C0 Sigma^-1 (L - S L) axis by axis, without forming C0
+    (``_add_grid_covariances_product``), where the block's nodes share
+    their first-axis coordinates (at most half as many as nodes, as on a
+    map grid). Every other model, site set or block, among them the
+    simulation's exponential truth, scattered sites and scattered nodes,
+    forms the block's C0 (``_block_covariances``) and multiplies it. The
+    block is dropped before the next one is formed.
     """
     L = factor.L
     sites = trend_fit.sample.locations
     solved = trend_fit.smoother.S @ L
     np.subtract(L, solved, out=solved)
     _solve_spd_in_place(factor, solved)
+    grid = _site_grid(sites) if isinstance(model, VariogramModel) and model.axis_product else None
     for block in targets.blocks:
-        gain = block.rows @ L[block.band]
+        stop = block.band.stop
+        gain = np.zeros((len(block.rows), factor.n))
+        np.matmul(block.rows, L[block.band, :stop], out=gain[:, :stop])
         mask, nodes = block.mask, block.nodes
         del block  # its smoother rows die here, before C0 exists
-        gain += _block_covariances(model, nodes, sites) @ solved
+        if grid is not None and 0 < 2 * len(np.unique(nodes[:, 0])) <= len(nodes):
+            _add_grid_covariances_product(gain, model, nodes, grid, solved)
+        else:
+            gain += _block_covariances(model, nodes, sites) @ solved
         yield gain, mask
         del gain  # free this block's rows before the next one is formed
 

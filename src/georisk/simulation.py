@@ -86,6 +86,17 @@ class ExponentialVariogram:
     partial_sill: float
     practical_range: float
 
+    def __post_init__(self):
+        # written so that NaN, for which every comparison is false, fails
+        if not (
+            0.0 <= self.nugget < math.inf
+            and 0.0 < self.partial_sill < math.inf
+            and 0.0 < self.practical_range < math.inf
+        ):
+            raise ConfigError(
+                "exponential model needs finite nugget >= 0, partial_sill > 0 and practical_range > 0"
+            )
+
     @property
     def sill(self) -> float:
         return self.nugget + self.partial_sill
@@ -116,15 +127,7 @@ class Scenario:
     bandwidth_criterion: str = "mase"
 
     def __post_init__(self):
-        # written so that NaN, for which every comparison is false, fails
-        if not (
-            0.0 <= self.nugget < math.inf
-            and 0.0 < self.partial_sill < math.inf
-            and 0.0 < self.practical_range < math.inf
-        ):
-            raise ConfigError(
-                "scenario needs finite nugget >= 0, partial_sill > 0 and practical_range > 0"
-            )
+        _ = self.model  # ExponentialVariogram rejects a non-finite or out-of-range model
         if self.design not in ("regular", "uniform"):
             raise ConfigError("design must be 'regular' or 'uniform'")
         if self.bandwidth_criterion not in ("mase", "pipeline"):

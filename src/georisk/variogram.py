@@ -104,10 +104,11 @@ class VariogramModel:
         weights = np.asarray(self.node_weights, dtype=np.float64).ravel()
         if freqs.shape != weights.shape:
             raise ConfigError("node_freqs and node_weights must align")
-        if np.any(freqs <= 0.0):
-            raise ConfigError("node frequencies must be positive")
-        if self.nugget < 0.0 or np.any(weights < 0.0):
-            raise ConfigError("nugget and node weights must be nonnegative")
+        # written so that NaN, for which every comparison is false, fails
+        if not np.all((0.0 < freqs) & (freqs < math.inf)):
+            raise ConfigError("node frequencies must be finite and positive")
+        if not (0.0 <= self.nugget < math.inf and np.all((0.0 <= weights) & (weights < math.inf))):
+            raise ConfigError("nugget and node weights must be finite and nonnegative")
         _basis_kernel(self.kernel_dim)
         object.__setattr__(self, "nugget", float(self.nugget))
         object.__setattr__(self, "node_freqs", freqs)

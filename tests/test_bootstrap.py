@@ -1,3 +1,4 @@
+import collections
 import inspect
 import math
 import tracemalloc
@@ -43,6 +44,7 @@ from georisk.bootstrap import (
     resample_indices,
     risk_maps,
     rng_stream,
+    site_design,
 )
 from georisk.exceptions import BandwidthTooSmallError, ConfigError
 from georisk.geometry import (
@@ -55,6 +57,7 @@ from georisk.geometry import (
 from georisk.io import synth_dataset
 from georisk.numerics import CholeskyFactor, solve_spd
 from georisk.simulation import (
+    Scenario,
     _DesignContext,
     simulate_field,
     table1_scenario,
@@ -469,7 +472,13 @@ def test_held_and_replicate_gains_equal_dense_formula_full_scale(full_design):
     # it may differ in the last bits: T L within 2 n u (|T| @ |L|), plus
     # 2 u |gain| for the rounding of the sum with the C0 term (u = 2^-53).
     # The bound written before the first run lacked that second term, and
-    # that run failed on it. About 0.5 s after the shared fixture.
+    # that run failed on it. The two estimated modes' sites are a 20 x 20
+    # grid, so their C0 term is added axis by axis, without forming C0,
+    # and may differ from C0 @ Sigma^-1 (L - S L) in the last bits as well:
+    # those two gains equal the banded formula within _grid_route_bound
+    # (checked on its own in the tests below), and the dense one within
+    # the sum of both bounds; the theoretical gain stays array-equal.
+    # About 0.5 s after the shared fixture.
     sc, ctx, trend_fit, _, covariances = full_design
     nodes = sc.prediction_grid().nodes()
     sites = trend_fit.sample.locations
@@ -485,15 +494,24 @@ def test_held_and_replicate_gains_equal_dense_formula_full_scale(full_design):
         model, factor = covariances[mode]
         L = factor.L
         solved = solve_spd(factor, L - S @ L)
-        banded, dense, scale = [], [], []
+        banded, dense, scale, route = [], [], [], []
         for lo, block in zip(range(0, len(nodes), _NODE_BLOCK), ctx.targets.blocks):
             full, kept_nodes = _full_rows(trend_fit, nodes[lo:lo + _NODE_BLOCK])
-            c0_term = _block_covariances(model, kept_nodes, sites) @ solved
+            c0 = _block_covariances(model, kept_nodes, sites)
+            c0_term = c0 @ solved
             banded.append(full[:, block.band] @ L[block.band] + c0_term)
             dense.append(full @ L + c0_term)
             scale.append(np.abs(full) @ np.abs(L))
-        assert np.array_equal(gain, np.concatenate(banded)), mode
-        bound = 2 * n * u * np.concatenate(scale) + 2 * u * np.abs(gain)
+            if mode != "theoretical":
+                route.append(_grid_route_bound(model, (20, 20), c0, solved, banded[-1]))
+        banded = np.concatenate(banded)
+        if mode == "theoretical":
+            assert np.array_equal(gain, banded)
+            route = 0.0
+        else:
+            route = np.concatenate(route)
+            assert np.all(np.abs(gain - banded) <= route), mode
+        bound = 2 * n * u * np.concatenate(scale) + 2 * u * np.abs(gain) + route
         assert np.all(np.abs(gain - np.concatenate(dense)) <= bound), mode
 
 
@@ -629,6 +647,196 @@ def test_block_covariances_memory_table1_block(full_design):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * _NODE_BLOCK * len(sites)
+
+
+# ---------------------------------------------------------------------------
+# the kriging term on a product grid of sites
+# ---------------------------------------------------------------------------
+
+
+def _grid_route_bound(model, shape, c0, solved, gain):
+    """Bound, written before running, on |gain - oracle| per entry, where
+    the oracle adds c0 @ solved (C0 from ``_block_covariances``'s factor
+    tables, nonnegative) to T L and the operator's product-grid route adds
+    the same sum axis by axis over a grid of ``shape``. Each way of
+    summing rounds within 2 u times its longest chain of additions: n for
+    the oracle; sum(shape) + K n_d + K for the route's nested sums and its
+    adds into the rows. Each product of d table entries and a weight is
+    within 2 (d + 2) u, the nugget's own addition within 2 u, and each sum
+    with T L within 2 u |gain|. All but the last scale with C0 @ |solved|."""
+    k, d = model.node_weights.size, len(shape)
+    chain = solved.shape[0] + sum(shape) + k * shape[-1] + k + 2 * (d + 2) + 2
+    return 2 * U * (chain * (c0 @ np.abs(solved)) + np.abs(gain))
+
+
+def _parent_gains(trend_fit, targets, model, factor):
+    """The gain rows as the operator formed them before the product-grid
+    route: T over the band times L, plus the block's C0
+    (``_block_covariances``) times Sigma^-1 (L - S L)."""
+    L = factor.L
+    sites = trend_fit.sample.locations
+    solved = solve_spd(factor, L - trend_fit.smoother.S @ L)
+    return np.concatenate([
+        block.rows @ L[block.band] + _block_covariances(model, block.nodes, sites) @ solved
+        for block in targets.blocks
+    ])
+
+
+def _route_gain(monkeypatch, trend_fit, targets, model, factor):
+    """``mode_gain`` with a count of the blocks whose C0 term took the
+    product-grid route."""
+    calls = []
+    route = bootstrap._add_grid_covariances_product
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        route(*args)
+
+    monkeypatch.setattr(bootstrap, "_add_grid_covariances_product", counted)
+    return mode_gain(trend_fit, targets, model, factor), len(calls)
+
+
+def _check_route(model, shape, trend_fit, targets, factor, gain):
+    """The route's gain rows against T L + C0 Sigma^-1 (L - S L), per
+    block, within ``_grid_route_bound``; every block's C0 comes from the
+    factor tables. Returns the bound and Sigma^-1 (L - S L)."""
+    L = factor.L
+    sites = trend_fit.sample.locations
+    solved = solve_spd(factor, L - trend_fit.smoother.S @ L)
+    want, bound = [], []
+    for block in targets.blocks:
+        assert 2 * sum(len(np.unique(c)) for c in block.nodes.T) <= len(block.nodes)
+        c0 = _block_covariances(model, block.nodes, sites)
+        want.append(block.rows @ L[block.band] + c0 @ solved)
+        bound.append(_grid_route_bound(model, shape, c0, solved, want[-1]))
+    want, bound = np.concatenate(want), np.concatenate(bound)
+    assert np.all(np.abs(gain - want) <= bound)
+    assert np.abs(gain - want).max() <= 1e-14 * np.abs(want).max()
+    return bound, solved
+
+
+def test_grid_route_gain_rows_table1_full(full_design, monkeypatch):
+    # the table1 full design (2,500 map nodes x 400 sites on a 20 x 20
+    # grid), replicate 0's two fitted models: every block takes the route.
+    # Node 0 sits on site 0, so its row holds the nugget's term; nodes 49,
+    # 2450 and 2499 sit 1.1e-16 from a corner site and must not: at each
+    # of the four rows nugget * |Sigma^-1 (L - S L)[site]| exceeds the
+    # bound, so a wrong choice there fails. Under 0.5 s after the shared
+    # fixture.
+    sc, ctx, trend_fit, _, covariances = full_design
+    nodes, sites = sc.prediction_grid().nodes(), trend_fit.sample.locations
+    assert not ctx.targets.mask.any()
+    nearest = cross_distances(nodes[[0, 49, 2450, 2499]], sites).argmin(axis=1)
+    for mode in ("residual", "corrected"):
+        model, factor = covariances[mode]
+        gain, routed = _route_gain(monkeypatch, trend_fit, ctx.targets, model, factor)
+        assert routed == len(ctx.targets.blocks)
+        bound, solved = _check_route(model, (20, 20), trend_fit, ctx.targets, factor, gain)
+        for row, site in zip([0, 49, 2450, 2499], nearest):
+            assert np.any(model.nugget * np.abs(solved[site]) > bound[row]), (mode, row)
+
+
+def test_grid_route_gain_rows_32x32_sites(monkeypatch):
+    # n = 1,024 sites on a 32 x 32 grid under the 50 x 50 map, the trend at
+    # a fixed bandwidth and both models fitted as in a study replicate.
+    # About 2-3 s.
+    sc = Scenario(nx=32, ny=32, grid_nx=50, grid_ny=50)
+    sample = simulate_field(sc, 0)
+    trend_fit = fit_trend(sample, BandwidthMatrix.diagonal(0.15, 0.15))
+    site = site_design(sample.locations)
+    g = select_lag_bandwidth(trend_fit.residuals, site.pairs, site.lag_grid)
+    _, resid_model, _, corr_model = _variogram_fit(trend_fit, site.pairs, site.lag_grid, g)
+    factors = _factorize((resid_model, corr_model), site.dists)
+    targets = map_targets(trend_fit, sc.prediction_grid().nodes())
+    for model, factor in zip((resid_model, corr_model), factors):
+        assert model.axis_product and model.node_weights.size
+        gain, routed = _route_gain(monkeypatch, trend_fit, targets, model, factor)
+        assert routed == len(targets.blocks)
+        _check_route(model, (32, 32), trend_fit, targets, factor, gain)
+
+
+def _line_or_box_design(dim):
+    """A trend fit on a 30-site line (1-D) or a 5 x 4 x 3 box (3-D) of
+    sites, the map targets of a 300-node line or a 9 x 8 x 7 box, and a
+    Gaussian-basis model with its factor."""
+    rng = np.random.default_rng(dim)
+    site_dims, map_dims, h = {1: ((30,), (300,), (0.2,)), 3: ((5, 4, 3), (9, 8, 7), (0.5, 0.5, 0.6))}[dim]
+    sites = make_regular_grid([(0.0, 1.0)] * dim, site_dims).nodes()
+    values = np.sin(3.0 * sites.sum(axis=1)) + 0.1 * rng.standard_normal(len(sites))
+    trend_fit = fit_trend(SpatialSample(sites, values), BandwidthMatrix.diagonal(*h))
+    nodes = make_regular_grid([(0.0, 1.0)] * dim, map_dims).nodes()
+    model = VariogramModel(0.03, [2.0, 5.0, 11.0], [0.05, 0.02, 0.01])
+    (factor,) = _factorize((model,), pairwise_distances(sites))
+    return trend_fit, map_targets(trend_fit, nodes), model, factor, site_dims
+
+
+def test_grid_route_gain_rows_3d_box(monkeypatch):
+    # a 5 x 4 x 3 box of sites under a 9 x 8 x 7 box of map nodes: the
+    # route recurses through the middle axis, and the map's corners sit
+    # on sites. Under 0.5 s.
+    trend_fit, targets, model, factor, shape = _line_or_box_design(3)
+    gain, routed = _route_gain(monkeypatch, trend_fit, targets, model, factor)
+    assert routed == len(targets.blocks)
+    _check_route(model, shape, trend_fit, targets, factor, gain)
+
+
+def test_grid_route_off_on_a_line(monkeypatch):
+    # a line of sites gains nothing from the factoring (its C0 is its one
+    # table), so a 1-D design keeps the product with C0, array-equal to it.
+    # Under 0.5 s.
+    trend_fit, targets, model, factor, _ = _line_or_box_design(1)
+    gain, routed = _route_gain(monkeypatch, trend_fit, targets, model, factor)
+    assert routed == 0
+    assert np.array_equal(gain, _parent_gains(trend_fit, targets, model, factor))
+
+
+def test_grid_route_fallbacks_equal_the_product_with_c0(full_design, monkeypatch):
+    # on the table1 full design, each case the route must leave alone
+    # forms C0 and multiplies it, array-equal to the gains before the
+    # route (whose T L read every column of L): site 0 removed, the site
+    # rows shuffled, the exponential truth, the Bessel and sinc bases, and
+    # Gaussian-basis map nodes scattered over the grid. About 2 s after
+    # the shared fixture.
+    sc, ctx, trend_fit, _, covariances = full_design
+    corr_model = covariances["corrected"][0]
+    sample = trend_fit.sample
+    nodes = sc.prediction_grid().nodes()
+    bandwidth = BandwidthMatrix.diagonal(0.15, 0.15)
+    order = np.random.default_rng(5).permutation(sample.n)
+    cases = []
+    for keep in (np.arange(1, sample.n), order):
+        fit = fit_trend(SpatialSample(sample.locations[keep], sample.values[keep]), bandwidth)
+        cases.append((fit, map_targets(fit, nodes), corr_model, None))
+    cases.append((trend_fit, ctx.targets, *covariances["theoretical"]))
+    for dim in (2, 3):
+        model = VariogramModel(corr_model.nugget, corr_model.node_freqs, corr_model.node_weights, dim)
+        cases.append((trend_fit, ctx.targets, model, None))
+    scattered = np.random.default_rng(6).uniform(size=(600, 2))
+    cases.append((trend_fit, map_targets(trend_fit, scattered), corr_model, None))
+    for fit, targets, model, factor in cases:
+        if factor is None:
+            (factor,) = _factorize((model,), pairwise_distances(fit.sample.locations))
+        gain, routed = _route_gain(monkeypatch, fit, targets, model, factor)
+        assert routed == 0
+        assert np.array_equal(gain, _parent_gains(fit, targets, model, factor))
+
+
+def test_grid_route_memory_table1_full(full_design):
+    # one estimated mode's gain blocks on the table1 full design, each
+    # dropped as the next is formed. Bound, set before running: what the
+    # product with C0 held, Sigma^-1 (L - S L) (n x n doubles) plus one
+    # block's gain rows, C0 and their product (three (256, n) doubles).
+    # Under 0.5 s after the shared fixture.
+    sc, ctx, trend_fit, _, covariances = full_design
+    model, factor = covariances["corrected"]
+    n = trend_fit.sample.n
+    tracemalloc.start()
+    try:
+        collections.deque(bootstrap._gain_blocks(trend_fit, ctx.targets, model, factor), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + 3 * _NODE_BLOCK * n)
 
 
 def test_held_targets_bytes_full_scale(full_design):

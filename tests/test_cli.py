@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from georisk import cli
+from georisk import bootstrap, cli
 from georisk.bootstrap import fit_pipeline, risk_maps
 from georisk.cli import main
 from georisk.exceptions import ConfigError
@@ -206,6 +206,32 @@ def test_simulate_table2_and_table3(tmp_path):
     assert code == 0
     payload = json.loads((out3 / "results.json").read_text())
     assert payload["runs"][0]["scenario"]["design"] == "uniform"
+
+
+def test_simulate_table1_desk_identical_without_grid_route(tmp_path, monkeypatch):
+    # the table1 desk study: its 10 x 10 sites form a grid, so both
+    # estimated modes add their kriging term axis by axis. With that route
+    # turned off (the sites never read as a grid) every block forms C0 and
+    # multiplies it, and results.csv and results.json are byte-identical.
+    # About 1 s.
+    args = ["simulate", "--scenario", "table1", "--scale", "desk", "--N", "10", "--seed", "20240"]
+    calls = []
+    route = bootstrap._add_grid_covariances_product
+
+    def counted(*a):
+        calls.append(1)
+        route(*a)
+
+    monkeypatch.setattr(bootstrap, "_add_grid_covariances_product", counted)
+    for run in ("grid", "dense"):
+        if run == "dense":
+            monkeypatch.setattr(bootstrap, "_site_grid", lambda sites: None)
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)  # results.json records the --out path
+        assert main([*args, "--out", "out"]) == 0
+        assert len(calls) == 10 * 2 * 3  # replicates x estimated modes x map blocks
+    for name in ("results.csv", "results.json"):
+        assert (tmp_path / "grid/out" / name).read_bytes() == (tmp_path / "dense/out" / name).read_bytes()
 
 
 def test_simulate_desk_row_count(tmp_path):

@@ -66,6 +66,19 @@ def test_exponential_model_protocol():
     assert_allclose(m.semivariance(u), exp_variogram(u, 0.04, 0.12, 0.5), atol=0)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 0.12, 0.5), (math.inf, 0.12, 0.5), (-0.01, 0.12, 0.5),
+    (0.04, math.nan, 0.5), (0.04, math.inf, 0.5), (0.04, 0.0, 0.5),
+    (0.04, 0.12, math.nan), (0.04, 0.12, math.inf), (0.04, 0.12, 0.0), (0.04, 0.12, -0.5),
+])
+def test_exponential_model_rejects_bad_parameters(args):
+    # a NaN nugget gave a NaN sill, and a negative range a negative
+    # semivariance (-0.146 at u = 0.3); the scenario's model is unchanged
+    with pytest.raises(ConfigError, match="finite"):
+        ExponentialVariogram(*args)
+    assert table1_scenario("full").model == ExponentialVariogram(0.04, 0.12, 0.5)
+
+
 def test_true_risk_examples():
     sc = table1_scenario("desk")
     x0 = np.array([[0.5, 0.5]])

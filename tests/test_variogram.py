@@ -977,6 +977,25 @@ def test_evaluate_model_conventions():
     assert single.semivariance(u) == pytest.approx(0.1 + 0.5 * (1.0 - math.exp(-1.0)))
 
 
+@pytest.mark.parametrize("nugget, freqs, weights", [
+    (math.nan, [1.0], [0.1]), (math.inf, [1.0], [0.1]), (-0.1, [1.0], [0.1]),
+    (0.1, [math.inf], [0.1]), (0.1, [math.nan], [0.1]), (0.1, [0.0], [0.1]), (0.1, [-1.0], [0.1]),
+    (0.1, [1.0], [math.nan]), (0.1, [1.0], [math.inf]), (0.1, [1.0, 2.0], [0.1, -0.1]),
+])
+def test_variogram_model_rejects_bad_parameters(nugget, freqs, weights):
+    # NaN passes every < and <= check, so a NaN nugget built a model with a
+    # NaN sill, and infinite or NaN nodes built too
+    with pytest.raises(ConfigError, match="finite"):
+        VariogramModel(nugget=nugget, node_freqs=freqs, node_weights=weights)
+
+
+def test_variogram_model_keeps_zero_nugget_and_weights():
+    # the edges a fit produces stay legal: no nugget, zero node weights and
+    # no nodes at all
+    assert VariogramModel(0.0, [1.0, 2.0], [0.0, 0.2]).sill == 0.2
+    assert VariogramModel(0.0, [], []).sill == 0.0
+
+
 def test_evaluate_gaussian_model_monotone():
     model = VariogramModel(
         nugget=0.05, node_freqs=[1.0, 3.0, 7.0], node_weights=[0.2, 0.1, 0.05]
